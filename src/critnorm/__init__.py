@@ -10,8 +10,7 @@ Subpackage map:
 - pns: perturbed Navier-Stokes time stepper and energy bookkeeping
 - pressure: localized pressure representation and oscillation estimates
 - ckn: dyadic ledger of local quantities and test-function battery
-- concentration: data splitting, rescaling, concentration diagnostics
-- cli: experiment driver
+- corpus: stock test fields
 """
 
 __version__ = "0.1.0"

@@ -1,37 +1,19 @@
 """Shared FFT entry points.
 
-Every transform in the package funnels through this module so the worker
-count can be configured once (CLI --workers) instead of being threaded
-through each call site. scipy.fft releases the GIL and parallelizes over
-the leading axes when workers > 1.
+Every transform in the package funnels through this module, so transform
+counts and timings can be taken in one place.
 """
 
 import scipy.fft
 
-_workers = None
-
-
-def set_workers(count):
-    """Set the thread count used by all transforms (None or 0 = scipy default)."""
-    global _workers
-    _workers = None if not count else int(count)
-
-
-def get_workers():
-    return _workers
-
 
 def rfftn(a, axes=None):
-    return scipy.fft.rfftn(a, axes=axes, workers=_workers)
+    return scipy.fft.rfftn(a, axes=axes)
 
 
 def irfftn(a, s, axes=None):
-    return scipy.fft.irfftn(a, s=s, axes=axes, workers=_workers)
+    return scipy.fft.irfftn(a, s=s, axes=axes)
 
 
 def fftn(a, axes=None):
-    return scipy.fft.fftn(a, axes=axes, workers=_workers)
-
-
-def ifftn(a, axes=None):
-    return scipy.fft.ifftn(a, axes=axes, workers=_workers)
+    return scipy.fft.fftn(a, axes=axes)

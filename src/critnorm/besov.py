@@ -12,15 +12,16 @@ Norms over the box play the role of global norms: fields of interest decay
 inside the box or are explicitly periodic corpus members.
 """
 
-import csv
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _fft
+from .fieldio import write_csv
 from .fields import ScalarField, VectorField, smoothstep
-from .norms import NormReport
+from .norms import NormReport, box_lp
 from .spectral import apply_multiplier, divergence
 
 __all__ = [
@@ -79,28 +80,15 @@ class LPProjectorBank:
         return float(np.max(np.abs(total[active] - 1.0)))
 
 
-_BANKS = {}
-
-
+@functools.lru_cache(maxsize=4)
 def _bank_for(grid):
-    bank = _BANKS.get(grid)
-    if bank is None:
-        bank = _BANKS[grid] = LPProjectorBank(grid)
-    return bank
+    return LPProjectorBank(grid)
 
 
 def lp_project(f, j, bank=None):
     """Dyadic block: multiply the spectrum by phi(2^-j |xi|)."""
     bank = bank or _bank_for(f.grid)
     return apply_multiplier(f, bank.weight(j))
-
-
-def _box_lp(f, p):
-    comps = getattr(f, "components", None)
-    mag = np.abs(f.values) if comps is None else np.sqrt(np.sum(comps * comps, axis=0))
-    if p == math.inf:
-        return float(np.max(mag))
-    return float(np.sum(mag**p) * f.grid.cell_volume) ** (1.0 / p)
 
 
 def besov_norm_lp(f, s, p, q=math.inf, bank=None, name=None):
@@ -111,7 +99,7 @@ def besov_norm_lp(f, s, p, q=math.inf, bank=None, name=None):
     if not s < limit:
         raise ValueError("regularity must satisfy s < 3/p")
     bank = bank or _bank_for(f.grid)
-    terms = [2.0 ** (j * s) * _box_lp(lp_project(f, j, bank), p) for j in bank.bands]
+    terms = [2.0 ** (j * s) * box_lp(f.grid, lp_project(f, j, bank).data, p) for j in bank.bands]
     if q == math.inf:
         value = max(terms)
     else:
@@ -140,8 +128,7 @@ def besov_norm_heat(f, s, p, samples=40, name=None):
     best = 0.0
     for t in ts:
         damped = _fft.irfftn(hat * np.exp(-g.k2 * t), s=g.shape, axes=(-3, -2, -1))
-        probe = type(f)(g, damped)
-        best = max(best, t ** (-s / 2.0) * _box_lp(probe, p))
+        best = max(best, t ** (-s / 2.0) * box_lp(g, damped, p))
     return NormReport(
         name=name or "B_heat(%g,%g)" % (s, p),
         value=best,
@@ -237,16 +224,9 @@ def split_sweep(g, thresholds, p, delta2=0.5):
 
 
 def write_split_csv(path, sweep):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["N", "tilde_l2", "bar_besov", "slope_tilde", "slope_bar"])
-        for N, tl, bb in sweep["rows"]:
-            writer.writerow(
-                [
-                    "%.17g" % N,
-                    "%.17g" % tl,
-                    "%.17g" % bb,
-                    "%.17g" % sweep["slope_tilde"],
-                    "%.17g" % sweep["slope_bar"],
-                ]
-            )
+    slopes = (sweep["slope_tilde"], sweep["slope_bar"])
+    write_csv(
+        path,
+        ["N", "tilde_l2", "bar_besov", "slope_tilde", "slope_bar"],
+        (row + slopes for row in sweep["rows"]),
+    )

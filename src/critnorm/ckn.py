@@ -20,14 +20,14 @@ scan stored slices only, so every reported sup is a stride-limited lower
 bound; refining the storage stride can only raise it.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .fields import ScalarField
+from .fieldio import write_csv
+from .fields import ScalarField, nonic_step
 from .norms import InequalityReport, NormReport
 from .pressure import _zoom_lattice
 from .spectral import derivative, evaluate_at_points, spectral_coefficients
@@ -144,23 +144,15 @@ def write_ledger_csv(path, ledger):
     header = ["k", "r_k", "A_k", "target_A", "B_k", "target_B", "pass"]
     if weighted:
         header += ["eta", "t0", "Apk", "Appk", "Bpk"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in ledger.rows:
-            rec = [row.k]
-            rec += [
-                "%.17g" % v
-                for v in (row.r_k, row.a_value, row.a_target, row.b_value, row.b_target)
-            ]
-            rec.append(int(row.passed))
-            if weighted:
-                w = row.weighted
-                rec += [
-                    "%.17g" % v
-                    for v in (ledger.eta, ledger.t0, w.apk, w.appk, w.bpk)
-                ]
-            writer.writerow(rec)
+    rows = []
+    for row in ledger.rows:
+        rec = [row.k, row.r_k, row.a_value, row.a_target, row.b_value, row.b_target,
+               int(row.passed)]
+        if weighted:
+            w = row.weighted
+            rec += [ledger.eta, ledger.t0, w.apk, w.appk, w.bpk]
+        rows.append(rec)
+    write_csv(path, header, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -445,15 +437,6 @@ _SPACE_ON, _SPACE_OFF = 0.26, 0.33  # plateau covers B_{1/4}; support inside B_{
 _TIME_ON, _TIME_OFF = -0.07, -0.105  # flat over every Q_{2^-k}, k >= 2; zero before t - 1/9
 
 
-def _poly_step(u):
-    """C^4 rise 0 -> 1 on [0, 1]: value and first two derivatives in u."""
-    u = np.clip(np.asarray(u, dtype=np.float64), 0.0, 1.0)
-    s = u**5 * (126.0 + u * (-420.0 + u * (540.0 + u * (-315.0 + 70.0 * u))))
-    ds = 630.0 * u**4 * (1.0 - u) ** 4
-    dss = 2520.0 * u**3 * (1.0 - u) ** 3 * (1.0 - 2.0 * u)
-    return s, ds, dss
-
-
 def _phi_fields(center, t_top, r_n, axes, s):
     """Value, gradient, and backward-heat residual of the test function on
     a tensor lattice at one time.
@@ -477,10 +460,10 @@ def _phi_fields(center, t_top, r_n, axes, s):
     gam = (4.0 * np.pi * tau) ** -1.5 * np.exp(-rho2 / (4.0 * tau))
 
     w = _SPACE_OFF - _SPACE_ON
-    sspace, dspace, ddspace = _poly_step((rho - _SPACE_ON) / w)
+    sspace, dspace, ddspace = nonic_step((rho - _SPACE_ON) / w)
     S, Sp, Spp = 1.0 - sspace, -dspace / w, -ddspace / w**2
     wt = _TIME_ON - _TIME_OFF
-    T, dT, _ = _poly_step((s - t_top - _TIME_OFF) / wt)
+    T, dT, _ = nonic_step((s - t_top - _TIME_OFF) / wt)
     Tp = dT / wt
 
     pref = r_n**2

@@ -1,17 +1,23 @@
-"""Field serialization: flat little-endian binary plus CSV slice export.
+"""Field serialization: flat little-endian binary, plus the CSV writer
+every report in the package goes through.
 
 Layout: header {magic "CNLB", version u32, n u32, L f64, ncomp u32}, then
 ncomp row-major blocks of n^3 float64. ncomp is 1 for scalars, 3 for
 vectors, 9 for tensors.
+
+CSV files are comma-separated with "\n" line ends. Floats are written
+with %.17g, so they read back bit for bit; a tuple of floats is one cell
+of space-separated %.17g values; anything else is written as str().
 """
 
+import csv
 import struct
 
 import numpy as np
 
 from .fields import Grid, ScalarField, TensorField, VectorField
 
-__all__ = ["write_field", "read_field", "write_csv_slice"]
+__all__ = ["write_field", "read_field", "csv_cells", "write_csv", "write_csv_slice"]
 
 MAGIC = b"CNLB"
 VERSION = 1
@@ -73,6 +79,28 @@ def read_field(path, grid=None):
     raise ValueError("unsupported component count %d" % ncomp)
 
 
+def csv_cells(row):
+    """The cell texts of one CSV row."""
+    out = []
+    for cell in row:
+        if isinstance(cell, float):
+            out.append("%.17g" % cell)
+        elif isinstance(cell, tuple):
+            out.append(" ".join("%.17g" % x for x in cell))
+        else:
+            out.append(str(cell))
+    return out
+
+
+def write_csv(path, header, rows):
+    """Write a header row and then each row, formatted by csv_cells."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(csv_cells(row))
+
+
 def write_csv_slice(path, field, axis=2, index=None, component=0):
     """Export one plane of a field as CSV (coord1, coord2, value), %.17g.
 
@@ -86,10 +114,5 @@ def write_csv_slice(path, field, axis=2, index=None, component=0):
     comps = field.data.reshape(-1, g.n, g.n, g.n)
     plane = np.take(comps[component], index, axis=axis)
     keep = [ax for ax in range(3) if ax != axis]
-    with open(path, "w") as fh:
-        fh.write("coord%d,coord%d,value\n" % (keep[0], keep[1]))
-        for i in range(g.n):
-            for j in range(g.n):
-                fh.write(
-                    "%.17g,%.17g,%.17g\n" % (g.x[i], g.x[j], plane[i, j])
-                )
+    rows = ((g.x[i], g.x[j], plane[i, j]) for i in range(g.n) for j in range(g.n))
+    write_csv(path, ["coord%d" % keep[0], "coord%d" % keep[1], "value"], rows)

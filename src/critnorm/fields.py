@@ -23,6 +23,7 @@ __all__ = [
     "ball_indicator",
     "smooth_radial_cutoff",
     "smoothstep",
+    "nonic_step",
 ]
 
 
@@ -172,11 +173,6 @@ class _Field:
             self._hat = h
         return self._hat
 
-    @classmethod
-    def from_hat(cls, grid, hat):
-        vals = _fft.irfftn(np.asarray(hat), grid.shape, axes=(-3, -2, -1))
-        return cls(grid, vals)
-
     def l2(self):
         """Plain L^2 norm over the whole box."""
         return float(np.sqrt(np.sum(self.data ** 2) * self.grid.cell_volume))
@@ -268,10 +264,6 @@ class SpaceTimeField:
     def __getitem__(self, i):
         return self._cls(self.grid, self.frames[i])
 
-    def slab(self):
-        """Raw (m, ..., n, n, n) array view."""
-        return self.frames
-
 
 # ---------------------------------------------------------------------------
 # stock fields
@@ -324,6 +316,16 @@ def smoothstep(s):
         a = np.where(s > 0.0, np.exp(-1.0 / np.where(s > 0.0, s, 1.0)), 0.0)
         b = np.where(s < 1.0, np.exp(-1.0 / np.where(s < 1.0, 1.0 - s, 1.0)), 0.0)
     return a / (a + b)
+
+
+def nonic_step(u):
+    """C^4 rise 0 -> 1 on [0, 1], clipped outside: value and first two
+    derivatives in u, the derivatives vanishing identically off (0, 1)."""
+    u = np.clip(np.asarray(u, dtype=np.float64), 0.0, 1.0)
+    s = u**5 * (126.0 + u * (-420.0 + u * (540.0 + u * (-315.0 + 70.0 * u))))
+    ds = 630.0 * u**4 * (1.0 - u) ** 4
+    dss = 2520.0 * u**3 * (1.0 - u) ** 3 * (1.0 - 2.0 * u)
+    return s, ds, dss
 
 
 def smooth_radial_cutoff(grid, r_on, r_off, center=(0.0, 0.0, 0.0)):

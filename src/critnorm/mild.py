@@ -24,16 +24,22 @@ contraction. Smallness budgets for the drift and the data are
 configuration values, never derived constants.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _fft
+from .fieldio import write_csv
 from .fields import SpaceTimeField, VectorField
-from .norms import BallRegion, InequalityReport, lorentz_quasinorm, parabolic_holder_seminorm
-from .spectral import divergence, heat_semigroup
+from .norms import (
+    BallRegion,
+    InequalityReport,
+    box_lp,
+    lorentz_quasinorm,
+    parabolic_holder_seminorm,
+)
+from .spectral import divergence, gradient, heat_semigroup, leray_hat, tensor_div_hat
 
 __all__ = [
     "DuhamelConfig",
@@ -58,7 +64,6 @@ class DuhamelConfig:
 
     dt: float
     T: float
-    quadrature: str = "left-endpoint with singularity-split"
     picard_tol: float = 1e-10
     picard_max: int = 60
 
@@ -86,21 +91,8 @@ class PicardDivergence(RuntimeError):
         self.history = tuple(float(h) for h in history)
 
 
-def _slice_lp(grid, frame, p):
-    # frame is one time slice, (n,n,n) or (3,n,n,n); vectors by magnitude
-    if frame.ndim == 4:
-        mag = np.sqrt(np.sum(frame**2, axis=0))
-    elif frame.ndim == 5:
-        mag = np.sqrt(np.sum(frame**2, axis=(0, 1)))
-    else:
-        mag = np.abs(frame)
-    if p == math.inf:
-        return float(np.max(mag))
-    return float((np.sum(mag**p) * grid.cell_volume) ** (1.0 / p))
-
-
 def _st_norm(grid, times, frames, r, p):
-    vals = np.array([_slice_lp(grid, frames[i], p) for i in range(len(times))])
+    vals = np.array([box_lp(grid, frames[i], p) for i in range(len(times))])
     if r == math.inf:
         return float(np.max(vals))
     if len(times) < 2:
@@ -150,21 +142,6 @@ def duhamel(f):
     return _march(g, f.times, hat, comp)
 
 
-def _tensor_div_hat(grid, Th):
-    kxd, kyd, kzd = grid.deriv_wavenumbers()
-    return 1j * (kxd * Th[:, 0] + kyd * Th[:, 1] + kzd * Th[:, 2])
-
-
-def _leray_hat(grid, vh):
-    kxd, kyd, kzd = grid.deriv_wavenumbers()
-    dot = kxd * vh[0] + kyd * vh[1] + kzd * vh[2]
-    fac = dot / grid.k2_d_safe
-    vh[0] -= kxd * fac
-    vh[1] -= kyd * fac
-    vh[2] -= kzd * fac
-    return vh
-
-
 def duhamel_div(F):
     """L(div F)(t) with the derivative taken inside the exact multiplier."""
     _duhamel_gate(F)
@@ -174,7 +151,7 @@ def duhamel_div(F):
 
     def hat(j):
         Th = _fft.rfftn(F.frames[j], axes=(-3, -2, -1))
-        return _tensor_div_hat(g, Th)
+        return tensor_div_hat(g, Th)
 
     return _march(g, F.times, hat, (3,))
 
@@ -187,7 +164,7 @@ def _sym_duhamel(grid, times, pair_of_slice):
         S = u[:, None] * a[None, :]
         S = S + np.swapaxes(S, 0, 1)
         Th = _fft.rfftn(S, axes=(-3, -2, -1))
-        return _leray_hat(grid, _tensor_div_hat(grid, Th))
+        return leray_hat(grid, tensor_div_hat(grid, Th))
 
     return _march(grid, times, hat, (3,))
 
@@ -212,7 +189,7 @@ def drift_smallness(a):
     sup = 0.0
     for i, t in enumerate(a.times):
         if t > 0:
-            sup = max(sup, float(t) ** 0.2 * _slice_lp(a.grid, a.frames[i], 5))
+            sup = max(sup, float(t) ** 0.2 * box_lp(a.grid, a.frames[i], 5))
     return total + sup
 
 
@@ -239,10 +216,10 @@ def check_duhamel_estimates(f=None, F=None, a=None, b=None, nu=0.45):
         g = f.grid
         Lf = duhamel(f)
         dt = f.dt
-        lp = [_slice_lp(g, f.frames[j], 2) for j in range(len(f))]
+        lp = [box_lp(g, f.frames[j], 2) for j in range(len(f))]
         worst = (0.0, 0.0, 0.0)
         for i in range(1, len(f)):
-            lhs = _slice_lp(g, Lf.frames[i], 2)
+            lhs = box_lp(g, Lf.frames[i], 2)
             rhs = dt * sum(lp[:i])
             if rhs > 0 and lhs / rhs > worst[0]:
                 worst = (lhs / rhs, lhs, rhs)
@@ -313,7 +290,7 @@ def check_duhamel_estimates(f=None, F=None, a=None, b=None, nu=0.45):
         sup_a = 0.0
         for i, t in enumerate(a.times):
             if t > 0:
-                sup_a = max(sup_a, float(t) ** 0.2 * _slice_lp(g, a.frames[i], 5))
+                sup_a = max(sup_a, float(t) ** 0.2 * box_lp(g, a.frames[i], 5))
         reps["tensor_product_sup"] = _ineq(
             "tensor_product_sup",
             spacetime_lebesgue(Lab, math.inf, math.inf),
@@ -419,14 +396,6 @@ class MildSolution:
     history: tuple
 
 
-def _grad_l3(grid, frame):
-    hat = _fft.rfftn(frame, axes=(-3, -2, -1))
-    kxd, kyd, kzd = grid.deriv_wavenumbers()
-    gh = np.stack([1j * kxd * hat, 1j * kyd * hat, 1j * kzd * hat])
-    grad = _fft.irfftn(gh, grid.shape, axes=(-3, -2, -1))
-    return _slice_lp(grid, grad, 3)
-
-
 def solve_mild(u0a, cfg, data_norm="l3", besov_p=6.0, data_gate=None):
     """Small-data mild solution a = e^{t Lap} u0a - L(P div(a x a)).
 
@@ -453,12 +422,12 @@ def solve_mild(u0a, cfg, data_norm="l3", besov_p=6.0, data_gate=None):
 
     p = float(besov_p)
     if data_norm == "l3":
-        value = _slice_lp(g, u0a.data, 3)
+        value = box_lp(g, u0a.data, 3)
     elif data_norm == "weak_l3":
         value = lorentz_quasinorm(u0a, 3, math.inf).value
     else:
         value = max(
-            float(t) ** (0.5 * (1 - 3 / p)) * _slice_lp(g, H[i], p)
+            float(t) ** (0.5 * (1 - 3 / p)) * box_lp(g, H[i], p)
             for i, t in enumerate(times)
             if t > 0
         )
@@ -492,15 +461,15 @@ def solve_mild(u0a, cfg, data_norm="l3", besov_p=6.0, data_gate=None):
         t = float(t)
         row = {
             "t": t,
-            "l3": _slice_lp(g, frames[i], 3),
-            "t18_l4": t**0.125 * _slice_lp(g, frames[i], 4),
-            "t15_l5": t**0.2 * _slice_lp(g, frames[i], 5),
-            "t12_linf": t**0.5 * _slice_lp(g, frames[i], math.inf),
-            "tp_lp": t ** (0.5 * (1 - 3 / p)) * _slice_lp(g, frames[i], p),
-            "residual": _slice_lp(g, resid_frames[i], 2),
+            "l3": box_lp(g, frames[i], 3),
+            "t18_l4": t**0.125 * box_lp(g, frames[i], 4),
+            "t15_l5": t**0.2 * box_lp(g, frames[i], 5),
+            "t12_linf": t**0.5 * box_lp(g, frames[i], math.inf),
+            "tp_lp": t ** (0.5 * (1 - 3 / p)) * box_lp(g, frames[i], p),
+            "residual": box_lp(g, resid_frames[i], 2),
         }
         if data_norm == "l3":
-            row["t12_grad_l3"] = t**0.5 * _grad_l3(g, frames[i])
+            row["t12_grad_l3"] = t**0.5 * box_lp(g, gradient(a[i]).data, 3)
         if data_norm == "weak_l3":
             row["weak3"] = lorentz_quasinorm(a[i], 3, math.inf).value
         rows.append(row)
@@ -531,10 +500,5 @@ def solve_mild(u0a, cfg, data_norm="l3", besov_p=6.0, data_gate=None):
 
 def write_decay_csv(path, sol):
     """Decay ledger CSV: t, t^{1/5} L5, t^{1/8} L4, t^{1/2} Linf, residual."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "t15_l5", "t18_l4", "t12_linf", "residual"])
-        for row in sol.decay_table:
-            w.writerow(
-                ["%.17g" % row[k] for k in ("t", "t15_l5", "t18_l4", "t12_linf", "residual")]
-            )
+    keys = ["t", "t15_l5", "t18_l4", "t12_linf", "residual"]
+    write_csv(path, keys, ([row[k] for k in keys] for row in sol.decay_table))

@@ -21,16 +21,20 @@ q1 < q2 holds with constant one whenever q1 <= p (the general constant is
 (q1/p)^(1/q1 - 1/q2)); corpus checks keep to that range.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _fft
+from .fieldio import csv_cells, write_csv
+from .spectral import padded_hat
+
 __all__ = [
     "BallRegion",
     "NormReport",
     "InequalityReport",
+    "box_lp",
     "lp_ball",
     "l2_uloc",
     "lorentz_quasinorm",
@@ -92,29 +96,17 @@ def write_reports_csv(path, reports):
     """name,value,center,radius,method rows, sorted for regression diffs."""
     rows = []
     for rep in reports:
+        center, radius = "", ""
         if isinstance(rep.region, BallRegion):
-            center = "%.17g %.17g %.17g" % rep.region.center
-            radius = "%.17g" % rep.region.radius
-        else:
-            center = "" if rep.region is None else str(rep.region)
-            radius = ""
-        rows.append((rep.name, "%.17g" % rep.value, center, radius, rep.method))
-    rows.sort()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["name", "value", "center", "radius", "method"])
-        writer.writerows(rows)
+            center, radius = rep.region.center, rep.region.radius
+        elif rep.region is not None:
+            center = str(rep.region)
+        rows.append(csv_cells((rep.name, rep.value, center, radius, rep.method)))
+    write_csv(path, ["name", "value", "center", "radius", "method"], sorted(rows))
 
 
 # ---------------------------------------------------------------------------
 # cell selection
-
-
-def _abs_values(f):
-    comps = getattr(f, "components", None)
-    if comps is not None:
-        return np.sqrt(np.sum(comps * comps, axis=0))
-    return np.abs(f.values)
 
 
 def _ball_mask(grid, region):
@@ -123,13 +115,28 @@ def _ball_mask(grid, region):
     return grid.radius(region.center) <= region.radius
 
 
+def _magnitude(data):
+    """Pointwise Euclidean magnitude of raw field data over its component axes."""
+    data = np.asarray(data)
+    if data.ndim == 3:
+        return np.abs(data)
+    return np.sqrt(np.sum(data * data, axis=tuple(range(data.ndim - 3))))
+
+
 def _lp_of_cells(values, mask, p, cell_volume):
-    if not np.any(mask):
-        raise ValueError("region contains no cell centers")
-    picked = values[mask]
+    if mask is not None:
+        if not np.any(mask):
+            raise ValueError("region contains no cell centers")
+        values = values[mask]
     if p == math.inf:
-        return float(np.max(picked))
-    return float(np.sum(picked**p) * cell_volume) ** (1.0 / p)
+        return float(np.max(values))
+    return float(np.sum(values**p) * cell_volume) ** (1.0 / p)
+
+
+def box_lp(grid, data, p):
+    """L^p norm over the whole box of the magnitude of raw scalar, vector or
+    tensor data, cell-center Riemann sum; p = inf is the max."""
+    return _lp_of_cells(_magnitude(data), None, p, grid.cell_volume)
 
 
 def lp_ball(f, p, region, name=None):
@@ -138,7 +145,7 @@ def lp_ball(f, p, region, name=None):
     if not (p >= 1):
         raise ValueError("p must lie in [1, inf]")
     mask = _ball_mask(f.grid, region)
-    value = _lp_of_cells(_abs_values(f), mask, p, f.grid.cell_volume)
+    value = _lp_of_cells(_magnitude(f.data), mask, p, f.grid.cell_volume)
     return NormReport(
         name=name or "L%g(B_%g)" % (p, region.radius),
         value=value,
@@ -154,12 +161,10 @@ def l2_uloc(f, ball_radius=1.0):
     ball stencil, then the sup is taken on the coarsened lattice; the result
     is a lattice lower bound of the true uniformly-local norm.
     """
-    from . import _fft
-
     g = f.grid
     if ball_radius + g.dx > g.L / 2:
         raise ValueError("ball plus one-cell margin does not fit in the box")
-    squares = _abs_values(f) ** 2
+    squares = _magnitude(f.data) ** 2
     stencil = (g.radius((g.x[0], g.x[0], g.x[0])) <= ball_radius).astype(np.float64)
     # stencil is even in the displacement, so correlation == convolution
     sums = _fft.irfftn(
@@ -220,12 +225,12 @@ def lorentz_quasinorm(f, p, q, region=None, name=None):
     """L^{p,q} quasinorm over a ball (or the whole box when region is None)."""
     g = f.grid
     if region is None:
-        values = _abs_values(f)
+        values = _magnitude(f.data)
     else:
         mask = _ball_mask(g, region)
         if not np.any(mask):
             raise ValueError("region contains no cell centers")
-        values = _abs_values(f)[mask]
+        values = _magnitude(f.data)[mask]
     value = lorentz_from_samples(values, g.cell_volume, p, q)
     return NormReport(
         name=name or "L(%g,%s)" % (p, "inf" if q == math.inf else "%g" % q),
@@ -251,7 +256,7 @@ def morrey_critical(f, center_set, r_min, r_max):
     while r >= r_min * (1 - 1e-12):
         radii.append(r)
         r /= 2.0
-    values = _abs_values(f)
+    values = _magnitude(f.data)
     best = -1.0
     best_region = None
     for r in radii:
@@ -349,27 +354,15 @@ def _free_convolution(f, kernel):
     """Linear (free-space) convolution on the zero-padded doubled grid.
 
     Both fields are read as compactly supported on the box; the result is
-    returned as raw values on the doubled grid together with that grid's
-    cell count per axis.
+    returned as raw values on the whole doubled grid.
     """
-    from . import _fft
-
     if f.grid != kernel.grid:
         raise ValueError("convolution factors live on different grids")
     if getattr(f, "components", None) is not None:
         raise ValueError("convolution check takes scalar fields")
     g = f.grid
-    n2 = 2 * g.n
-    fa = np.zeros((n2, n2, n2))
-    ka = np.zeros((n2, n2, n2))
-    fa[: g.n, : g.n, : g.n] = f.values
-    ka[: g.n, : g.n, : g.n] = kernel.values
-    out = _fft.irfftn(
-        _fft.rfftn(fa, axes=(0, 1, 2)) * _fft.rfftn(ka, axes=(0, 1, 2)),
-        s=(n2, n2, n2),
-        axes=(0, 1, 2),
-    )
-    return out * g.cell_volume
+    hat = padded_hat(g, f.values) * padded_hat(g, kernel.values)
+    return _fft.irfftn(hat, (2 * g.n,) * 3) * g.cell_volume
 
 
 def check_oneil(f, g, exponents):
@@ -392,8 +385,8 @@ def check_oneil(f, g, exponents):
     if _recip(q1) + _recip(q2) < _recip(s) - 1e-12:
         raise ValueError("exponents violate 1/q1 + 1/q2 >= 1/s")
 
-    norm_f = lorentz_from_samples(_abs_values(f), f.grid.cell_volume, p1, q1)
-    norm_g = lorentz_from_samples(_abs_values(g), g.grid.cell_volume, p2, q2)
+    norm_f = lorentz_from_samples(_magnitude(f.data), f.grid.cell_volume, p1, q1)
+    norm_g = lorentz_from_samples(_magnitude(g.data), g.grid.cell_volume, p2, q2)
     conv = _free_convolution(f, g)
     lhs = lorentz_from_samples(conv, f.grid.cell_volume, r, s)
     rhs = 3.0 * r * norm_f * norm_g
@@ -436,8 +429,8 @@ def check_hunt(f, g, exponents, region=None):
         picked = values if mask is None else values[mask]
         return lorentz_from_samples(picked, f.grid.cell_volume, pp, qq)
 
-    fv = _abs_values(f)
-    gv = _abs_values(g)
+    fv = _magnitude(f.data)
+    gv = _magnitude(g.data)
     norm_f = _norm(fv, p, s1)
     norm_g = _norm(gv, q, s2)
     lhs = _norm(fv * gv, r, s)

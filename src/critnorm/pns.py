@@ -28,8 +28,9 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 
 from . import _fft
+from .fieldio import write_csv
 from .fields import ScalarField, SpaceTimeField, VectorField
-from .spectral import leray_project
+from .spectral import ddiv_hat, gradient, laplacian, leray_hat, leray_project, tensor_div_hat
 
 __all__ = [
     "PNSConfig",
@@ -97,13 +98,7 @@ def _rhs_hat(grid, v_data, a_data, use_dealias):
         cross = a_data[:, None] * v_data[None, :]
         T = T + cross + np.swapaxes(cross, 0, 1)
     Th = _fft.rfftn(T, axes=(-3, -2, -1))
-    kxd, kyd, kzd = grid.deriv_wavenumbers()
-    Gh = -1j * (kxd * Th[:, 0] + kyd * Th[:, 1] + kzd * Th[:, 2])
-    dot = kxd * Gh[0] + kyd * Gh[1] + kzd * Gh[2]
-    fac = dot / grid.k2_d_safe
-    Gh[0] -= kxd * fac
-    Gh[1] -= kyd * fac
-    Gh[2] -= kzd * fac
+    Gh = leray_hat(grid, -tensor_div_hat(grid, Th))
     if use_dealias:
         Gh *= grid.dealias_mask
     return Gh
@@ -143,13 +138,7 @@ def recover_pressure(v, a=None):
     if a is not None:
         cross = a.data[:, None] * v.data[None, :]
         T = T + cross + np.swapaxes(cross, 0, 1)
-    Th = _fft.rfftn(T, axes=(-3, -2, -1))
-    kd = g.deriv_wavenumbers()
-    num = np.zeros(Th.shape[2:], dtype=complex)
-    for i in range(3):
-        for j in range(3):
-            num = num + kd[i] * kd[j] * Th[i, j]
-    qh = -num / g.k2_d_safe
+    qh = ddiv_hat(g, _fft.rfftn(T, axes=(-3, -2, -1))) / g.k2_d_safe
     qh[0, 0, 0] = 0.0
     return ScalarField(g, _fft.irfftn(qh, g.shape, axes=(-3, -2, -1)))
 
@@ -248,15 +237,6 @@ class GlobalEnergyReport:
     passed: bool
 
 
-def _grad_data(grid, data):
-    hat = _fft.rfftn(data, axes=(-3, -2, -1))
-    kd = grid.deriv_wavenumbers()
-    out = np.empty((3,) + data.shape)
-    for j in range(3):
-        out[j] = _fft.irfftn(1j * kd[j] * hat, grid.shape, axes=(-3, -2, -1))
-    return out  # out[j, i] = d_j v_i for vector data
-
-
 def verify_local_energy(run, phi, window=None, tol_c=None):
     """Ledger of the localized energy identity on the stored slices.
 
@@ -281,10 +261,10 @@ def verify_local_energy(run, phi, window=None, tol_c=None):
         raise ValueError("window needs at least two stored slices")
 
     cell = g.cell_volume
-    phiv = phi.values
-    gphi = _grad_data(g, phiv)
-    hat = _fft.rfftn(phiv, axes=(-3, -2, -1))
-    lap_phi = _fft.irfftn(-g.k2 * hat, g.shape, axes=(-3, -2, -1))
+    cutoff = ScalarField(g, phi.values)
+    phiv = cutoff.values
+    gphi = gradient(cutoff).data
+    lap_phi = laplacian(cutoff).values
 
     m = len(sel)
     e = np.empty(m)
@@ -299,7 +279,7 @@ def verify_local_energy(run, phi, window=None, tol_c=None):
         q = run.q.frames[i]
         a = None if run.a is None else run.a.frames[i]
         v2 = np.sum(v**2, axis=0)
-        grads = np.stack([_grad_data(g, v[c]) for c in range(3)])  # (i, j, ...)
+        grads = gradient(run.v[i]).data  # grads[j, i] = d_j v_i
         e[row] = np.sum(v2 * phiv) * cell
         diss[row] = np.sum(np.sum(grads**2, axis=(0, 1)) * phiv) * cell
         t1[row] = np.sum(v2 * lap_phi) * cell
@@ -310,7 +290,7 @@ def verify_local_energy(run, phi, window=None, tol_c=None):
         else:
             t3[row] = np.sum(v2 * np.sum(a * gphi, axis=0)) * cell
             t4[row] = 2.0 * np.sum(np.sum(a * v, axis=0) * v_gphi) * cell
-            conv = np.einsum("j...,ij...->i...", v, grads)  # (v . grad) v
+            conv = np.einsum("j...,ji...->i...", v, grads)  # (v . grad) v
             t5[row] = 2.0 * np.sum(np.sum(conv * a, axis=0) * phiv) * cell
 
     ts = times[sel]
@@ -376,8 +356,7 @@ def global_energy_check(run, tol=None):
     for i in range(m):
         v = run.v.frames[i]
         en[i] = np.sum(v**2) * cell
-        grads = np.stack([_grad_data(g, v[c]) for c in range(3)])
-        diss[i] = np.sum(grads**2) * cell
+        diss[i] = np.sum(gradient(run.v[i]).data ** 2) * cell
     cum = cumulative_simpson(diss, x=times, initial=0.0)
     if tol is None:
         tol = 1e-6 * en[0]
@@ -395,9 +374,7 @@ def global_energy_check(run, tol=None):
 
 
 def write_energy_csv(path, entries):
-    import csv
-
-    names = (
+    names = [
         "initial_energy",
         "heat",
         "flux",
@@ -406,16 +383,13 @@ def write_energy_csv(path, entries):
         "drift_convection",
         "energy",
         "dissipation",
+    ]
+    write_csv(
+        path,
+        ["t", "lhs", "rhs", "slack", "passed"] + names,
+        ([en.t, en.lhs, en.rhs, en.slack, en.passed] + [en.terms[k] for k in names]
+         for en in entries),
     )
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "lhs", "rhs", "slack", "passed"] + list(names))
-        for en in entries:
-            w.writerow(
-                ["%.17g" % en.t, "%.17g" % en.lhs, "%.17g" % en.rhs,
-                 "%.17g" % en.slack, en.passed]
-                + ["%.17g" % en.terms[k] for k in names]
-            )
 
 
 def write_manifest(path, run, data_spec="", drift_spec=""):

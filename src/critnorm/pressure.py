@@ -10,16 +10,24 @@ bound it, with an optional time-weighted variant for runs carrying a
 distinguished singular time outside the observation window.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _fft
-from .fields import Grid, ScalarField
+from .fieldio import write_csv
+from .fields import ScalarField, nonic_step
 from .norms import BallRegion, lp_ball
-from .spectral import _TRUNCATION, evaluate_at_points, newtonian_potential
+from .spectral import (
+    _TRUNCATION,
+    cropped_inverse,
+    ddiv_hat,
+    doubled_grid,
+    evaluate_at_points,
+    newtonian_potential,
+    padded_hat,
+)
 
 __all__ = [
     "RadialCutoff",
@@ -56,10 +64,9 @@ class RadialCutoff:
         dz = grid.minimal_image(Z - self.center[2])
         r = np.sqrt(dx**2 + dy**2 + dz**2)
         w = self.r_off - self.r_on
-        u = np.clip((r - self.r_on) / w, 0.0, 1.0)
-        s = u**5 * (126.0 - 420.0 * u + 540.0 * u**2 - 315.0 * u**3 + 70.0 * u**4)
-        ds = 630.0 * u**4 * (1.0 - u) ** 4 / w
-        dss = 2520.0 * u**3 * (1.0 - u) ** 3 * (1.0 - 2.0 * u) / w**2
+        s, ds, dss = nonic_step((r - self.r_on) / w)
+        ds = ds / w
+        dss = dss / w**2
         self.field = ScalarField(grid, 1.0 - s)
         r_safe = np.where(r > 0, r, 1.0)
         offsets = (dx, dy, dz)
@@ -112,16 +119,13 @@ def _free_riesz_sum(grid, tensor_values):
     off-trace sources see the free-space kernel with no periodic-image
     contribution.
     """
-    n = grid.n
-    big = Grid(2 * n, 2 * grid.L)
+    big = doubled_grid(grid)
     kvec = big.wavenumbers()
     acc = None
     trace_hat = None
     for i in range(3):
         for j in range(3):
-            pad = np.zeros(big.shape)
-            pad[:n, :n, :n] = tensor_values[i, j]
-            hat = _fft.rfftn(pad)
+            hat = padded_hat(grid, tensor_values[i, j])
             contrib = kvec[i] * kvec[j] * hat
             acc = contrib if acc is None else acc + contrib
             if i == j:
@@ -132,8 +136,7 @@ def _free_riesz_sum(grid, tensor_values):
         kappa > 0.0, 1.0 - 3.0 * (np.sin(ks) - ks * np.cos(ks)) / ks**3, 0.0
     )
     qh = -trace_hat / 3.0 - gfac * (acc / big.k2_safe - trace_hat / 3.0)
-    out = _fft.irfftn(qh, big.shape)[:n, :n, :n]
-    return ScalarField(grid, out)
+    return ScalarField(grid, cropped_inverse(grid, qh))
 
 
 def riesz_split_at(V, center, radius):
@@ -162,12 +165,7 @@ def split_pressure(p, V, cutoff, tol_pre=1e-6):
     g = p.grid
     if V.grid != g or cutoff.grid != g:
         raise ValueError("grids differ")
-    kd = g.deriv_wavenumbers()
-    dd = None
-    for i in range(3):
-        for j in range(3):
-            term = -kd[i] * kd[j] * _fft.rfftn(V.data[i, j])
-            dd = term if dd is None else dd + term
+    dd = ddiv_hat(g, _fft.rfftn(V.data, axes=(-3, -2, -1)))
     # same Nyquist-zeroed metric on both sides of the discrete statement
     resid = g.k2_d * p.hat - dd
     dd_scale = np.sqrt(np.sum(np.abs(dd) ** 2))
@@ -440,12 +438,8 @@ def pressure_oscillation_terms(
 
 
 def write_oscillation_csv(path, reports):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["r", "lhs", "J1", "J2", "J3", "J4", "J5", "J6", "ratio"])
-        for rep in reports:
-            w.writerow(
-                ["%.17g" % rep.r, "%.17g" % rep.lhs]
-                + ["%.17g" % t for t in rep.terms]
-                + ["%.17g" % rep.ratio]
-            )
+    write_csv(
+        path,
+        ["r", "lhs", "J1", "J2", "J3", "J4", "J5", "J6", "ratio"],
+        ((rep.r, rep.lhs) + rep.terms + (rep.ratio,) for rep in reports),
+    )

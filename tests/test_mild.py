@@ -10,6 +10,7 @@ from critnorm.fields import (
     VectorField,
     taylor_green_3d,
 )
+from critnorm.norms import box_lp
 from critnorm.spectral import curl, divergence, heat_semigroup, leray_project
 
 
@@ -366,7 +367,7 @@ class TestMildVariants:
         cfg = mild.DuhamelConfig(dt=0.05, T=0.4)
         sol = mild.solve_mild(u0, cfg, data_norm="besov", besov_p=6.0)
         expect = max(
-            float(t) ** 0.25 * mild._slice_lp(grid16, heat_semigroup(u0, float(t)).data, 6)
+            float(t) ** 0.25 * box_lp(grid16, heat_semigroup(u0, float(t)).data, 6)
             for t in cfg.times()
             if t > 0
         )

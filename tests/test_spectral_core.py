@@ -195,6 +195,12 @@ class TestNewtonianPotential:
         out = spectral.newtonian_potential(f)
         assert np.max(np.abs(out.values)) == 0.0
 
+    def test_kernel_cache_is_bounded(self):
+        for L in (9.0, 10.0, 11.0, 12.0, 13.0):
+            g = Grid(8, L)
+            spectral.newtonian_potential(ScalarField(g, np.zeros(g.shape)))
+        assert spectral._kernel_hat.cache_info().currsize <= 4
+
     def test_unit_ball_center_value(self, grid64):
         f = ball_indicator(grid64, 1.0)
         pot = spectral.newtonian_potential(f)
