@@ -12,12 +12,10 @@ against the budgets eps^{2/3} r^{3-d} and C_B eps^{2/3} r^{3-2d/3}, plus
 time-weighted variants whose budgets carry powers of (s - t0)_+ and so
 only admit perturbations that are quiet up to t0.
 
-Quadrature follows the pressure module's conventions: cell-center
-membership in space, trapezoid over stored slices in time, and a refined
-lattice of spacing r/8 through the trigonometric interpolant whenever
-the native grid has fewer than eight cells per radius. Suprema in time
-scan stored slices only, so every reported sup is a stride-limited lower
-bound; refining the storage stride can only raise it.
+Cylinder integrals follow the quadrature of critnorm.cylinder (stored
+slices in time, native cells or the r/8 lattice in space). Suprema in
+time scan stored slices only, so every reported sup is a stride-limited
+lower bound; refining the storage stride can only raise it.
 """
 
 import math
@@ -26,11 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
+from .cylinder import ball_points, cube_lattice, sample_slice, stored_window
 from .fieldio import write_csv
 from .fields import ScalarField, nonic_step
 from .norms import InequalityReport, NormReport
-from .pressure import _zoom_lattice
-from .spectral import derivative, evaluate_at_points, spectral_coefficients
+from .spectral import derivative
+# bound here for perfbench/test_spans.py::test_from_import_bindings_are_counted
+from .spectral import evaluate_at_points  # noqa: F401
 
 __all__ = [
     "ParabolicCylinder",
@@ -159,32 +159,6 @@ def write_ledger_csv(path, ledger):
 # cylinder quadrature
 
 
-def _window(times, t_top, r):
-    lo = t_top - r * r
-    if t_top > times[-1] + 1e-9 or lo < times[0] - 1e-9:
-        raise ValueError("cylinder sticks out of the stored time window")
-    sel = np.nonzero((times >= lo - 1e-12) & (times <= t_top + 1e-12))[0]
-    if len(sel) < 2:
-        raise ValueError("cylinder needs at least two stored slices")
-    return sel
-
-
-def _ball_points(grid, center, r):
-    # refined lattice below eight cells per radius, as in the pressure module
-    if r >= grid.L / 2.0:
-        raise ValueError("ball does not fit in the box")
-    if r / grid.dx < 8.0:
-        axes, rad = _zoom_lattice(grid, center, r, r / 8.0)
-        return axes, rad <= r, (r / 8.0) ** 3
-    return None, grid.radius(center) <= r, grid.cell_volume
-
-
-def _on_lattice(grid, data, axes, coeffs=None):
-    if axes is None:
-        return data
-    return evaluate_at_points(ScalarField(grid, data), axes, coeffs)
-
-
 def _slice_loads(run, center, t_top, r, want_q=False, want_energy=False):
     """Per-slice ball integrals over Q_r(center, t_top).
 
@@ -194,8 +168,9 @@ def _slice_loads(run, center, t_top, r, want_q=False, want_energy=False):
     already carries the cell volume.
     """
     g = run.grid
-    sel = _window(run.v.times, t_top, r)
-    axes, inside, cell = _ball_points(g, center, r)
+    sel = stored_window(run.v.times, t_top - r * r, t_top)
+    axes, rad, cell = ball_points(g, center, r)
+    inside = rad <= r
     n_in = int(np.count_nonzero(inside))
     m = len(sel)
     out = {"v3": np.empty(m)}
@@ -205,11 +180,10 @@ def _slice_loads(run, center, t_top, r, want_q=False, want_energy=False):
         out["v2"] = np.empty(m)
         out["grad2"] = np.empty(m)
     for row, i in enumerate(sel):
-        comps = [_on_lattice(g, run.v.frames[i, c], axes) for c in range(3)]
-        s2 = comps[0] ** 2 + comps[1] ** 2 + comps[2] ** 2
+        s2 = sample_slice(g, run.v.frames[i], axes)
         out["v3"][row] = np.sum(s2[inside] ** 1.5) * cell
         if want_q:
-            qs = _on_lattice(g, run.q.frames[i], axes)
+            qs = sample_slice(g, run.q.frames[i], axes)
             qa = float(np.sum(qs[inside]) / n_in)
             out["qosc"][row] = np.sum(np.abs(qs[inside] - qa) ** 1.5) * cell
         if want_energy:
@@ -218,7 +192,7 @@ def _slice_loads(run, center, t_top, r, want_q=False, want_energy=False):
             for c in range(3):
                 f = ScalarField(g, run.v.frames[i, c])
                 for ax in range(3):
-                    d = _on_lattice(g, derivative(f, ax).values, axes)
+                    d = sample_slice(g, derivative(f, ax).values, axes)
                     tot += np.sum(d[inside] ** 2)
             out["grad2"][row] = tot * cell
     return run.v.times[sel], out
@@ -240,19 +214,13 @@ def cylinder_smallness(run, center, t_top, r=1.0):
     """
     g = run.grid
     r = float(r)
-    times = run.v.times
-    if t_top > times[-1] + 1e-9:
-        raise ValueError("t_top beyond the stored window")
-    lo = max(t_top - r * r, float(times[0]))
-    sel = np.nonzero((times >= lo - 1e-12) & (times <= t_top + 1e-12))[0]
-    if len(sel) < 2:
-        raise ValueError("cylinder needs at least two stored slices")
-    axes, inside, cell = _ball_points(g, center, r)
+    sel = stored_window(run.v.times, t_top - r * r, t_top, clip_start=True)
+    axes, rad, cell = ball_points(g, center, r)
+    inside = rad <= r
     vals = np.empty(len(sel))
     for row, i in enumerate(sel):
-        comps = [_on_lattice(g, run.v.frames[i, c], axes) for c in range(3)]
-        s2 = comps[0] ** 2 + comps[1] ** 2 + comps[2] ** 2
-        qs = _on_lattice(g, run.q.frames[i], axes)
+        s2 = sample_slice(g, run.v.frames[i], axes)
+        qs = sample_slice(g, run.q.frames[i], axes)
         vals[row] = (np.sum(s2[inside] ** 1.5) + np.sum(np.abs(qs[inside]) ** 1.5)) * cell
     return float(np.trapezoid(vals, run.v.times[sel]))
 
@@ -390,14 +358,7 @@ def morrey_sup(run, region, delta=1.0, ks=(2, 3, 4, 5), stride=2, max_tops=6):
     centers = [tuple(float(g.x[j]) for j in trip) for trip in idx[keep]]
     centers.append(region.center)
     times = run.v.times
-    coeffs = {}
-
-    def eval_comp(i, c, axes):
-        key = (int(i), c)
-        if key not in coeffs:
-            coeffs[key] = spectral_coefficients(run.v.frames[i, c])
-        return evaluate_at_points(ScalarField(g, run.v.frames[i, c]), axes, coeffs[key])
-
+    coeffs = {}  # per-slice spectral coefficients, reused across centers and radii
     best = 0.0
     for k in ks:
         r = 2.0 ** -k
@@ -407,18 +368,15 @@ def morrey_sup(run, region, delta=1.0, ks=(2, 3, 4, 5), stride=2, max_tops=6):
         pick = np.unique(np.linspace(0, len(ok) - 1, min(max_tops, len(ok))).astype(int))
         for t_top in ok[pick]:
             try:
-                sel = _window(times, float(t_top), r)
+                sel = stored_window(times, float(t_top) - r * r, float(t_top))
             except ValueError:
                 continue
             for c in centers:
-                axes, inside, cell = _ball_points(g, c, r)
+                axes, rad, cell = ball_points(g, c, r)
+                inside = rad <= r
                 vals = np.empty(len(sel))
                 for row, i in enumerate(sel):
-                    if axes is None:
-                        comps = run.v.frames[i]
-                    else:
-                        comps = [eval_comp(i, cc, axes) for cc in range(3)]
-                    s2 = comps[0] ** 2 + comps[1] ** 2 + comps[2] ** 2
+                    s2 = sample_slice(g, run.v.frames[i], axes, coeffs.setdefault(i, {}))
                     vals[row] = np.sum(s2[inside] ** 1.5) * cell
                 mass = float(np.trapezoid(vals, times[sel]))
                 best = max(best, r ** (delta - 5.0) * mass)
@@ -553,11 +511,7 @@ def build_test_function(grid, center, t_top, n, times=None):
     families = {}
 
     # plateau family on Q_{r_n}; corner-inclusive lattice
-    offs = np.linspace(-r_n, r_n, 17)
-    axes = tuple(center[j] + offs for j in range(3))
-    rad = np.sqrt(
-        offs[:, None, None] ** 2 + offs[None, :, None] ** 2 + offs[None, None, :] ** 2
-    )
+    axes, rad = cube_lattice(center, np.linspace(-r_n, r_n, 17))
     inside = rad <= r_n
     lo, hi, ghi = np.inf, 0.0, 0.0
     for s in t_top - np.linspace(0.0, r_n**2, 9):
@@ -577,13 +531,7 @@ def build_test_function(grid, center, t_top, n, times=None):
     ann, ann_g = 0.0, 0.0
     for k in range(2, n + 1):
         rk, rk1 = 2.0 ** -k, 2.0 ** -(k - 1)
-        offs = np.linspace(-rk1, rk1, 17)
-        axes = tuple(center[j] + offs for j in range(3))
-        rad = np.sqrt(
-            offs[:, None, None] ** 2
-            + offs[None, :, None] ** 2
-            + offs[None, None, :] ** 2
-        )
+        axes, rad = cube_lattice(center, np.linspace(-rk1, rk1, 17))
         in_k1 = rad <= rk1
         for s in t_top - np.linspace(0.0, rk1**2, 9):
             if t_top - s <= rk**2:
@@ -609,11 +557,7 @@ def build_test_function(grid, center, t_top, n, times=None):
     families["residual"] = res
 
     # support family, checked exactly against the cutoff geometry
-    offs = np.linspace(-0.49, 0.49, 15)
-    axes = tuple(center[j] + offs for j in range(3))
-    rad = np.sqrt(
-        offs[:, None, None] ** 2 + offs[None, :, None] ** 2 + offs[None, None, :] ** 2
-    )
+    axes, rad = cube_lattice(center, np.linspace(-0.49, 0.49, 15))
     outside = rad >= 0.34
     for s in t_top - np.array([0.0, 0.05, 0.1, 0.11]):
         val, _, _ = _phi_fields(center, t_top, r_n, axes, s)

@@ -2,8 +2,10 @@
 
 The box is [-L/2, L/2)^3 with n uniform cells per axis. All spectra use the
 real-to-complex layout (last axis halved). Fields are immutable after
-construction: the stored arrays are marked read-only and every operation
-allocates a new field, so fields can be shared across threads freely.
+construction: each stores a read-only view of its input array (no copy,
+the caller's array stays writeable) and every operation allocates a new
+field, so fields can be shared across threads freely. A caller that
+writes to an array after wrapping it changes the field too.
 """
 
 import numpy as np
@@ -141,7 +143,8 @@ class Grid:
 
 
 def _freeze(a):
-    a = np.ascontiguousarray(a, dtype=np.float64)
+    # a read-only view: the caller's own array keeps its flags
+    a = np.ascontiguousarray(a, dtype=np.float64).view()
     a.flags.writeable = False
     return a
 

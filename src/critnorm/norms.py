@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _fft
+from .cylinder import stored_window
 from .fieldio import csv_cells, write_csv
 from .spectral import padded_hat
 
@@ -292,15 +293,8 @@ def parabolic_holder_seminorm(u, nu, region, t_window=None):
         raise ValueError("nu must lie in (0, 1/2)")
     g = u.grid
     times = u.times
-    if t_window is None:
-        lo, hi = float(times[0]), float(times[-1])
-    else:
-        lo, hi = float(t_window[0]), float(t_window[1])
-        if lo < times[0] - 1e-12 or hi > times[-1] + 1e-12:
-            raise ValueError("time window outside stored data")
-    sel = np.nonzero((times >= lo - 1e-12) & (times <= hi + 1e-12))[0]
-    if len(sel) < 2:
-        raise ValueError("need at least two time slices in the window")
+    lo, hi = (times[0], times[-1]) if t_window is None else t_window
+    sel = stored_window(times, float(lo), float(hi))
     mask = _ball_mask(g, region)
     if not np.any(mask):
         raise ValueError("region contains no cell centers")

@@ -28,6 +28,7 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 
 from . import _fft
+from .cylinder import stored_window
 from .fieldio import write_csv
 from .fields import ScalarField, SpaceTimeField, VectorField
 from .spectral import ddiv_hat, gradient, laplacian, leray_hat, leray_project, tensor_div_hat
@@ -242,7 +243,9 @@ def verify_local_energy(run, phi, window=None, tol_c=None):
 
     phi is a static nonnegative spatial cutoff. Each entry integrates
     from the first stored slice in the window up to its own time; passed
-    means slack >= -tol with tol = C (dt + dx^2) scale(terms).
+    means slack >= -tol with tol = C (dt + dx^2) scale(terms). A window
+    start before the run is clipped to its first slice; a window top past
+    the last stored slice raises.
     """
     if float(np.min(phi.values)) < 0:
         raise ValueError("cutoff must be nonnegative")
@@ -252,13 +255,8 @@ def verify_local_energy(run, phi, window=None, tol_c=None):
     if tol_c is None:
         tol_c = run.cfg.tol_energy_c
     times = run.v.times
-    if window is None:
-        sel = np.arange(len(times))
-    else:
-        lo, hi = window
-        sel = np.nonzero((times >= lo - 1e-12) & (times <= hi + 1e-12))[0]
-    if len(sel) < 2:
-        raise ValueError("window needs at least two stored slices")
+    lo, hi = (times[0], times[-1]) if window is None else window
+    sel = stored_window(times, lo, hi, clip_start=True)
 
     cell = g.cell_volume
     cutoff = ScalarField(g, phi.values)

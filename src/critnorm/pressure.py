@@ -7,7 +7,8 @@ doubled grid because the identity is a free-space one. The oscillation
 report measures, on a parabolic cylinder, the scale-weighted pressure
 oscillation against the six velocity/drift/pressure integrals that
 bound it, with an optional time-weighted variant for runs carrying a
-distinguished singular time outside the observation window.
+distinguished singular time outside the observation window; its
+integrals follow the quadrature of critnorm.cylinder.
 """
 
 import math
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _fft
+from .cylinder import ball_points, sample_slice, stored_window
 from .fieldio import write_csv
 from .fields import ScalarField, nonic_step
 from .norms import BallRegion, lp_ball
@@ -24,10 +26,11 @@ from .spectral import (
     cropped_inverse,
     ddiv_hat,
     doubled_grid,
-    evaluate_at_points,
     newtonian_potential,
     padded_hat,
 )
+# bound here for perfbench/test_spans.py::test_from_import_bindings_are_counted
+from .spectral import evaluate_at_points  # noqa: F401
 
 __all__ = [
     "RadialCutoff",
@@ -255,47 +258,29 @@ def _time_integral(ts, vals):
     return float(np.trapezoid(vals, ts))
 
 
-def _zoom_lattice(grid, center, outer, h):
-    """Tensor lattice of spacing h covering the ball of radius outer."""
-    m = int(math.ceil(outer / h)) + 1
-    offs = np.arange(-m, m + 1) * h
-    axes = tuple(center[i] + offs for i in range(3))
-    rad = np.sqrt(offs[:, None, None] ** 2 + offs[None, :, None] ** 2 + offs[None, None, :] ** 2)
-    return axes, rad
-
-
 def pressure_oscillation_terms(
     v, a, q, center, r, rho, delta=1.0, t_top=None, weighted=False, t0=None
 ):
     """Oscillation of q on Q_r(center, t_top) against its six bounds.
 
     v and q are stored orbits (a may be None); the cylinder uses the
-    slices with t in [t_top - r^2, t_top]. The unweighted terms follow
-    the drift-aware pressure bound with unit constant; the weighted
-    variant replaces the drift factors by the sup-weight ma and the
-    singular-time kernels |s - t0|^(-1), |s - t0|^(-3/4), and requires
-    t0 strictly outside the window so every weight stays finite.
-
-    Radii the native grid does not resolve (fewer than eight cells per
-    radius) are integrated on a refined lattice of spacing r/8 through
-    the trigonometric interpolant of the stored slices; keeping r/h
-    fixed makes the ball-quadrature bias scale-invariant, so dyadic
-    fits across radii are not polluted by the refinement.
+    slices with t in [t_top - r^2, t_top], its start clipped to the first
+    stored slice; a t_top past the last stored slice raises. The
+    unweighted terms follow the drift-aware pressure bound with unit
+    constant; the weighted variant replaces the drift factors by the
+    sup-weight ma and the singular-time kernels |s - t0|^(-1),
+    |s - t0|^(-3/4), and requires t0 strictly outside the window so
+    every weight stays finite.
     """
     g = v.grid
     if q.grid != g or (a is not None and a.grid != g):
         raise ValueError("grids differ")
     if not 0 < r <= rho / 2.0:
         raise ValueError("need 0 < r <= rho/2")
-    if rho >= g.L / 2.0:
-        raise ValueError("outer radius does not fit in the box")
     times = v.times
     if t_top is None:
         t_top = float(times[-1])
-    lo = t_top - r * r
-    sel = np.nonzero((times >= lo - 1e-12) & (times <= t_top + 1e-12))[0]
-    if len(sel) < 2:
-        raise ValueError("cylinder needs at least two stored slices")
+    sel = stored_window(times, t_top - r * r, t_top, clip_start=True)
     ts = times[sel]
     if weighted:
         if t0 is None:
@@ -303,13 +288,7 @@ def pressure_oscillation_terms(
         if np.min(np.abs(ts - t0)) <= 1e-12:
             raise ValueError("t0 must lie outside the cylinder window")
 
-    zoom = r / g.dx < 8.0
-    if zoom:
-        axes, rad = _zoom_lattice(g, center, rho, r / 8.0)
-        cell = (r / 8.0) ** 3
-    else:
-        rad = g.radius(center)
-        cell = g.cell_volume
+    axes, rad, cell = ball_points(g, center, r, outer=rho)
     in_r = rad <= r
     in_2r = rad <= 2.0 * r
     in_rho = rad <= rho
@@ -317,30 +296,6 @@ def pressure_oscillation_terms(
     ring = (rad > rho / 2.0) & (rad < rho)
     n_r = int(np.count_nonzero(in_r))
     rad4 = np.where(rad > 0, rad, 1.0) ** 4
-
-    def slice_fields(i):
-        if zoom:
-            comps = [
-                evaluate_at_points(ScalarField(g, v.frames[i][c]), axes)
-                for c in range(3)
-            ]
-            vmag = np.sqrt(comps[0] ** 2 + comps[1] ** 2 + comps[2] ** 2)
-            qs = evaluate_at_points(ScalarField(g, q.frames[i]), axes)
-            if a is not None:
-                acomps = [
-                    evaluate_at_points(ScalarField(g, a.frames[i][c]), axes)
-                    for c in range(3)
-                ]
-                amag = np.sqrt(acomps[0] ** 2 + acomps[1] ** 2 + acomps[2] ** 2)
-            else:
-                amag = None
-        else:
-            vmag = np.sqrt(np.sum(v.frames[i] ** 2, axis=0))
-            qs = q.frames[i]
-            amag = (
-                np.sqrt(np.sum(a.frames[i] ** 2, axis=0)) if a is not None else None
-            )
-        return vmag, qs, amag
 
     m = len(sel)
     osc = np.empty(m)
@@ -356,7 +311,9 @@ def pressure_oscillation_terms(
     v2_ring = np.empty(m)
     ma = 0.0
     for row, i in enumerate(sel):
-        vmag, qs, amag = slice_fields(i)
+        vmag = np.sqrt(sample_slice(g, v.frames[i], axes))
+        qs = sample_slice(g, q.frames[i], axes)
+        amag = None if a is None else np.sqrt(sample_slice(g, a.frames[i], axes))
         qa = float(np.sum(qs[in_r]) / n_r)
         osc[row] = np.sum(np.abs(qs - qa)[in_r] ** 1.5) * cell
         v3_2r[row] = np.sum(vmag[in_2r] ** 3) * cell
@@ -377,7 +334,7 @@ def pressure_oscillation_terms(
         # always on the native grid (the unit ball is well resolved there)
         in_1 = g.radius(center) <= 1.0
         for i in range(len(times)):
-            amag = np.sqrt(np.sum(a.frames[i] ** 2, axis=0))
+            amag = np.sqrt(sample_slice(g, a.frames[i], None))
             w = math.sqrt(abs(times[i] - t0)) * float(np.max(amag[in_1]))
             ma = max(ma, w)
 

@@ -14,6 +14,7 @@ import json
 import math
 import os
 import tempfile
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -40,6 +41,15 @@ HORIZON = 5.0 / 64.0
 def _stress(v, a):
     cross = a[:, None] * v[None, :]
     return v[:, None] * v[None, :] + cross + np.swapaxes(cross, 0, 1)
+
+
+def _steady(grid, v, q, a=None):
+    """Stored orbit repeating one slice at three times."""
+    times = np.arange(3) / 64.0
+    orbit = lambda data: SpaceTimeField(grid, times, np.array([data] * 3))
+    return SimpleNamespace(
+        grid=grid, v=orbit(v), q=orbit(q), a=None if a is None else orbit(a)
+    )
 
 
 def _read_csv(path):
@@ -110,6 +120,21 @@ def compute():
         out["ckn.ledger_k%d" % row.k] = [row.a_value, row.b_value]
         out["ckn.weighted_k%d" % row.k] = [w.apk, w.appk, w.bpk]
     out["ckn.c1"] = [ckn.build_test_function(g16, ORIGIN, HORIZON, 2).c1]
+    out["ckn.local_cubed_mass"] = [ckn.local_cubed_mass(run, ORIGIN, HORIZON, 0.25)]
+    out["ckn.morrey_sup"] = [ckn.morrey_sup(run, norms.BallRegion(ORIGIN, 0.5), ks=(2, 3)).value]
+    # r = 0.3 on the r/8 lattice with its window clipped to the run; r = 2.5
+    # on the native 32^3 cells of a steady orbit
+    steady32 = _steady(g32, v32.data, p32.values)
+    out["ckn.cylinder_smallness"] = [
+        ckn.cylinder_smallness(run, ORIGIN, HORIZON, 0.3),
+        ckn.cylinder_smallness(steady32, ORIGIN, steady32.v.times[-1], 2.5),
+    ]
+    g64 = Grid(64, BOX)
+    v64 = taylor_green_3d(g64, 0.5)
+    a64 = corpus.curl_bump(g64, amplitude=0.3)
+    on64 = _steady(g64, v64.data, pns.recover_pressure(v64, a64).values, a64.data)
+    osc64 = pressure.pressure_oscillation_terms(on64.v, on64.a, on64.q, ORIGIN, 1.25, 4.0)
+    out["pressure.osc_native"] = [osc64.lhs, *osc64.terms, osc64.ratio]
 
     out["norms.lorentz_weak3"] = [norms.lorentz_quasinorm(u0, 3, math.inf).value]
     out["norms.lorentz_3_2"] = [norms.lorentz_quasinorm(u0, 3, 2).value]

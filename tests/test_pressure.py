@@ -256,6 +256,13 @@ class TestOscillation:
                 r.v, None, r.q, (0, 0, 0), 0.125, 0.25, t_top=0.0005
             )
 
+    def test_top_beyond_stored_run_rejected(self, smooth_run):
+        r = smooth_run
+        with pytest.raises(ValueError, match="beyond the stored slices"):
+            pressure.pressure_oscillation_terms(
+                r.v, None, r.q, (0, 0, 0), 0.125, 0.25, t_top=float(r.v.times[-1]) + 0.01
+            )
+
     def test_weighted_gates(self, driven_run):
         r = driven_run
         with pytest.raises(ValueError, match="needs t0"):

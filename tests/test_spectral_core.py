@@ -44,6 +44,13 @@ class TestGrid:
         with pytest.raises(ValueError):
             f.values[0, 0, 0] = 1.0
 
+    def test_field_leaves_caller_array_writeable(self, grid32):
+        a = np.zeros(grid32.shape)
+        f = ScalarField(grid32, a)
+        assert a.flags.writeable
+        assert not f.data.flags.writeable
+        assert np.shares_memory(a, f.data)
+
 
 class TestParseval:
     def test_physical_matches_spectral(self, grid32, rng):
