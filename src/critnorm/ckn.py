@@ -229,6 +229,25 @@ def cylinder_smallness(run, center, t_top, r=1.0):
 # ledger rows
 
 
+def _a_value(loads, ts, r, delta, pressure_on=True):
+    value = float(np.trapezoid(loads["v3"], ts)) / r**2
+    if pressure_on:
+        value += float(np.trapezoid(loads["qosc"], ts)) * r ** (-(1.0 + delta) / 2.0)
+    return value
+
+
+def _b_value(loads, ts):
+    return float(np.max(loads["v2"])) + float(np.trapezoid(loads["grad2"], ts))
+
+
+def _a_target(r, delta, eps_star):
+    return eps_star ** (2.0 / 3.0) * r ** (3.0 - delta)
+
+
+def _b_target(r, delta, eps_star, c_b):
+    return c_b * eps_star ** (2.0 / 3.0) * r ** (3.0 - 2.0 * delta / 3.0)
+
+
 def ledger_A(run, center, t_top, k, delta=1.0, eps_star=1.0, pressure_on=True):
     """A_k on Q_{2^-k}(center, t_top) and its budget eps^{2/3} r^{3-delta}.
 
@@ -238,10 +257,7 @@ def ledger_A(run, center, t_top, k, delta=1.0, eps_star=1.0, pressure_on=True):
     """
     cyl = ParabolicCylinder(center, t_top, 2.0 ** -k)
     ts, loads = _slice_loads(run, cyl.center, cyl.t_top, cyl.r, want_q=pressure_on)
-    value = float(np.trapezoid(loads["v3"], ts)) / cyl.r**2
-    if pressure_on:
-        value += float(np.trapezoid(loads["qosc"], ts)) * cyl.r ** (-(1.0 + delta) / 2.0)
-    return value, eps_star ** (2.0 / 3.0) * cyl.r ** (3.0 - delta)
+    return _a_value(loads, ts, cyl.r, delta, pressure_on), _a_target(cyl.r, delta, eps_star)
 
 
 def ledger_B(run, center, t_top, k, delta=1.0, eps_star=1.0, c_b=1.0):
@@ -250,8 +266,7 @@ def ledger_B(run, center, t_top, k, delta=1.0, eps_star=1.0, c_b=1.0):
     only, so the value is a stride-limited lower bound."""
     cyl = ParabolicCylinder(center, t_top, 2.0 ** -k)
     ts, loads = _slice_loads(run, cyl.center, cyl.t_top, cyl.r, want_energy=True)
-    value = float(np.max(loads["v2"])) + float(np.trapezoid(loads["grad2"], ts))
-    return value, c_b * eps_star ** (2.0 / 3.0) * cyl.r ** (3.0 - 2.0 * delta / 3.0)
+    return _b_value(loads, ts), _b_target(cyl.r, delta, eps_star, c_b)
 
 
 def _weighted_sup(lhs, ts, t0, power):
@@ -263,6 +278,31 @@ def _weighted_sup(lhs, ts, t0, power):
         elif val > 0.0:
             return math.inf
     return out
+
+
+def _check_weights(cyl, eta, t0):
+    if not 0.0 < eta < 1.0:
+        raise ValueError("eta must sit in (0, 1)")
+    if not (np.isfinite(t0) and t0 <= cyl.t_top + 1e-9):
+        raise ValueError("t0 must not exceed the top time")
+
+
+def _weighted_values(loads, ts, r, delta, eta, t0, eps_star, c_b):
+    etap = eta / 6.0
+    lhs_a = cumulative_trapezoid(loads["v3"], ts, initial=0.0) / r**2
+    lhs_app = cumulative_trapezoid(loads["qosc"], ts, initial=0.0) * r ** (
+        -(1.0 + delta) / 2.0
+    )
+    lhs_b = loads["v2"] + cumulative_trapezoid(loads["grad2"], ts, initial=0.0)
+    budget = _a_target(r, delta, eps_star)
+    return WeightedValues(
+        apk=_weighted_sup(lhs_a, ts, t0, 1.5 * etap),
+        appk=_weighted_sup(lhs_app, ts, t0, 0.75 * etap),
+        bpk=_weighted_sup(lhs_b, ts, t0, etap),
+        apk_target=0.5 * budget,
+        appk_target=0.5 * budget,
+        bpk_target=_b_target(r, delta, eps_star, c_b),
+    )
 
 
 def ledger_weighted(run, center, t_top, k, delta=1.0, eta=0.6, t0=0.0,
@@ -277,54 +317,38 @@ def ledger_weighted(run, center, t_top, k, delta=1.0, eta=0.6, t0=0.0,
     Slices at or below t0 carry zero weight: any mass there sends the
     quotient to infinity, which is the point of the weighting.
     """
-    if not 0.0 < eta < 1.0:
-        raise ValueError("eta must sit in (0, 1)")
     cyl = ParabolicCylinder(center, t_top, 2.0 ** -k)
-    if not (np.isfinite(t0) and t0 <= cyl.t_top + 1e-9):
-        raise ValueError("t0 must not exceed the top time")
+    _check_weights(cyl, eta, t0)
     ts, loads = _slice_loads(
         run, cyl.center, cyl.t_top, cyl.r, want_q=True, want_energy=True
     )
-    r = cyl.r
-    etap = eta / 6.0
-    lhs_a = cumulative_trapezoid(loads["v3"], ts, initial=0.0) / r**2
-    lhs_app = cumulative_trapezoid(loads["qosc"], ts, initial=0.0) * r ** (
-        -(1.0 + delta) / 2.0
-    )
-    lhs_b = loads["v2"] + cumulative_trapezoid(loads["grad2"], ts, initial=0.0)
-    budget = eps_star ** (2.0 / 3.0) * r ** (3.0 - delta)
-    return WeightedValues(
-        apk=_weighted_sup(lhs_a, ts, t0, 1.5 * etap),
-        appk=_weighted_sup(lhs_app, ts, t0, 0.75 * etap),
-        bpk=_weighted_sup(lhs_b, ts, t0, etap),
-        apk_target=0.5 * budget,
-        appk_target=0.5 * budget,
-        bpk_target=c_b * eps_star ** (2.0 / 3.0) * r ** (3.0 - 2.0 * delta / 3.0),
-    )
+    return _weighted_values(loads, ts, cyl.r, delta, eta, t0, eps_star, c_b)
 
 
 def build_ledger(run, center, t_top, ks=(2, 3, 4, 5), delta=1.0, eps_star=1.0,
                  c_b=1.0, eta=None, t0=None):
     """Assemble ledger rows over strictly halving radii; each pass flag
     compares the row's values to its budgets (weighted ones included
-    when eta is given)."""
+    when eta is given). Each row samples its cylinder's slices once and
+    takes A_k, B_k and the weighted values from the same loads, the
+    numbers ledger_A, ledger_B and ledger_weighted return."""
     rows = []
     for k in ks:
-        a_val, a_tgt = ledger_A(run, center, t_top, k, delta=delta, eps_star=eps_star)
-        b_val, b_tgt = ledger_B(
-            run, center, t_top, k, delta=delta, eps_star=eps_star, c_b=c_b
+        cyl = ParabolicCylinder(center, t_top, 2.0 ** -k)
+        if eta is not None:
+            _check_weights(cyl, eta, t0)
+        r = cyl.r
+        ts, loads = _slice_loads(
+            run, cyl.center, cyl.t_top, r, want_q=True, want_energy=True
         )
+        a_val, a_tgt = _a_value(loads, ts, r, delta), _a_target(r, delta, eps_star)
+        b_val, b_tgt = _b_value(loads, ts), _b_target(r, delta, eps_star, c_b)
         passed = a_val <= a_tgt and b_val <= b_tgt
         wv = None
         if eta is not None:
-            wv = ledger_weighted(
-                run, center, t_top, k, delta=delta, eta=eta, t0=t0,
-                eps_star=eps_star, c_b=c_b,
-            )
+            wv = _weighted_values(loads, ts, r, delta, eta, t0, eps_star, c_b)
             passed = passed and wv.ok
-        rows.append(
-            LedgerRow(int(k), 2.0 ** -k, a_val, a_tgt, b_val, b_tgt, bool(passed), wv)
-        )
+        rows.append(LedgerRow(int(k), r, a_val, a_tgt, b_val, b_tgt, bool(passed), wv))
     return DyadicLedger(tuple(rows), float(delta), float(eps_star), float(c_b), eta, t0)
 
 

@@ -26,7 +26,8 @@ def stored_window(times, lo, hi, clip_start=False):
 
     A top hi past the last stored slice raises, and so does a start lo
     before the first one unless clip_start, which lets the window begin
-    at the first stored slice instead. Fewer than two slices raise.
+    at the first stored slice instead. Fewer than two slices raise, with
+    the window length and the storage spacing in the message.
     """
     if hi > times[-1] + 1e-9:
         raise ValueError("window top lies beyond the stored slices")
@@ -34,7 +35,15 @@ def stored_window(times, lo, hi, clip_start=False):
         raise ValueError("window start lies before the stored slices")
     sel = np.nonzero((times >= lo - 1e-12) & (times <= hi + 1e-12))[0]
     if len(sel) < 2:
-        raise ValueError("window needs at least two stored slices")
+        gap = float(np.max(np.diff(times))) if len(times) > 1 else math.inf
+        clipped = lo < times[0] - 1e-12
+        raise ValueError(
+            "window of length %g (r^2 for a cylinder Q_r) needs at least two "
+            "stored slices but holds %d: the stored slices are up to %g apart, "
+            "and must be stored at most r^2 apart (a finer storage stride)%s"
+            % (hi - lo, len(sel), gap,
+               "; the window starts before the first stored slice" if clipped else "")
+        )
     return sel
 
 
@@ -86,7 +95,9 @@ def sample_slice(grid, frame, axes, coeffs=None):
     """
     if frame.ndim == 3:
         return _on_points(grid, frame, axes, coeffs, 0)
-    s2 = _on_points(grid, frame[0], axes, coeffs, 0) ** 2
+    s2 = np.square(_on_points(grid, frame[0], axes, coeffs, 0))
     for c in (1, 2):
-        s2 += _on_points(grid, frame[c], axes, coeffs, c) ** 2
+        comp = _on_points(grid, frame[c], axes, coeffs, c)
+        # squared in place on the lattice; on native cells comp is the frame
+        s2 += np.square(comp, out=None if axes is None else comp)
     return s2

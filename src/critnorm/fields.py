@@ -325,9 +325,13 @@ def nonic_step(u):
     """C^4 rise 0 -> 1 on [0, 1], clipped outside: value and first two
     derivatives in u, the derivatives vanishing identically off (0, 1)."""
     u = np.clip(np.asarray(u, dtype=np.float64), 0.0, 1.0)
-    s = u**5 * (126.0 + u * (-420.0 + u * (540.0 + u * (-315.0 + 70.0 * u))))
-    ds = 630.0 * u**4 * (1.0 - u) ** 4
-    dss = 2520.0 * u**3 * (1.0 - u) ** 3 * (1.0 - 2.0 * u)
+    # powers as products (no pow); s(0) = 0 and s(1) = 1 stay exact
+    u2 = u * u
+    w = u * (1.0 - u)
+    w2 = w * w
+    s = u2 * u2 * u * (126.0 + u * (-420.0 + u * (540.0 + u * (-315.0 + 70.0 * u))))
+    ds = 630.0 * w2 * w2
+    dss = 2520.0 * w2 * w * (1.0 - 2.0 * u)
     return s, ds, dss
 
 

@@ -289,13 +289,18 @@ def pressure_oscillation_terms(
             raise ValueError("t0 must lie outside the cylinder window")
 
     axes, rad, cell = ball_points(g, center, r, outer=rho)
-    in_r = rad <= r
-    in_2r = rad <= 2.0 * r
-    in_rho = rad <= rho
+    # every term lives in B_rho: pack each sampled field into it once
+    ball = rad <= rho
+    rad = rad[ball]
+    in_r = np.flatnonzero(rad <= r)
+    in_2r = np.flatnonzero(rad <= 2.0 * r)
     annulus = (rad > 2.0 * r) & (rad < rho)
-    ring = (rad > rho / 2.0) & (rad < rho)
-    n_r = int(np.count_nonzero(in_r))
-    rad4 = np.where(rad > 0, rad, 1.0) ** 4
+    # 1/|x|^4 on the annulus and the ring's indicator, zero elsewhere in
+    # the ball, so each tail and ring sum is one dot product, as are the
+    # powers |v|^3 = |v|^2 |v|, |a|^5 = |a|^4 |a| and |q|^(3/2) = |q| |q|^(1/2)
+    w_tail = np.zeros_like(rad)
+    w_tail[annulus] = rad[annulus] ** -4.0
+    w_ring = ((rad > rho / 2.0) & (rad < rho)).astype(np.float64)
 
     m = len(sel)
     osc = np.empty(m)
@@ -311,22 +316,26 @@ def pressure_oscillation_terms(
     v2_ring = np.empty(m)
     ma = 0.0
     for row, i in enumerate(sel):
-        vmag = np.sqrt(sample_slice(g, v.frames[i], axes))
-        qs = sample_slice(g, q.frames[i], axes)
-        amag = None if a is None else np.sqrt(sample_slice(g, a.frames[i], axes))
-        qa = float(np.sum(qs[in_r]) / n_r)
-        osc[row] = np.sum(np.abs(qs - qa)[in_r] ** 1.5) * cell
-        v3_2r[row] = np.sum(vmag[in_2r] ** 3) * cell
-        v2_2r[row] = np.sum(vmag[in_2r] ** 2) * cell
-        tail[row] = np.sum((vmag**2 / rad4)[annulus]) * cell
-        v_tail[row] = np.sum((vmag / rad4)[annulus]) * cell
-        bulk[row] = np.sum((vmag**3 + np.abs(qs) ** 1.5)[in_rho]) * cell
-        v3_rho[row] = np.sum(vmag[in_rho] ** 3) * cell
-        v2_ring[row] = np.sum(vmag[ring] ** 2) * cell
-        if amag is not None:
-            a5_2r[row] = np.sum(amag[in_2r] ** 5) * cell
-            a5_rho[row] = np.sum(amag[in_rho] ** 5) * cell
-            cross_tail[row] = np.sum((vmag * amag / rad4)[annulus]) * cell
+        v2 = sample_slice(g, v.frames[i], axes)[ball]
+        qs = sample_slice(g, q.frames[i], axes)[ball]
+        vmag = np.sqrt(v2)
+        q_r = qs[in_r]
+        osc[row] = np.sum(np.abs(q_r - np.sum(q_r) / len(in_r)) ** 1.5) * cell
+        v3_2r[row] = np.dot(v2[in_2r], vmag[in_2r]) * cell
+        v2_2r[row] = np.sum(v2[in_2r]) * cell
+        v3_rho[row] = np.dot(v2, vmag) * cell
+        tail[row] = np.dot(v2, w_tail) * cell
+        v_tail[row] = np.dot(vmag, w_tail) * cell
+        v2_ring[row] = np.dot(v2, w_ring) * cell
+        qs = np.abs(qs, out=qs)
+        bulk[row] = v3_rho[row] + np.dot(qs, np.sqrt(qs)) * cell
+        if a is not None:
+            a2 = sample_slice(g, a.frames[i], axes)[ball]
+            amag = np.sqrt(a2)
+            a4 = np.square(a2, out=a2)
+            a5_2r[row] = np.dot(a4[in_2r], amag[in_2r]) * cell
+            a5_rho[row] = np.dot(a4, amag) * cell
+            cross_tail[row] = np.dot(vmag, np.multiply(amag, w_tail, out=amag)) * cell
         else:
             a5_2r[row] = a5_rho[row] = cross_tail[row] = 0.0
     if weighted and a is not None:

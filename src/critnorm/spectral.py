@@ -278,15 +278,37 @@ def evaluate_at_points(f, axes_coords, coeffs=None):
     (len(x), len(y), len(z)) with the trigonometric interpolant of f,
     which is exact for band-limited data. Pass coeffs from
     spectral_coefficients(f.values) to amortize the transform over sweeps.
+
+    The x and then the y axis are contracted in complex arithmetic over
+    the full spectrum, giving D[x, y, c] for the n FFT indices c of z.
+    The z axis is contracted in real arithmetic through the exact identity
+
+        Re sum_c D_c e^{i k_c z'} = sum_{c=0..N} P_c cos(c k0 z')
+                                    + sum_{c=1..N} Q_c sin(c k0 z'),
+
+    N = n/2, z' = z - x[0], with P_0 = Re D_0, P_N = Re D_N, Q_N = Im D_N
+    (FFT index N carries mode -N) and, for 0 < c < N,
+    P_c = Re D_c + Re D_{n-c}, Q_c = Im D_{n-c} - Im D_c. No Hermitian
+    symmetry is assumed, so Nyquist content enters as it stands. The last
+    step is one real matrix product into the output.
     """
     g = f.grid
     if coeffs is None:
         coeffs = spectral_coefficients(f.values)
+    n, half = g.n, g.n // 2
+    # FFT index 0 sits at x = -L/2, so phases use box-relative offsets
+    rel = [np.asarray(c, dtype=np.float64) - g.x[0] for c in axes_coords]
     k = g.k0 * g.modes
-    out = coeffs
-    for ax, coords in enumerate(axes_coords):
-        # FFT index 0 sits at x = -L/2, so phases use box-relative offsets
-        rel = np.asarray(coords, dtype=np.float64) - g.x[0]
-        E = np.exp(1j * np.outer(rel, k))
-        out = np.moveaxis(np.tensordot(E, np.moveaxis(out, ax, 0), axes=(1, 0)), 0, ax)
-    return np.ascontiguousarray(out.real)
+    Ex = np.exp(1j * np.outer(rel[0], k))
+    Ey = np.exp(1j * np.outer(rel[1], k))
+    D = np.matmul(Ey, np.tensordot(Ex, coeffs, axes=(1, 0)))  # D[x, y, c]
+    PQ = np.empty(D.shape[:2] + (n + 1,))  # P_0..P_N, then Q_1..Q_N
+    PQ[..., 0] = D[..., 0].real
+    PQ[..., 1:half] = D[..., 1:half].real + D[..., n - 1 : half : -1].real
+    PQ[..., half] = D[..., half].real
+    PQ[..., half + 1 : n] = D[..., n - 1 : half : -1].imag - D[..., 1:half].imag
+    PQ[..., n] = D[..., half].imag
+    phase = np.outer(g.k0 * np.arange(half + 1), rel[2])
+    basis = np.concatenate([np.cos(phase), np.sin(phase[1:])])
+    out = PQ.reshape(-1, n + 1) @ basis
+    return out.reshape(D.shape[:2] + (len(rel[2]),))

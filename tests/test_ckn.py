@@ -6,8 +6,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from critnorm import ckn
-from critnorm.fields import SpaceTimeField
+from critnorm import ckn, pns, pressure
+from critnorm.fields import SpaceTimeField, taylor_green_3d
 from critnorm.norms import BallRegion
 
 T16 = np.arange(9) / 64.0  # k = 2 and k = 3 cylinders below t = 1/8 hold stored slices
@@ -64,6 +64,21 @@ class TestLocalCubedMass:
         assert got == pytest.approx(r**2 * ball, rel=1e-12)
 
 
+class TestSparseStorage:
+    def test_coarse_stride_names_window_and_spacing(self, grid16):
+        # a slice every 1/16 against the r = 1/8 window r^2 = 1/64
+        cfg = pns.PNSConfig(dt=1.0 / 64.0, T=0.25, stride=4)
+        run = pns.run_pns(taylor_green_3d(grid16, 0.3), cfg)
+        msg = (
+            r"window of length 0\.015625 .* holds 1: the stored slices are up to "
+            r"0\.0625 apart, and must be stored at most r\^2 apart"
+        )
+        with pytest.raises(ValueError, match=msg):
+            ckn.local_cubed_mass(run, CENTER, 0.25, 0.125)
+        with pytest.raises(ValueError, match=msg):
+            pressure.pressure_oscillation_terms(run.v, None, run.q, CENTER, 0.125, 0.25)
+
+
 class TestZeroField:
     def test_passes_every_budget_and_measures_zero(self, grid16):
         zero = np.zeros((3,) + grid16.shape)
@@ -87,6 +102,17 @@ class TestWeightedRows:
         assert not w.ok
         quiet = ckn.ledger_weighted(run, CENTER, TOP, 2, t0=0.0)
         assert all(math.isfinite(x) for x in (quiet.apk, quiet.appk, quiet.bpk))
+
+
+class TestBuildLedger:
+    def test_rows_are_the_public_row_functions(self, grid16):
+        run = _orbit(grid16, T16, scale=lambda t: 1.0 + 4.0 * t)
+        ledger = ckn.build_ledger(run, CENTER, TOP, ks=(2, 3), eta=0.6, t0=0.0)
+        for row in ledger.rows:
+            assert (row.a_value, row.a_target) == ckn.ledger_A(run, CENTER, TOP, row.k)
+            assert (row.b_value, row.b_target) == ckn.ledger_B(run, CENTER, TOP, row.k)
+            assert row.weighted == ckn.ledger_weighted(run, CENTER, TOP, row.k, eta=0.6, t0=0.0)
+            assert row.a_value > 0.0 and row.b_value > 0.0
 
 
 class TestMorreySup:

@@ -113,6 +113,11 @@ def compute():
     for j, term in enumerate(osc.terms):
         out["pressure.osc_J%d" % (j + 1)] = [term]
     out["pressure.osc_ratio"] = [osc.ratio]
+    wosc = pressure.pressure_oscillation_terms(
+        run.v, run.a, run.q, ORIGIN, 0.25, 1.0, weighted=True, t0=0.0
+    )
+    # lhs and terms only: the ratio and ma would set the key's scale
+    out["pressure.osc_weighted"] = [wosc.lhs, *wosc.terms]
 
     ledger = ckn.build_ledger(run, ORIGIN, HORIZON, ks=(2, 3), eta=0.6, t0=0.0)
     for row in ledger.rows:

@@ -1,5 +1,6 @@
 """Algebraic identities of the spectral kernels, checked as properties over
-random real fields on a 16^3 grid."""
+random real fields on a 16^3 grid, and off-grid evaluation against the
+brute-force trigonometric sum."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from critnorm.spectral import (
     ddiv_hat,
     div_hat,
     divergence,
+    evaluate_at_points,
     grad_hat,
     gradient,
     leray_hat,
@@ -89,3 +91,29 @@ def test_field_operators_are_inverse_transforms_of_their_kernels(seed):
     assert np.array_equal(divergence(v).data, _inverse(div_hat(GRID, v.hat)))
     assert np.array_equal(tensor_divergence(T).data, _inverse(tensor_div_hat(GRID, T.hat)))
     assert np.array_equal(leray_project(v).data, _inverse(leray_hat(GRID, v.hat)))
+
+
+@bounded
+@given(
+    seeds,
+    st.sampled_from([8, 16]),
+    st.tuples(*[st.integers(min_value=1, max_value=7)] * 3),
+)
+def test_evaluate_at_points_is_the_trigonometric_sum(seed, n, lengths):
+    # white-noise coefficients, Nyquist planes included and no Hermitian
+    # symmetry, on points scattered over three periods of the box
+    g = Grid(n, GRID.L)
+    rng = np.random.default_rng(seed)
+    coeffs = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    axes = tuple(rng.uniform(-1.5 * g.L, 1.5 * g.L, size=m) for m in lengths)
+    got = evaluate_at_points(ScalarField(g, np.zeros(g.shape)), axes, coeffs)
+    k = g.k0 * g.modes
+    X, Y, Z = np.meshgrid(*[a - g.x[0] for a in axes], indexing="ij")
+    phase = (
+        X[..., None, None, None] * k[:, None, None]
+        + Y[..., None, None, None] * k[None, :, None]
+        + Z[..., None, None, None] * k[None, None, :]
+    )
+    want = np.sum(coeffs * np.exp(1j * phase), axis=(-3, -2, -1)).real
+    assert got.shape == lengths
+    assert _small(got - want, np.sqrt(np.sum(np.abs(coeffs) ** 2)))
