@@ -24,11 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .cylinder import ball_points, cube_lattice, sample_slice, stored_window
+from .cylinder import ball_points, cube_lattice, sample_grad_sq, sample_slice, stored_window
 from .fieldio import write_csv
-from .fields import ScalarField, nonic_step
+from .fields import nonic_step
 from .norms import InequalityReport, NormReport
-from .spectral import derivative
 # bound here for perfbench/test_spans.py::test_from_import_bindings_are_counted
 from .spectral import evaluate_at_points  # noqa: F401
 
@@ -180,7 +179,8 @@ def _slice_loads(run, center, t_top, r, want_q=False, want_energy=False):
         out["v2"] = np.empty(m)
         out["grad2"] = np.empty(m)
     for row, i in enumerate(sel):
-        s2 = sample_slice(g, run.v.frames[i], axes)
+        coeffs = {}  # the velocity's coefficients, for |v|^2 and |grad v|^2
+        s2 = sample_slice(g, run.v.frames[i], axes, coeffs)
         out["v3"][row] = np.sum(s2[inside] ** 1.5) * cell
         if want_q:
             qs = sample_slice(g, run.q.frames[i], axes)
@@ -188,13 +188,8 @@ def _slice_loads(run, center, t_top, r, want_q=False, want_energy=False):
             out["qosc"][row] = np.sum(np.abs(qs[inside] - qa) ** 1.5) * cell
         if want_energy:
             out["v2"][row] = np.sum(s2[inside]) * cell
-            tot = 0.0
-            for c in range(3):
-                f = ScalarField(g, run.v.frames[i, c])
-                for ax in range(3):
-                    d = sample_slice(g, derivative(f, ax).values, axes)
-                    tot += np.sum(d[inside] ** 2)
-            out["grad2"][row] = tot * cell
+            d2 = sample_grad_sq(g, run.v.frames[i], axes, coeffs)
+            out["grad2"][row] = np.sum(d2[inside]) * cell
     return run.v.times[sel], out
 
 

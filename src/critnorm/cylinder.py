@@ -15,10 +15,10 @@ import math
 
 import numpy as np
 
-from .fields import ScalarField
-from .spectral import evaluate_at_points, spectral_coefficients
+from .fields import ScalarField, VectorField
+from .spectral import evaluate_at_points, grad_hat, gradient, spectral_coefficients
 
-__all__ = ["stored_window", "cube_lattice", "ball_points", "sample_slice"]
+__all__ = ["stored_window", "cube_lattice", "ball_points", "sample_slice", "sample_grad_sq"]
 
 
 def stored_window(times, lo, hi, clip_start=False):
@@ -74,14 +74,18 @@ def ball_points(grid, center, r, outer=None):
     return None, grid.radius(center), grid.cell_volume
 
 
+def _coefficients(values, coeffs, key):
+    if coeffs is None:
+        return spectral_coefficients(values)
+    if key not in coeffs:
+        coeffs[key] = spectral_coefficients(values)
+    return coeffs[key]
+
+
 def _on_points(grid, values, axes, coeffs, key):
     if axes is None:
         return values
-    if coeffs is not None and key not in coeffs:
-        coeffs[key] = spectral_coefficients(values)
-    return evaluate_at_points(
-        ScalarField(grid, values), axes, None if coeffs is None else coeffs[key]
-    )
+    return evaluate_at_points(ScalarField(grid, values), axes, _coefficients(values, coeffs, key))
 
 
 def sample_slice(grid, frame, axes, coeffs=None):
@@ -101,3 +105,28 @@ def sample_slice(grid, frame, axes, coeffs=None):
         # squared in place on the lattice; on native cells comp is the frame
         s2 += np.square(comp, out=None if axes is None else comp)
     return s2
+
+
+def sample_grad_sq(grid, frame, axes, coeffs=None):
+    """sum_ij |d_j v_i|^2 of a stored vector slice on the points of
+    ball_points.
+
+    On the lattice each derivative is evaluated straight from its
+    coefficients, grad_hat of the component's spectral coefficients, so
+    no derivative makes a round trip through the grid; the nine squares
+    accumulate in place. coeffs is the per-slice dict of sample_slice,
+    so one dict serves both.
+    """
+    if axes is None:
+        return np.sum(np.square(gradient(VectorField(grid, frame)).data), axis=(0, 1))
+    total = None
+    for c in range(3):
+        f = ScalarField(grid, frame[c])  # only its grid is read: coeffs are given
+        for dh in grad_hat(grid, _coefficients(frame[c], coeffs, c)):
+            d = evaluate_at_points(f, axes, dh)
+            d = np.square(d, out=d)
+            if total is None:
+                total = d
+            else:
+                total += d
+    return total

@@ -39,7 +39,15 @@ from .norms import (
     lorentz_quasinorm,
     parabolic_holder_seminorm,
 )
-from .spectral import divergence, gradient, heat_semigroup, leray_hat, tensor_div_hat
+from .spectral import (
+    divergence,
+    gradient,
+    heat_semigroup,
+    leray_hat,
+    sym_div_hat,
+    sym_outer_hat,
+    tensor_div_hat,
+)
 
 __all__ = [
     "DuhamelConfig",
@@ -161,10 +169,7 @@ def _sym_duhamel(grid, times, pair_of_slice):
 
     def hat(j):
         u, a = pair_of_slice(j)
-        S = u[:, None] * a[None, :]
-        S = S + np.swapaxes(S, 0, 1)
-        Th = _fft.rfftn(S, axes=(-3, -2, -1))
-        return leray_hat(grid, tensor_div_hat(grid, Th))
+        return leray_hat(grid, sym_div_hat(grid, sym_outer_hat(u, a)))
 
     return _march(grid, times, hat, (3,))
 

@@ -11,6 +11,7 @@ distinguished singular time outside the observation window; its
 integrals follow the quadrature of critnorm.cylinder.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -23,11 +24,13 @@ from .fields import ScalarField, nonic_step
 from .norms import BallRegion, lp_ball
 from .spectral import (
     _TRUNCATION,
+    SYM_PAIRS,
     cropped_inverse,
-    ddiv_hat,
     doubled_grid,
     newtonian_potential,
+    newtonian_potential_div,
     padded_hat,
+    sym_ddiv_hat,
 )
 # bound here for perfbench/test_spans.py::test_from_import_bindings_are_counted
 from .spectral import evaluate_at_points  # noqa: F401
@@ -110,8 +113,42 @@ class PressureSplit:
             raise ValueError("total drifted from the sum of the parts")
 
 
+def _sym_part(V):
+    """The six distinct components of (V + V^T)/2 in the SYM_PAIRS order.
+
+    Every contraction with k_i k_j sees only the symmetric part of V, so
+    this is exact for any V, symmetric or not.
+    """
+    S = np.empty((6,) + V.shape[2:])
+    for c, (i, j) in enumerate(SYM_PAIRS):
+        if i == j:
+            S[c] = V[i, i]
+        else:
+            np.add(V[i, j], V[j, i], out=S[c])
+            S[c] *= 0.5
+    return S
+
+
+@functools.lru_cache(maxsize=4)
+def _riesz_factor(grid):
+    """Doubled-grid wavenumbers and the truncated traceless factor of
+    _free_riesz_sum, read-only; only these arrays are kept, not the
+    doubled Grid."""
+    big = doubled_grid(grid)
+    kappa = _TRUNCATION * grid.L * np.sqrt(big.k2)
+    ks = np.where(kappa > 0.0, kappa, 1.0)
+    gfac = np.where(
+        kappa > 0.0, 1.0 - 3.0 * (np.sin(ks) - ks * np.cos(ks)) / ks**3, 0.0
+    )
+    kvec = big.wavenumbers()
+    for arr in kvec + (gfac,):
+        arr.flags.writeable = False
+    return kvec, gfac
+
+
 def _free_riesz_sum(grid, tensor_values):
-    """Free-space sum_ij R_i R_j T_ij via the doubled periodic grid.
+    """Free-space sum_ij R_i R_j T_ij via the doubled periodic grid; only
+    the six components of the symmetric part of T are transformed.
 
     The operator splits into its local part, -trace/3, applied pointwise
     with no convolution at all, and a traceless principal-value kernel.
@@ -122,23 +159,20 @@ def _free_riesz_sum(grid, tensor_values):
     off-trace sources see the free-space kernel with no periodic-image
     contribution.
     """
-    big = doubled_grid(grid)
-    kvec = big.wavenumbers()
+    kvec, gfac = _riesz_factor(grid)
+    sym = _sym_part(tensor_values)
     acc = None
     trace_hat = None
-    for i in range(3):
-        for j in range(3):
-            hat = padded_hat(grid, tensor_values[i, j])
-            contrib = kvec[i] * kvec[j] * hat
-            acc = contrib if acc is None else acc + contrib
-            if i == j:
-                trace_hat = hat if trace_hat is None else trace_hat + hat
-    kappa = _TRUNCATION * grid.L * np.sqrt(big.k2)
-    ks = np.where(kappa > 0.0, kappa, 1.0)
-    gfac = np.where(
-        kappa > 0.0, 1.0 - 3.0 * (np.sin(ks) - ks * np.cos(ks)) / ks**3, 0.0
-    )
-    qh = -trace_hat / 3.0 - gfac * (acc / big.k2_safe - trace_hat / 3.0)
+    for c, (i, j) in enumerate(SYM_PAIRS):
+        hat = padded_hat(grid, sym[c])
+        w = 1.0 if i == j else 2.0
+        contrib = (w * kvec[i] * kvec[j]) * hat
+        acc = contrib if acc is None else acc + contrib
+        if i == j:
+            trace_hat = hat if trace_hat is None else trace_hat + hat
+    k2 = kvec[0] ** 2 + kvec[1] ** 2 + kvec[2] ** 2
+    k2[0, 0, 0] = 1.0
+    qh = -trace_hat / 3.0 - gfac * (acc / k2 - trace_hat / 3.0)
     return ScalarField(grid, cropped_inverse(grid, qh))
 
 
@@ -168,7 +202,7 @@ def split_pressure(p, V, cutoff, tol_pre=1e-6):
     g = p.grid
     if V.grid != g or cutoff.grid != g:
         raise ValueError("grids differ")
-    dd = ddiv_hat(g, _fft.rfftn(V.data, axes=(-3, -2, -1)))
+    dd = sym_ddiv_hat(g, _fft.rfftn(_sym_part(V.data), axes=(-3, -2, -1)))
     # same Nyquist-zeroed metric on both sides of the discrete statement
     resid = g.k2_d * p.hat - dd
     dd_scale = np.sqrt(np.sum(np.abs(dd) ** 2))
@@ -197,22 +231,13 @@ def split_pressure(p, V, cutoff, tol_pre=1e-6):
     # the two gradient-sourced potentials enter with plus sign: a shift
     # p -> p + c then moves both sides by c*cutoff, as it must, since
     # -N*(c lap phi) + 2 sum_j d_j N*(c d_j phi) = c * phi
-    n2 = np.zeros(g.shape)
-    for j in range(3):
-        src_j = np.zeros(g.shape)
-        for i in range(3):
-            src_j += d1[i] * V.data[i, j]
-        n2 += 2.0 * newtonian_potential(ScalarField(g, src_j), deriv_order=1)[j].values
-    n2 = ScalarField(g, n2)
-
+    n2 = newtonian_potential_div(
+        [ScalarField(g, sum(d1[i] * V.data[i, j] for i in range(3))) for j in range(3)]
+    )
+    n2 = ScalarField(g, 2.0 * n2.values)
     n3 = ScalarField(g, -newtonian_potential(ScalarField(g, p.values * lap_phi)).values)
-
-    n4 = np.zeros(g.shape)
-    for j in range(3):
-        n4 += 2.0 * newtonian_potential(
-            ScalarField(g, d1[j] * p.values), deriv_order=1
-        )[j].values
-    n4 = ScalarField(g, n4)
+    n4 = newtonian_potential_div([ScalarField(g, d1[j] * p.values) for j in range(3)])
+    n4 = ScalarField(g, 2.0 * n4.values)
 
     total = ScalarField(
         g, riesz.values + n1.values + n2.values + n3.values + n4.values

@@ -18,6 +18,10 @@ __all__ = [
     "tensor_div_hat",
     "ddiv_hat",
     "leray_hat",
+    "SYM_PAIRS",
+    "sym_outer_hat",
+    "sym_div_hat",
+    "sym_ddiv_hat",
     "derivative",
     "gradient",
     "divergence",
@@ -29,6 +33,7 @@ __all__ = [
     "heat_semigroup",
     "riesz_riesz",
     "newtonian_potential",
+    "newtonian_potential_div",
     "doubled_grid",
     "padded_hat",
     "cropped_inverse",
@@ -88,6 +93,44 @@ def ddiv_hat(grid, Th):
     for i in range(3):
         for j in range(3):
             out = out - kd[i] * kd[j] * Th[i, j]
+    return out
+
+
+# symmetric tensors are stored as their six distinct components S_ij,
+# (i, j) in this order; _SYM_INDEX[i][j] is the slot of S_ij = S_ji
+SYM_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+_SYM_INDEX = ((0, 3, 4), (3, 1, 5), (4, 5, 2))
+
+
+def sym_outer_hat(u, w):
+    """Spectrum of the symmetric product S = u x w + w x u of two vector
+    arrays (3, n, n, n): S_ij = u_i w_j + w_i u_j, six components in the
+    order of SYM_PAIRS. u x u is sym_outer_hat(u, u / 2), and
+    u x u + a x u + u x a is sym_outer_hat(u, u / 2 + a)."""
+    S = np.empty((6,) + u.shape[1:])
+    for c, (i, j) in enumerate(SYM_PAIRS):
+        np.multiply(u[i], w[j], out=S[c])
+        S[c] += w[i] * u[j]
+    return _fft.rfftn(S, axes=(-3, -2, -1))
+
+
+def sym_div_hat(grid, Sh):
+    """Spectrum of the row divergence (div S)_i = d_j S_ij of a symmetric
+    spectrum in the SYM_PAIRS layout (tensor_div_hat of the full tensor)."""
+    kxd, kyd, kzd = grid.deriv_wavenumbers()
+    return np.stack(
+        [1j * (kxd * Sh[a] + kyd * Sh[b] + kzd * Sh[c]) for a, b, c in _SYM_INDEX]
+    )
+
+
+def sym_ddiv_hat(grid, Sh):
+    """Spectrum of d_i d_j S_ij for a symmetric spectrum in the SYM_PAIRS
+    layout (ddiv_hat of the full tensor): off-diagonal slots count twice."""
+    kd = grid.deriv_wavenumbers()
+    out = 0.0
+    for c, (i, j) in enumerate(SYM_PAIRS):
+        w = 1.0 if i == j else 2.0
+        out = out - w * (kd[i] * kd[j]) * Sh[c]
     return out
 
 
@@ -260,18 +303,36 @@ def newtonian_potential(f, deriv_order=0):
     return comps[0] if deriv_order == 0 else comps
 
 
+def newtonian_potential_div(sources):
+    """N * div s = sum_j d_j (N * s_j) for three compactly supported
+    ScalarFields s_j on one grid: newtonian_potential(s_j, 1)[j] summed,
+    with the sum taken in Fourier space, so one inverse transform in all.
+
+    Every source must vanish outside the ball |x| < L/4.
+    """
+    g = sources[0].grid
+    acc = None
+    for kh, s in zip(_kernel_hat(g, 1), sources):
+        if s.grid != g:
+            raise ValueError("grids differ")
+        _check_potential_support(s)
+        term = kh * padded_hat(g, s.values)
+        acc = term if acc is None else acc + term
+    return ScalarField(g, cropped_inverse(g, acc) * g.cell_volume)
+
+
 # ---------------------------------------------------------------------------
 # off-lattice evaluation of band-limited fields
 
 
 def spectral_coefficients(values):
-    """Full complex DFT coefficients normalized for point evaluation."""
+    """rfft coefficients of real box values, normalized for point evaluation."""
     values = np.asarray(values)
-    return _fft.fftn(values) / values.size
+    return _fft.rfftn(values) / values.size
 
 
 def evaluate_at_points(f, axes_coords, coeffs=None):
-    """Evaluate a (band-limited) scalar field on a tensor lattice of points.
+    """Evaluate a (band-limited) real scalar field on a tensor lattice of points.
 
     axes_coords is a triple of 1-D coordinate arrays (absolute positions,
     any values; periodicity is automatic). Returns an array of shape
@@ -279,17 +340,30 @@ def evaluate_at_points(f, axes_coords, coeffs=None):
     which is exact for band-limited data. Pass coeffs from
     spectral_coefficients(f.values) to amortize the transform over sweeps.
 
-    The x and then the y axis are contracted in complex arithmetic over
-    the full spectrum, giving D[x, y, c] for the n FFT indices c of z.
-    The z axis is contracted in real arithmetic through the exact identity
+    The interpolant is Re sum over the full DFT spectrum C of f,
+
+        Re sum_{a,b,c} C_abc e^{i (k_a x' + k_b y' + k_c z')},
+
+    with primed offsets from x[0] and FFT index N = n/2 carrying mode -N,
+    Nyquist content included. Only the rfft half c = 0..N is stored and
+    contracted. The x and then the y axis are contracted in complex
+    arithmetic into D[x, y, c], c = 0..N. The mirrored columns follow from
+    C_{-a,-b,-c} = conj C_abc: D_{n-c} = conj D~_c, where D~ is the same
+    contraction with the x and y Nyquist phases flipped to e^{+iN k0 .}.
+    Delta = D~ - D comes only from the Nyquist rows of the coefficients,
+
+        Delta[x, y, c] = 2i sin(N k0 x') Ry[y, c] + 2i sin(N k0 y') Rx[x, c],
+
+    with Rx the x-contraction of C[:, N, c] and Ry the y-contraction of
+    C[N, :, c] under the flipped y phases: two outer products, not a
+    second contraction. The z axis is contracted in real arithmetic
+    through the exact identity
 
         Re sum_c D_c e^{i k_c z'} = sum_{c=0..N} P_c cos(c k0 z')
                                     + sum_{c=1..N} Q_c sin(c k0 z'),
 
-    N = n/2, z' = z - x[0], with P_0 = Re D_0, P_N = Re D_N, Q_N = Im D_N
-    (FFT index N carries mode -N) and, for 0 < c < N,
-    P_c = Re D_c + Re D_{n-c}, Q_c = Im D_{n-c} - Im D_c. No Hermitian
-    symmetry is assumed, so Nyquist content enters as it stands. The last
+    with P_0 = Re D_0, P_N = Re D_N, Q_N = Im D_N and, for 0 < c < N,
+    P_c = 2 Re D_c + Re Delta_c, Q_c = -2 Im D_c - Im Delta_c. The last
     step is one real matrix product into the output.
     """
     g = f.grid
@@ -301,13 +375,28 @@ def evaluate_at_points(f, axes_coords, coeffs=None):
     k = g.k0 * g.modes
     Ex = np.exp(1j * np.outer(rel[0], k))
     Ey = np.exp(1j * np.outer(rel[1], k))
-    D = np.matmul(Ey, np.tensordot(Ex, coeffs, axes=(1, 0)))  # D[x, y, c]
+    A = np.tensordot(Ex, coeffs, axes=(1, 0))  # A[x, b, c]
+    D = np.matmul(Ey, A)  # D[x, y, c]
+    # Delta / 2 = i sx Ry + i sy Rx on the inner columns 0 < c < N; the
+    # flipped y Nyquist phase adds 2i sy to Ey's column N in Ry
+    sx = np.sin(half * g.k0 * rel[0])[:, None, None]
+    sy = np.sin(half * g.k0 * rel[1])
+    Ry = Ey @ coeffs[half] + (2j * sy)[:, None] * coeffs[half, half]
+    Ry = Ry[None, :, 1:half]
+    Rx = A[:, half, None, 1:half]
+    sy = sy[None, :, None]
     PQ = np.empty(D.shape[:2] + (n + 1,))  # P_0..P_N, then Q_1..Q_N
     PQ[..., 0] = D[..., 0].real
-    PQ[..., 1:half] = D[..., 1:half].real + D[..., n - 1 : half : -1].real
     PQ[..., half] = D[..., half].real
-    PQ[..., half + 1 : n] = D[..., n - 1 : half : -1].imag - D[..., 1:half].imag
     PQ[..., n] = D[..., half].imag
+    P = PQ[..., 1:half]
+    np.subtract(D[..., 1:half].real, sx * Ry.imag, out=P)
+    P -= sy * Rx.imag
+    P *= 2.0
+    Q = PQ[..., half + 1 : n]
+    np.add(D[..., 1:half].imag, sx * Ry.real, out=Q)
+    Q += sy * Rx.real
+    Q *= -2.0
     phase = np.outer(g.k0 * np.arange(half + 1), rel[2])
     basis = np.concatenate([np.cos(phase), np.sin(phase[1:])])
     out = PQ.reshape(-1, n + 1) @ basis

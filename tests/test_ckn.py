@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from critnorm import ckn, pns, pressure
+from critnorm import ckn, cylinder, pns, pressure
 from critnorm.fields import SpaceTimeField, taylor_green_3d
 from critnorm.norms import BallRegion
 
@@ -62,6 +62,29 @@ class TestLocalCubedMass:
         ball = np.sum(s2[inside] ** 1.5) * grid32.cell_volume
         got = ckn.local_cubed_mass(run, (0.0, 0.0, 0.0), times[-1], r)
         assert got == pytest.approx(r**2 * ball, rel=1e-12)
+
+
+class TestGradientLoad:
+    @staticmethod
+    def _grad_sq(grid, x, y, z):
+        # sum_ij |d_j v_i|^2 of _velocity in closed form
+        k = 2.0 * math.pi / grid.L
+        return (
+            (0.8 * k * np.cos(k * y)) ** 2
+            + (k * np.sin(2 * k * z)) ** 2
+            + (0.3 * k * np.cos(k * x + 0.4)) ** 2
+        )
+
+    def test_native_cells_and_lattice_match_closed_form(self, grid16):
+        X, Y, Z = grid16.coords()
+        frame = _velocity(grid16, X, Y, Z)
+        want = self._grad_sq(grid16, X, Y, Z)
+        got = cylinder.sample_grad_sq(grid16, frame, None)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+        axes, _, _ = cylinder.ball_points(grid16, CENTER, 0.25)
+        want = self._grad_sq(grid16, *np.meshgrid(*axes, indexing="ij"))
+        got = cylinder.sample_grad_sq(grid16, frame, axes)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
 
 
 class TestSparseStorage:

@@ -7,8 +7,14 @@ cells must agree exactly. Regenerate the fixture only from a commit whose
 numbers are trusted:
 
     PYTHONPATH=src python tests/test_golden.py
+
+A new quantity is pinned by computing it at the commit that should set its
+numbers and merging only its keys; keys already in the fixture are refused:
+
+    PYTHONPATH=src python tests/test_golden.py --add KEY [KEY ...]
 """
 
+import argparse
 import csv
 import json
 import math
@@ -107,6 +113,13 @@ def compute():
     terms = (psplit.riesz_term,) + psplit.newton_terms + (psplit.total,)
     out["pressure.split_terms"] = [float(np.sqrt(np.sum(t.values**2))) for t in terms]
     out["pressure.split_mismatch"] = [psplit.mismatch]
+    # a compact source with V_ij != V_ji: the Riesz sum must see both halves
+    nonsym = np.random.default_rng(11).standard_normal((3, 3) + g32.shape)
+    nonsym *= pressure.RadialCutoff(g32, 0.6, 1.0).values
+    near, far = pressure.riesz_split_at(TensorField(g32, nonsym), ORIGIN, 0.5)
+    out["pressure.riesz_split_nonsym"] = [
+        x for t in (near, far) for x in (float(np.sqrt(np.sum(t.values**2))), float(np.max(t.values)))
+    ]
 
     osc = pressure.pressure_oscillation_terms(run.v, run.a, run.q, ORIGIN, 0.25, 1.0)
     out["pressure.osc_lhs"] = [osc.lhs]
@@ -193,8 +206,37 @@ def test_matches_golden_fixture():
         assert gap <= GOLDEN_RTOL * scale, "%s drifted by %.3g (scale %.3g)" % (name, gap, scale)
 
 
-if __name__ == "__main__":
+def _add_keys(keys):
+    """The stored fixture with only the named new keys computed at this
+    checkout and merged in; existing keys are refused before computing."""
+    with open(GOLDEN) as fh:
+        golden = json.load(fh)
+    taken = [key for key in keys if key in golden["values"] or key in golden["texts"]]
+    if taken:
+        raise SystemExit("golden keys exist already and are not recomputed: %s" % ", ".join(taken))
     values, texts = compute()
+    unknown = [key for key in keys if key not in values]
+    if unknown:
+        raise SystemExit("compute() makes no golden key %s" % ", ".join(unknown))
+    for key in keys:
+        golden["values"][key] = values[key]
+        if key in texts:
+            golden["texts"][key] = texts[key]
+    return golden
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Write tests/golden.json from this checkout.")
+    parser.add_argument(
+        "--add", nargs="+", metavar="KEY",
+        help="merge only these new keys into the stored fixture",
+    )
+    args = parser.parse_args()
+    if args.add:
+        golden = _add_keys(args.add)
+    else:
+        values, texts = compute()
+        golden = {"values": values, "texts": texts}
     with open(GOLDEN, "w") as fh:
-        json.dump({"values": values, "texts": texts}, fh, indent=1, sort_keys=True)
+        json.dump(golden, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -1,16 +1,20 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_simpson
 
 from critnorm import corpus, pns
 from critnorm._fft import rfftn
 from critnorm.fields import (
     ScalarField,
+    SpaceTimeField,
     VectorField,
     smooth_radial_cutoff,
     taylor_green,
     taylor_green_3d,
 )
-from critnorm.spectral import derivative, divergence, laplacian
+from critnorm.spectral import derivative, divergence, gradient, laplacian
 
 K0 = 1.0 / np.sqrt(2.0)
 
@@ -144,6 +148,18 @@ class TestRun:
         # round-off relative to the retained spectrum
         outside = np.max(np.abs(hat * (~grid16.dealias_mask)))
         assert outside <= 1e-13 * np.max(np.abs(hat))
+
+    def test_one_drift_slice_per_time_level(self, grid16):
+        asked = []
+        drift = heat_drift(taylor_green(grid16, amplitude=0.1))
+
+        def provider(t):
+            asked.append(t)
+            return drift(t)
+
+        cfg = pns.PNSConfig(dt=0.05, T=0.4, stride=2)
+        pns.run_pns(taylor_green(grid16, amplitude=0.1), cfg, a_provider=provider)
+        assert len(asked) == len(set(asked)) == cfg.n_steps + 1
 
 
 class TestRecoverPressure:
@@ -304,6 +320,20 @@ class TestGlobalEnergy:
             worst[deal] = min(r[3] for r in rep.rows) / rep.rows[0][2]
         assert worst[False] < 100.0 * worst[True]
         assert worst[False] < -1e-3
+
+    def test_parseval_dissipation_is_the_grid_sum(self, grid16, rng):
+        # white noise, Nyquist planes included: the half-spectrum weights
+        # must reproduce the physical-space sum of |d_j v_i|^2
+        times = np.arange(3) / 64.0
+        frames = rng.standard_normal((3, 3) + grid16.shape)
+        v = SpaceTimeField(grid16, times, frames)
+        run = SimpleNamespace(grid=grid16, v=v, a=None)
+        rows = pns.global_energy_check(run).rows
+        cell = grid16.cell_volume
+        diss = [np.sum(gradient(v[i]).data ** 2) * cell for i in range(3)]
+        want = 2.0 * cumulative_simpson(diss, x=times, initial=0.0)
+        got = np.array([lhs - np.sum(f**2) * cell for (_, lhs, _, _), f in zip(rows, frames)])
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_driven_run_rejected(self, grid16):
         a0 = taylor_green(grid16, amplitude=0.1)

@@ -94,6 +94,14 @@ class TestRieszSum:
         gap = np.max(np.abs(near.values + far.values - whole.values))
         assert gap <= 1e-12 * np.max(np.abs(whole.values))
 
+    def test_doubled_grid_factor_cache_is_bounded_and_read_only(self):
+        for L in (9.0, 10.0, 11.0, 12.0, 13.0):
+            g = Grid(8, L)
+            pressure._free_riesz_sum(g, np.zeros((3, 3) + g.shape))
+        assert pressure._riesz_factor.cache_info().currsize <= 4
+        kvec, gfac = pressure._riesz_factor(Grid(8, 13.0))
+        assert not any(a.flags.writeable for a in kvec + (gfac,))
+
     def test_masked_split_far_part_vanishes_for_inner_data(self, grid32):
         psi = pressure.RadialCutoff(grid32, 0.2, 0.45).values
         V = trace_tensor(grid32, psi)

@@ -1,6 +1,6 @@
 """Algebraic identities of the spectral kernels, checked as properties over
-random real fields on a 16^3 grid, and off-grid evaluation against the
-brute-force trigonometric sum."""
+random real fields on a 16^3 grid, and off-grid evaluation of real fields
+against the brute-force trigonometric sum over the full spectrum."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from critnorm import _fft
 from critnorm.fields import Grid, ScalarField, TensorField, VectorField
 from critnorm.spectral import (
+    SYM_PAIRS,
     curl,
     ddiv_hat,
     div_hat,
@@ -18,6 +19,12 @@ from critnorm.spectral import (
     gradient,
     leray_hat,
     leray_project,
+    newtonian_potential,
+    newtonian_potential_div,
+    spectral_coefficients,
+    sym_ddiv_hat,
+    sym_div_hat,
+    sym_outer_hat,
     tensor_div_hat,
     tensor_divergence,
 )
@@ -100,13 +107,14 @@ def test_field_operators_are_inverse_transforms_of_their_kernels(seed):
     st.tuples(*[st.integers(min_value=1, max_value=7)] * 3),
 )
 def test_evaluate_at_points_is_the_trigonometric_sum(seed, n, lengths):
-    # white-noise coefficients, Nyquist planes included and no Hermitian
-    # symmetry, on points scattered over three periods of the box
+    # real white-noise fields, Nyquist planes included, against the sum over
+    # the full DFT spectrum, on points scattered over three periods of the box
     g = Grid(n, GRID.L)
     rng = np.random.default_rng(seed)
-    coeffs = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    values = rng.standard_normal(g.shape)
     axes = tuple(rng.uniform(-1.5 * g.L, 1.5 * g.L, size=m) for m in lengths)
-    got = evaluate_at_points(ScalarField(g, np.zeros(g.shape)), axes, coeffs)
+    got = evaluate_at_points(ScalarField(g, values), axes, spectral_coefficients(values))
+    coeffs = np.fft.fftn(values) / values.size
     k = g.k0 * g.modes
     X, Y, Z = np.meshgrid(*[a - g.x[0] for a in axes], indexing="ij")
     phase = (
@@ -117,3 +125,36 @@ def test_evaluate_at_points_is_the_trigonometric_sum(seed, n, lengths):
     want = np.sum(coeffs * np.exp(1j * phase), axis=(-3, -2, -1)).real
     assert got.shape == lengths
     assert _small(got - want, np.sqrt(np.sum(np.abs(coeffs) ** 2)))
+
+
+def _full_tensor(Sh):
+    # the 3 x 3 spectrum that a six-component symmetric spectrum stands for
+    full = np.empty((3, 3) + Sh.shape[1:], dtype=Sh.dtype)
+    for c, (i, j) in enumerate(SYM_PAIRS):
+        full[i, j] = full[j, i] = Sh[c]
+    return full
+
+
+@bounded
+@given(seeds)
+def test_symmetric_stress_kernels_match_the_nine_component_ones(seed):
+    u, a = _data(seed, (3,)), _data(seed + 1, (3,))
+    w = 0.5 * u + a
+    full = u[:, None] * u[None, :] + a[:, None] * u[None, :] + u[:, None] * a[None, :]
+    Th = _hat(full)
+    Sh = sym_outer_hat(u, w)
+    assert SYM_PAIRS == ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+    assert _small(_full_tensor(Sh) - Th, np.max(np.abs(Th)))
+    assert _small(sym_div_hat(GRID, Sh) - tensor_div_hat(GRID, Th), KMAX * np.max(np.abs(Th)))
+    assert _small(sym_ddiv_hat(GRID, Sh) - ddiv_hat(GRID, Th), KMAX**2 * np.max(np.abs(Th)))
+
+
+@bounded
+@given(seeds)
+def test_fourier_summed_gradient_potentials_are_the_sum_of_the_terms(seed):
+    # compact white-noise sources inside |x| < L/4, as newtonian_potential needs
+    inside = GRID.radius() < 0.2 * GRID.L
+    sources = [ScalarField(GRID, np.where(inside, s, 0.0)) for s in _data(seed, (3,))]
+    want = sum(newtonian_potential(s, 1)[j].values for j, s in enumerate(sources))
+    got = newtonian_potential_div(sources).values
+    assert _small(got - want, np.max(np.abs(want)))
