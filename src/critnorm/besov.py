@@ -5,7 +5,7 @@ psi equals 1 below 3/2 and 0 above 8/3, and phi(rho) = psi(rho) - psi(2 rho)
 is supported on the annulus (3/4, 8/3). Summing phi(2^-j rho) over a band
 range telescopes to psi(2^-j_max rho) - psi(2^-(j_min-1) rho), so the
 partition of unity holds exactly (to round-off) for frequencies between
-(4/3) 2^j_min and (3/2) 2^j_max; the default band range is chosen so every
+(4/3) 2^j_min and (3/2) 2^j_max; the band range is chosen so every
 nonzero grid frequency sits in that window.
 
 Norms over the box play the role of global norms: fields of interest decay
@@ -35,6 +35,12 @@ __all__ = [
     "write_split_csv",
 ]
 
+# regularity gain of the low part: besov_split reports bar in
+# B^{-1+DELTA2}_{inf,inf}, whose norm may grow like N^{DELTA2}
+DELTA2 = 0.5
+_DIV_TOL = 1e-8  # relative divergence besov_split accepts, per |k|_max ||g||_2
+_HEAT_SAMPLES = 40  # log-spaced times of the heat-flow sup
+
 
 def _psi(rho):
     return 1.0 - smoothstep((np.asarray(rho, dtype=np.float64) - 1.5) / (8.0 / 3.0 - 1.5))
@@ -47,18 +53,11 @@ def _phi(rho):
 class LPProjectorBank:
     """Dyadic frequency bands covering all nonzero frequencies of a grid."""
 
-    def __init__(self, grid, j_min=None, j_max=None):
-        kmin = grid.k0
+    def __init__(self, grid):
         kmax = math.sqrt(float(np.max(grid.k2)))
-        if j_min is None:
-            j_min = math.floor(math.log2(kmin * 3.0 / 4.0))
-        if j_max is None:
-            j_max = math.ceil(math.log2(kmax * 2.0 / 3.0))
-        if j_max < j_min:
-            raise ValueError("empty band range")
         self.grid = grid
-        self.j_min = int(j_min)
-        self.j_max = int(j_max)
+        self.j_min = math.floor(math.log2(grid.k0 * 3.0 / 4.0))
+        self.j_max = math.ceil(math.log2(kmax * 2.0 / 3.0))
         self._kabs = np.sqrt(grid.k2)
 
     @property
@@ -112,7 +111,7 @@ def besov_norm_lp(f, s, p, q=math.inf, bank=None, name=None):
     )
 
 
-def besov_norm_heat(f, s, p, samples=40, name=None):
+def besov_norm_heat(f, s, p, name=None):
     """Heat-flow Besov norm sup_t t^{-s/2} ||e^{t Lap} f||_p, t on a log lattice.
 
     The sup is a lattice lower bound over 40 points spanning [dx^2, L^2/16];
@@ -124,7 +123,7 @@ def besov_norm_heat(f, s, p, samples=40, name=None):
     g = f.grid
     data = f.data - np.mean(f.data, axis=(-3, -2, -1), keepdims=True)
     hat = _fft.rfftn(data, axes=(-3, -2, -1))
-    ts = np.geomspace(g.dx**2, g.L**2 / 16.0, samples)
+    ts = np.geomspace(g.dx**2, g.L**2 / 16.0, _HEAT_SAMPLES)
     best = 0.0
     for t in ts:
         damped = _fft.irfftn(hat * np.exp(-g.k2 * t), s=g.shape, axes=(-3, -2, -1))
@@ -133,7 +132,7 @@ def besov_norm_heat(f, s, p, samples=40, name=None):
         name=name or "B_heat(%g,%g)" % (s, p),
         value=best,
         region=None,
-        method="heat-flow sup over %d log-spaced times (lower bound)" % samples,
+        method="heat-flow sup over %d log-spaced times (lower bound)" % _HEAT_SAMPLES,
     )
 
 
@@ -141,21 +140,19 @@ def besov_norm_heat(f, s, p, samples=40, name=None):
 class BesovSplit:
     """Sharp-threshold frequency split with the four persistence norms.
 
-    gamma1 is the growth exponent the low part's B^{-1+delta2}_{inf,inf}
-    norm is allowed (delta2 for this construction); gamma2, the decay rate
-    of the high part's L^2 norm, is empirical and filled in by split_sweep.
+    The low part's B^{-1+DELTA2}_{inf,inf} norm may grow with exponent
+    DELTA2; the decay rate of the high part's L^2 norm is empirical and
+    fitted by split_sweep.
     """
 
     tilde_g: VectorField
     bar_g: VectorField
     N: float
     p: float
-    delta2: float
-    gamma1: float
     reports: dict
 
 
-def besov_split(g, N, p, delta2=0.5, div_tol=1e-8):
+def besov_split(g, N, p):
     """Split a divergence-free field at the sharp frequency threshold N.
 
     bar carries the modes with |xi| <= N (mean included), tilde the rest, so
@@ -169,7 +166,7 @@ def besov_split(g, N, p, delta2=0.5, div_tol=1e-8):
     scale = g.l2()
     if scale > 0:
         kmax = math.sqrt(float(np.max(grid.k2)))
-        if divergence(g).l2() > div_tol * kmax * scale:
+        if divergence(g).l2() > _DIV_TOL * kmax * scale:
             raise ValueError("field is not divergence-free")
     low = grid.k2 <= float(N) ** 2
     bar = apply_multiplier(g, low.astype(np.float64))
@@ -178,7 +175,7 @@ def besov_split(g, N, p, delta2=0.5, div_tol=1e-8):
         "tilde_l2": NormReport("tilde_l2", tilde.l2(), None, "box L2"),
         "bar_l2": NormReport("bar_l2", bar.l2(), None, "box L2"),
         "bar_bmo_like": besov_norm_lp(
-            bar, -1.0 + delta2, math.inf, name="bar_B(%g,inf,inf)" % (-1.0 + delta2)
+            bar, -1.0 + DELTA2, math.inf, name="bar_B(%g,inf,inf)" % (-1.0 + DELTA2)
         ),
         "tilde_critical": besov_norm_lp(tilde, -1.0 + 3.0 / p, p, name="tilde_crit"),
         "bar_critical": besov_norm_lp(bar, -1.0 + 3.0 / p, p, name="bar_crit"),
@@ -188,22 +185,20 @@ def besov_split(g, N, p, delta2=0.5, div_tol=1e-8):
         bar_g=bar,
         N=float(N),
         p=float(p),
-        delta2=float(delta2),
-        gamma1=float(delta2),
         reports=reports,
     )
 
 
-def split_sweep(g, thresholds, p, delta2=0.5):
+def split_sweep(g, thresholds, p):
     """Run besov_split across thresholds and fit the two scaling exponents.
 
     Returns {rows, slope_tilde, slope_bar}: rows are (N, ||tilde||_L2,
-    ||bar||_B^{-1+delta2}); slopes are log-log fits, skipping values that
+    ||bar||_B^{-1+DELTA2}); slopes are log-log fits, skipping values that
     have collapsed to round-off (threshold past the active spectrum).
     """
     rows = []
     for N in thresholds:
-        sp = besov_split(g, N, p, delta2)
+        sp = besov_split(g, N, p)
         rows.append(
             (
                 float(N),

@@ -3,14 +3,19 @@ backward-heat test functions, Morrey-type suprema, and the bound for the
 singular kernel 1/(|x-y|^2 + |t-s|)^2.
 
 A parabolic cylinder Q_r(c, t) is B_r(c) x (t - r^2, t], anchored at its
-top time. Over the dyadic radii r_k = 2^{-k} the ledger tracks
+top time. The budgets are fixed once: delta = cylinder.DELTA = 1,
+eps* = EPS_STAR = 1 and C_B = 1. Over the dyadic radii r_k = 2^{-k} the
+ledger tracks
 
-    A_k = r^{-2} int_{Q} |v|^3  +  r^{-(1+d)/2} int_{Q} |q - (q)_r(s)|^{3/2}
+    A_k = r^{-2} int_{Q} |v|^3  +  r^{-(1+delta)/2} int_{Q} |q - (q)_r(s)|^{3/2}
     B_k = sup_s int_{B} |v|^2  +  int_{Q} |grad v|^2
 
-against the budgets eps^{2/3} r^{3-d} and C_B eps^{2/3} r^{3-2d/3}, plus
-time-weighted variants whose budgets carry powers of (s - t0)_+ and so
-only admit perturbations that are quiet up to t0.
+so the pressure part carries r^{-1}, against the budgets
+eps*^{2/3} r^{3-delta} = r^2 for A_k and C_B eps*^{2/3} r^{3-2 delta/3}
+= r^{7/3} for B_k. The time-weighted variants A'_k and A''_k answer to
+half the A_k budget, r^2/2, and B'_k to r^{7/3}; their left sides are
+divided by powers of (s - t0)_+, so they only admit perturbations that
+are quiet up to t0. morrey_sup weighs int_{Q_r} |v|^3 by r^{delta-5} = r^{-4}.
 
 Cylinder integrals follow the quadrature of critnorm.cylinder (stored
 slices in time, native cells or the r/8 lattice in space). Suprema in
@@ -24,7 +29,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .cylinder import ball_points, cube_lattice, sample_grad_sq, sample_slice, stored_window
+from .cylinder import (
+    DELTA,
+    ball_points,
+    cube_lattice,
+    sample_grad_sq,
+    sample_slice,
+    stored_window,
+)
 from .fieldio import write_csv
 from .fields import nonic_step
 from .norms import InequalityReport, NormReport
@@ -45,12 +57,14 @@ __all__ = [
     "ledger_B",
     "ledger_weighted",
     "build_ledger",
-    "b_target_constant",
     "morrey_sup",
     "kernel_constant",
     "kernel_integral",
     "check_kernel_bound",
 ]
+
+EPS_STAR = 1.0  # eps*: the smallness the ledger budgets are scaled by
+C_B = 1.0  # prefactor of the B_k budget
 
 
 @dataclass(frozen=True)
@@ -68,10 +82,6 @@ class ParabolicCylinder:
         object.__setattr__(self, "r", float(self.r))
         if not self.r > 0:
             raise ValueError("cylinder radius must be positive")
-
-    @property
-    def window(self):
-        return (self.t_top - self.r**2, self.t_top)
 
 
 @dataclass(frozen=True)
@@ -105,28 +115,21 @@ class LedgerRow:
     b_value: float
     b_target: float
     passed: bool
-    weighted: object = None  # WeightedValues when the weighted variant ran
+    weighted: object  # WeightedValues when the weighted variant ran, else None
 
 
 @dataclass(frozen=True)
 class DyadicLedger:
-    """Rows over strictly halving radii plus the budget parameters."""
+    """Rows over strictly halving radii, with the weights eta and t0 of the
+    weighted variant (None when it did not run)."""
 
     rows: tuple
-    delta: float
-    eps_star: float
-    c_b: float
-    eta: object = None
-    t0: object = None
+    eta: object
+    t0: object
 
     def __post_init__(self):
         rows = tuple(self.rows)
         object.__setattr__(self, "rows", rows)
-        if not rows:
-            raise ValueError("ledger needs at least one row")
-        for prev, row in zip(rows, rows[1:]):
-            if abs(row.r_k - 0.5 * prev.r_k) > 1e-15 * prev.r_k:
-                raise ValueError("ledger radii must halve row to row")
         for row in rows:
             vals = [row.r_k, row.a_value, row.a_target, row.b_value, row.b_target]
             if row.weighted is not None:
@@ -224,44 +227,43 @@ def cylinder_smallness(run, center, t_top, r=1.0):
 # ledger rows
 
 
-def _a_value(loads, ts, r, delta, pressure_on=True):
+def _a_value(loads, ts, r):
     value = float(np.trapezoid(loads["v3"], ts)) / r**2
-    if pressure_on:
-        value += float(np.trapezoid(loads["qosc"], ts)) * r ** (-(1.0 + delta) / 2.0)
-    return value
+    return value + float(np.trapezoid(loads["qosc"], ts)) * r ** (-(1.0 + DELTA) / 2.0)
 
 
 def _b_value(loads, ts):
     return float(np.max(loads["v2"])) + float(np.trapezoid(loads["grad2"], ts))
 
 
-def _a_target(r, delta, eps_star):
-    return eps_star ** (2.0 / 3.0) * r ** (3.0 - delta)
+def _a_target(r):
+    return EPS_STAR ** (2.0 / 3.0) * r ** (3.0 - DELTA)
 
 
-def _b_target(r, delta, eps_star, c_b):
-    return c_b * eps_star ** (2.0 / 3.0) * r ** (3.0 - 2.0 * delta / 3.0)
+def _b_target(r):
+    return C_B * EPS_STAR ** (2.0 / 3.0) * r ** (3.0 - 2.0 * DELTA / 3.0)
 
 
-def ledger_A(run, center, t_top, k, delta=1.0, eps_star=1.0, pressure_on=True):
-    """A_k on Q_{2^-k}(center, t_top) and its budget eps^{2/3} r^{3-delta}.
+def ledger_A(run, center, t_top, k):
+    """A_k on Q_{2^-k}(center, t_top) and its budget eps*^{2/3} r^{3-delta} = r^2.
 
-    A_k is r^{-2} int |v|^3 plus, when pressure_on, the oscillation part
-    r^{-(1+delta)/2} int |q - (q)_r(s)|^{3/2} with (q)_r the ball mean
-    slice by slice. Returns (value, target).
+    A_k is r^{-2} int |v|^3 plus the oscillation part
+    r^{-(1+delta)/2} int |q - (q)_r(s)|^{3/2} = r^{-1} int ..., with (q)_r
+    the ball mean slice by slice; the cubic part alone is
+    local_cubed_mass / r^2. Returns (value, target).
     """
     cyl = ParabolicCylinder(center, t_top, 2.0 ** -k)
-    ts, loads = _slice_loads(run, cyl.center, cyl.t_top, cyl.r, want_q=pressure_on)
-    return _a_value(loads, ts, cyl.r, delta, pressure_on), _a_target(cyl.r, delta, eps_star)
+    ts, loads = _slice_loads(run, cyl.center, cyl.t_top, cyl.r, want_q=True)
+    return _a_value(loads, ts, cyl.r), _a_target(cyl.r)
 
 
-def ledger_B(run, center, t_top, k, delta=1.0, eps_star=1.0, c_b=1.0):
+def ledger_B(run, center, t_top, k):
     """B_k: sup-in-time ball energy plus cylinder dissipation, against the
-    budget c_b eps^{2/3} r^{3-2 delta/3}. The sup scans stored slices
-    only, so the value is a stride-limited lower bound."""
+    budget C_B eps*^{2/3} r^{3-2 delta/3} = r^{7/3}. The sup scans stored
+    slices only, so the value is a stride-limited lower bound."""
     cyl = ParabolicCylinder(center, t_top, 2.0 ** -k)
     ts, loads = _slice_loads(run, cyl.center, cyl.t_top, cyl.r, want_energy=True)
-    return _b_value(loads, ts), _b_target(cyl.r, delta, eps_star, c_b)
+    return _b_value(loads, ts), _b_target(cyl.r)
 
 
 def _weighted_sup(lhs, ts, t0, power):
@@ -275,33 +277,32 @@ def _weighted_sup(lhs, ts, t0, power):
     return out
 
 
-def _check_weights(cyl, eta, t0):
+def _check_weights(t_top, eta, t0):
     if not 0.0 < eta < 1.0:
         raise ValueError("eta must sit in (0, 1)")
-    if not (np.isfinite(t0) and t0 <= cyl.t_top + 1e-9):
+    if not (np.isfinite(t0) and t0 <= t_top + 1e-9):
         raise ValueError("t0 must not exceed the top time")
 
 
-def _weighted_values(loads, ts, r, delta, eta, t0, eps_star, c_b):
+def _weighted_values(loads, ts, r, eta, t0):
     etap = eta / 6.0
     lhs_a = cumulative_trapezoid(loads["v3"], ts, initial=0.0) / r**2
     lhs_app = cumulative_trapezoid(loads["qosc"], ts, initial=0.0) * r ** (
-        -(1.0 + delta) / 2.0
+        -(1.0 + DELTA) / 2.0
     )
     lhs_b = loads["v2"] + cumulative_trapezoid(loads["grad2"], ts, initial=0.0)
-    budget = _a_target(r, delta, eps_star)
+    budget = _a_target(r)
     return WeightedValues(
         apk=_weighted_sup(lhs_a, ts, t0, 1.5 * etap),
         appk=_weighted_sup(lhs_app, ts, t0, 0.75 * etap),
         bpk=_weighted_sup(lhs_b, ts, t0, etap),
         apk_target=0.5 * budget,
         appk_target=0.5 * budget,
-        bpk_target=_b_target(r, delta, eps_star, c_b),
+        bpk_target=_b_target(r),
     )
 
 
-def ledger_weighted(run, center, t_top, k, delta=1.0, eta=0.6, t0=0.0,
-                    eps_star=1.0, c_b=1.0):
+def ledger_weighted(run, center, t_top, k, eta=0.6, t0=0.0):
     """Weighted row (A'_k, A''_k, B'_k) with eta' = eta/6.
 
     For each stored slice s in the window the running integrals up to s
@@ -313,67 +314,73 @@ def ledger_weighted(run, center, t_top, k, delta=1.0, eta=0.6, t0=0.0,
     quotient to infinity, which is the point of the weighting.
     """
     cyl = ParabolicCylinder(center, t_top, 2.0 ** -k)
-    _check_weights(cyl, eta, t0)
+    _check_weights(cyl.t_top, eta, t0)
     ts, loads = _slice_loads(
         run, cyl.center, cyl.t_top, cyl.r, want_q=True, want_energy=True
     )
-    return _weighted_values(loads, ts, cyl.r, delta, eta, t0, eps_star, c_b)
+    return _weighted_values(loads, ts, cyl.r, eta, t0)
 
 
-def build_ledger(run, center, t_top, ks=(2, 3, 4, 5), delta=1.0, eps_star=1.0,
-                 c_b=1.0, eta=None, t0=None):
+def build_ledger(run, center, t_top, ks=(2, 3, 4, 5), eta=None, t0=None):
     """Assemble ledger rows over strictly halving radii; each pass flag
     compares the row's values to its budgets (weighted ones included
-    when eta is given). Each row samples its cylinder's slices once and
-    takes A_k, B_k and the weighted values from the same loads, the
-    numbers ledger_A, ledger_B and ledger_weighted return."""
+    when eta is given, which needs t0). Each row samples its cylinder's
+    slices once and takes A_k, B_k and the weighted values from the same
+    loads, the numbers ledger_A, ledger_B and ledger_weighted return.
+
+    ks must be consecutive increasing integers; ks and the weights are
+    checked before any slice is sampled.
+    """
+    ks = tuple(ks)
+    if not ks or any(int(k) != k for k in ks) or any(b != a + 1 for a, b in zip(ks, ks[1:])):
+        raise ValueError(
+            "ks must be consecutive increasing integers (radii halving row to row), got %r"
+            % (ks,)
+        )
+    if eta is not None:
+        if t0 is None:
+            raise ValueError("the weighted ledger (eta given) needs t0, the time the "
+                             "weights (s - t0)_+ start from")
+        _check_weights(float(t_top), eta, t0)
     rows = []
     for k in ks:
         cyl = ParabolicCylinder(center, t_top, 2.0 ** -k)
-        if eta is not None:
-            _check_weights(cyl, eta, t0)
         r = cyl.r
         ts, loads = _slice_loads(
             run, cyl.center, cyl.t_top, r, want_q=True, want_energy=True
         )
-        a_val, a_tgt = _a_value(loads, ts, r, delta), _a_target(r, delta, eps_star)
-        b_val, b_tgt = _b_value(loads, ts), _b_target(r, delta, eps_star, c_b)
+        a_val, a_tgt = _a_value(loads, ts, r), _a_target(r)
+        b_val, b_tgt = _b_value(loads, ts), _b_target(r)
         passed = a_val <= a_tgt and b_val <= b_tgt
         wv = None
         if eta is not None:
-            wv = _weighted_values(loads, ts, r, delta, eta, t0, eps_star, c_b)
+            wv = _weighted_values(loads, ts, r, eta, t0)
             passed = passed and wv.ok
         rows.append(LedgerRow(int(k), r, a_val, a_tgt, b_val, b_tgt, bool(passed), wv))
-    return DyadicLedger(tuple(rows), float(delta), float(eps_star), float(c_b), eta, t0)
-
-
-def b_target_constant(c1, delta=1.0):
-    """Energy-budget constant 10 c1^2 (2^11/(1 - 2^{-2 delta/3}) + 2^6).
-
-    Evaluated for reporting only; nothing in the ledger asserts it.
-    """
-    if not delta > 0:
-        raise ValueError("delta must be positive")
-    return 10.0 * c1**2 * (2.0**11 / (1.0 - 2.0 ** (-2.0 * delta / 3.0)) + 2.0**6)
+    return DyadicLedger(tuple(rows), eta, t0)
 
 
 # ---------------------------------------------------------------------------
 # Morrey-type supremum
 
 
-def morrey_sup(run, region, delta=1.0, ks=(2, 3, 4, 5), stride=2, max_tops=6):
-    """Sup of r^{delta-5} int_{Q_r} |v|^3 over a center lattice in the
-    region, dyadic radii 2^{-k}, and stored top times.
+_MORREY_STRIDE = 2  # morrey_sup keeps every second grid point per axis as a center
+_MORREY_TOPS = 6  # and scans at most this many top times per radius
 
-    Centers are the native grid points in the region thinned by `stride`
-    along each axis, plus the region center itself; for each radius at
-    most max_tops admissible top times are scanned. Stored slices only,
-    so the value is a lattice lower bound for the parabolic seminorm.
+
+def morrey_sup(run, region, ks=(2, 3, 4, 5)):
+    """Sup of r^{delta-5} int_{Q_r} |v|^3 = r^{-4} int_{Q_r} |v|^3 over a
+    center lattice in the region, dyadic radii 2^{-k}, and stored top times.
+
+    Centers are the native grid points in the region thinned to every
+    second one along each axis, plus the region center itself; for each
+    radius at most six admissible top times are scanned. Stored slices
+    only, so the value is a lattice lower bound for the parabolic seminorm.
     """
     g = run.grid
     mask = g.radius(region.center) <= region.radius
     idx = np.argwhere(mask)
-    keep = np.all(idx % stride == 0, axis=1)
+    keep = np.all(idx % _MORREY_STRIDE == 0, axis=1)
     centers = [tuple(float(g.x[j]) for j in trip) for trip in idx[keep]]
     centers.append(region.center)
     times = run.v.times
@@ -384,7 +391,7 @@ def morrey_sup(run, region, delta=1.0, ks=(2, 3, 4, 5), stride=2, max_tops=6):
         ok = times[times - r * r >= times[0] - 1e-12]
         if len(ok) == 0:
             continue
-        pick = np.unique(np.linspace(0, len(ok) - 1, min(max_tops, len(ok))).astype(int))
+        pick = np.unique(np.linspace(0, len(ok) - 1, min(_MORREY_TOPS, len(ok))).astype(int))
         for t_top in ok[pick]:
             try:
                 sel = stored_window(times, float(t_top) - r * r, float(t_top))
@@ -398,7 +405,7 @@ def morrey_sup(run, region, delta=1.0, ks=(2, 3, 4, 5), stride=2, max_tops=6):
                     s2 = sample_slice(g, run.v.frames[i], axes, coeffs.setdefault(i, {}))
                     vals[row] = np.sum(s2[inside] ** 1.5) * cell
                 mass = float(np.trapezoid(vals, times[sel]))
-                best = max(best, r ** (delta - 5.0) * mass)
+                best = max(best, r ** (DELTA - 5.0) * mass)
     return NormReport(
         "morrey_sup",
         best,
@@ -462,18 +469,14 @@ def _phi_fields(center, t_top, r_n, axes, s):
 class TestFunction:
     """Backward-heat test function at dyadic scale r_n = 2^{-n}.
 
-    samples holds the values on the native grid at the stored times; c1
-    is the smallest constant that makes all scanned bound families hold,
-    and families records each family's own constant.
+    c1 is the smallest constant that makes all scanned bound families
+    hold, and families records each family's own constant.
     """
 
-    grid: object
     center: tuple
     t_top: float
     n: int
     r_n: float
-    times: tuple
-    samples: object
     c1: float
     families: dict
 
@@ -497,7 +500,7 @@ class TestFunction:
             raise ValueError("test function is only evaluated up to its top time")
 
 
-def build_test_function(grid, center, t_top, n, times=None):
+def build_test_function(grid, center, t_top, n):
     """Construct the scale-n test function and measure its constants.
 
     phi(x, s) = r_n^2 Gamma(x - center, t_top + 2 r_n^2 - s) eta(x, s),
@@ -587,34 +590,24 @@ def build_test_function(grid, center, t_top, n, times=None):
         if np.any(val != 0.0):
             raise ValueError("support leaks past the time cutoff at scale %d" % n)
 
-    c1 = max(families.values())
-
-    if times is None:
-        times = t_top - np.linspace(1.0 / 9.0, 0.0, 13)
-    times = np.asarray(times, dtype=np.float64)
-    gaxes = (grid.x, grid.x, grid.x)
-    samples = np.empty((len(times),) + grid.shape)
-    for j, s in enumerate(times):
-        if s > t_top + 1e-12:
-            raise ValueError("sample times must not exceed the top time")
-        samples[j] = _phi_fields(center, t_top, r_n, gaxes, float(s))[0]
-    samples.flags.writeable = False
-
     return TestFunction(
-        grid=grid,
         center=center,
         t_top=t_top,
         n=n,
         r_n=r_n,
-        times=tuple(float(s) for s in times),
-        samples=samples,
-        c1=float(c1),
+        c1=float(max(families.values())),
         families=families,
     )
 
 
 # ---------------------------------------------------------------------------
 # singular-kernel bound
+
+# the Morrey exponent of the kernel bound; not the ledger's DELTA, since the
+# annulus sum of kernel_constant converges only for delta in (0, 1)
+_KERNEL_DELTA = 0.5
+# midpoint source lattice over [-1/2,1/2]^3 x (-1/4,1/4): space and time steps
+_KERNEL_H, _KERNEL_HT = 1.0 / 16.0, 1.0 / 128.0
 
 
 def kernel_constant(delta):
@@ -625,13 +618,10 @@ def kernel_constant(delta):
     return 8.0 ** ((5.0 - delta) / 2.0) / (1.0 - 8.0 ** ((delta - 1.0) / 2.0))
 
 
-def _source_lattice(h, ht):
-    m = int(round(1.0 / h))
-    mt = int(round(0.5 / ht))
-    if abs(m * h - 1.0) > 1e-12 or abs(mt * ht - 0.5) > 1e-12:
-        raise ValueError("h must divide 1 and ht must divide 1/2")
-    offs = (np.arange(m) + 0.5) * h - 0.5
-    ss = (np.arange(mt) + 0.5) * ht - 0.25
+def _source_lattice():
+    h, ht = _KERNEL_H, _KERNEL_HT
+    offs = (np.arange(int(round(1.0 / h))) + 0.5) * h - 0.5
+    ss = (np.arange(int(round(0.5 / ht))) + 0.5) * ht - 0.25
     return offs, ss
 
 
@@ -645,16 +635,17 @@ def _sample_source(g, offs, ss):
     return out
 
 
-def kernel_integral(g, x, t, h=1.0 / 16.0, ht=1.0 / 128.0):
+def kernel_integral(g, x, t):
     """Midpoint quadrature of int |g(y,s)| / (|x-y|^2 + |t-s|)^2 over the
-    support box [-1/2,1/2]^3 x (-1/4,1/4).
+    support box [-1/2,1/2]^3 x (-1/4,1/4), steps h = 1/16 and ht = 1/128.
 
     g is a callable taking three broadcastable coordinate arrays and a
     scalar time. Midpoints never coincide with x, so the kernel stays
     finite; near the singularity the quadrature is a crude estimate,
     far from it an accurate one.
     """
-    offs, ss = _source_lattice(h, ht)
+    h, ht = _KERNEL_H, _KERNEL_HT
+    offs, ss = _source_lattice()
     gabs = _sample_source(g, offs, ss)
     Y1, Y2, Y3 = offs[:, None, None], offs[None, :, None], offs[None, None, :]
     d2 = (x[0] - Y1) ** 2 + (x[1] - Y2) ** 2 + (x[2] - Y3) ** 2
@@ -664,18 +655,19 @@ def kernel_integral(g, x, t, h=1.0 / 16.0, ht=1.0 / 128.0):
     return total * h**3 * ht
 
 
-def check_kernel_bound(g, delta=0.5, h=1.0 / 16.0, ht=1.0 / 128.0):
+def check_kernel_bound(g):
     """Empirical two-case bound for the singular kernel.
 
     The left side is the sup of the kernel integral over a probe lattice
     (points in and around the support plus far points); the right side is
-    max(C(delta) ||g||_delta, 16 int |g|) with ||g||_delta swept
-    morrey-style over centers, dyadic radii, and two-sided time windows
-    on the same midpoint source lattice. g must vanish outside the
-    support box; probed violations raise.
+    max(C(delta) ||g||_delta, 16 int |g|) at delta = 1/2, with ||g||_delta
+    swept morrey-style over centers, dyadic radii, and two-sided time
+    windows on the same midpoint source lattice as kernel_integral. g must
+    vanish outside the support box; probed violations raise.
     """
+    delta, h, ht = _KERNEL_DELTA, _KERNEL_H, _KERNEL_HT
     cdel = kernel_constant(delta)
-    offs, ss = _source_lattice(h, ht)
+    offs, ss = _source_lattice()
     gabs = _sample_source(g, offs, ss)
     mass = float(np.sum(gabs)) * h**3 * ht
 
@@ -736,12 +728,10 @@ def check_kernel_bound(g, delta=0.5, h=1.0 / 16.0, ht=1.0 / 128.0):
             lhs = max(lhs, tot * h**3 * ht)
 
     rhs = max(cdel * gnorm, 16.0 * mass)
-    ratio = lhs / rhs if rhs > 0.0 else 0.0
     return InequalityReport(
         "kernel_bound",
         float(lhs),
         float(rhs),
-        float(ratio),
         bool(lhs <= rhs),
         "midpoint lattice h=%g ht=%g" % (h, ht),
     )

@@ -160,16 +160,16 @@ def grid_delta(grid):
     return ScalarField(grid, src)
 
 
-def self_similar_orbit(grid, anchor=None):
-    """Heat orbit of 1/|x| at time `anchor`: erf(r / (2 sqrt t)) / r.
+def self_similar_orbit(grid):
+    """Heat orbit of 1/|x| at time anchor: erf(r / (2 sqrt anchor)) / r.
 
     Smooth, and exactly on the self-similar orbit of the borderline-L^3
     profile, so e^{(t-anchor) Lap} of it tracks t^{-1/5} in L^5 with no
-    inner-cutoff trend. anchor defaults to the smallest time at which the
-    datum is band-limited on the grid (Nyquist damping below 1e-13).
+    inner-cutoff trend. anchor is the smallest time at which the datum is
+    band-limited on the grid (Nyquist damping below 1e-13); returns the
+    field and anchor.
     """
-    if anchor is None:
-        anchor = 30.0 / (np.pi / grid.dx) ** 2
+    anchor = 30.0 / (np.pi / grid.dx) ** 2
     r = grid.radius()
     rs = np.maximum(r, 1e-12)
     vals = np.where(

@@ -18,7 +18,12 @@ import numpy as np
 from .fields import ScalarField, VectorField
 from .spectral import evaluate_at_points, grad_hat, gradient, spectral_coefficients
 
-__all__ = ["stored_window", "cube_lattice", "ball_points", "sample_slice", "sample_grad_sq"]
+__all__ = ["DELTA", "stored_window", "cube_lattice", "ball_points", "sample_slice", "sample_grad_sq"]
+
+# the scale exponent delta of the epsilon-regularity budgets on Q_r: the
+# dyadic ledger (critnorm.ckn) and the pressure oscillation
+# (critnorm.pressure) both read it from here
+DELTA = 1.0
 
 
 def stored_window(times, lo, hi, clip_start=False):

@@ -154,7 +154,7 @@ class _Field:
 
     _rank_shape = None  # leading component shape, () for scalars
 
-    def __init__(self, grid, data, _hat=None):
+    def __init__(self, grid, data):
         data = np.asarray(data, dtype=np.float64)
         want = self._rank_shape + grid.shape
         if data.shape != want:
@@ -165,7 +165,7 @@ class _Field:
             raise ValueError("field contains non-finite values")
         self.grid = grid
         self.data = _freeze(data)
-        self._hat = _hat
+        self._hat = None
 
     @property
     def hat(self):

@@ -17,7 +17,7 @@ system by 2 v phi and integrating by parts with a static spatial cutoff:
 
 On smooth resolved runs the slack is pure quadrature error (time
 integrals are cumulative Simpson over the stored slices); a negative
-slack beyond the configured tolerance flags an energy-inequality
+slack beyond the tolerance flags an energy-inequality
 violation, which is the sign convention suitable solutions care about.
 """
 
@@ -60,13 +60,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PNSConfig:
-    """Step size, horizon, storage stride, and energy-check knobs."""
+    """Step size, horizon, storage stride and dealiasing."""
 
     dt: float
     T: float
     stride: int = 8
     dealias: bool = True
-    tol_energy_c: float = 10.0
 
     def __post_init__(self):
         if not self.dt > 0:
@@ -250,12 +249,12 @@ class GlobalEnergyReport:
     passed: bool
 
 
-def verify_local_energy(run, phi, window=None, tol_c=None):
+def verify_local_energy(run, phi, window=None, tol_c=10.0):
     """Ledger of the localized energy identity on the stored slices.
 
     phi is a static nonnegative spatial cutoff. Each entry integrates
     from the first stored slice in the window up to its own time; passed
-    means slack >= -tol with tol = C (dt + dx^2) scale(terms). A window
+    means slack >= -tol with tol = tol_c (dt + dx^2) scale(terms). A window
     start before the run is clipped to its first slice; a window top past
     the last stored slice raises.
     """
@@ -264,8 +263,6 @@ def verify_local_energy(run, phi, window=None, tol_c=None):
     g = run.grid
     if phi.grid != g:
         raise ValueError("grids differ")
-    if tol_c is None:
-        tol_c = run.cfg.tol_energy_c
     times = run.v.times
     lo, hi = (times[0], times[-1]) if window is None else window
     sel = stored_window(times, lo, hi, clip_start=True)
@@ -349,11 +346,11 @@ def verify_local_energy(run, phi, window=None, tol_c=None):
     return entries
 
 
-def global_energy_check(run, tol=None):
+def global_energy_check(run):
     """Whole-box energy inequality for undriven runs.
 
     Checks ||v(t)||^2 + 2 int_0^t ||grad v||^2 <= ||v(0)||^2 at every
-    stored slice; default tolerance 1e-6 ||v(0)||^2 on either side. The
+    stored slice, to the tolerance 1e-6 ||v(0)||^2. The
     dissipation is taken by Parseval on the rfft half spectrum,
     sum |k_d|^2 |v^|^2 / n^3, each kz plane counted for itself and its
     mirror (weight 2) except kz = 0 and kz = N (weight 1).
@@ -375,8 +372,7 @@ def global_energy_check(run, tol=None):
         vh = run.v[i].hat
         diss[i] = np.sum(weight * (np.square(vh.real) + np.square(vh.imag)))
     cum = cumulative_simpson(diss, x=times, initial=0.0)
-    if tol is None:
-        tol = 1e-6 * en[0]
+    tol = 1e-6 * en[0]
     rows = []
     worst = 0.0
     ok = True

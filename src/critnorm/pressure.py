@@ -9,6 +9,21 @@ oscillation against the six velocity/drift/pressure integrals that
 bound it, with an optional time-weighted variant for runs carrying a
 distinguished singular time outside the observation window; its
 integrals follow the quadrature of critnorm.cylinder.
+
+The scale exponent is delta = cylinder.DELTA = 1, shared with the dyadic
+ledger of critnorm.ckn. On Q_r with outer radius rho the oscillation
+int |q - (q)_r|^{3/2} carries r^{-(1+delta)/2} = r^{-1}, and the six
+bounding integrals J1..J6 carry
+
+    J1  r^{-(1+delta)/2}      = r^{-1}
+    J2  r^{(1-delta)/2}       = r^0
+    J3  r^{6-delta/2}         = r^{11/2}
+    J4  r^{4-delta/2}         = r^{7/2}
+    J5  r^{4-delta/2}         = r^{7/2}   times rho^{-9/2}
+    J6  r^{(44-5 delta)/10}   = r^{39/10} times rho^{-39/10}
+
+In the weighted variant J2 carries r^{3/4-delta/2} = r^{1/4}, and J6
+r^{4-delta/2} = r^{7/2} times rho^{-15/4}; the others keep their powers.
 """
 
 import functools
@@ -18,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _fft
-from .cylinder import ball_points, sample_slice, stored_window
+from .cylinder import DELTA, ball_points, sample_slice, stored_window
 from .fieldio import write_csv
 from .fields import ScalarField, nonic_step
 from .norms import BallRegion, lp_ball
@@ -45,6 +60,8 @@ __all__ = [
     "pressure_oscillation_terms",
     "write_oscillation_csv",
 ]
+
+_TOL_PRE = 1e-6  # relative spectral residual split_pressure accepts for -Lap p = d_i d_j V_ij
 
 
 class RadialCutoff:
@@ -191,10 +208,10 @@ def riesz_split_at(V, center, radius):
     return _free_riesz_sum(g, near), _free_riesz_sum(g, far)
 
 
-def split_pressure(p, V, cutoff, tol_pre=1e-6):
+def split_pressure(p, V, cutoff):
     """Split cutoff*p into the Riesz term and four derivative terms.
 
-    Requires -Lap p = d_i d_j V_ij to tol_pre (relative, spectral) and
+    Requires -Lap p = d_i d_j V_ij to _TOL_PRE (relative, spectral) and
     the cutoff supported in the unit ball around its own center. The
     mismatch field records the relative L^{3/2}(B_1) gap between
     cutoff*p and the reconstruction.
@@ -209,7 +226,7 @@ def split_pressure(p, V, cutoff, tol_pre=1e-6):
     if dd_scale == 0.0:
         ok = np.sqrt(np.sum(np.abs(resid) ** 2)) <= 1e-12
     else:
-        ok = np.sqrt(np.sum(np.abs(resid) ** 2)) <= tol_pre * dd_scale
+        ok = np.sqrt(np.sum(np.abs(resid) ** 2)) <= _TOL_PRE * dd_scale
     if not ok:
         raise ValueError("p does not solve the double-divergence equation")
     if cutoff.r_off > 1.0:
@@ -270,7 +287,6 @@ class OscillationReport:
     center: tuple
     r: float
     rho: float
-    delta: float
     t_top: float
     lhs: float
     terms: tuple  # six bounding integrals, unit constant
@@ -283,9 +299,7 @@ def _time_integral(ts, vals):
     return float(np.trapezoid(vals, ts))
 
 
-def pressure_oscillation_terms(
-    v, a, q, center, r, rho, delta=1.0, t_top=None, weighted=False, t0=None
-):
+def pressure_oscillation_terms(v, a, q, center, r, rho, t_top=None, weighted=False, t0=None):
     """Oscillation of q on Q_r(center, t_top) against its six bounds.
 
     v and q are stored orbits (a may be None); the cylinder uses the
@@ -372,18 +386,18 @@ def pressure_oscillation_terms(
             w = math.sqrt(abs(times[i] - t0)) * float(np.max(amag[in_1]))
             ma = max(ma, w)
 
-    lhs = r ** (-(1.0 + delta) / 2.0) * _time_integral(ts, osc)
+    lhs = r ** (-(1.0 + DELTA) / 2.0) * _time_integral(ts, osc)
     iv3 = _time_integral(ts, v3_2r)
     if not weighted:
         terms = (
-            r ** (-(1.0 + delta) / 2.0) * iv3,
-            r ** ((1.0 - delta) / 2.0)
+            r ** (-(1.0 + DELTA) / 2.0) * iv3,
+            r ** ((1.0 - DELTA) / 2.0)
             * math.sqrt(iv3)
             * _time_integral(ts, a5_2r) ** 0.3,
-            r ** (6.0 - delta / 2.0) * float(np.max(tail)) ** 1.5,
-            r ** (4.0 - delta / 2.0) * _time_integral(ts, cross_tail**1.5),
-            r ** (4.0 - delta / 2.0) * rho ** (-4.5) * _time_integral(ts, bulk),
-            r ** ((44.0 - 5.0 * delta) / 10.0)
+            r ** (6.0 - DELTA / 2.0) * float(np.max(tail)) ** 1.5,
+            r ** (4.0 - DELTA / 2.0) * _time_integral(ts, cross_tail**1.5),
+            r ** (4.0 - DELTA / 2.0) * rho ** (-4.5) * _time_integral(ts, bulk),
+            r ** ((44.0 - 5.0 * DELTA) / 10.0)
             * rho ** (-3.9)
             * math.sqrt(_time_integral(ts, v3_rho))
             * _time_integral(ts, a5_rho) ** 0.3,
@@ -392,16 +406,16 @@ def pressure_oscillation_terms(
         wgt1 = np.abs(ts - t0) ** (-1.0)
         wgt34 = np.abs(ts - t0) ** (-0.75)
         terms = (
-            r ** (-(1.0 + delta) / 2.0) * iv3,
-            r ** (0.75 - delta / 2.0)
+            r ** (-(1.0 + DELTA) / 2.0) * iv3,
+            r ** (0.75 - DELTA / 2.0)
             * ma**1.5
             * _time_integral(ts, wgt1 * v2_2r) ** 0.75,
-            r ** (6.0 - delta / 2.0) * float(np.max(tail)) ** 1.5,
-            r ** (4.0 - delta / 2.0)
+            r ** (6.0 - DELTA / 2.0) * float(np.max(tail)) ** 1.5,
+            r ** (4.0 - DELTA / 2.0)
             * ma**1.5
             * _time_integral(ts, wgt34 * v_tail**1.5),
-            r ** (4.0 - delta / 2.0) * rho ** (-4.5) * _time_integral(ts, bulk),
-            r ** (4.0 - delta / 2.0)
+            r ** (4.0 - DELTA / 2.0) * rho ** (-4.5) * _time_integral(ts, bulk),
+            r ** (4.0 - DELTA / 2.0)
             * rho ** (-3.75)
             * ma**1.5
             * _time_integral(ts, wgt34 * v2_ring**0.75),
@@ -418,7 +432,6 @@ def pressure_oscillation_terms(
         center=tuple(float(c) for c in center),
         r=float(r),
         rho=float(rho),
-        delta=float(delta),
         t_top=float(t_top),
         lhs=lhs,
         terms=tuple(float(x) for x in terms),

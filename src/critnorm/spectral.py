@@ -16,7 +16,6 @@ __all__ = [
     "grad_hat",
     "div_hat",
     "tensor_div_hat",
-    "ddiv_hat",
     "leray_hat",
     "SYM_PAIRS",
     "sym_outer_hat",
@@ -86,16 +85,6 @@ def tensor_div_hat(grid, Th):
     return 1j * (kxd * Th[:, 0] + kyd * Th[:, 1] + kzd * Th[:, 2])
 
 
-def ddiv_hat(grid, Th):
-    """Spectrum of the double divergence d_i d_j T_ij."""
-    kd = grid.deriv_wavenumbers()
-    out = 0.0
-    for i in range(3):
-        for j in range(3):
-            out = out - kd[i] * kd[j] * Th[i, j]
-    return out
-
-
 # symmetric tensors are stored as their six distinct components S_ij,
 # (i, j) in this order; _SYM_INDEX[i][j] is the slot of S_ij = S_ji
 SYM_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
@@ -125,7 +114,7 @@ def sym_div_hat(grid, Sh):
 
 def sym_ddiv_hat(grid, Sh):
     """Spectrum of d_i d_j S_ij for a symmetric spectrum in the SYM_PAIRS
-    layout (ddiv_hat of the full tensor): off-diagonal slots count twice."""
+    layout: off-diagonal slots count twice."""
     kd = grid.deriv_wavenumbers()
     out = 0.0
     for c, (i, j) in enumerate(SYM_PAIRS):

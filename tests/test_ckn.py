@@ -166,3 +166,36 @@ class TestKernelBound:
         rep = ckn.check_kernel_bound(source)
         assert best > 0.0
         assert rep.lhs == pytest.approx(best, rel=1e-12)
+
+
+class TestLedgerInputs:
+    @pytest.fixture()
+    def evaluations(self, monkeypatch):
+        """Counts the off-grid evaluations of every ledger row."""
+        calls = []
+        real = cylinder.evaluate_at_points
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cylinder, "evaluate_at_points", counting)
+        return calls
+
+    @pytest.mark.parametrize("ks", [(2, 4), (3, 2), (2, 2), (2.5,), ()])
+    def test_bad_ks_fail_before_any_slice_is_sampled(self, grid16, evaluations, ks):
+        run = _orbit(grid16, T16)
+        with pytest.raises(ValueError, match="ks must be consecutive increasing integers"):
+            ckn.build_ledger(run, CENTER, TOP, ks=ks)
+        assert evaluations == []
+        # r = 1/4 lies on the r/8 lattice, so a valid row is seen evaluating
+        ckn.build_ledger(run, CENTER, TOP, ks=(2,))
+        assert evaluations
+
+    def test_weighted_ledger_without_t0_names_it(self, grid16, evaluations):
+        run = _orbit(grid16, T16)
+        with pytest.raises(ValueError, match="needs t0"):
+            ckn.build_ledger(run, CENTER, TOP, ks=(2, 3), eta=0.6)
+        with pytest.raises(ValueError, match="t0 must not exceed the top time"):
+            ckn.build_ledger(run, CENTER, TOP, ks=(2, 3), eta=0.6, t0=1.0)
+        assert evaluations == []

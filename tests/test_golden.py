@@ -12,6 +12,14 @@ A new quantity is pinned by computing it at the commit that should set its
 numbers and merging only its keys; keys already in the fixture are refused:
 
     PYTHONPATH=src python tests/test_golden.py --add KEY [KEY ...]
+
+To show that a change leaves every number bit for bit where it was, dump
+each checkout's values as float.hex, with the CSV texts, and diff the two
+files; the fixture is not touched:
+
+    PYTHONPATH=src python tests/test_golden.py --dump before.json
+    PYTHONPATH=src python tests/test_golden.py --dump after.json
+    diff before.json after.json
 """
 
 import argparse
@@ -206,6 +214,19 @@ def test_matches_golden_fixture():
         assert gap <= GOLDEN_RTOL * scale, "%s drifted by %.3g (scale %.3g)" % (name, gap, scale)
 
 
+def test_dump_writes_exact_values(monkeypatch, tmp_path):
+    values = {"key": [0.1, 1.0 / 3.0, -0.0, 1e-300]}
+    texts = {"csv.key": ["t", "lhs"]}
+    monkeypatch.setitem(globals(), "compute", lambda: (values, texts))
+    path = tmp_path / "dump.json"
+    _dump(str(path))
+    with open(path) as fh:
+        dumped = json.load(fh)
+    assert dumped["texts"] == texts
+    back = [float.fromhex(x) for x in dumped["values"]["key"]]
+    assert [x.hex() for x in back] == [x.hex() for x in values["key"]]
+
+
 def _add_keys(keys):
     """The stored fixture with only the named new keys computed at this
     checkout and merged in; existing keys are refused before computing."""
@@ -225,13 +246,30 @@ def _add_keys(keys):
     return golden
 
 
+def _dump(path):
+    """Every computed value as float.hex, plus the CSV texts, to path."""
+    values, texts = compute()
+    exact = {key: [float(x).hex() for x in vals] for key, vals in values.items()}
+    with open(path, "w") as fh:
+        json.dump({"values": exact, "texts": texts}, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description="Write tests/golden.json from this checkout.")
-    parser.add_argument(
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument(
         "--add", nargs="+", metavar="KEY",
         help="merge only these new keys into the stored fixture",
     )
+    mode.add_argument(
+        "--dump", metavar="PATH",
+        help="write every value as float.hex, with the CSV texts, to PATH instead",
+    )
     args = parser.parse_args()
+    if args.dump:
+        _dump(args.dump)
+        raise SystemExit(0)
     if args.add:
         golden = _add_keys(args.add)
     else:

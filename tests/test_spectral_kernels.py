@@ -11,7 +11,6 @@ from critnorm.fields import Grid, ScalarField, TensorField, VectorField
 from critnorm.spectral import (
     SYM_PAIRS,
     curl,
-    ddiv_hat,
     div_hat,
     divergence,
     evaluate_at_points,
@@ -51,6 +50,17 @@ def _inverse(hat):
 
 def _small(value, scale):
     return float(np.max(np.abs(value))) <= ROUNDOFF * scale
+
+
+def ddiv_hat(grid, Th):
+    """Reference spectrum of the double divergence d_i d_j T_ij of a full
+    3 x 3 tensor spectrum, summed over all nine components."""
+    kd = grid.deriv_wavenumbers()
+    out = 0.0
+    for i in range(3):
+        for j in range(3):
+            out = out - kd[i] * kd[j] * Th[i, j]
+    return out
 
 
 @bounded
