@@ -121,7 +121,8 @@ class LedgerRow:
 @dataclass(frozen=True)
 class DyadicLedger:
     """Rows over strictly halving radii, with the weights eta and t0 of the
-    weighted variant (None when it did not run)."""
+    weighted variant (None when it did not run). Entries are finite, but a
+    weighted value is +inf when mass sits at or before t0 (the row fails)."""
 
     rows: tuple
     eta: object
@@ -131,12 +132,12 @@ class DyadicLedger:
         rows = tuple(self.rows)
         object.__setattr__(self, "rows", rows)
         for row in rows:
+            w = row.weighted
             vals = [row.r_k, row.a_value, row.a_target, row.b_value, row.b_target]
-            if row.weighted is not None:
-                w = row.weighted
-                vals += [w.apk, w.appk, w.bpk, w.apk_target, w.appk_target, w.bpk_target]
-            if not all(math.isfinite(v) for v in vals):
-                raise ValueError("ledger entries must be finite")
+            vals += [] if w is None else [w.apk_target, w.appk_target, w.bpk_target]
+            sups = [] if w is None else [w.apk, w.appk, w.bpk]
+            if not (all(map(math.isfinite, vals)) and all(v > -math.inf for v in sups)):
+                raise ValueError("ledger entries must be finite (weighted values may be +inf)")
 
 
 def write_ledger_csv(path, ledger):
@@ -373,16 +374,17 @@ def morrey_sup(run, region, ks=(2, 3, 4, 5)):
     center lattice in the region, dyadic radii 2^{-k}, and stored top times.
 
     Centers are the native grid points in the region thinned to every
-    second one along each axis, plus the region center itself; for each
-    radius at most six admissible top times are scanned. Stored slices
+    second one along each axis, plus the region center unless it is one of
+    them; for each radius at most six admissible top times are scanned, and
+    each stored slice is sampled once per center and radius. Stored slices
     only, so the value is a lattice lower bound for the parabolic seminorm.
     """
     g = run.grid
-    mask = g.radius(region.center) <= region.radius
-    idx = np.argwhere(mask)
+    idx = np.argwhere(g.radius(region.center) <= region.radius)
     keep = np.all(idx % _MORREY_STRIDE == 0, axis=1)
     centers = [tuple(float(g.x[j]) for j in trip) for trip in idx[keep]]
-    centers.append(region.center)
+    if region.center not in centers:
+        centers.append(region.center)
     times = run.v.times
     coeffs = {}  # per-slice spectral coefficients, reused across centers and radii
     best = 0.0
@@ -392,19 +394,21 @@ def morrey_sup(run, region, ks=(2, 3, 4, 5)):
         if len(ok) == 0:
             continue
         pick = np.unique(np.linspace(0, len(ok) - 1, min(_MORREY_TOPS, len(ok))).astype(int))
+        windows = []
         for t_top in ok[pick]:
             try:
-                sel = stored_window(times, float(t_top) - r * r, float(t_top))
+                windows.append(stored_window(times, float(t_top) - r * r, float(t_top)))
             except ValueError:
                 continue
-            for c in centers:
-                axes, rad, cell = ball_points(g, c, r)
-                inside = rad <= r
-                vals = np.empty(len(sel))
-                for row, i in enumerate(sel):
-                    s2 = sample_slice(g, run.v.frames[i], axes, coeffs.setdefault(i, {}))
-                    vals[row] = np.sum(s2[inside] ** 1.5) * cell
-                mass = float(np.trapezoid(vals, times[sel]))
+        for c in centers:
+            axes, rad, cell = ball_points(g, c, r)
+            inside = rad <= r
+            loads = {}  # slice index -> ball integral of |v|^3
+            for i in set().union(*windows):
+                s2 = sample_slice(g, run.v.frames[i], axes, coeffs.setdefault(i, {}))
+                loads[i] = np.sum(s2[inside] ** 1.5) * cell
+            for sel in windows:
+                mass = float(np.trapezoid([loads[i] for i in sel], times[sel]))
                 best = max(best, r ** (DELTA - 5.0) * mass)
     return NormReport(
         "morrey_sup",
@@ -421,9 +425,16 @@ _SPACE_ON, _SPACE_OFF = 0.26, 0.33  # plateau covers B_{1/4}; support inside B_{
 _TIME_ON, _TIME_OFF = -0.07, -0.105  # flat over every Q_{2^-k}, k >= 2; zero before t - 1/9
 
 
-def _phi_fields(center, t_top, r_n, axes, s):
-    """Value, gradient, and backward-heat residual of the test function on
-    a tensor lattice at one time.
+def _lattice_rho2(center, axes):
+    """Offsets x - center of a tensor lattice as an open mesh, and rho^2."""
+    off = np.ix_(*(np.asarray(axes[j], dtype=np.float64) - center[j] for j in range(3)))
+    return off, sum(o**2 for o in off)
+
+
+def _phi_profile(rho2, s, t_top, r_n, grad=False, residual=False):
+    """The test function at one time as a function of rho^2 = |x - center|^2:
+    its value, gfac with grad phi = gfac (x - center) if grad, and the
+    backward-heat residual d_s phi + lap phi if residual (else None).
 
     The kernel time is tau = t_top + 2 r_n^2 - s, so the kernel factor
     stays smooth through the top time. The laplacian is assembled in
@@ -434,11 +445,6 @@ def _phi_fields(center, t_top, r_n, axes, s):
     tau = t_top + 2.0 * r_n**2 - s
     if tau <= 0.0:
         raise ValueError("sample time above the kernel window")
-    ox = np.asarray(axes[0], dtype=np.float64) - center[0]
-    oy = np.asarray(axes[1], dtype=np.float64) - center[1]
-    oz = np.asarray(axes[2], dtype=np.float64) - center[2]
-    X, Y, Z = ox[:, None, None], oy[None, :, None], oz[None, None, :]
-    rho2 = X**2 + Y**2 + Z**2
     rho = np.sqrt(rho2)
     rho_safe = np.where(rho > 0.0, rho, 1.0)
     gam = (4.0 * np.pi * tau) ** -1.5 * np.exp(-rho2 / (4.0 * tau))
@@ -452,17 +458,23 @@ def _phi_fields(center, t_top, r_n, axes, s):
 
     pref = r_n**2
     value = pref * gam * S * T
-    gfac = pref * (-gam / (2.0 * tau) * S * T + gam * T * Sp / rho_safe)
-    grad = (gfac * X, gfac * Y, gfac * Z)
-
+    gfac = pref * (-gam / (2.0 * tau) * S * T + gam * T * Sp / rho_safe) if grad else None
+    if not residual:
+        return value, gfac, None
     gdot = -gam * rho2 / (2.0 * tau)  # grad Gamma . (x - center)
     lap_gam = -(gdot + 3.0 * gam) / (2.0 * tau)
     gam_tau = gam * (rho2 / (4.0 * tau**2) - 1.5 / tau)
-    residual = pref * (
+    return value, gfac, pref * (
         S * T * (lap_gam - gam_tau)
         + gam * (S * Tp - rho * Sp * T / tau + T * (Spp + 2.0 * Sp / rho_safe))
     )
-    return value, grad, residual
+
+
+def _phi_fields(center, t_top, r_n, axes, s, grad=False, residual=False):
+    """_phi_profile on a tensor lattice, the gradient as three components."""
+    off, rho2 = _lattice_rho2(center, axes)
+    value, gfac, res = _phi_profile(rho2, s, t_top, r_n, grad, residual)
+    return value, None if gfac is None else tuple(gfac * o for o in off), res
 
 
 @dataclass(frozen=True)
@@ -486,11 +498,11 @@ class TestFunction:
 
     def gradient(self, axes, s):
         self._check_time(s)
-        return _phi_fields(self.center, self.t_top, self.r_n, axes, s)[1]
+        return _phi_fields(self.center, self.t_top, self.r_n, axes, s, grad=True)[1]
 
     def heat_residual(self, axes, s):
         self._check_time(s)
-        return _phi_fields(self.center, self.t_top, self.r_n, axes, s)[2]
+        return _phi_fields(self.center, self.t_top, self.r_n, axes, s, residual=True)[2]
 
     def _check_time(self, s):
         # the taper that would close the support just above the top time is
@@ -514,7 +526,7 @@ def build_test_function(grid, center, t_top, n):
       annulus:  phi <= c r_n^2 r_k^{-3}, |grad phi| <= c r_n^2 r_k^{-4}
                 on Q_{r_{k-1}} minus Q_{r_k}, 2 <= k <= n;
       residual: |d_s phi + lap phi| <= c r_n^2 everywhere at or below
-                the top time;
+                the top time, on the distinct radii of an 81^3 lattice;
       support:  nothing outside B_{1/3} x (t_top - 1/9, t_top], checked
                 exactly (violations raise with the offending scale).
 
@@ -537,7 +549,7 @@ def build_test_function(grid, center, t_top, n):
     inside = rad <= r_n
     lo, hi, ghi = np.inf, 0.0, 0.0
     for s in t_top - np.linspace(0.0, r_n**2, 9):
-        val, grad, _ = _phi_fields(center, t_top, r_n, axes, s)
+        val, grad, _ = _phi_fields(center, t_top, r_n, axes, s, grad=True)
         scaled = val[inside] * r_n
         lo = min(lo, float(np.min(scaled)))
         hi = max(hi, float(np.max(scaled)))
@@ -562,19 +574,19 @@ def build_test_function(grid, center, t_top, n):
                 shell = in_k1
             if not np.any(shell):
                 continue
-            val, grad, _ = _phi_fields(center, t_top, r_n, axes, s)
+            val, grad, _ = _phi_fields(center, t_top, r_n, axes, s, grad=True)
             ann = max(ann, float(np.max(val[shell])) / (r_n**2 * rk**-3))
             gmag = np.sqrt(grad[0] ** 2 + grad[1] ** 2 + grad[2] ** 2)
             ann_g = max(ann_g, float(np.max(gmag[shell])) / (r_n**2 * rk**-4))
     families["annulus"] = ann
     families["annulus_grad"] = ann_g
 
-    # residual family, global at and below the top time
+    # residual family at and below the top time: radial, so once per distinct rho^2
     offs = np.linspace(-0.5, 0.5, 81)
-    axes = tuple(center[j] + offs for j in range(3))
+    rho2 = np.unique(_lattice_rho2(center, tuple(center[j] + offs for j in range(3)))[1])
     res = 0.0
     for s in t_top + np.linspace(-0.115, 0.0, 24):
-        _, _, r_field = _phi_fields(center, t_top, r_n, axes, s)
+        r_field = _phi_profile(rho2, s, t_top, r_n, residual=True)[2]
         res = max(res, float(np.max(np.abs(r_field))) / r_n**2)
     families["residual"] = res
 
@@ -582,11 +594,11 @@ def build_test_function(grid, center, t_top, n):
     axes, rad = cube_lattice(center, np.linspace(-0.49, 0.49, 15))
     outside = rad >= 0.34
     for s in t_top - np.array([0.0, 0.05, 0.1, 0.11]):
-        val, _, _ = _phi_fields(center, t_top, r_n, axes, s)
+        val = _phi_fields(center, t_top, r_n, axes, s)[0]
         if np.any(val[outside] != 0.0):
             raise ValueError("support leaks past the spatial cutoff at scale %d" % n)
     for s in t_top - np.array([0.1051, 0.108, 1.0 / 9.0]):
-        val, _, _ = _phi_fields(center, t_top, r_n, axes, s)
+        val = _phi_fields(center, t_top, r_n, axes, s)[0]
         if np.any(val != 0.0):
             raise ValueError("support leaks past the time cutoff at scale %d" % n)
 

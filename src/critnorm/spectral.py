@@ -334,26 +334,31 @@ def evaluate_at_points(f, axes_coords, coeffs=None):
         Re sum_{a,b,c} C_abc e^{i (k_a x' + k_b y' + k_c z')},
 
     with primed offsets from x[0] and FFT index N = n/2 carrying mode -N,
-    Nyquist content included. Only the rfft half c = 0..N is stored and
-    contracted. The x and then the y axis are contracted in complex
-    arithmetic into D[x, y, c], c = 0..N. The mirrored columns follow from
-    C_{-a,-b,-c} = conj C_abc: D_{n-c} = conj D~_c, where D~ is the same
-    contraction with the x and y Nyquist phases flipped to e^{+iN k0 .}.
-    Delta = D~ - D comes only from the Nyquist rows of the coefficients,
+    Nyquist content included. Only the rfft half c = 0..N is stored. Let
+    D[x, y, c] be its x and y contraction. The mirrored columns follow
+    from C_{-a,-b,-c} = conj C_abc: D_{n-c} = conj D~_c, where D~ is the
+    same contraction with both Nyquist phases flipped to e^{+iN k0 .}.
+    Averaging the two phases folds the mirror into one contraction:
 
-        Delta[x, y, c] = 2i sin(N k0 x') Ry[y, c] + 2i sin(N k0 y') Rx[x, c],
+        S = (D + D~) / 2 = D + i sx Ry + i sy Rx,
 
-    with Rx the x-contraction of C[:, N, c] and Ry the y-contraction of
-    C[N, :, c] under the flipped y phases: two outer products, not a
-    second contraction. The z axis is contracted in real arithmetic
-    through the exact identity
+    sx = sin(N k0 x'), sy = sin(N k0 y'), and Rx, Ry the contractions of
+    the Nyquist rows C[:, N, c] and C[N, :, c] with the Nyquist phase
+    cos(N k0 .). So S is the contraction with Nyquist phases cos(N k0 .)
+    on both axes plus -sx sy C[N, N, c], which rides as one extra y
+    column sy against one extra row -sx C[N, N, c] of the x contraction.
+    The z axis is then contracted in real arithmetic through the identity
 
         Re sum_c D_c e^{i k_c z'} = sum_{c=0..N} P_c cos(c k0 z')
                                     + sum_{c=1..N} Q_c sin(c k0 z'),
 
-    with P_0 = Re D_0, P_N = Re D_N, Q_N = Im D_N and, for 0 < c < N,
-    P_c = 2 Re D_c + Re Delta_c, Q_c = -2 Im D_c - Im Delta_c. The last
-    step is one real matrix product into the output.
+    with P_c = 2 Re S_c and Q_c = -2 Im S_c for 0 < c < N, P_0 = Re S_0
+    and P_N = Re S_N (D_0 and D_N equal their flipped conjugates), and
+    Q_N = Im D_N from one contraction of the Nyquist z-plane with the
+    original phases. Im S_0 vanishes, so Q_N takes its slot and the
+    interleaved real and imaginary parts of S are the left factor of one
+    real matrix product into the output, with the factors 2 and -2 in
+    the right one.
     """
     g = f.grid
     if coeffs is None:
@@ -363,30 +368,23 @@ def evaluate_at_points(f, axes_coords, coeffs=None):
     rel = [np.asarray(c, dtype=np.float64) - g.x[0] for c in axes_coords]
     k = g.k0 * g.modes
     Ex = np.exp(1j * np.outer(rel[0], k))
-    Ey = np.exp(1j * np.outer(rel[1], k))
-    A = np.tensordot(Ex, coeffs, axes=(1, 0))  # A[x, b, c]
-    D = np.matmul(Ey, A)  # D[x, y, c]
-    # Delta / 2 = i sx Ry + i sy Rx on the inner columns 0 < c < N; the
-    # flipped y Nyquist phase adds 2i sy to Ey's column N in Ry
-    sx = np.sin(half * g.k0 * rel[0])[:, None, None]
-    sy = np.sin(half * g.k0 * rel[1])
-    Ry = Ey @ coeffs[half] + (2j * sy)[:, None] * coeffs[half, half]
-    Ry = Ry[None, :, 1:half]
-    Rx = A[:, half, None, 1:half]
-    sy = sy[None, :, None]
-    PQ = np.empty(D.shape[:2] + (n + 1,))  # P_0..P_N, then Q_1..Q_N
-    PQ[..., 0] = D[..., 0].real
-    PQ[..., half] = D[..., half].real
-    PQ[..., n] = D[..., half].imag
-    P = PQ[..., 1:half]
-    np.subtract(D[..., 1:half].real, sx * Ry.imag, out=P)
-    P -= sy * Rx.imag
-    P *= 2.0
-    Q = PQ[..., half + 1 : n]
-    np.add(D[..., 1:half].imag, sx * Ry.real, out=Q)
-    Q += sy * Rx.real
-    Q *= -2.0
+    Ey = np.empty((len(rel[1]), n + 1), dtype=np.complex128)
+    Ey[:, :n] = np.exp(1j * np.outer(rel[1], k))
+    qn = ((Ex @ coeffs[:, :, half]) @ Ey[:, :n].T).imag  # Im D_N, before the folding
+    Ex[:, half] = np.cos(half * g.k0 * rel[0])
+    Ey[:, half] = np.cos(half * g.k0 * rel[1])
+    Ey[:, n] = np.sin(half * g.k0 * rel[1])
+    A = np.empty((len(rel[0]), n + 1, half + 1), dtype=np.complex128)  # A[x, b, c]
+    A[:, :n] = np.tensordot(Ex, coeffs, axes=(1, 0))
+    np.multiply.outer(-np.sin(half * g.k0 * rel[0]), coeffs[half, half], out=A[:, n])
+    S = np.matmul(Ey, A)  # S[x, y, c]
+    S[..., 0].imag = qn
+    # Re S_0, Q_N, Re S_1, Im S_1, ..., Re S_N; the slot of Im S_N is dropped
+    left = S.view(np.float64).reshape(-1, n + 2)[:, : n + 1]
     phase = np.outer(g.k0 * np.arange(half + 1), rel[2])
-    basis = np.concatenate([np.cos(phase), np.sin(phase[1:])])
-    out = PQ.reshape(-1, n + 1) @ basis
-    return out.reshape(D.shape[:2] + (len(rel[2]),))
+    basis = np.empty((n + 1, len(rel[2])))
+    basis[0::2] = np.cos(phase)
+    basis[1::2] = -np.sin(phase[:half])
+    basis[1] = np.sin(phase[half])
+    basis[2:n] *= 2.0
+    return (left @ basis).reshape(S.shape[:2] + (len(rel[2]),))

@@ -39,6 +39,20 @@ def _orbit(grid, times, scale=lambda t: 1.0, v=None, q=None):
     )
 
 
+@pytest.fixture()
+def evaluations(monkeypatch):
+    """Counts the off-grid evaluations of the cylinder quadrature."""
+    calls = []
+    real = cylinder.evaluate_at_points
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cylinder, "evaluate_at_points", counting)
+    return calls
+
+
 class TestLocalCubedMass:
     def test_steady_lattice_ball(self, grid16):
         # r = 1/4 is below eight cells per radius: the r/8 lattice centred on
@@ -127,6 +141,34 @@ class TestWeightedRows:
         assert all(math.isfinite(x) for x in (quiet.apk, quiet.appk, quiet.bpk))
 
 
+class TestLedgerEntries:
+    def test_weighted_row_with_mass_before_t0_fails_and_writes_inf(self, grid16, tmp_path):
+        run = _orbit(grid16, T16)
+        ledger = ckn.build_ledger(run, CENTER, TOP, ks=(2,), eta=0.6, t0=6.0 / 64.0)
+        (row,) = ledger.rows
+        w = row.weighted
+        assert w.apk == w.appk == w.bpk == math.inf
+        assert not row.passed
+        path = tmp_path / "ledger.csv"
+        ckn.write_ledger_csv(str(path), ledger)
+        cells = path.read_text().splitlines()[1].split(",")
+        assert cells[-3:] == ["inf", "inf", "inf"]
+
+    @staticmethod
+    def _row(a_value=1.0, a_target=1.0, apk=0.5):
+        weighted = ckn.WeightedValues(apk, 0.5, 0.5, 1.0, 1.0, 1.0)
+        return ckn.LedgerRow(2, 0.25, a_value, a_target, 0.5, 1.0, False, weighted)
+
+    @pytest.mark.parametrize(
+        "entries", [dict(apk=math.nan), dict(apk=-math.inf), dict(a_value=math.inf),
+                    dict(a_target=math.inf), dict(a_value=math.nan)]
+    )
+    def test_nan_and_other_non_finite_entries_raise(self, entries):
+        with pytest.raises(ValueError, match="ledger entries must be finite"):
+            ckn.DyadicLedger((self._row(**entries),), 0.6, 0.0)
+        ckn.DyadicLedger((self._row(apk=math.inf),), 0.6, 0.0)
+
+
 class TestBuildLedger:
     def test_rows_are_the_public_row_functions(self, grid16):
         run = _orbit(grid16, T16, scale=lambda t: 1.0 + 4.0 * t)
@@ -150,6 +192,56 @@ class TestMorreySup:
         assert base > 0.0
         assert scaled == pytest.approx(lam**3 * base, rel=1e-12)
 
+    @pytest.mark.parametrize("center", [CENTER, (0.0, 0.0, 0.0)])
+    @pytest.mark.parametrize("gridname", ["grid16", "grid32"])
+    def test_equals_sup_of_local_cubed_mass(self, request, evaluations, gridname, center):
+        g = request.getfixturevalue(gridname)
+        run = _orbit(g, T16, scale=lambda t: 1.0 + 4.0 * t)
+        region = BallRegion(center, 0.7)
+        r = 0.25
+        # the documented centres: every second grid point per axis inside
+        # the region, then the region centre unless it is one of them
+        idx = np.argwhere(g.radius(center) <= region.radius)
+        centres = [tuple(float(g.x[j]) for j in t) for t in idx if np.all(t % 2 == 0)]
+        if region.center not in centres:
+            centres.append(region.center)
+        # five admissible tops, all of them scanned
+        tops = T16[T16 - r * r >= T16[0]]
+        assert 1 < len(tops) <= 6
+        got = ckn.morrey_sup(run, region, ks=(2,)).value
+        calls = len(evaluations)
+        want = max(
+            r**-4 * ckn.local_cubed_mass(run, c, float(t), r) for c in centres for t in tops
+        )
+        assert got == want
+        # r = 1/4 lies on the r/8 lattice: three components per slice, each
+        # slice of the scanned windows (all nine) sampled once per centre
+        assert calls == 3 * len(T16) * len(centres)
+
+
+class TestTestFunction:
+    def test_constants_stay_bounded_as_n_grows(self, grid16):
+        base = ckn.build_test_function(grid16, CENTER, TOP, 4)
+        for n in range(5, 9):
+            tf = ckn.build_test_function(grid16, CENTER, TOP, n)
+            assert abs(tf.c1 - base.c1) <= 0.02 * base.c1
+            for name, value in tf.families.items():
+                assert value <= 1.05 * base.families[name], (n, name)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_plateau_residual_is_rounding(self, grid16, n):
+        # on the plateau the cutoff is flat and phi = r_n^2 Gamma, so
+        # d_s phi and lap phi cancel; each is of size phi (rho^2/(4 tau^2) + 3/(2 tau))
+        tf = ckn.build_test_function(grid16, CENTER, TOP, n)
+        offs = np.linspace(-0.26, 0.26, 27)
+        axes = tuple(CENTER[j] + offs for j in range(3))
+        rho2 = offs[:, None, None] ** 2 + offs[None, :, None] ** 2 + offs[None, None, :] ** 2
+        plateau = rho2 <= 0.26**2
+        for s in TOP - np.linspace(0.0, 0.07, 8):
+            tau = TOP + 2.0 * tf.r_n**2 - s
+            scale = np.max((tf.value(axes, s) * (rho2 / (4.0 * tau**2) + 1.5 / tau))[plateau])
+            assert np.max(np.abs(tf.heat_residual(axes, s)[plateau])) <= 1e-14 * scale
+
 
 class TestKernelBound:
     def test_lhs_is_largest_probe_integral(self):
@@ -169,19 +261,6 @@ class TestKernelBound:
 
 
 class TestLedgerInputs:
-    @pytest.fixture()
-    def evaluations(self, monkeypatch):
-        """Counts the off-grid evaluations of every ledger row."""
-        calls = []
-        real = cylinder.evaluate_at_points
-
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(cylinder, "evaluate_at_points", counting)
-        return calls
-
     @pytest.mark.parametrize("ks", [(2, 4), (3, 2), (2, 2), (2.5,), ()])
     def test_bad_ks_fail_before_any_slice_is_sampled(self, grid16, evaluations, ks):
         run = _orbit(grid16, T16)

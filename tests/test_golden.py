@@ -146,8 +146,14 @@ def compute():
         out["ckn.ledger_k%d" % row.k] = [row.a_value, row.b_value]
         out["ckn.weighted_k%d" % row.k] = [w.apk, w.appk, w.bpk]
     out["ckn.c1"] = [ckn.build_test_function(g16, ORIGIN, HORIZON, 2).c1]
+    families = ckn.build_test_function(g16, ORIGIN, HORIZON, 4).families
+    out["ckn.test_families"] = [families[name] for name in sorted(families)]
     out["ckn.local_cubed_mass"] = [ckn.local_cubed_mass(run, ORIGIN, HORIZON, 0.25)]
     out["ckn.morrey_sup"] = [ckn.morrey_sup(run, norms.BallRegion(ORIGIN, 0.5), ks=(2, 3)).value]
+    # an off-lattice region center with lattice centers around it; k = 3
+    # scans five top times, k = 2 two
+    off = norms.BallRegion((0.1, -0.2, 0.05), 1.2)
+    out["ckn.morrey_sup_tops"] = [ckn.morrey_sup(run, off, ks=ks).value for ks in ((2, 3), (3,))]
     # r = 0.3 on the r/8 lattice with its window clipped to the run; r = 2.5
     # on the native 32^3 cells of a steady orbit
     steady32 = _steady(g32, v32.data, p32.values)
