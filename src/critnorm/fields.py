@@ -142,9 +142,9 @@ class Grid:
         return "Grid(n=%d, L=%.12g)" % (self.n, self.L)
 
 
-def _freeze(a):
+def _freeze(a, dtype=np.float64):
     # a read-only view: the caller's own array keeps its flags
-    a = np.ascontiguousarray(a, dtype=np.float64).view()
+    a = np.ascontiguousarray(a, dtype=dtype).view()
     a.flags.writeable = False
     return a
 
@@ -166,6 +166,20 @@ class _Field:
         self.grid = grid
         self.data = _freeze(data)
         self._hat = None
+
+    @classmethod
+    def from_hat(cls, grid, hat):
+        """The field whose rfft spectrum is hat, kept as its cached .hat (no
+        forward transform). hat must be Hermitian on the kz = 0 and Nyquist
+        planes up to round-off, as spectra made from rfftn outputs by real
+        even and odd multipliers are; .hat then equals rfftn(data) to
+        round-off. hat is stored as a read-only view, like data."""
+        want = cls._rank_shape + grid.shape[:2] + (grid.n // 2 + 1,)
+        if hat.shape != want:
+            raise ValueError("expected a spectrum of shape %s, got %s" % (want, hat.shape))
+        field = cls(grid, _fft.irfftn(hat, grid.shape, axes=(-3, -2, -1)))
+        field._hat = _freeze(hat, np.complex128)
+        return field
 
     @property
     def hat(self):

@@ -11,6 +11,16 @@ nothing. Per mode the rule collapses to one pass over the slices,
 and is exact for integrands constant in time (geometric sum), which the
 oracle tests lean on.
 
+Output i reads the integrand slices 0..i-1 only, and output 0 is zero.
+So the Picard iterates of a = e^{t Lap} u0a - L(P div(a x a)) settle one
+slice per pass: the iterate of pass p equals that of pass p - 1 exactly
+on slices 0..p-1. The march (_March) compares each iterate with the
+previous one slice by slice and resumes at the first slice that changed,
+from the outputs and the recurrence value S it kept. Its arithmetic is
+that of a fresh march, so the result is the same bit for bit, and on m
+stored times pass p forms m - p stress spectra instead of m - 1.
+invert_I_minus_La runs the same march.
+
 The drift perturbation operator
 
     L_a(u) = L(div(u x a + a x u))
@@ -43,8 +53,7 @@ from .spectral import (
     divergence,
     gradient,
     heat_semigroup,
-    leray_hat,
-    sym_div_hat,
+    neg_leray_div_hat,
     sym_outer_hat,
     tensor_div_hat,
 )
@@ -128,31 +137,55 @@ def _duhamel_gate(f):
         raise ValueError("Duhamel integral starts at t = 0")
 
 
-def _march(grid, times, hat_of_slice, comp_shape):
-    """Shared recurrence: exact per-mode sub-interval heat integrals."""
-    dt = float(times[1] - times[0])
-    E = np.exp(-grid.k2 * dt)
-    ctilde = np.where(grid.k2 > 0, (1.0 - E) / grid.k2_safe, dt)
-    m = len(times)
-    out = np.zeros((m,) + comp_shape + grid.shape)
-    S = None
-    for i in range(1, m):
-        h = hat_of_slice(i - 1)
-        S = h if S is None else h + E * S
-        out[i] = _fft.irfftn(ctilde * S, grid.shape, axes=(-3, -2, -1))
-    return SpaceTimeField(grid, times, out)
+class _March:
+    """The recurrence of the module docstring over the spectra
+    h_j = hat(j, frames[j]) of the frames it is called on; returns L(h) at
+    every stored time. A call resumes at the first slice whose contents
+    differ from the previous call's frames (np.array_equal), with the
+    outputs before it taken from that call and the recurrence from the one
+    checkpoint (c, S_c) kept, S over slices 0..c-1, set where the next
+    Picard pass resumes. Callers never write to frames they handed in.
+    """
+
+    def __init__(self, grid, times, hat, comp_shape):
+        dt = float(times[1] - times[0])
+        self.grid, self.hat = grid, hat
+        self.shape = (len(times),) + comp_shape + grid.shape
+        self.E = np.exp(-grid.k2 * dt)
+        self.ctilde = np.where(grid.k2 > 0, (1.0 - self.E) / grid.k2_safe, dt)
+        self._last = None  # (frames, output) of the previous call
+        self._check = (0, None)
+
+    def __call__(self, frames):
+        m, same = self.shape[0], 0
+        if self._last is not None:
+            while same < m and np.array_equal(frames[same], self._last[0][same]):
+                same += 1
+            if same >= m - 1:  # output i reads slices before i only
+                self._last = (frames, self._last[1])
+                return self._last[1]
+        c, S = self._check if self._check[0] <= same else (0, None)
+        out = np.empty(self.shape)
+        out[: c + 1] = self._last[1][: c + 1] if c else 0.0  # output 0 is zero
+        for i in range(c + 1, m):
+            h = self.hat(i - 1, frames[i - 1])
+            S = h if S is None else h + self.E * S
+            if i == same + 1:
+                self._check = (i, S)
+            out[i] = _fft.irfftn(self.ctilde * S, self.grid.shape, axes=(-3, -2, -1))
+        self._last = (frames, out)
+        return out
 
 
 def duhamel(f):
     """L(f)(t) = int_0^t e^{(t-s) Lap} f(s) ds on the stored time lattice."""
     _duhamel_gate(f)
     g = f.grid
-    comp = f.frames.shape[1:-3]
 
-    def hat(j):
-        return _fft.rfftn(f.frames[j], axes=(-3, -2, -1))
+    def hat(j, frame):
+        return _fft.rfftn(frame, axes=(-3, -2, -1))
 
-    return _march(g, f.times, hat, comp)
+    return SpaceTimeField(g, f.times, _March(g, f.times, hat, f.frames.shape[1:-3])(f.frames))
 
 
 def duhamel_div(F):
@@ -162,35 +195,36 @@ def duhamel_div(F):
         raise ValueError("duhamel_div needs tensor slices")
     g = F.grid
 
-    def hat(j):
-        Th = _fft.rfftn(F.frames[j], axes=(-3, -2, -1))
-        return tensor_div_hat(g, Th)
+    def hat(j, frame):
+        return tensor_div_hat(g, _fft.rfftn(frame, axes=(-3, -2, -1)))
 
-    return _march(g, F.times, hat, (3,))
+    return SpaceTimeField(g, F.times, _March(g, F.times, hat, (3,))(F.frames))
 
 
-def _sym_duhamel(grid, times, pair_of_slice):
-    """L(P div S) for S(j) = u_j x a_j + a_j x u_j, slices built on the fly."""
+def _sym_duhamel(grid, times, w_of_slice):
+    """The march of L(-P div S) for S_j = u_j x w_j + w_j x u_j with
+    w_j = w_of_slice(j, u_j), u the frames it is called on."""
+    kd = grid.deriv_wavenumbers()
 
-    def hat(j):
-        u, a = pair_of_slice(j)
-        return leray_hat(grid, sym_div_hat(grid, sym_outer_hat(u, a)))
+    def hat(j, u):
+        return neg_leray_div_hat(kd, grid.k2_d_safe, sym_outer_hat(u, w_of_slice(j, u)))
 
-    return _march(grid, times, hat, (3,))
+    return _March(grid, times, hat, (3,))
+
+
+def _drift_march(u, a):
+    """The march of L(-P div(u x a + a x u)) for u on a's time lattice."""
+    _duhamel_gate(u)
+    if u.frames.ndim != 5 or a.frames.ndim != 5:
+        raise ValueError("L_a needs vector space-time fields")
+    if u.grid != a.grid or len(u) != len(a) or not np.allclose(u.times, a.times):
+        raise ValueError("u and a live on different lattices")
+    return _sym_duhamel(u.grid, u.times, lambda j, _: a.frames[j])
 
 
 def apply_La(u, a):
     """Drift perturbation L_a(u); both arguments on the same time lattice."""
-    _duhamel_gate(u)
-    if u.frames.ndim != 5 or a.frames.ndim != 5:
-        raise ValueError("apply_La needs vector space-time fields")
-    if u.grid != a.grid or len(u) != len(a) or not np.allclose(u.times, a.times):
-        raise ValueError("u and a live on different lattices")
-
-    def pair(j):
-        return u.frames[j], a.frames[j]
-
-    return _sym_duhamel(u.grid, u.times, pair)
+    return SpaceTimeField(u.grid, u.times, -_drift_march(u, a)(u.frames))
 
 
 def drift_smallness(a):
@@ -353,15 +387,14 @@ def invert_I_minus_La(f, a, cfg=None, working_q=2.0):
     """
     if cfg is None:
         cfg = DuhamelConfig(dt=f.dt, T=float(f.times[-1]) - float(f.times[0]))
-    _duhamel_gate(f)
+    march = _drift_march(f, a)
     if not (working_q >= 1.25):
         raise ValueError("working exponent below 5/4")
     small = drift_smallness(a)
     anchor = spacetime_lebesgue(f, working_q, working_q)
 
     def step(frames):
-        la = apply_La(SpaceTimeField(f.grid, f.times, frames), a)
-        return f.frames + la.frames
+        return f.frames - march(frames)  # f + L_a(u)
 
     u, k, contraction, hist = _picard_loop(
         f.grid, f.times, f.frames, step, anchor,
@@ -447,21 +480,18 @@ def solve_mild(u0a, cfg, data_norm="l3", besov_p=6.0, data_gate=None):
 
     anchor = _st_norm(g, times, H, 2, 2)
 
-    def nonlinearity(frames):
-        def pair(j):
-            return frames[j], 0.5 * frames[j]  # symmetrization doubles
-
-        return _sym_duhamel(g, times, pair).frames
+    # L(-P div(a x a)), with w = a / 2 since the symmetrization doubles
+    march = _sym_duhamel(g, times, lambda j, u: 0.5 * u)
 
     def step(frames):
-        return H - nonlinearity(frames)
+        return H + march(frames)
 
     frames, k, contraction, hist = _picard_loop(
         g, times, H.copy(), step, anchor, cfg.picard_tol, cfg.picard_max, 2.0
     )
     a = SpaceTimeField(g, times, frames)
 
-    resid_frames = frames - H + nonlinearity(frames)
+    resid_frames = frames - H - march(frames)
     residual = _st_norm(g, times, resid_frames, 2, 2)
 
     rows = []

@@ -3,9 +3,19 @@
 Evolves dv/dt - Lap v + grad q = -div(v x v + a x v + v x a), div v = 0,
 with an integrating-factor Heun step: the heat multiplier is applied
 exactly between stages, so only the advective step limit
-dt <= 0.5 dx / max|v + a| remains. Products are formed pointwise and the
-result is 2/3-dealiased; every accepted state is Leray-projected by
-construction (the right-hand side is projected mode by mode).
+dt <= 0.5 dx / max|v + a| remains. Products are formed pointwise and
+every accepted state is Leray-projected by construction (the right-hand
+side is projected mode by mode).
+
+A step works on its kept modes: the 2/3 block |m_x|, |m_y|, m_z < n/3 of
+Grid.dealias_mask, or every mode without dealiasing. Each stage gathers
+the stress spectrum there once and applies -P div (neg_leray_div_hat)
+and both Heun combinations to the block alone; the new state's spectrum
+is zero outside it. run_pns dealiases its initial data, so the modes a
+step drops hold round-off only. The new VectorField carries the spectrum
+it was inverted from (VectorField.from_hat), so the next step reads
+v.hat without a forward transform: two rfftn (the stresses) and two
+irfftn per step.
 
 The local energy ledger checks the identity obtained by multiplying the
 system by 2 v phi and integrating by parts with a static spatial cutoff:
@@ -22,6 +32,7 @@ violation, which is the sign convention suitable solutions care about.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,10 +45,9 @@ from .fields import ScalarField, SpaceTimeField, VectorField
 from .spectral import (
     gradient,
     laplacian,
-    leray_hat,
     leray_project,
+    neg_leray_div_hat,
     sym_ddiv_hat,
-    sym_div_hat,
     sym_outer_hat,
 )
 
@@ -112,16 +122,37 @@ def _stress_hat(v_data, a_data):
     return sym_outer_hat(v_data, w)
 
 
-def _rhs_hat(grid, v_data, a_data, use_dealias):
-    # -P div(v x v + a x v + v x a), projected and dealiased in spectrum
-    Gh = leray_hat(grid, -sym_div_hat(grid, _stress_hat(v_data, a_data)))
-    if use_dealias:
-        Gh *= grid.dealias_mask
-    return Gh
+_Kept = namedtuple("_Kept", "index k2 kd k2_d_safe")
+
+
+def _kept_modes(grid, dealias):
+    """The modes a step keeps, the 2/3 block of grid.dealias_mask or every
+    mode: an index into the last three axes of an rfft spectrum, and k^2,
+    the derivative wavenumbers and their metric restricted to it."""
+    keep = grid.dealias_mask if dealias else np.ones(grid.k2.shape, dtype=bool)
+    ix, iy = np.flatnonzero(keep[:, 0, 0]), np.flatnonzero(keep[0, :, 0])
+    index = (ix[:, None], iy[None, :], slice(0, int(np.count_nonzero(keep[0, 0]))))
+    kx, ky, kz = grid.deriv_wavenumbers()
+    return _Kept(
+        (slice(None),) + index,  # component axis first
+        grid.k2[index],
+        (kx[ix], ky[:, iy], kz[..., index[2]]),
+        grid.k2_d_safe[index],
+    )
+
+
+def _rhs_kept(kept, v_data, a_data):
+    # -P div(v x v + a x v + v x a) on the kept modes
+    return neg_leray_div_hat(kept.kd, kept.k2_d_safe, _stress_hat(v_data, a_data)[kept.index])
 
 
 def step(state, dt, use_dealias=True):
-    """One integrating-factor Heun step; rejects advective CFL violations."""
+    """One integrating-factor Heun step; rejects advective CFL violations.
+
+    Runs on the kept modes (see the module docstring): the new state's
+    spectrum is zero elsewhere and is carried with it, so the next step
+    reads state.v.hat without a forward transform.
+    """
     g = state.v.grid
     a_now = state.drift(state.t)
     a_data = None if a_now is None else a_now.data
@@ -131,16 +162,17 @@ def step(state, dt, use_dealias=True):
         raise ValueError(
             "advective CFL violation: dt <= %.6g required" % (0.5 * g.dx / amax)
         )
-    E = np.exp(-g.k2 * dt)
-    vh = state.v.hat
-    k1 = _rhs_hat(g, state.v.data, a_data, use_dealias)
-    vstar = _fft.irfftn(E * (vh + dt * k1), g.shape, axes=(-3, -2, -1))
+    kept = _kept_modes(g, use_dealias)
+    E = np.exp(-kept.k2 * dt)
+    vh = state.v.hat[kept.index]
+    k1 = _rhs_kept(kept, state.v.data, a_data)
+    hat = np.zeros_like(state.v.hat)
+    hat[kept.index] = E * (vh + dt * k1)
+    vstar = _fft.irfftn(hat, g.shape, axes=(-3, -2, -1))
     a_next = state.drift(state.t + dt)
-    k2 = _rhs_hat(
-        g, vstar, None if a_next is None else a_next.data, use_dealias
-    )
-    vnew = _fft.irfftn(E * vh + 0.5 * dt * (E * k1 + k2), g.shape, axes=(-3, -2, -1))
-    state.v = VectorField(g, vnew)
+    k2 = _rhs_kept(kept, vstar, None if a_next is None else a_next.data)
+    hat[kept.index] = E * vh + 0.5 * dt * (E * k1 + k2)
+    state.v = VectorField.from_hat(g, hat)
     state.t = state.t + dt
     return state
 
@@ -164,7 +196,8 @@ def drift_from_spacetime(stf):
         if t < times[0] - 1e-9 or t > times[-1] + 1e-9 * max(1.0, times[-1]):
             raise ValueError("drift requested outside stored window")
         s = (t - float(times[0])) / dt
-        i = min(int(math.floor(s)), len(times) - 2)
+        # the slack below times[0] must not floor to -1, the last frame
+        i = min(max(int(math.floor(s)), 0), len(times) - 2)
         w = s - i
         data = (1.0 - w) * stf.frames[i] + w * stf.frames[i + 1]
         return VectorField(stf.grid, data)

@@ -19,8 +19,8 @@ __all__ = [
     "leray_hat",
     "SYM_PAIRS",
     "sym_outer_hat",
-    "sym_div_hat",
     "sym_ddiv_hat",
+    "neg_leray_div_hat",
     "derivative",
     "gradient",
     "divergence",
@@ -97,19 +97,14 @@ def sym_outer_hat(u, w):
     order of SYM_PAIRS. u x u is sym_outer_hat(u, u / 2), and
     u x u + a x u + u x a is sym_outer_hat(u, u / 2 + a)."""
     S = np.empty((6,) + u.shape[1:])
+    scratch = np.empty(u.shape[1:])
     for c, (i, j) in enumerate(SYM_PAIRS):
         np.multiply(u[i], w[j], out=S[c])
-        S[c] += w[i] * u[j]
+        if i == j:
+            S[c] *= 2.0  # u_i w_i + w_i u_i, the same bits
+        else:
+            S[c] += np.multiply(w[i], u[j], out=scratch)
     return _fft.rfftn(S, axes=(-3, -2, -1))
-
-
-def sym_div_hat(grid, Sh):
-    """Spectrum of the row divergence (div S)_i = d_j S_ij of a symmetric
-    spectrum in the SYM_PAIRS layout (tensor_div_hat of the full tensor)."""
-    kxd, kyd, kzd = grid.deriv_wavenumbers()
-    return np.stack(
-        [1j * (kxd * Sh[a] + kyd * Sh[b] + kzd * Sh[c]) for a, b, c in _SYM_INDEX]
-    )
 
 
 def sym_ddiv_hat(grid, Sh):
@@ -123,15 +118,32 @@ def sym_ddiv_hat(grid, Sh):
     return out
 
 
+def neg_leray_div_hat(kd, k2_d_safe, Sh):
+    """Spectrum of -P div S, the Leray projection of minus the row
+    divergence (div S)_i = d_j S_ij of a symmetric spectrum Sh in the
+    SYM_PAIRS layout. kd and k2_d_safe are grid.deriv_wavenumbers() and
+    grid.k2_d_safe, or their restriction to a block of modes with Sh
+    restricted alike. -i k_j is one exact complex factor, so this equals
+    leray_hat(grid, -(i k_j S_ij)) mode by mode; only the sign of a zero
+    can differ."""
+    mik = [-1j * k for k in kd]
+    return _project(
+        kd, k2_d_safe, [mik[0] * Sh[a] + mik[1] * Sh[b] + mik[2] * Sh[c] for a, b, c in _SYM_INDEX]
+    )
+
+
+def _project(kd, k2_d_safe, vh):
+    fac = (kd[0] * vh[0] + kd[1] * vh[1] + kd[2] * vh[2]) / k2_d_safe
+    return np.stack([vh[i] - kd[i] * fac for i in range(3)])
+
+
 def leray_hat(grid, vh):
     """Spectrum of the divergence-free part of a vector spectrum vh.
 
     The zero mode passes through unchanged (constants are divergence-free);
     gradients are annihilated; divergence-free fields are fixed points.
     """
-    kd = grid.deriv_wavenumbers()
-    fac = (kd[0] * vh[0] + kd[1] * vh[1] + kd[2] * vh[2]) / grid.k2_d_safe
-    return np.stack([vh[i] - kd[i] * fac for i in range(3)])
+    return _project(grid.deriv_wavenumbers(), grid.k2_d_safe, vh)
 
 
 def gradient(f):

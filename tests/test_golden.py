@@ -13,13 +13,16 @@ numbers and merging only its keys; keys already in the fixture are refused:
 
     PYTHONPATH=src python tests/test_golden.py --add KEY [KEY ...]
 
-To show that a change leaves every number bit for bit where it was, dump
-each checkout's values as float.hex, with the CSV texts, and diff the two
-files; the fixture is not touched:
+To show how far a change moves the numbers, dump each checkout's values
+as float.hex, with the CSV texts, and compare the two files; the fixture
+is not touched. --compare prints, per key, whether it is bit-identical
+and its largest gap relative to the key's largest magnitude in the first
+file, and exits non-zero when a gap exceeds GOLDEN_RTOL or the keys or
+texts differ:
 
     PYTHONPATH=src python tests/test_golden.py --dump before.json
     PYTHONPATH=src python tests/test_golden.py --dump after.json
-    diff before.json after.json
+    PYTHONPATH=src python tests/test_golden.py --compare before.json after.json
 """
 
 import argparse
@@ -233,6 +236,21 @@ def test_dump_writes_exact_values(monkeypatch, tmp_path):
     assert [x.hex() for x in back] == [x.hex() for x in values["key"]]
 
 
+def test_compare_reports_the_relative_gap_per_key(monkeypatch, tmp_path, capsys):
+    values = {"key": [2.0, -1.0], "other": [0.0]}
+    texts = {"csv.key": ["t"]}
+    monkeypatch.setitem(globals(), "compute", lambda: (values, texts))
+    _dump(str(tmp_path / "a.json"))
+    values["key"] = [2.0, -1.0 + 4.0 * GOLDEN_RTOL]
+    _dump(str(tmp_path / "b.json"))
+    assert _compare(str(tmp_path / "a.json"), str(tmp_path / "a.json")) == []
+    capsys.readouterr()
+    assert _compare(str(tmp_path / "a.json"), str(tmp_path / "b.json")) == ["key"]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split()[0] == "key" and float(lines[0].split()[-1]) == 2.0 * GOLDEN_RTOL
+    assert lines[1].split()[:2] == ["other", "bit-identical"]
+
+
 def _add_keys(keys):
     """The stored fixture with only the named new keys computed at this
     checkout and merged in; existing keys are refused before computing."""
@@ -261,6 +279,32 @@ def _dump(path):
         fh.write("\n")
 
 
+def _compare(path_a, path_b):
+    """Print each key's gap between two --dump files; returns the failures."""
+    dumps = []
+    for path in (path_a, path_b):
+        with open(path) as fh:
+            dumps.append(json.load(fh))
+    a, b = (d["values"] for d in dumps)
+    failed = [] if dumps[0]["texts"] == dumps[1]["texts"] else ["CSV texts"]
+    failed += sorted(set(a) ^ set(b))
+    for key in sorted(set(a) & set(b)):
+        want = np.array([float.fromhex(x) for x in a[key]])
+        have = np.array([float.fromhex(x) for x in b[key]])
+        if have.shape != want.shape:
+            failed.append(key)
+            continue
+        scale = float(np.max(np.abs(want))) if want.size else 0.0
+        gap = float(np.max(np.abs(have - want))) if want.size else 0.0
+        rel = gap / scale if scale > 0.0 else (0.0 if gap == 0.0 else math.inf)
+        print("%-32s %-13s %.3g" % (key, "bit-identical" if a[key] == b[key] else "", rel))
+        if not rel <= GOLDEN_RTOL:
+            failed.append(key)
+    for what in failed:
+        print("differs beyond %g: %s" % (GOLDEN_RTOL, what))
+    return failed
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description="Write tests/golden.json from this checkout.")
     mode = parser.add_mutually_exclusive_group()
@@ -272,7 +316,13 @@ if __name__ == "__main__":
         "--dump", metavar="PATH",
         help="write every value as float.hex, with the CSV texts, to PATH instead",
     )
+    mode.add_argument(
+        "--compare", nargs=2, metavar=("BEFORE", "AFTER"),
+        help="compare two --dump files key by key; exit 1 beyond GOLDEN_RTOL",
+    )
     args = parser.parse_args()
+    if args.compare:
+        raise SystemExit(1 if _compare(*args.compare) else 0)
     if args.dump:
         _dump(args.dump)
         raise SystemExit(0)

@@ -257,6 +257,87 @@ class TestInversion:
             mild.apply_La(f, short)
 
 
+@pytest.fixture
+def stress_spectra(monkeypatch):
+    """Counts the stress spectra the Picard marches form."""
+    calls = []
+    inner = mild.sym_outer_hat
+
+    def counted(u, w):
+        calls.append(1)
+        return inner(u, w)
+
+    monkeypatch.setattr(mild, "sym_outer_hat", counted)
+    return calls
+
+
+def fresh_picard(grid, times, start, picard_map, tol, cap, anchor, q):
+    """The Picard loop u <- picard_map(u); returns (u, iterations, history)."""
+    cur, history = start, []
+    for k in range(1, cap + 1):
+        new = picard_map(cur)
+        history.append(mild._st_norm(grid, times, new - cur, q, q))
+        cur = new
+        if history[-1] <= tol * anchor:
+            return cur, k, tuple(history)
+    raise AssertionError("reference loop did not converge")
+
+
+class TestPicardReuse:
+    def test_solve_mild_is_the_fresh_loop(self, grid16, stress_spectra):
+        u0 = gauss_curl(grid16, 1.0, eps=0.1)
+        cfg = mild.DuhamelConfig(dt=0.05, T=0.4)
+        sol = mild.solve_mild(u0, cfg)
+        times, m, k = cfg.times(), len(cfg.times()), sol.iterations
+        assert k >= 3
+        # pass p resumes at slice p - 1; the residual is pass k + 1
+        assert len(stress_spectra) == sum(m - 1 - p for p in range(k + 1))
+        H = np.stack([heat_semigroup(u0, float(t)).data for t in times])
+
+        def picard_map(u):  # a march made from scratch on every pass
+            return H + mild._sym_duhamel(grid16, times, lambda j, v: 0.5 * v)(u)
+
+        a, iterations, history = fresh_picard(
+            grid16, times, H.copy(), picard_map, cfg.picard_tol, cfg.picard_max, mild._st_norm(grid16, times, H, 2, 2), 2.0,
+        )
+        assert (sol.iterations, sol.history) == (iterations, history)
+        assert np.array_equal(sol.a.frames, a)
+
+    def test_inversion_is_the_fresh_loop(self, grid16, stress_spectra):
+        cfg, ts, f, araw = TestInversion().make_problem(grid16)
+        a = SpaceTimeField(grid16, ts, araw.frames * (0.02 / mild.drift_smallness(araw)))
+        res = mild.invert_I_minus_La(f, a)
+        m, k = len(ts), res.iterations
+        assert k >= 3
+        assert len(stress_spectra) == sum(m - 1 - p for p in range(k))
+
+        def picard_map(u):
+            return f.frames - mild._sym_duhamel(grid16, ts, lambda j, _: a.frames[j])(u)
+
+        u, iterations, history = fresh_picard(
+            grid16, ts, f.frames, picard_map, cfg.picard_tol, cfg.picard_max,
+            mild.spacetime_lebesgue(f, 2, 2), 2.0,
+        )
+        assert (res.iterations, res.history) == (iterations, history)
+        assert np.array_equal(res.u.frames, u)
+
+    def test_any_iterate_sequence_gets_the_fresh_output(self, grid16, rng, stress_spectra):
+        # changes before the checkpoint restart the march; an equal copy is
+        # recognised by its contents and costs no spectrum
+        ts = mild.DuhamelConfig(dt=0.05, T=0.3).times()
+        w = rng.standard_normal((3,) + grid16.shape)
+        frames = rng.standard_normal((len(ts), 3) + grid16.shape)
+        march = mild._sym_duhamel(grid16, ts, lambda j, u: w)
+        for first in (0, 4, 2, 5, 1):
+            frames = frames.copy()
+            frames[first:] += rng.standard_normal(frames[first:].shape)
+            want = mild._sym_duhamel(grid16, ts, lambda j, u: w)(frames)
+            assert np.array_equal(march(frames), want)
+        del stress_spectra[:]
+        assert np.array_equal(march(frames.copy()), want)
+        assert not stress_spectra
+
+
 class TestSolveMild:
     def test_zero_data(self, grid16):
         u0 = VectorField(grid16, np.zeros((3,) + grid16.shape))

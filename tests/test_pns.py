@@ -2,10 +2,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import cumulative_simpson
 
 from critnorm import corpus, pns
-from critnorm._fft import rfftn
+from critnorm._fft import irfftn, rfftn
 from critnorm.fields import (
     ScalarField,
     SpaceTimeField,
@@ -14,7 +16,14 @@ from critnorm.fields import (
     taylor_green,
     taylor_green_3d,
 )
-from critnorm.spectral import derivative, divergence, gradient, laplacian
+from critnorm.spectral import (
+    derivative,
+    divergence,
+    gradient,
+    laplacian,
+    neg_leray_div_hat,
+    sym_outer_hat,
+)
 
 K0 = 1.0 / np.sqrt(2.0)
 
@@ -74,6 +83,64 @@ class TestStep:
         pns.step(state, 0.1)
         assert np.all(state.v.data == 0.0)
         assert state.t == pytest.approx(0.1)
+
+
+def full_spectrum_step(state, dt, use_dealias):
+    """Reference: the Heun step on every mode, v transformed afresh and the
+    right-hand side masked afterwards; returns the new velocity data."""
+    g = state.v.grid
+    mask = g.dealias_mask if use_dealias else 1.0
+
+    def rhs(v, t):
+        a = state.a_provider(t).data if state.a_provider else 0.0
+        Sh = sym_outer_hat(v, 0.5 * v + a)
+        return neg_leray_div_hat(g.deriv_wavenumbers(), g.k2_d_safe, Sh) * mask
+
+    E = np.exp(-g.k2 * dt)
+    vh = rfftn(state.v.data, axes=(-3, -2, -1))
+    k1 = rhs(state.v.data, state.t)
+    vstar = irfftn(E * (vh + dt * k1), g.shape, axes=(-3, -2, -1))
+    k2 = rhs(vstar, state.t + dt)
+    return irfftn(E * vh + 0.5 * dt * (E * k1 + k2), g.shape, axes=(-3, -2, -1))
+
+
+class TestKeptModeStep:
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans(), st.booleans())
+    def test_matches_the_full_spectrum_step(self, grid16, seed, dealias, driven):
+        g = grid16
+        rng = np.random.default_rng(seed)
+        hat = rfftn(rng.standard_normal((3,) + g.shape), axes=(-3, -2, -1))
+        if dealias:
+            hat *= g.dealias_mask
+        a0, a1 = rng.standard_normal((2, 3) + g.shape)
+        drift = (lambda t: VectorField(g, a0 + t * a1)) if driven else None
+        dt = 0.01  # inside the CFL limit for unit-variance data
+        state = pns.SolverState(v=VectorField.from_hat(g, hat), t=0.1, a_provider=drift)
+        want = full_spectrum_step(state, dt, dealias)
+        calls = {"rfftn": 0, "irfftn": 0}
+
+        def counted(name):
+            inner = getattr(pns._fft, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            return wrapper
+
+        with pytest.MonkeyPatch.context() as mp:
+            for name in calls:
+                mp.setattr(pns._fft, name, counted(name))
+            pns.step(state, dt, use_dealias=dealias)
+        # the two stress transforms; v's spectrum is carried, not recomputed
+        assert calls == {"rfftn": 2, "irfftn": 2}
+        assert np.max(np.abs(state.v.data - want)) <= 1e-14 * np.max(np.abs(want))
+        carried = state.v.hat
+        if dealias:
+            assert np.all(carried[:, ~g.dealias_mask] == 0.0)
+        fresh = rfftn(state.v.data, axes=(-3, -2, -1))
+        assert np.max(np.abs(carried - fresh)) <= 1e-14 * np.max(np.abs(fresh))
 
 
 class TestRun:
@@ -225,6 +292,13 @@ class TestDriftProvider:
         assert np.allclose(prov(0.15).data, 3.0)
         with pytest.raises(ValueError):
             prov(0.25)
+
+    def test_slack_below_the_first_time_reads_the_first_interval(self, grid16):
+        # frames 0, 0, 1: just below t = 0 the drift is the first frame, 0,
+        # not a blend with the last one
+        frames = np.stack([k * np.ones((3,) + grid16.shape) for k in (0.0, 0.0, 1.0)])
+        prov = pns.drift_from_spacetime(SpaceTimeField(grid16, np.array([0.0, 0.1, 0.2]), frames))
+        assert np.max(np.abs(prov(-1e-10).data)) == 0.0
 
 
 class TestLocalEnergy:

@@ -18,15 +18,16 @@ from critnorm.spectral import (
     gradient,
     leray_hat,
     leray_project,
+    neg_leray_div_hat,
     newtonian_potential,
     newtonian_potential_div,
     spectral_coefficients,
     sym_ddiv_hat,
-    sym_div_hat,
     sym_outer_hat,
     tensor_div_hat,
     tensor_divergence,
 )
+from critnorm.spectral import _SYM_INDEX
 
 GRID = Grid(16, 2.0 * np.pi * np.sqrt(2.0))
 KMAX = float(np.sqrt(np.max(GRID.k2)))
@@ -61,6 +62,22 @@ def ddiv_hat(grid, Th):
         for j in range(3):
             out = out - kd[i] * kd[j] * Th[i, j]
     return out
+
+
+def sym_div_hat(grid, Sh):
+    """Reference spectrum of the row divergence (div S)_i = d_j S_ij of a
+    symmetric spectrum in the SYM_PAIRS layout, as the package composed it
+    with leray_hat before neg_leray_div_hat."""
+    kxd, kyd, kzd = grid.deriv_wavenumbers()
+    return np.stack(
+        [1j * (kxd * Sh[a] + kyd * Sh[b] + kzd * Sh[c]) for a, b, c in _SYM_INDEX]
+    )
+
+
+def sym_outer_reference(u, w):
+    """Reference products of sym_outer_hat, one expression per slot."""
+    S = np.stack([u[i] * w[j] + w[i] * u[j] for i, j in SYM_PAIRS])
+    return _hat(S)
 
 
 @bounded
@@ -153,6 +170,7 @@ def test_symmetric_stress_kernels_match_the_nine_component_ones(seed):
     full = u[:, None] * u[None, :] + a[:, None] * u[None, :] + u[:, None] * a[None, :]
     Th = _hat(full)
     Sh = sym_outer_hat(u, w)
+    assert np.array_equal(Sh, sym_outer_reference(u, w))
     assert SYM_PAIRS == ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
     assert _small(_full_tensor(Sh) - Th, np.max(np.abs(Th)))
     assert _small(sym_div_hat(GRID, Sh) - tensor_div_hat(GRID, Th), KMAX * np.max(np.abs(Th)))
@@ -168,3 +186,28 @@ def test_fourier_summed_gradient_potentials_are_the_sum_of_the_terms(seed):
     want = sum(newtonian_potential(s, 1)[j].values for j, s in enumerate(sources))
     got = newtonian_potential_div(sources).values
     assert _small(got - want, np.max(np.abs(want)))
+
+
+@bounded
+@given(seeds, st.integers(min_value=1, max_value=GRID.n // 2))
+def test_fused_projected_divergence_equals_the_composition(seed, half):
+    # on the whole spectrum, and on a block of modes |kx|, |ky| < half,
+    # kz < half with the multipliers restricted alike
+    Sh = _hat(_data(seed, (6,)))
+    want = leray_hat(GRID, -sym_div_hat(GRID, Sh))
+    got = neg_leray_div_hat(GRID.deriv_wavenumbers(), GRID.k2_d_safe, Sh)
+    assert np.array_equal(got, want)
+    ix = np.flatnonzero(np.abs(GRID.modes) < half)
+    block = (ix[:, None], ix[None, :], slice(0, half))
+    kx, ky, kz = GRID.deriv_wavenumbers()
+    kd = (kx[ix], ky[:, ix], kz[..., :half])
+    got = neg_leray_div_hat(kd, GRID.k2_d_safe[block], Sh[(slice(None),) + block])
+    assert np.array_equal(got, want[(slice(None),) + block])
+
+
+def test_stress_products_are_bit_identical_at_64():
+    g = Grid(64, GRID.L)
+    rng = np.random.default_rng(64)
+    u, a = rng.standard_normal((2, 3) + g.shape)
+    w = 0.5 * u + a
+    assert np.array_equal(sym_outer_hat(u, w), sym_outer_reference(u, w))
