@@ -160,7 +160,7 @@ def besov_split(g, N, p):
     """
     if float(N) <= 0:
         raise ValueError("threshold N must be positive")
-    if getattr(g, "components", None) is None:
+    if not isinstance(g, VectorField):
         raise ValueError("besov_split takes a vector field")
     grid = g.grid
     scale = g.l2()

@@ -44,7 +44,6 @@ from .norms import InequalityReport, NormReport
 from .spectral import evaluate_at_points  # noqa: F401
 
 __all__ = [
-    "ParabolicCylinder",
     "LedgerRow",
     "WeightedValues",
     "DyadicLedger",
@@ -65,23 +64,6 @@ __all__ = [
 
 EPS_STAR = 1.0  # eps*: the smallness the ledger budgets are scaled by
 C_B = 1.0  # prefactor of the B_k budget
-
-
-@dataclass(frozen=True)
-class ParabolicCylinder:
-    """B_r(center) x (t - r^2, t], anchored at the top time."""
-
-    center: tuple
-    t_top: float
-    r: float
-
-    def __post_init__(self):
-        c = tuple(float(x) for x in np.reshape(self.center, 3))
-        object.__setattr__(self, "center", c)
-        object.__setattr__(self, "t_top", float(self.t_top))
-        object.__setattr__(self, "r", float(self.r))
-        if not self.r > 0:
-            raise ValueError("cylinder radius must be positive")
 
 
 @dataclass(frozen=True)
@@ -162,35 +144,29 @@ def write_ledger_csv(path, ledger):
 # cylinder quadrature
 
 
-def _slice_loads(run, center, t_top, r, want_q=False, want_energy=False):
+def _slice_loads(run, center, t_top, r, ledger=False):
     """Per-slice ball integrals over Q_r(center, t_top).
 
     Returns the selected times and a dict of per-slice values: |v|^3
-    always; the oscillation |q - (q)_r|^{3/2} with the slice ball mean
-    when want_q; |v|^2 and |grad v|^2 when want_energy. Each entry
-    already carries the cell volume.
+    always; for a ledger row also the oscillation |q - (q)_r|^{3/2} with
+    the slice ball mean, |v|^2 and |grad v|^2. Each entry already
+    carries the cell volume.
     """
     g = run.grid
     sel = stored_window(run.v.times, t_top - r * r, t_top)
     axes, rad, cell = ball_points(g, center, r)
     inside = rad <= r
     n_in = int(np.count_nonzero(inside))
-    m = len(sel)
-    out = {"v3": np.empty(m)}
-    if want_q:
-        out["qosc"] = np.empty(m)
-    if want_energy:
-        out["v2"] = np.empty(m)
-        out["grad2"] = np.empty(m)
+    names = ("v3", "qosc", "v2", "grad2") if ledger else ("v3",)
+    out = {name: np.empty(len(sel)) for name in names}
     for row, i in enumerate(sel):
         coeffs = {}  # the velocity's coefficients, for |v|^2 and |grad v|^2
         s2 = sample_slice(g, run.v.frames[i], axes, coeffs)
         out["v3"][row] = np.sum(s2[inside] ** 1.5) * cell
-        if want_q:
+        if ledger:
             qs = sample_slice(g, run.q.frames[i], axes)
             qa = float(np.sum(qs[inside]) / n_in)
             out["qosc"][row] = np.sum(np.abs(qs[inside] - qa) ** 1.5) * cell
-        if want_energy:
             out["v2"][row] = np.sum(s2[inside]) * cell
             d2 = sample_grad_sq(g, run.v.frames[i], axes, coeffs)
             out["grad2"][row] = np.sum(d2[inside]) * cell
@@ -228,45 +204,6 @@ def cylinder_smallness(run, center, t_top, r=1.0):
 # ledger rows
 
 
-def _a_value(loads, ts, r):
-    value = float(np.trapezoid(loads["v3"], ts)) / r**2
-    return value + float(np.trapezoid(loads["qosc"], ts)) * r ** (-(1.0 + DELTA) / 2.0)
-
-
-def _b_value(loads, ts):
-    return float(np.max(loads["v2"])) + float(np.trapezoid(loads["grad2"], ts))
-
-
-def _a_target(r):
-    return EPS_STAR ** (2.0 / 3.0) * r ** (3.0 - DELTA)
-
-
-def _b_target(r):
-    return C_B * EPS_STAR ** (2.0 / 3.0) * r ** (3.0 - 2.0 * DELTA / 3.0)
-
-
-def ledger_A(run, center, t_top, k):
-    """A_k on Q_{2^-k}(center, t_top) and its budget eps*^{2/3} r^{3-delta} = r^2.
-
-    A_k is r^{-2} int |v|^3 plus the oscillation part
-    r^{-(1+delta)/2} int |q - (q)_r(s)|^{3/2} = r^{-1} int ..., with (q)_r
-    the ball mean slice by slice; the cubic part alone is
-    local_cubed_mass / r^2. Returns (value, target).
-    """
-    cyl = ParabolicCylinder(center, t_top, 2.0 ** -k)
-    ts, loads = _slice_loads(run, cyl.center, cyl.t_top, cyl.r, want_q=True)
-    return _a_value(loads, ts, cyl.r), _a_target(cyl.r)
-
-
-def ledger_B(run, center, t_top, k):
-    """B_k: sup-in-time ball energy plus cylinder dissipation, against the
-    budget C_B eps*^{2/3} r^{3-2 delta/3} = r^{7/3}. The sup scans stored
-    slices only, so the value is a stride-limited lower bound."""
-    cyl = ParabolicCylinder(center, t_top, 2.0 ** -k)
-    ts, loads = _slice_loads(run, cyl.center, cyl.t_top, cyl.r, want_energy=True)
-    return _b_value(loads, ts), _b_target(cyl.r)
-
-
 def _weighted_sup(lhs, ts, t0, power):
     out = 0.0
     for val, s in zip(lhs, ts):
@@ -285,22 +222,58 @@ def _check_weights(t_top, eta, t0):
         raise ValueError("t0 must not exceed the top time")
 
 
-def _weighted_values(loads, ts, r, eta, t0):
-    etap = eta / 6.0
-    lhs_a = cumulative_trapezoid(loads["v3"], ts, initial=0.0) / r**2
-    lhs_app = cumulative_trapezoid(loads["qosc"], ts, initial=0.0) * r ** (
-        -(1.0 + DELTA) / 2.0
-    )
-    lhs_b = loads["v2"] + cumulative_trapezoid(loads["grad2"], ts, initial=0.0)
-    budget = _a_target(r)
-    return WeightedValues(
-        apk=_weighted_sup(lhs_a, ts, t0, 1.5 * etap),
-        appk=_weighted_sup(lhs_app, ts, t0, 0.75 * etap),
-        bpk=_weighted_sup(lhs_b, ts, t0, etap),
-        apk_target=0.5 * budget,
-        appk_target=0.5 * budget,
-        bpk_target=_b_target(r),
-    )
+def _row(run, center, t_top, k, eta, t0):
+    """Ledger row k on Q_{2^-k}(center, t_top) from one pass over its
+    slices: A_k, B_k and their budgets, and the weighted values of
+    ledger_weighted when eta is given (else None). The weights are
+    checked before any slice is sampled.
+    """
+    if eta is not None:
+        _check_weights(t_top, eta, t0)
+    r = float(2.0 ** -k)
+    ts, loads = _slice_loads(run, center, t_top, r, ledger=True)
+    q_power = r ** (-(1.0 + DELTA) / 2.0)
+    a_val = float(np.trapezoid(loads["v3"], ts)) / r**2
+    a_val = a_val + float(np.trapezoid(loads["qosc"], ts)) * q_power
+    b_val = float(np.max(loads["v2"])) + float(np.trapezoid(loads["grad2"], ts))
+    a_tgt = EPS_STAR ** (2.0 / 3.0) * r ** (3.0 - DELTA)
+    b_tgt = C_B * EPS_STAR ** (2.0 / 3.0) * r ** (3.0 - 2.0 * DELTA / 3.0)
+    passed = a_val <= a_tgt and b_val <= b_tgt
+    wv = None
+    if eta is not None:
+        etap = eta / 6.0
+        run_int = {name: cumulative_trapezoid(loads[name], ts, initial=0.0)
+                   for name in ("v3", "qosc", "grad2")}
+        wv = WeightedValues(
+            apk=_weighted_sup(run_int["v3"] / r**2, ts, t0, 1.5 * etap),
+            appk=_weighted_sup(run_int["qosc"] * q_power, ts, t0, 0.75 * etap),
+            bpk=_weighted_sup(loads["v2"] + run_int["grad2"], ts, t0, etap),
+            apk_target=0.5 * a_tgt,
+            appk_target=0.5 * a_tgt,
+            bpk_target=b_tgt,
+        )
+        passed = passed and wv.ok
+    return LedgerRow(int(k), r, a_val, a_tgt, b_val, b_tgt, bool(passed), wv)
+
+
+def ledger_A(run, center, t_top, k):
+    """A_k on Q_{2^-k}(center, t_top) and its budget eps*^{2/3} r^{3-delta} = r^2.
+
+    A_k is r^{-2} int |v|^3 plus the oscillation part
+    r^{-(1+delta)/2} int |q - (q)_r(s)|^{3/2} = r^{-1} int ..., with (q)_r
+    the ball mean slice by slice; the cubic part alone is
+    local_cubed_mass / r^2. Returns (value, target).
+    """
+    row = _row(run, center, t_top, k, None, None)
+    return row.a_value, row.a_target
+
+
+def ledger_B(run, center, t_top, k):
+    """B_k: sup-in-time ball energy plus cylinder dissipation, against the
+    budget C_B eps*^{2/3} r^{3-2 delta/3} = r^{7/3}. The sup scans stored
+    slices only, so the value is a stride-limited lower bound."""
+    row = _row(run, center, t_top, k, None, None)
+    return row.b_value, row.b_target
 
 
 def ledger_weighted(run, center, t_top, k, eta=0.6, t0=0.0):
@@ -314,12 +287,7 @@ def ledger_weighted(run, center, t_top, k, eta=0.6, t0=0.0):
     Slices at or below t0 carry zero weight: any mass there sends the
     quotient to infinity, which is the point of the weighting.
     """
-    cyl = ParabolicCylinder(center, t_top, 2.0 ** -k)
-    _check_weights(cyl.t_top, eta, t0)
-    ts, loads = _slice_loads(
-        run, cyl.center, cyl.t_top, cyl.r, want_q=True, want_energy=True
-    )
-    return _weighted_values(loads, ts, cyl.r, eta, t0)
+    return _row(run, center, t_top, k, eta, t0).weighted
 
 
 def build_ledger(run, center, t_top, ks=(2, 3, 4, 5), eta=None, t0=None):
@@ -338,27 +306,10 @@ def build_ledger(run, center, t_top, ks=(2, 3, 4, 5), eta=None, t0=None):
             "ks must be consecutive increasing integers (radii halving row to row), got %r"
             % (ks,)
         )
-    if eta is not None:
-        if t0 is None:
-            raise ValueError("the weighted ledger (eta given) needs t0, the time the "
-                             "weights (s - t0)_+ start from")
-        _check_weights(float(t_top), eta, t0)
-    rows = []
-    for k in ks:
-        cyl = ParabolicCylinder(center, t_top, 2.0 ** -k)
-        r = cyl.r
-        ts, loads = _slice_loads(
-            run, cyl.center, cyl.t_top, r, want_q=True, want_energy=True
-        )
-        a_val, a_tgt = _a_value(loads, ts, r), _a_target(r)
-        b_val, b_tgt = _b_value(loads, ts), _b_target(r)
-        passed = a_val <= a_tgt and b_val <= b_tgt
-        wv = None
-        if eta is not None:
-            wv = _weighted_values(loads, ts, r, eta, t0)
-            passed = passed and wv.ok
-        rows.append(LedgerRow(int(k), r, a_val, a_tgt, b_val, b_tgt, bool(passed), wv))
-    return DyadicLedger(tuple(rows), eta, t0)
+    if eta is not None and t0 is None:
+        raise ValueError("the weighted ledger (eta given) needs t0, the time the "
+                         "weights (s - t0)_+ start from")
+    return DyadicLedger(tuple(_row(run, center, t_top, k, eta, t0) for k in ks), eta, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -647,6 +598,16 @@ def _sample_source(g, offs, ss):
     return out
 
 
+def _kernel_sum(offs, ss, gabs, x, t):
+    """The midpoint sum of kernel_integral on a sampled source |g|."""
+    Y1, Y2, Y3 = offs[:, None, None], offs[None, :, None], offs[None, None, :]
+    d2 = (x[0] - Y1) ** 2 + (x[1] - Y2) ** 2 + (x[2] - Y3) ** 2
+    total = 0.0
+    for j, s in enumerate(ss):
+        total += float(np.sum(gabs[j] / (d2 + abs(t - s)) ** 2))
+    return total * _KERNEL_H**3 * _KERNEL_HT
+
+
 def kernel_integral(g, x, t):
     """Midpoint quadrature of int |g(y,s)| / (|x-y|^2 + |t-s|)^2 over the
     support box [-1/2,1/2]^3 x (-1/4,1/4), steps h = 1/16 and ht = 1/128.
@@ -656,15 +617,8 @@ def kernel_integral(g, x, t):
     finite; near the singularity the quadrature is a crude estimate,
     far from it an accurate one.
     """
-    h, ht = _KERNEL_H, _KERNEL_HT
     offs, ss = _source_lattice()
-    gabs = _sample_source(g, offs, ss)
-    Y1, Y2, Y3 = offs[:, None, None], offs[None, :, None], offs[None, None, :]
-    d2 = (x[0] - Y1) ** 2 + (x[1] - Y2) ** 2 + (x[2] - Y3) ** 2
-    total = 0.0
-    for j, s in enumerate(ss):
-        total += float(np.sum(gabs[j] / (d2 + abs(t - s)) ** 2))
-    return total * h**3 * ht
+    return _kernel_sum(offs, ss, _sample_source(g, offs, ss), x, t)
 
 
 def check_kernel_bound(g):
@@ -732,12 +686,8 @@ def check_kernel_bound(g):
     pts += [(1.25, 0.0, 0.0), (0.0, -1.5, 0.3)]
     lhs = 0.0
     for x in pts:
-        d2 = (x[0] - Y1) ** 2 + (x[1] - Y2) ** 2 + (x[2] - Y3) ** 2
         for t in (-0.2, 0.0, 0.2, 0.5):
-            tot = 0.0
-            for j, s in enumerate(ss):
-                tot += float(np.sum(gabs[j] / (d2 + abs(t - s)) ** 2))
-            lhs = max(lhs, tot * h**3 * ht)
+            lhs = max(lhs, _kernel_sum(offs, ss, gabs, x, t))
 
     rhs = max(cdel * gnorm, 16.0 * mass)
     return InequalityReport(

@@ -263,6 +263,9 @@ class SpaceTimeField:
             self._cls = TensorField
         else:
             raise ValueError("frames shape %s not scalar/vector/tensor" % (frames.shape,))
+        if frames.shape[-3:] != grid.shape:
+            raise ValueError("frames have spatial shape %s but the grid is %s"
+                             % (frames.shape[-3:], grid.shape))
         if not np.all(np.isfinite(frames)):
             raise ValueError("frames contain non-finite values")
         self.grid = grid

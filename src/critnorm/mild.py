@@ -96,6 +96,8 @@ class DuhamelConfig:
             raise ValueError("horizon shorter than one step")
         if not self.picard_tol > 0:
             raise ValueError("picard_tol must be positive")
+        if self.picard_max < 1:
+            raise ValueError("picard_max must be at least 1, got %r" % (self.picard_max,))
         m = round(self.T / self.dt)
         if abs(m * self.dt - self.T) > 1e-9 * max(self.T, 1.0):
             raise ValueError("T must be an integer number of steps")
@@ -227,14 +229,18 @@ def apply_La(u, a):
     return SpaceTimeField(u.grid, u.times, -_drift_march(u, a)(u.frames))
 
 
-def drift_smallness(a):
-    """||a||_{L^5_{t,x}} plus sup over stored s > 0 of s^{1/5} ||a(s)||_{L^5}."""
-    total = spacetime_lebesgue(a, 5, 5)
+def _l5_weighted_sup(a):
+    """sup over stored s > 0 of s^{1/5} ||a(s)||_{L^5}."""
     sup = 0.0
     for i, t in enumerate(a.times):
         if t > 0:
             sup = max(sup, float(t) ** 0.2 * box_lp(a.grid, a.frames[i], 5))
-    return total + sup
+    return sup
+
+
+def drift_smallness(a):
+    """||a||_{L^5_{t,x}} plus sup over stored s > 0 of s^{1/5} ||a(s)||_{L^5}."""
+    return spacetime_lebesgue(a, 5, 5) + _l5_weighted_sup(a)
 
 
 # ---------------------------------------------------------------------------
@@ -330,14 +336,10 @@ def check_duhamel_estimates(f=None, F=None, a=None, b=None):
             None,
             "L^{10/3}_{t,x} of L(div(a x b)) against ||a||_5 ||b||_{10/3}",
         )
-        sup_a = 0.0
-        for i, t in enumerate(a.times):
-            if t > 0:
-                sup_a = max(sup_a, float(t) ** 0.2 * box_lp(g, a.frames[i], 5))
         reps["tensor_product_sup"] = _ineq(
             "tensor_product_sup",
             spacetime_lebesgue(Lab, math.inf, math.inf),
-            sup_a * spacetime_lebesgue(b, math.inf, math.inf),
+            _l5_weighted_sup(a) * spacetime_lebesgue(b, math.inf, math.inf),
             None,
             "sup of L(div(a x b)) against sup s^{1/5}||a||_5 times sup|b|",
         )
@@ -443,13 +445,18 @@ def solve_mild(u0a, cfg, data_norm="l3", besov_p=6.0, data_gate=None):
 
     data_norm selects the critical norm of the data used for the
     empirical constant: "l3", "weak_l3" (Lorentz L^{3,inf}), or "besov"
-    (heat-characterized sup_t t^{(1-3/p)/2} ||e^{t Lap} u0a||_p). When
+    (heat-characterized sup_t t^{(1-3/p)/2} ||e^{t Lap} u0a||_p, with
+    p = besov_p > 3, which every kind reads for its decay column). When
     data_gate is given the data norm is thresholded before iterating.
     """
     if not isinstance(u0a, VectorField):
         raise ValueError("initial data must be a vector field")
     if data_norm not in ("l3", "weak_l3", "besov"):
         raise ValueError("unknown data norm kind %r" % data_norm)
+    p = float(besov_p)
+    if not p > 3.0:
+        raise ValueError("besov_p must exceed 3 so that the Besov index -1 + 3/p "
+                         "is negative, got %g" % p)
     g = u0a.grid
     kmax = math.sqrt(float(np.max(g.k2)))
     unorm = u0a.l2()
@@ -462,7 +469,6 @@ def solve_mild(u0a, cfg, data_norm="l3", besov_p=6.0, data_gate=None):
     for i, t in enumerate(times):
         H[i] = heat_semigroup(u0a, float(t)).data
 
-    p = float(besov_p)
     if data_norm == "l3":
         value = box_lp(g, u0a.data, 3)
     elif data_norm == "weak_l3":

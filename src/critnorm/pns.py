@@ -188,7 +188,11 @@ def recover_pressure(v, a=None):
 
 
 def drift_from_spacetime(stf):
-    """Linear-in-time interpolator over a stored drift orbit."""
+    """Linear-in-time interpolator over a stored drift orbit of at least
+    two slices."""
+    if len(stf) < 2:
+        raise ValueError("the drift orbit needs at least two stored slices to "
+                         "interpolate between, got %d" % len(stf))
     times = stf.times
     dt = stf.dt
 
@@ -264,6 +268,11 @@ def run_pns(v0, cfg, a_provider=None):
 # energy bookkeeping
 
 
+# the right side's space-time integrals of the local energy identity (module
+# docstring), in order: the entries' terms, their sum and the CSV columns
+_FLUX_TERMS = ("heat", "flux", "drift_gradphi", "drift_cross", "drift_convection")
+
+
 @dataclass(frozen=True)
 class EnergyLedgerEntry:
     t: float
@@ -308,12 +317,8 @@ def verify_local_energy(run, phi, window=None, tol_c=10.0):
 
     m = len(sel)
     e = np.empty(m)
-    diss = np.empty(m)
-    t1 = np.empty(m)
-    t2 = np.empty(m)
-    t3 = np.empty(m)
-    t4 = np.empty(m)
-    t5 = np.empty(m)
+    # per-slice densities of the time integrals; the drift terms stay 0 undriven
+    dens = {name: np.zeros(m) for name in ("dissipation",) + _FLUX_TERMS}
     for row, i in enumerate(sel):
         v = run.v.frames[i]
         q = run.q.frames[i]
@@ -321,47 +326,25 @@ def verify_local_energy(run, phi, window=None, tol_c=10.0):
         v2 = np.sum(v**2, axis=0)
         grads = gradient(run.v[i]).data  # grads[j, i] = d_j v_i
         e[row] = np.sum(v2 * phiv) * cell
-        diss[row] = np.sum(np.sum(grads**2, axis=(0, 1)) * phiv) * cell
-        t1[row] = np.sum(v2 * lap_phi) * cell
+        dens["dissipation"][row] = np.sum(np.sum(grads**2, axis=(0, 1)) * phiv) * cell
+        dens["heat"][row] = np.sum(v2 * lap_phi) * cell
         v_gphi = np.sum(v * gphi, axis=0)
-        t2[row] = np.sum((v2 + 2.0 * q) * v_gphi) * cell
-        if a is None:
-            t3[row] = t4[row] = t5[row] = 0.0
-        else:
-            t3[row] = np.sum(v2 * np.sum(a * gphi, axis=0)) * cell
-            t4[row] = 2.0 * np.sum(np.sum(a * v, axis=0) * v_gphi) * cell
+        dens["flux"][row] = np.sum((v2 + 2.0 * q) * v_gphi) * cell
+        if a is not None:
+            dens["drift_gradphi"][row] = np.sum(v2 * np.sum(a * gphi, axis=0)) * cell
+            dens["drift_cross"][row] = 2.0 * np.sum(np.sum(a * v, axis=0) * v_gphi) * cell
             conv = np.einsum("j...,ji...->i...", v, grads)  # (v . grad) v
-            t5[row] = 2.0 * np.sum(np.sum(conv * a, axis=0) * phiv) * cell
+            dens["drift_convection"][row] = 2.0 * np.sum(np.sum(conv * a, axis=0) * phiv) * cell
 
     ts = times[sel]
-    cum = {
-        name: cumulative_simpson(arr, x=ts, initial=0.0)
-        for name, arr in (
-            ("dissipation", diss),
-            ("heat", t1),
-            ("flux", t2),
-            ("drift_gradphi", t3),
-            ("drift_cross", t4),
-            ("drift_convection", t5),
-        )
-    }
+    cum = {name: cumulative_simpson(arr, x=ts, initial=0.0) for name, arr in dens.items()}
     entries = []
     for row in range(1, m):
         lhs = e[row] + 2.0 * cum["dissipation"][row]
-        terms = {
-            "initial_energy": e[0],
-            "heat": cum["heat"][row],
-            "flux": cum["flux"][row],
-            "drift_gradphi": cum["drift_gradphi"][row],
-            "drift_cross": cum["drift_cross"][row],
-            "drift_convection": cum["drift_convection"][row],
-            "energy": e[row],
-            "dissipation": 2.0 * cum["dissipation"][row],
-        }
-        rhs = e[0] + sum(
-            terms[k]
-            for k in ("heat", "flux", "drift_gradphi", "drift_cross", "drift_convection")
-        )
+        terms = {"initial_energy": e[0]}
+        terms.update((name, cum[name][row]) for name in _FLUX_TERMS)
+        terms.update(energy=e[row], dissipation=2.0 * cum["dissipation"][row])
+        rhs = e[0] + sum(terms[name] for name in _FLUX_TERMS)
         scale = max(abs(lhs), abs(rhs), max(abs(val) for val in terms.values()))
         tol = tol_c * (run.cfg.dt + g.dx**2) * scale
         slack = rhs - lhs
@@ -420,16 +403,7 @@ def global_energy_check(run):
 
 
 def write_energy_csv(path, entries):
-    names = [
-        "initial_energy",
-        "heat",
-        "flux",
-        "drift_gradphi",
-        "drift_cross",
-        "drift_convection",
-        "energy",
-        "dissipation",
-    ]
+    names = ["initial_energy", *_FLUX_TERMS, "energy", "dissipation"]
     write_csv(
         path,
         ["t", "lhs", "rhs", "slack", "passed"] + names,

@@ -295,10 +295,6 @@ class OscillationReport:
     ma: float  # drift weight sup |s-t0|^(1/2) |a(s)|_inf(B_1); 0 unweighted
 
 
-def _time_integral(ts, vals):
-    return float(np.trapezoid(vals, ts))
-
-
 def pressure_oscillation_terms(v, a, q, center, r, rho, t_top=None, weighted=False, t0=None):
     """Oscillation of q on Q_r(center, t_top) against its six bounds.
 
@@ -386,40 +382,29 @@ def pressure_oscillation_terms(v, a, q, center, r, rho, t_top=None, weighted=Fal
             w = math.sqrt(abs(times[i] - t0)) * float(np.max(amag[in_1]))
             ma = max(ma, w)
 
-    lhs = r ** (-(1.0 + DELTA) / 2.0) * _time_integral(ts, osc)
-    iv3 = _time_integral(ts, v3_2r)
+    p_osc = r ** (-(1.0 + DELTA) / 2.0)
+    p_far = r ** (4.0 - DELTA / 2.0)
+    lhs = p_osc * float(np.trapezoid(osc, ts))
+    iv3 = float(np.trapezoid(v3_2r, ts))
+    j1 = p_osc * iv3
+    j3 = r ** (6.0 - DELTA / 2.0) * float(np.max(tail)) ** 1.5
+    j5 = p_far * rho ** (-4.5) * float(np.trapezoid(bulk, ts))
     if not weighted:
-        terms = (
-            r ** (-(1.0 + DELTA) / 2.0) * iv3,
-            r ** ((1.0 - DELTA) / 2.0)
-            * math.sqrt(iv3)
-            * _time_integral(ts, a5_2r) ** 0.3,
-            r ** (6.0 - DELTA / 2.0) * float(np.max(tail)) ** 1.5,
-            r ** (4.0 - DELTA / 2.0) * _time_integral(ts, cross_tail**1.5),
-            r ** (4.0 - DELTA / 2.0) * rho ** (-4.5) * _time_integral(ts, bulk),
+        j2 = r ** ((1.0 - DELTA) / 2.0) * math.sqrt(iv3) * float(np.trapezoid(a5_2r, ts)) ** 0.3
+        j4 = p_far * float(np.trapezoid(cross_tail**1.5, ts))
+        j6 = (
             r ** ((44.0 - 5.0 * DELTA) / 10.0)
             * rho ** (-3.9)
-            * math.sqrt(_time_integral(ts, v3_rho))
-            * _time_integral(ts, a5_rho) ** 0.3,
+            * math.sqrt(float(np.trapezoid(v3_rho, ts)))
+            * float(np.trapezoid(a5_rho, ts)) ** 0.3
         )
     else:
         wgt1 = np.abs(ts - t0) ** (-1.0)
         wgt34 = np.abs(ts - t0) ** (-0.75)
-        terms = (
-            r ** (-(1.0 + DELTA) / 2.0) * iv3,
-            r ** (0.75 - DELTA / 2.0)
-            * ma**1.5
-            * _time_integral(ts, wgt1 * v2_2r) ** 0.75,
-            r ** (6.0 - DELTA / 2.0) * float(np.max(tail)) ** 1.5,
-            r ** (4.0 - DELTA / 2.0)
-            * ma**1.5
-            * _time_integral(ts, wgt34 * v_tail**1.5),
-            r ** (4.0 - DELTA / 2.0) * rho ** (-4.5) * _time_integral(ts, bulk),
-            r ** (4.0 - DELTA / 2.0)
-            * rho ** (-3.75)
-            * ma**1.5
-            * _time_integral(ts, wgt34 * v2_ring**0.75),
-        )
+        j2 = r ** (0.75 - DELTA / 2.0) * ma**1.5 * float(np.trapezoid(wgt1 * v2_2r, ts)) ** 0.75
+        j4 = p_far * ma**1.5 * float(np.trapezoid(wgt34 * v_tail**1.5, ts))
+        j6 = p_far * rho ** (-3.75) * ma**1.5 * float(np.trapezoid(wgt34 * v2_ring**0.75, ts))
+    terms = (j1, j2, j3, j4, j5, j6)
     for val in terms:
         if not np.isfinite(val):
             raise ValueError("non-finite bounding term")

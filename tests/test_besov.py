@@ -15,7 +15,7 @@ from critnorm.besov import (
     split_sweep,
     write_split_csv,
 )
-from critnorm.fields import Grid, ScalarField, VectorField, gaussian_bump
+from critnorm.fields import Grid, ScalarField, TensorField, VectorField, gaussian_bump
 from critnorm.spectral import divergence, leray_project
 
 
@@ -190,6 +190,8 @@ class TestBesovSplit:
             besov_split(g, -1.0, 6)
         with pytest.raises(ValueError):
             besov_split(ScalarField(grid32, np.zeros(grid32.shape)), 4.0, 6)
+        with pytest.raises(ValueError, match="besov_split takes a vector field"):
+            besov_split(TensorField(grid32, np.zeros((3, 3) + grid32.shape)), 4.0, 6)
 
     def test_l2_persistence_is_parseval_sharp(self, grid32, rng):
         g = corpus.random_divfree(grid32, rng)

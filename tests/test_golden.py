@@ -104,6 +104,11 @@ def compute():
     out["mild.l5_spacetime"] = [sol.l5_spacetime]
     flux = SpaceTimeField(g16, sol.a.times, sol.a.frames[:, :, None] * sol.a.frames[:, None, :])
     out["mild.duhamel_div"] = [float(np.sqrt(np.sum(f**2))) for f in mild.duhamel_div(flux).frames]
+    out["mild.drift_smallness"] = [mild.drift_smallness(sol.a)]
+    estimates = mild.check_duhamel_estimates(f=sol.a, F=flux, a=sol.a, b=sol.a)
+    out["mild.duhamel_estimates"] = [
+        x for name in sorted(estimates) for x in (estimates[name].lhs, estimates[name].rhs)
+    ]
 
     cfg = pns.PNSConfig(dt=1.0 / 128.0, T=HORIZON, stride=2)
     run = pns.run_pns(split.bar_g, cfg, a_provider=pns.drift_from_spacetime(sol.a))
@@ -170,6 +175,12 @@ def compute():
     on64 = _steady(g64, v64.data, pns.recover_pressure(v64, a64).values, a64.data)
     osc64 = pressure.pressure_oscillation_terms(on64.v, on64.a, on64.q, ORIGIN, 1.25, 4.0)
     out["pressure.osc_native"] = [osc64.lhs, *osc64.terms, osc64.ratio]
+
+    # the indicator source of tests/test_ckn.py
+    kbound = ckn.check_kernel_bound(
+        lambda y1, y2, y3, s: np.where((y1**2 + y2**2 + y3**2 <= 0.09) & (abs(s) <= 0.1), 1.0, 0.0)
+    )
+    out["ckn.kernel_bound"] = [kbound.lhs, kbound.rhs]
 
     out["norms.lorentz_weak3"] = [norms.lorentz_quasinorm(u0, 3, math.inf).value]
     out["norms.lorentz_3_2"] = [norms.lorentz_quasinorm(u0, 3, 2).value]

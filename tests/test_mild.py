@@ -45,6 +45,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             mild.DuhamelConfig(dt=0.3, T=1.0)  # not an integer step count
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_picard_max_below_one_is_rejected(self, cap):
+        with pytest.raises(ValueError, match="picard_max must be at least 1"):
+            mild.DuhamelConfig(dt=0.1, T=1.0, picard_max=cap)
+
     def test_times(self):
         ts = mild.DuhamelConfig(dt=0.25, T=1.0).times()
         assert np.allclose(ts, [0.0, 0.25, 0.5, 0.75, 1.0])
@@ -367,6 +372,17 @@ class TestSolveMild:
             mild.solve_mild(u0, cfg, data_norm="l7")
         with pytest.raises(ValueError):
             mild.solve_mild(u0, cfg, data_gate=1e-9)
+
+    @pytest.mark.parametrize("kind", ["l3", "besov"])
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_besov_p_at_most_three_is_rejected_before_any_work(self, grid16, monkeypatch, kind, p):
+        def no_work(*args):
+            raise AssertionError("heat orbit computed before the exponent check")
+
+        monkeypatch.setattr(mild, "heat_semigroup", no_work)
+        cfg = mild.DuhamelConfig(dt=0.1, T=0.4)
+        with pytest.raises(ValueError, match=r"-1 \+ 3/p is negative"):
+            mild.solve_mild(gauss_curl(grid16, 1.0), cfg, data_norm=kind, besov_p=p)
 
     def test_linearization_is_quadratic(self, grid32):
         # small data: a - e^{t Lap} u0 shrinks by 4 when eps halves

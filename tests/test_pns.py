@@ -300,6 +300,12 @@ class TestDriftProvider:
         prov = pns.drift_from_spacetime(SpaceTimeField(grid16, np.array([0.0, 0.1, 0.2]), frames))
         assert np.max(np.abs(prov(-1e-10).data)) == 0.0
 
+    def test_one_slice_orbit_is_rejected_when_the_provider_is_built(self, grid16):
+        # a one-slice orbit has dt = 0; it must not get as far as run_pns
+        one = SpaceTimeField(grid16, np.array([0.0]), np.ones((1, 3) + grid16.shape))
+        with pytest.raises(ValueError, match="at least two stored slices"):
+            pns.drift_from_spacetime(one)
+
 
 class TestLocalEnergy:
     def test_gates(self, grid16):

@@ -5,6 +5,7 @@ from critnorm import corpus, spectral
 from critnorm.fields import (
     Grid,
     ScalarField,
+    SpaceTimeField,
     VectorField,
     gaussian_bump,
     ball_indicator,
@@ -43,6 +44,14 @@ class TestGrid:
         f = gaussian_bump(grid32, 0.5)
         with pytest.raises(ValueError):
             f.values[0, 0, 0] = 1.0
+
+    def test_spacetime_field_rejects_frames_of_another_grid(self, grid16, grid32):
+        frames = np.ones((2, 3) + grid32.shape)
+        with pytest.raises(ValueError, match=r"\(32, 32, 32\) but the grid is \(16, 16, 16\)"):
+            SpaceTimeField(grid16, [0.0, 0.1], frames)
+        with pytest.raises(ValueError, match="spatial shape"):
+            SpaceTimeField(grid16, [0.0, 0.1], np.ones((2, 16, 16, 32)))
+        assert len(SpaceTimeField(grid32, [0.0, 0.1], frames)) == 2
 
     def test_field_leaves_caller_array_writeable(self, grid32):
         a = np.zeros(grid32.shape)
