@@ -660,6 +660,10 @@ def check_kernel_bound(g):
     gnorm = 0.0
     for r in (0.5, 0.25, 0.125):
         r2 = r * r
+        # two-sided window |s - t| < r^2 about each t in ss, as bounds
+        # into the prefix sums below; they depend on r alone
+        lo = np.searchsorted(ss, ss - r2, side="left")
+        hi = np.searchsorted(ss, ss + r2, side="right")
         for cx in centers:
             for cy in centers:
                 for cz in centers:
@@ -669,13 +673,9 @@ def check_kernel_bound(g):
                     if not np.any(m):
                         continue
                     per = gabs[:, m].sum(axis=1) * h**3
-                    # two-sided window |s - t| < r^2 via prefix sums
                     csum = np.concatenate([[0.0], np.cumsum(per)])
-                    for jt, t in enumerate(ss):
-                        a = np.searchsorted(ss, t - r2, side="left")
-                        b = np.searchsorted(ss, t + r2, side="right")
-                        val = (csum[b] - csum[a]) * ht
-                        gnorm = max(gnorm, r ** (delta - 5.0) * val)
+                    val = (csum[hi] - csum[lo]) * ht
+                    gnorm = max(gnorm, float(np.max(r ** (delta - 5.0) * val)))
 
     # probe lattice for the left side
     pts = []

@@ -9,6 +9,11 @@ trigonometric interpolant of each stored slice (ball_points,
 sample_slice). Keeping r/h fixed makes the ball-quadrature bias
 scale-invariant, so dyadic fits across radii are not polluted by the
 refinement.
+
+The r/8 lattice over an outer ball B_rho grows like (rho/r)^3, so a sum
+over it walks ball_slabs: the same points, lattice or native cells, cut
+into x-slabs of at most _SLAB_POINTS points, each point with the bits
+ball_points gives it. A sampled field is then held on one slab at a time.
 """
 
 import math
@@ -18,12 +23,24 @@ import numpy as np
 from .fields import ScalarField, VectorField
 from .spectral import evaluate_at_points, grad_hat, gradient, spectral_coefficients
 
-__all__ = ["DELTA", "stored_window", "cube_lattice", "ball_points", "sample_slice", "sample_grad_sq"]
+__all__ = [
+    "DELTA",
+    "stored_window",
+    "cube_lattice",
+    "ball_points",
+    "ball_slabs",
+    "sample_slice",
+    "sample_grad_sq",
+]
 
 # the scale exponent delta of the epsilon-regularity budgets on Q_r: the
 # dyadic ledger (critnorm.ckn) and the pressure oscillation
 # (critnorm.pressure) both read it from here
 DELTA = 1.0
+
+# most points in one x-slab of ball_slabs: 2^19 float64 values are 4 MB,
+# about one core's L2 cache, so each per-slab temporary stays that small
+_SLAB_POINTS = 2**19
 
 
 def stored_window(times, lo, hi, clip_start=False):
@@ -52,12 +69,27 @@ def stored_window(times, lo, hi, clip_start=False):
     return sel
 
 
-def cube_lattice(center, offs):
+def cube_lattice(center, offs, rows=slice(None)):
     """Tensor lattice center + offs along each axis, and every point's
-    distance from the center."""
-    axes = tuple(center[i] + offs for i in range(3))
-    rad = np.sqrt(offs[:, None, None] ** 2 + offs[None, :, None] ** 2 + offs[None, None, :] ** 2)
+    distance from the center; rows keeps only those x offsets, an
+    x-slab. The distance is sqrt((x^2 + y^2) + z^2) for any rows, so a
+    slab's points carry the bits they have in the whole cube."""
+    xo = offs[rows]
+    axes = (center[0] + xo, center[1] + offs, center[2] + offs)
+    rad = np.sqrt(xo[:, None, None] ** 2 + offs[None, :, None] ** 2 + offs[None, None, :] ** 2)
     return axes, rad
+
+
+def _resolution(grid, r, outer):
+    """(offs, cell): the r/8 lattice offsets covering B_outer, or None
+    where the native cells resolve radius r, and each point's volume."""
+    if outer >= grid.L / 2.0:
+        raise ValueError("ball does not fit in the box")
+    if r / grid.dx < 8.0:
+        h = r / 8.0
+        m = int(math.ceil(outer / h)) + 1
+        return np.arange(-m, m + 1) * h, h**3
+    return None, grid.cell_volume
 
 
 def ball_points(grid, center, r, outer=None):
@@ -68,45 +100,75 @@ def ball_points(grid, center, r, outer=None):
     the r/8 lattice covering B_outer; rad is each point's distance from
     the center and cell the volume each point carries.
     """
-    outer = r if outer is None else outer
-    if outer >= grid.L / 2.0:
-        raise ValueError("ball does not fit in the box")
-    if r / grid.dx < 8.0:
-        h = r / 8.0
-        m = int(math.ceil(outer / h)) + 1
-        axes, rad = cube_lattice(center, np.arange(-m, m + 1) * h)
-        return axes, rad, h**3
-    return None, grid.radius(center), grid.cell_volume
+    offs, cell = _resolution(grid, r, r if outer is None else outer)
+    if offs is None:
+        return None, grid.radius(center), cell
+    axes, rad = cube_lattice(center, offs)
+    return axes, rad, cell
 
 
-def _coefficients(values, coeffs, key):
+def ball_slabs(grid, center, r, outer=None):
+    """The points of ball_points in x-slabs of at most _SLAB_POINTS
+    points each (one x row at least).
+
+    Returns (slabs, cell): slabs is a generator of (rows, axes, rad) in
+    x order, rows the slice of x indices a slab covers, axes and rad
+    those of ball_points on these rows (axes None on the native cells);
+    cell is ball_points' cell. The slabs partition the points and every
+    rad keeps its bits, so values gathered slab by slab, in order, are
+    ball_points' values in lattice order. A lattice of at most 80^3
+    points, or a native grid of at most 64^3 cells, is one slab.
+    """
+    offs, cell = _resolution(grid, r, r if outer is None else outer)
+    side = grid.n if offs is None else len(offs)
+    step = max(1, _SLAB_POINTS // (side * side))  # x rows per slab
+
+    def slabs():
+        rad = grid.radius(center) if offs is None else None
+        for x0 in range(0, side, step):
+            rows = slice(x0, x0 + step)
+            if offs is None:
+                yield rows, None, rad[rows]
+            else:
+                yield (rows,) + cube_lattice(center, offs, rows)
+
+    return slabs(), cell
+
+
+def _component(grid, values, coeffs, key):
+    """One frame component as a ScalarField with its spectral
+    coefficients, made once per coeffs dict (each call without one).
+    The field's constructor scans the whole frame, so slabs share it."""
     if coeffs is None:
-        return spectral_coefficients(values)
+        coeffs = {}
     if key not in coeffs:
-        coeffs[key] = spectral_coefficients(values)
+        coeffs[key] = (ScalarField(grid, values), spectral_coefficients(values))
     return coeffs[key]
 
 
-def _on_points(grid, values, axes, coeffs, key):
+def _on_points(grid, values, axes, coeffs, key, rows):
     if axes is None:
-        return values
-    return evaluate_at_points(ScalarField(grid, values), axes, _coefficients(values, coeffs, key))
+        return values[rows]
+    field, c = _component(grid, values, coeffs, key)
+    return evaluate_at_points(field, axes, c)
 
 
-def sample_slice(grid, frame, axes, coeffs=None):
-    """A stored slice on the points of ball_points: a scalar frame's
-    values, or a vector frame's squared magnitude |v|^2.
+def sample_slice(grid, frame, axes, coeffs=None, rows=slice(None)):
+    """A stored slice on the points of ball_points or of one ball_slabs
+    slab: a scalar frame's values, or a vector frame's squared magnitude
+    |v|^2.
 
     Each scalar component is evaluated once and |v|^2 accumulates in
     place; lattice components are never held together. coeffs, a dict
-    the caller keeps per slice, reuses each component's spectral
-    coefficients across lattices.
+    the caller keeps per slice and frame, reuses each component's field
+    and spectral coefficients across lattices and slabs. rows is a
+    slab's x rows; on the lattice its axes already hold them.
     """
     if frame.ndim == 3:
-        return _on_points(grid, frame, axes, coeffs, 0)
-    s2 = np.square(_on_points(grid, frame[0], axes, coeffs, 0))
+        return _on_points(grid, frame, axes, coeffs, 0, rows)
+    s2 = np.square(_on_points(grid, frame[0], axes, coeffs, 0, rows))
     for c in (1, 2):
-        comp = _on_points(grid, frame[c], axes, coeffs, c)
+        comp = _on_points(grid, frame[c], axes, coeffs, c, rows)
         # squared in place on the lattice; on native cells comp is the frame
         s2 += np.square(comp, out=None if axes is None else comp)
     return s2
@@ -126,9 +188,9 @@ def sample_grad_sq(grid, frame, axes, coeffs=None):
         return np.sum(np.square(gradient(VectorField(grid, frame)).data), axis=(0, 1))
     total = None
     for c in range(3):
-        f = ScalarField(grid, frame[c])  # only its grid is read: coeffs are given
-        for dh in grad_hat(grid, _coefficients(frame[c], coeffs, c)):
-            d = evaluate_at_points(f, axes, dh)
+        field, ch = _component(grid, frame[c], coeffs, c)
+        for dh in grad_hat(grid, ch):
+            d = evaluate_at_points(field, axes, dh)  # only field.grid is read
             d = np.square(d, out=d)
             if total is None:
                 total = d

@@ -514,7 +514,8 @@ def solve_mild(u0a, cfg, data_norm="l3", besov_p=6.0, data_gate=None):
             "residual": box_lp(g, resid_frames[i], 2),
         }
         if data_norm == "l3":
-            row["t12_grad_l3"] = t**0.5 * box_lp(g, gradient(a[i]).data, 3)
+            # the weight t^{1/2} is 0 at t = 0: no gradient is taken there
+            row["t12_grad_l3"] = t**0.5 * box_lp(g, gradient(a[i]).data, 3) if t > 0 else 0.0
         if data_norm == "weak_l3":
             row["weak3"] = lorentz_quasinorm(a[i], 3, math.inf).value
         rows.append(row)

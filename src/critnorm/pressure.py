@@ -10,6 +10,14 @@ bound it, with an optional time-weighted variant for runs carrying a
 distinguished singular time outside the observation window; its
 integrals follow the quadrature of critnorm.cylinder.
 
+The r/8 lattice of the outer ball B_rho has about (16 rho/r)^3 points,
+so the oscillation walks it in the x-slabs of cylinder.ball_slabs and
+never holds a field on the whole lattice. The values on B_r and B_2r are
+gathered slab by slab in lattice order, so the oscillation and the J1
+and J2 integrands have the bits of one pass over the whole lattice; the
+sums over B_rho add one partial sum per slab, which moves them by
+round-off only when there is more than one slab.
+
 The scale exponent is delta = cylinder.DELTA = 1, shared with the dyadic
 ledger of critnorm.ckn. On Q_r with outer radius rho the oscillation
 int |q - (q)_r|^{3/2} carries r^{-(1+delta)/2} = r^{-1}, and the six
@@ -33,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _fft
-from .cylinder import DELTA, ball_points, sample_slice, stored_window
+from .cylinder import DELTA, ball_slabs, sample_slice, stored_window
 from .fieldio import write_csv
 from .fields import ScalarField, nonic_step
 from .norms import BallRegion, lp_ball
@@ -295,6 +303,29 @@ class OscillationReport:
     ma: float  # drift weight sup |s-t0|^(1/2) |a(s)|_inf(B_1); 0 unweighted
 
 
+def _ball_geometry(grid, center, r, rho):
+    """(geometry, cell): per x-slab of cylinder.ball_slabs, (rows, axes,
+    ball, in_r, in_2r, w_tail, w_ring). ball masks the slab's points in
+    B_rho and the rest are packed into them: the indices of B_r and B_2r,
+    1/|x|^4 on the annulus 2r < |x| < rho and the ring rho/2 < |x| < rho,
+    both zero elsewhere, so each tail and ring sum is a dot product."""
+    slabs, cell = ball_slabs(grid, center, r, outer=rho)
+    geometry = []
+    for rows, axes, rad in slabs:
+        ball = rad <= rho
+        rad = rad[ball]
+        annulus = (rad > 2.0 * r) & (rad < rho)
+        w_tail = np.zeros_like(rad)
+        w_tail[annulus] = rad[annulus] ** -4.0
+        # a mask: np.dot casts it to 0.0 and 1.0 per slab, so only the
+        # slab being summed ever holds it as float64
+        w_ring = (rad > rho / 2.0) & (rad < rho)
+        in_r = np.flatnonzero(rad <= r)
+        in_2r = np.flatnonzero(rad <= 2.0 * r)
+        geometry.append((rows, axes, ball, in_r, in_2r, w_tail, w_ring))
+    return geometry, cell
+
+
 def pressure_oscillation_terms(v, a, q, center, r, rho, t_top=None, weighted=False, t0=None):
     """Oscillation of q on Q_r(center, t_top) against its six bounds.
 
@@ -305,7 +336,8 @@ def pressure_oscillation_terms(v, a, q, center, r, rho, t_top=None, weighted=Fal
     constant; the weighted variant replaces the drift factors by the
     sup-weight ma and the singular-time kernels |s - t0|^(-1),
     |s - t0|^(-3/4), and requires t0 strictly outside the window so
-    every weight stays finite.
+    every weight stays finite. Each stored slice is sampled one x-slab
+    at a time, with one spectrum per field component and slice.
     """
     g = v.grid
     if q.grid != g or (a is not None and a.grid != g):
@@ -323,56 +355,62 @@ def pressure_oscillation_terms(v, a, q, center, r, rho, t_top=None, weighted=Fal
         if np.min(np.abs(ts - t0)) <= 1e-12:
             raise ValueError("t0 must lie outside the cylinder window")
 
-    axes, rad, cell = ball_points(g, center, r, outer=rho)
-    # every term lives in B_rho: pack each sampled field into it once
-    ball = rad <= rho
-    rad = rad[ball]
-    in_r = np.flatnonzero(rad <= r)
-    in_2r = np.flatnonzero(rad <= 2.0 * r)
-    annulus = (rad > 2.0 * r) & (rad < rho)
-    # 1/|x|^4 on the annulus and the ring's indicator, zero elsewhere in
-    # the ball, so each tail and ring sum is one dot product, as are the
-    # powers |v|^3 = |v|^2 |v|, |a|^5 = |a|^4 |a| and |q|^(3/2) = |q| |q|^(1/2)
-    w_tail = np.zeros_like(rad)
-    w_tail[annulus] = rad[annulus] ** -4.0
-    w_ring = ((rad > rho / 2.0) & (rad < rho)).astype(np.float64)
-
+    geometry, cell = _ball_geometry(g, center, r, rho)
     m = len(sel)
     osc = np.empty(m)
     v3_2r = np.empty(m)
     v2_2r = np.empty(m)
-    a5_2r = np.empty(m)
+    a5_2r = np.zeros(m)
     tail = np.empty(m)  # |v|^2 / |x|^4 on the annulus
-    cross_tail = np.empty(m)  # |v||a| / |x|^4 on the annulus
+    cross_tail = np.zeros(m)  # |v||a| / |x|^4 on the annulus
     v_tail = np.empty(m)  # |v| / |x|^4 on the annulus
     bulk = np.empty(m)  # |v|^3 + |q|^(3/2) on B_rho
     v3_rho = np.empty(m)
-    a5_rho = np.empty(m)
+    a5_rho = np.zeros(m)
     v2_ring = np.empty(m)
     ma = 0.0
     for row, i in enumerate(sel):
-        v2 = sample_slice(g, v.frames[i], axes)[ball]
-        qs = sample_slice(g, q.frames[i], axes)[ball]
-        vmag = np.sqrt(v2)
-        q_r = qs[in_r]
-        osc[row] = np.sum(np.abs(q_r - np.sum(q_r) / len(in_r)) ** 1.5) * cell
-        v3_2r[row] = np.dot(v2[in_2r], vmag[in_2r]) * cell
-        v2_2r[row] = np.sum(v2[in_2r]) * cell
-        v3_rho[row] = np.dot(v2, vmag) * cell
-        tail[row] = np.dot(v2, w_tail) * cell
-        v_tail[row] = np.dot(vmag, w_tail) * cell
-        v2_ring[row] = np.dot(v2, w_ring) * cell
-        qs = np.abs(qs, out=qs)
-        bulk[row] = v3_rho[row] + np.dot(qs, np.sqrt(qs)) * cell
+        cv, cq, ca = {}, {}, {}  # v, q and a: each field and spectrum made once per slice
+        # slab sums over B_rho, each a dot product: |v|^3 = |v|^2 |v|,
+        # |q|^(3/2) = |q| |q|^(1/2), |a|^5 = |a|^4 |a|, the tails and the ring
+        s_v3 = s_q = s_tail = s_vtail = s_ring = s_a5 = s_cross = 0.0
+        q_r, v2_near, a2_near = [], [], []  # q on B_r, |v|^2 and |a|^2 on B_2r
+        for rows, axes, ball, in_r, in_2r, w_tail, w_ring in geometry:
+            v2 = sample_slice(g, v.frames[i], axes, cv, rows)[ball]
+            qs = sample_slice(g, q.frames[i], axes, cq, rows)[ball]
+            vmag = np.sqrt(v2)
+            q_r.append(qs[in_r])
+            v2_near.append(v2[in_2r])
+            s_v3 += np.dot(v2, vmag)
+            s_tail += np.dot(v2, w_tail)
+            s_vtail += np.dot(vmag, w_tail)
+            s_ring += np.dot(v2, w_ring)
+            qs = np.abs(qs, out=qs)
+            s_q += np.dot(qs, np.sqrt(qs))
+            if a is not None:
+                a2 = sample_slice(g, a.frames[i], axes, ca, rows)[ball]
+                a2_near.append(a2[in_2r])
+                amag = np.sqrt(a2)
+                a4 = np.square(a2, out=a2)
+                s_a5 += np.dot(a4, amag)
+                s_cross += np.dot(vmag, np.multiply(amag, w_tail, out=amag))
+        # the B_r and B_2r values in lattice order: these sums keep the
+        # bits of one pass over the whole lattice
+        q_r = np.concatenate(q_r)
+        osc[row] = np.sum(np.abs(q_r - np.sum(q_r) / len(q_r)) ** 1.5) * cell
+        v2_near = np.concatenate(v2_near)
+        v3_2r[row] = np.dot(v2_near, np.sqrt(v2_near)) * cell
+        v2_2r[row] = np.sum(v2_near) * cell
+        v3_rho[row] = s_v3 * cell
+        tail[row] = s_tail * cell
+        v_tail[row] = s_vtail * cell
+        v2_ring[row] = s_ring * cell
+        bulk[row] = v3_rho[row] + s_q * cell
         if a is not None:
-            a2 = sample_slice(g, a.frames[i], axes)[ball]
-            amag = np.sqrt(a2)
-            a4 = np.square(a2, out=a2)
-            a5_2r[row] = np.dot(a4[in_2r], amag[in_2r]) * cell
-            a5_rho[row] = np.dot(a4, amag) * cell
-            cross_tail[row] = np.dot(vmag, np.multiply(amag, w_tail, out=amag)) * cell
-        else:
-            a5_2r[row] = a5_rho[row] = cross_tail[row] = 0.0
+            a2_near = np.concatenate(a2_near)
+            a5_2r[row] = np.dot(np.square(a2_near), np.sqrt(a2_near)) * cell
+            a5_rho[row] = s_a5 * cell
+            cross_tail[row] = s_cross * cell
     if weighted and a is not None:
         # sup weight over the whole stored orbit, unit ball at the center,
         # always on the native grid (the unit ball is well resolved there)

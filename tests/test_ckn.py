@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from critnorm import ckn, cylinder, pns, pressure
-from critnorm.fields import SpaceTimeField, taylor_green_3d
+from critnorm.fields import Grid, SpaceTimeField, taylor_green_3d
 from critnorm.norms import BallRegion
 
 T16 = np.arange(9) / 64.0  # k = 2 and k = 3 cylinders below t = 1/8 hold stored slices
@@ -99,6 +99,40 @@ class TestGradientLoad:
         want = self._grad_sq(grid16, *np.meshgrid(*axes, indexing="ij"))
         got = cylinder.sample_grad_sq(grid16, frame, axes)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+
+
+class TestBallSlabs:
+    def test_lattice_slabs_partition_the_cube_bit_for_bit(self, grid16):
+        # r = 1/16 under 1/2: a 131^3 lattice in x-slabs of 30 rows
+        axes, rad, cell = cylinder.ball_points(grid16, CENTER, 1.0 / 16.0, outer=0.5)
+        slabs, slab_cell = cylinder.ball_slabs(grid16, CENTER, 1.0 / 16.0, outer=0.5)
+        slabs = list(slabs)
+        assert slab_cell == cell and rad.shape == (131,) * 3
+        assert len(slabs) > 1 and all(s[2].size <= 2**19 for s in slabs)
+        assert np.array_equal(np.concatenate([s[2] for s in slabs]), rad)
+        assert np.array_equal(np.concatenate([s[1][0] for s in slabs]), axes[0])
+        for rows, slab_axes, _ in slabs:
+            assert np.array_equal(slab_axes[0], axes[0][rows])
+            assert all(np.array_equal(a, b) for a, b in zip(slab_axes[1:], axes[1:]))
+        X, Y, Z = grid16.coords()
+        frame = _velocity(grid16, X, Y, Z)
+        whole = cylinder.sample_slice(grid16, frame, axes)
+        coeffs = {}
+        parts = [cylinder.sample_slice(grid16, frame, a, coeffs, rows) for rows, a, _ in slabs]
+        assert np.allclose(np.concatenate(parts), whole, rtol=1e-13, atol=0.0)
+
+    def test_native_slabs_are_row_blocks_of_the_grid(self, grid16):
+        # 128^3 native cells resolve r = 1: four slabs of 32 x rows
+        grid = Grid(128, grid16.L)
+        slabs, cell = cylinder.ball_slabs(grid, CENTER, 1.0)
+        slabs = list(slabs)
+        assert cell == grid.cell_volume
+        assert [s[0] for s in slabs] == [slice(x, x + 32) for x in range(0, 128, 32)]
+        assert all(s[1] is None for s in slabs)
+        assert np.array_equal(np.concatenate([s[2] for s in slabs]), grid.radius(CENTER))
+        q = np.cos(grid.coords()[0]) + np.zeros(grid.shape)
+        rows = slabs[1][0]
+        assert np.array_equal(cylinder.sample_slice(grid, q, None, rows=rows), q[rows])
 
 
 class TestSparseStorage:

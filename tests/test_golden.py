@@ -147,6 +147,12 @@ def compute():
     )
     # lhs and terms only: the ratio and ma would set the key's scale
     out["pressure.osc_weighted"] = [wosc.lhs, *wosc.terms]
+    # r = 1/8 under rho = 1: a 131^3 lattice, summed over several x-slabs
+    slab = pressure.pressure_oscillation_terms(run.v, run.a, run.q, ORIGIN, 0.125, 1.0)
+    wslab = pressure.pressure_oscillation_terms(
+        run.v, run.a, run.q, ORIGIN, 0.125, 1.0, weighted=True, t0=0.0
+    )
+    out["pressure.osc_slabbed"] = [slab.lhs, *slab.terms, *wslab.terms]
 
     ledger = ckn.build_ledger(run, ORIGIN, HORIZON, ks=(2, 3), eta=0.6, t0=0.0)
     for row in ledger.rows:

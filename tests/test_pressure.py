@@ -1,9 +1,10 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from critnorm import pns, pressure
+from critnorm import corpus, cylinder, pns, pressure
 from critnorm.fields import (
     Grid,
     ScalarField,
@@ -350,3 +351,142 @@ class TestOscillation:
             lines = fh.read().strip().splitlines()
         assert lines[0] == "r,lhs,J1,J2,J3,J4,J5,J6,ratio"
         assert len(lines) == 3
+
+
+def whole_lattice_oscillation(v, a, q, center, r, rho, t0=None):
+    """(lhs, terms, ma) of the oscillation report from one pass over the
+    whole r/8 lattice of B_rho, every field held on all of it at once;
+    weighted when t0 is given. The powers are those of the pressure
+    module's docstring at delta = 1."""
+    g = v.grid
+    t_top = float(v.times[-1])
+    sel = cylinder.stored_window(v.times, t_top - r * r, t_top, clip_start=True)
+    ts = v.times[sel]
+    axes, rad, cell = cylinder.ball_points(g, center, r, outer=rho)
+    ball = rad <= rho
+    rad = rad[ball]
+    near_r, near_2r = rad <= r, rad <= 2.0 * r
+    w_tail = np.where((rad > 2.0 * r) & (rad < rho), rad, np.inf) ** -4.0
+    ring = (rad > rho / 2.0) & (rad < rho)
+    rows = []
+    for i in sel:
+        v2 = cylinder.sample_slice(g, v.frames[i], axes)[ball]
+        qs = cylinder.sample_slice(g, q.frames[i], axes)[ball]
+        a2 = cylinder.sample_slice(g, a.frames[i], axes)[ball]
+        vm, am = np.sqrt(v2), np.sqrt(a2)
+        q_r = qs[near_r]
+        rows.append([
+            np.sum(np.abs(q_r - np.mean(q_r)) ** 1.5),
+            np.sum((v2 * vm)[near_2r]),
+            np.sum(v2[near_2r]),
+            np.sum((a2**2 * am)[near_2r]),
+            np.sum(v2 * w_tail),
+            np.sum(vm * am * w_tail),
+            np.sum(vm * w_tail),
+            np.sum(v2 * vm + np.abs(qs) ** 1.5),
+            np.sum(v2 * vm),
+            np.sum(a2**2 * am),
+            np.sum(v2[ring]),
+        ])
+    osc, v3_2r, v2_2r, a5_2r, tail, cross, v_tail, bulk, v3_rho, a5_rho, v2_ring = (
+        cell * np.array(rows).T
+    )
+
+    def integral(x):
+        return np.trapezoid(x, ts)
+
+    lhs = integral(osc) / r
+    j1 = integral(v3_2r) / r
+    j3 = r**5.5 * np.max(tail) ** 1.5
+    j5 = r**3.5 * rho**-4.5 * integral(bulk)
+    if t0 is None:
+        j2 = np.sqrt(integral(v3_2r)) * integral(a5_2r) ** 0.3
+        j4 = r**3.5 * integral(cross**1.5)
+        j6 = r**3.9 * rho**-3.9 * np.sqrt(integral(v3_rho)) * integral(a5_rho) ** 0.3
+        return lhs, (j1, j2, j3, j4, j5, j6), 0.0
+    in_1 = g.radius(center) <= 1.0
+    ma = max(
+        np.sqrt(abs(t - t0)) * np.max(np.sqrt(np.sum(frame**2, axis=0))[in_1])
+        for t, frame in zip(v.times, a.frames)
+    )
+    dist = np.abs(ts - t0)
+    j2 = r**0.25 * ma**1.5 * integral(v2_2r / dist) ** 0.75
+    j4 = r**3.5 * ma**1.5 * integral(v_tail**1.5 / dist**0.75)
+    j6 = r**3.5 * rho**-3.75 * ma**1.5 * integral(v2_ring**0.75 / dist**0.75)
+    return lhs, (j1, j2, j3, j4, j5, j6), ma
+
+
+@pytest.fixture(scope="module")
+def driven_run16():
+    # stored every 1/512 over [0, 1/256]: the three slices of one r = 1/16 cylinder
+    grid = Grid(16, DEFAULT_L)
+    v0 = taylor_green_3d(grid, amplitude=0.5)
+    a0 = corpus.curl_bump(grid, amplitude=0.3)
+    cfg = pns.PNSConfig(dt=1.0 / 512.0, T=1.0 / 256.0, stride=1)
+    return pns.run_pns(v0, cfg, a_provider=heat_drift(a0))
+
+
+def count_evaluations(monkeypatch):
+    """Wrap the evaluator the cylinder quadrature calls; returns the list
+    of (coefficient array, points) it fills, one entry per call."""
+    calls = []
+    original = cylinder.evaluate_at_points
+
+    def counted(f, axes, coeffs=None):
+        out = original(f, axes, coeffs)
+        calls.append((coeffs, out.size))  # holding coeffs keeps its id unique
+        return out
+
+    monkeypatch.setattr(cylinder, "evaluate_at_points", counted)
+    return calls
+
+
+class TestSlabbedOscillation:
+    """r = 1/16 under rho = 1/2 on 16^3: a 131^3 lattice, several x-slabs."""
+
+    R, RHO, T0 = 1.0 / 16.0, 0.5, 0.02
+
+    @pytest.mark.parametrize("t0", [None, T0])
+    def test_matches_whole_lattice_reference(self, driven_run16, t0):
+        r = driven_run16
+        kw = {} if t0 is None else {"weighted": True, "t0": t0}
+        rep = pressure.pressure_oscillation_terms(r.v, r.a, r.q, (0, 0, 0), self.R, self.RHO, **kw)
+        lhs, terms, ma = whole_lattice_oscillation(r.v, r.a, r.q, (0, 0, 0), self.R, self.RHO, t0)
+        assert all(t > 0.0 for t in terms)
+        assert rep.lhs == pytest.approx(lhs, rel=1e-13)
+        assert rep.terms == pytest.approx(terms, rel=1e-13)
+        assert rep.ma == pytest.approx(ma, rel=1e-13)
+
+    def test_each_lattice_point_is_evaluated_once_per_component(self, driven_run16, monkeypatch):
+        r = driven_run16
+        calls = count_evaluations(monkeypatch)
+        pressure.pressure_oscillation_terms(r.v, r.a, r.q, (0, 0, 0), self.R, self.RHO)
+        points = {}
+        for coeffs, size in calls:
+            assert size <= 2**19  # one slab: 4 MB of float64
+            points[id(coeffs)] = points.get(id(coeffs), 0) + size
+        # v, q and a: seven components per stored slice, each over the whole lattice
+        assert len(points) == 7 * len(r.v.times)
+        assert set(points.values()) == {131**3}
+        assert len(calls) > len(points)
+
+    def test_small_lattice_is_one_slab(self, driven_run16, monkeypatch):
+        # r = 1/4 under rho = 1: 67^3 points, one evaluation per component
+        r = driven_run16
+        calls = count_evaluations(monkeypatch)
+        pressure.pressure_oscillation_terms(r.v, r.a, r.q, (0, 0, 0), 0.25, 1.0)
+        assert [size for _, size in calls] == [67**3] * (7 * len(r.v.times))
+
+    def test_peak_memory_is_at_most_half_the_whole_lattice_pass(self, driven_run16):
+        r = driven_run16
+        args = (r.v, r.a, r.q, (0, 0, 0), self.R, self.RHO)
+        peaks = []
+        for oscillation in (pressure.pressure_oscillation_terms, whole_lattice_oscillation):
+            oscillation(*args)  # caches filled before the measurement
+            tracemalloc.start()
+            try:
+                oscillation(*args)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 0.5 * peaks[1], peaks
