@@ -19,8 +19,12 @@ are quiet up to t0. morrey_sup weighs int_{Q_r} |v|^3 by r^{delta-5} = r^{-4}.
 
 Cylinder integrals follow the quadrature of critnorm.cylinder (stored
 slices in time, native cells or the r/8 lattice in space). Suprema in
-time scan stored slices only, so every reported sup is a stride-limited
-lower bound; refining the storage stride can only raise it.
+time scan stored slices only. A sup of slice values alone, such as
+sup_s int_B |v|^2, is therefore a lower bound that refining the storage
+stride can only raise. A value that also carries a time integral (A_k,
+the dissipation of B_k, the weighted rows, morrey_sup) does not share
+that bound: its trapezoid is second order in the stride and can fall
+under refinement, as A_k, B_k and morrey_sup do on a 16^3 driven run.
 """
 
 import math
@@ -144,13 +148,15 @@ def write_ledger_csv(path, ledger):
 # cylinder quadrature
 
 
-def _slice_loads(run, center, t_top, r, ledger=False):
+def _slice_loads(run, center, t_top, r, spectra, ledger=False):
     """Per-slice ball integrals over Q_r(center, t_top).
 
     Returns the selected times and a dict of per-slice values: |v|^3
     always; for a ledger row also the oscillation |q - (q)_r|^{3/2} with
     the slice ball mean, |v|^2 and |grad v|^2. Each entry already
-    carries the cell volume.
+    carries the cell volume. spectra maps (slice, field) to the
+    coefficient dict of sample_slice, so calls sharing it transform
+    each frame component once.
     """
     g = run.grid
     sel = stored_window(run.v.times, t_top - r * r, t_top)
@@ -160,11 +166,11 @@ def _slice_loads(run, center, t_top, r, ledger=False):
     names = ("v3", "qosc", "v2", "grad2") if ledger else ("v3",)
     out = {name: np.empty(len(sel)) for name in names}
     for row, i in enumerate(sel):
-        coeffs = {}  # the velocity's coefficients, for |v|^2 and |grad v|^2
+        coeffs = spectra.setdefault((i, "v"), {})  # for |v|^2 and |grad v|^2
         s2 = sample_slice(g, run.v.frames[i], axes, coeffs)
         out["v3"][row] = np.sum(s2[inside] ** 1.5) * cell
         if ledger:
-            qs = sample_slice(g, run.q.frames[i], axes)
+            qs = sample_slice(g, run.q.frames[i], axes, spectra.setdefault((i, "q"), {}))
             qa = float(np.sum(qs[inside]) / n_in)
             out["qosc"][row] = np.sum(np.abs(qs[inside] - qa) ** 1.5) * cell
             out["v2"][row] = np.sum(s2[inside]) * cell
@@ -175,7 +181,7 @@ def _slice_loads(run, center, t_top, r, ledger=False):
 
 def local_cubed_mass(run, center, t_top, r):
     """Integral of |v|^3 over Q_r(center, t_top) from the stored slices."""
-    ts, loads = _slice_loads(run, center, t_top, float(r))
+    ts, loads = _slice_loads(run, center, t_top, float(r), {})
     return float(np.trapezoid(loads["v3"], ts))
 
 
@@ -222,16 +228,16 @@ def _check_weights(t_top, eta, t0):
         raise ValueError("t0 must not exceed the top time")
 
 
-def _row(run, center, t_top, k, eta, t0):
+def _row(run, center, t_top, k, eta, t0, spectra):
     """Ledger row k on Q_{2^-k}(center, t_top) from one pass over its
     slices: A_k, B_k and their budgets, and the weighted values of
     ledger_weighted when eta is given (else None). The weights are
-    checked before any slice is sampled.
+    checked before any slice is sampled. spectra is _slice_loads'.
     """
     if eta is not None:
         _check_weights(t_top, eta, t0)
     r = float(2.0 ** -k)
-    ts, loads = _slice_loads(run, center, t_top, r, ledger=True)
+    ts, loads = _slice_loads(run, center, t_top, r, spectra, ledger=True)
     q_power = r ** (-(1.0 + DELTA) / 2.0)
     a_val = float(np.trapezoid(loads["v3"], ts)) / r**2
     a_val = a_val + float(np.trapezoid(loads["qosc"], ts)) * q_power
@@ -264,15 +270,17 @@ def ledger_A(run, center, t_top, k):
     the ball mean slice by slice; the cubic part alone is
     local_cubed_mass / r^2. Returns (value, target).
     """
-    row = _row(run, center, t_top, k, None, None)
+    row = _row(run, center, t_top, k, None, None, {})
     return row.a_value, row.a_target
 
 
 def ledger_B(run, center, t_top, k):
     """B_k: sup-in-time ball energy plus cylinder dissipation, against the
     budget C_B eps*^{2/3} r^{3-2 delta/3} = r^{7/3}. The sup scans stored
-    slices only, so the value is a stride-limited lower bound."""
-    row = _row(run, center, t_top, k, None, None)
+    slices only, so that part is a lower bound; the dissipation is a
+    time trapezoid, second order in the stride, so B_k as a whole may
+    move either way when the stride is refined."""
+    row = _row(run, center, t_top, k, None, None, {})
     return row.b_value, row.b_target
 
 
@@ -287,7 +295,7 @@ def ledger_weighted(run, center, t_top, k, eta=0.6, t0=0.0):
     Slices at or below t0 carry zero weight: any mass there sends the
     quotient to infinity, which is the point of the weighting.
     """
-    return _row(run, center, t_top, k, eta, t0).weighted
+    return _row(run, center, t_top, k, eta, t0, {}).weighted
 
 
 def build_ledger(run, center, t_top, ks=(2, 3, 4, 5), eta=None, t0=None):
@@ -309,7 +317,10 @@ def build_ledger(run, center, t_top, ks=(2, 3, 4, 5), eta=None, t0=None):
     if eta is not None and t0 is None:
         raise ValueError("the weighted ledger (eta given) needs t0, the time the "
                          "weights (s - t0)_+ start from")
-    return DyadicLedger(tuple(_row(run, center, t_top, k, eta, t0) for k in ks), eta, t0)
+    spectra = {}  # one coefficient dict per stored slice and field, shared by the rows
+    return DyadicLedger(
+        tuple(_row(run, center, t_top, k, eta, t0, spectra) for k in ks), eta, t0
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +338,10 @@ def morrey_sup(run, region, ks=(2, 3, 4, 5)):
     Centers are the native grid points in the region thinned to every
     second one along each axis, plus the region center unless it is one of
     them; for each radius at most six admissible top times are scanned, and
-    each stored slice is sampled once per center and radius. Stored slices
-    only, so the value is a lattice lower bound for the parabolic seminorm.
+    each stored slice is sampled once per center and radius. The sup runs
+    over a lattice of cylinders only, but each cylinder integral is a time
+    trapezoid over stored slices, second order in the stride, so refining
+    the stride can lower the value as well as raise it.
     """
     g = run.grid
     idx = np.argwhere(g.radius(region.center) <= region.radius)

@@ -146,14 +146,19 @@ def _component(grid, values, coeffs, key):
     return coeffs[key]
 
 
-def _on_points(grid, values, axes, coeffs, key, rows):
-    if axes is None:
+def _on_points(grid, values, axes, coeffs, key, rows, out=None):
+    """One component on the points, written into out when given; without
+    out, on native cells, a view of values."""
+    if axes is not None:
+        field, c = _component(grid, values, coeffs, key)
+        return evaluate_at_points(field, axes, c, out=out)
+    if out is None:
         return values[rows]
-    field, c = _component(grid, values, coeffs, key)
-    return evaluate_at_points(field, axes, c)
+    out[...] = values[rows]
+    return out
 
 
-def sample_slice(grid, frame, axes, coeffs=None, rows=slice(None)):
+def sample_slice(grid, frame, axes, coeffs=None, rows=slice(None), out=None):
     """A stored slice on the points of ball_points or of one ball_slabs
     slab: a scalar frame's values, or a vector frame's squared magnitude
     |v|^2.
@@ -162,15 +167,24 @@ def sample_slice(grid, frame, axes, coeffs=None, rows=slice(None)):
     place; lattice components are never held together. coeffs, a dict
     the caller keeps per slice and frame, reuses each component's field
     and spectral coefficients across lattices and slabs. rows is a
-    slab's x rows; on the lattice its axes already hold them.
+    slab's x rows; on the lattice its axes already hold them. out, a
+    pair of float64 arrays shaped like the points (a (2, ...) array
+    will do), makes the call allocate nothing for its values: they are
+    written into out[0], which is returned, and out[1] is the scratch a
+    vector frame's second and third components pass through.
     """
+    res, scratch = (None, None) if out is None else out
     if frame.ndim == 3:
-        return _on_points(grid, frame, axes, coeffs, 0, rows)
-    s2 = np.square(_on_points(grid, frame[0], axes, coeffs, 0, rows))
-    for c in (1, 2):
-        comp = _on_points(grid, frame[c], axes, coeffs, c, rows)
-        # squared in place on the lattice; on native cells comp is the frame
-        s2 += np.square(comp, out=None if axes is None else comp)
+        return _on_points(grid, frame, axes, coeffs, 0, rows, res)
+
+    def squared(c, buf):
+        comp = _on_points(grid, frame[c], axes, coeffs, c, rows, buf)
+        # in place unless comp is a view of the native frame
+        return np.square(comp, out=None if axes is None and buf is None else comp)
+
+    s2 = squared(0, res)
+    s2 += squared(1, scratch)
+    s2 += squared(2, scratch)
     return s2
 
 

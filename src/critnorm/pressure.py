@@ -305,15 +305,17 @@ class OscillationReport:
 
 def _ball_geometry(grid, center, r, rho):
     """(geometry, cell): per x-slab of cylinder.ball_slabs, (rows, axes,
-    ball, in_r, in_2r, w_tail, w_ring). ball masks the slab's points in
-    B_rho and the rest are packed into them: the indices of B_r and B_2r,
-    1/|x|^4 on the annulus 2r < |x| < rho and the ring rho/2 < |x| < rho,
-    both zero elsewhere, so each tail and ring sum is a dot product."""
+    shape, ball, in_r, in_2r, w_tail, w_ring). shape is the slab's point
+    shape and ball the flat mask of its points in B_rho; the rest are
+    packed into B_rho: the indices of B_r and B_2r, 1/|x|^4 on the
+    annulus 2r < |x| < rho and the ring rho/2 < |x| < rho, both zero
+    elsewhere, so each tail and ring sum is a dot product."""
     slabs, cell = ball_slabs(grid, center, r, outer=rho)
     geometry = []
     for rows, axes, rad in slabs:
-        ball = rad <= rho
-        rad = rad[ball]
+        ball = (rad <= rho).ravel()
+        shape = rad.shape
+        rad = np.compress(ball, rad)
         annulus = (rad > 2.0 * r) & (rad < rho)
         w_tail = np.zeros_like(rad)
         w_tail[annulus] = rad[annulus] ** -4.0
@@ -322,7 +324,7 @@ def _ball_geometry(grid, center, r, rho):
         w_ring = (rad > rho / 2.0) & (rad < rho)
         in_r = np.flatnonzero(rad <= r)
         in_2r = np.flatnonzero(rad <= 2.0 * r)
-        geometry.append((rows, axes, ball, in_r, in_2r, w_tail, w_ring))
+        geometry.append((rows, axes, shape, ball, in_r, in_2r, w_tail, w_ring))
     return geometry, cell
 
 
@@ -337,7 +339,8 @@ def pressure_oscillation_terms(v, a, q, center, r, rho, t_top=None, weighted=Fal
     sup-weight ma and the singular-time kernels |s - t0|^(-1),
     |s - t0|^(-3/4), and requires t0 strictly outside the window so
     every weight stays finite. Each stored slice is sampled one x-slab
-    at a time, with one spectrum per field component and slice.
+    at a time, with one spectrum per field component and slice, into
+    slab and ball buffers made once per call.
     """
     g = v.grid
     if q.grid != g or (a is not None and a.grid != g):
@@ -369,30 +372,36 @@ def pressure_oscillation_terms(v, a, q, center, r, rho, t_top=None, weighted=Fal
     a5_rho = np.zeros(m)
     v2_ring = np.empty(m)
     ma = 0.0
+    # every slab is sampled into one pair of slab buffers and packed into
+    # B_rho before the next field is sampled; the packed values live in
+    # four ball buffers: |v|^2, |v|, then q or |a|^2, and a root of it
+    slab = np.empty((2, max(ball.size for _, _, _, ball, *_ in geometry)))
+    packed = np.empty((4, max(len(w_tail) for *_, w_tail, _ in geometry)))
     for row, i in enumerate(sel):
         cv, cq, ca = {}, {}, {}  # v, q and a: each field and spectrum made once per slice
         # slab sums over B_rho, each a dot product: |v|^3 = |v|^2 |v|,
         # |q|^(3/2) = |q| |q|^(1/2), |a|^5 = |a|^4 |a|, the tails and the ring
         s_v3 = s_q = s_tail = s_vtail = s_ring = s_a5 = s_cross = 0.0
         q_r, v2_near, a2_near = [], [], []  # q on B_r, |v|^2 and |a|^2 on B_2r
-        for rows, axes, ball, in_r, in_2r, w_tail, w_ring in geometry:
-            v2 = sample_slice(g, v.frames[i], axes, cv, rows)[ball]
-            qs = sample_slice(g, q.frames[i], axes, cq, rows)[ball]
-            vmag = np.sqrt(v2)
-            q_r.append(qs[in_r])
+        for rows, axes, shape, ball, in_r, in_2r, w_tail, w_ring in geometry:
+            pts = slab[:, : ball.size].reshape((2,) + shape)
+            v2, vmag, f, root = packed[:, : len(w_tail)]
+            np.compress(ball, sample_slice(g, v.frames[i], axes, cv, rows, pts), out=v2)
+            np.sqrt(v2, out=vmag)
             v2_near.append(v2[in_2r])
             s_v3 += np.dot(v2, vmag)
             s_tail += np.dot(v2, w_tail)
             s_vtail += np.dot(vmag, w_tail)
             s_ring += np.dot(v2, w_ring)
-            qs = np.abs(qs, out=qs)
-            s_q += np.dot(qs, np.sqrt(qs))
+            np.compress(ball, sample_slice(g, q.frames[i], axes, cq, rows, pts), out=f)
+            q_r.append(f[in_r])
+            np.abs(f, out=f)
+            s_q += np.dot(f, np.sqrt(f, out=root))
             if a is not None:
-                a2 = sample_slice(g, a.frames[i], axes, ca, rows)[ball]
-                a2_near.append(a2[in_2r])
-                amag = np.sqrt(a2)
-                a4 = np.square(a2, out=a2)
-                s_a5 += np.dot(a4, amag)
+                np.compress(ball, sample_slice(g, a.frames[i], axes, ca, rows, pts), out=f)
+                a2_near.append(f[in_2r])
+                amag = np.sqrt(f, out=root)
+                s_a5 += np.dot(np.square(f, out=f), amag)
                 s_cross += np.dot(vmag, np.multiply(amag, w_tail, out=amag))
         # the B_r and B_2r values in lattice order: these sums keep the
         # bits of one pass over the whole lattice

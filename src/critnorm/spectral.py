@@ -332,14 +332,45 @@ def spectral_coefficients(values):
     return _fft.rfftn(values) / values.size
 
 
-def evaluate_at_points(f, axes_coords, coeffs=None):
+@functools.lru_cache(maxsize=4)
+def _yz_tables(n, k0, x0, y_bytes, z_bytes):
+    """The y and z phase tables of evaluate_at_points, read-only: Ey0,
+    e^{i k y'} on the n FFT modes; Ey, the same with the Nyquist column
+    folded to cos(N k0 y') and sin(N k0 y') appended; and the z basis.
+    They depend on the grid and the y and z coordinates only, so all the
+    x-slabs of one lattice share them. At most four sets are kept."""
+    half = n // 2
+    rel_y = np.frombuffer(y_bytes) - x0
+    rel_z = np.frombuffer(z_bytes) - x0
+    k = k0 * np.fft.fftfreq(n, d=1.0 / n)  # Grid.modes
+    Ey0 = np.exp(1j * np.outer(rel_y, k))
+    Ey = np.empty((len(rel_y), n + 1), dtype=np.complex128)
+    Ey[:, :n] = Ey0
+    Ey[:, half] = np.cos(half * k0 * rel_y)
+    Ey[:, n] = np.sin(half * k0 * rel_y)
+    phase = np.outer(k0 * np.arange(half + 1), rel_z)
+    basis = np.empty((n + 1, len(rel_z)))
+    basis[0::2] = np.cos(phase)
+    basis[1::2] = -np.sin(phase[:half])
+    basis[1] = np.sin(phase[half])
+    basis[2:n] *= 2.0
+    for arr in (Ey0, Ey, basis):
+        arr.flags.writeable = False
+    return Ey0, Ey, basis
+
+
+def evaluate_at_points(f, axes_coords, coeffs=None, out=None):
     """Evaluate a (band-limited) real scalar field on a tensor lattice of points.
 
     axes_coords is a triple of 1-D coordinate arrays (absolute positions,
     any values; periodicity is automatic). Returns an array of shape
     (len(x), len(y), len(z)) with the trigonometric interpolant of f,
     which is exact for band-limited data. Pass coeffs from
-    spectral_coefficients(f.values) to amortize the transform over sweeps.
+    spectral_coefficients(f.values) to amortize the transform over sweeps,
+    and out, a C-contiguous float64 array of that shape, to have the
+    values written into it (and out returned). The y and z phase tables
+    are kept across calls (_yz_tables), so a lattice evaluated x-slab by
+    x-slab builds them once.
 
     The interpolant is Re sum over the full DFT spectrum C of f,
 
@@ -376,27 +407,26 @@ def evaluate_at_points(f, axes_coords, coeffs=None):
     if coeffs is None:
         coeffs = spectral_coefficients(f.values)
     n, half = g.n, g.n // 2
+    x, y, z = (np.asarray(c, dtype=np.float64) for c in axes_coords)
+    shape = (len(x), len(y), len(z))
+    if out is not None and (out.shape != shape or out.dtype != np.float64
+                            or not out.flags.c_contiguous):
+        raise ValueError("out must be a C-contiguous float64 array of shape %r, got %s %r"
+                         % (shape, out.dtype, out.shape))
+    Ey0, Ey, basis = _yz_tables(n, g.k0, g.x[0], y.tobytes(), z.tobytes())
     # FFT index 0 sits at x = -L/2, so phases use box-relative offsets
-    rel = [np.asarray(c, dtype=np.float64) - g.x[0] for c in axes_coords]
-    k = g.k0 * g.modes
-    Ex = np.exp(1j * np.outer(rel[0], k))
-    Ey = np.empty((len(rel[1]), n + 1), dtype=np.complex128)
-    Ey[:, :n] = np.exp(1j * np.outer(rel[1], k))
-    qn = ((Ex @ coeffs[:, :, half]) @ Ey[:, :n].T).imag  # Im D_N, before the folding
-    Ex[:, half] = np.cos(half * g.k0 * rel[0])
-    Ey[:, half] = np.cos(half * g.k0 * rel[1])
-    Ey[:, n] = np.sin(half * g.k0 * rel[1])
-    A = np.empty((len(rel[0]), n + 1, half + 1), dtype=np.complex128)  # A[x, b, c]
+    rel = x - g.x[0]
+    Ex = np.exp(1j * np.outer(rel, g.k0 * g.modes))
+    qn = ((Ex @ coeffs[:, :, half]) @ Ey0.T).imag  # Im D_N, before the folding
+    Ex[:, half] = np.cos(half * g.k0 * rel)
+    A = np.empty((len(x), n + 1, half + 1), dtype=np.complex128)  # A[x, b, c]
     A[:, :n] = np.tensordot(Ex, coeffs, axes=(1, 0))
-    np.multiply.outer(-np.sin(half * g.k0 * rel[0]), coeffs[half, half], out=A[:, n])
+    np.multiply.outer(-np.sin(half * g.k0 * rel), coeffs[half, half], out=A[:, n])
     S = np.matmul(Ey, A)  # S[x, y, c]
     S[..., 0].imag = qn
     # Re S_0, Q_N, Re S_1, Im S_1, ..., Re S_N; the slot of Im S_N is dropped
     left = S.view(np.float64).reshape(-1, n + 2)[:, : n + 1]
-    phase = np.outer(g.k0 * np.arange(half + 1), rel[2])
-    basis = np.empty((n + 1, len(rel[2])))
-    basis[0::2] = np.cos(phase)
-    basis[1::2] = -np.sin(phase[:half])
-    basis[1] = np.sin(phase[half])
-    basis[2:n] *= 2.0
-    return (left @ basis).reshape(S.shape[:2] + (len(rel[2]),))
+    if out is None:
+        return (left @ basis).reshape(shape)
+    np.matmul(left, basis, out=out.reshape(-1, len(z)))
+    return out

@@ -45,9 +45,9 @@ def evaluations(monkeypatch):
     calls = []
     real = cylinder.evaluate_at_points
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(args)
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(cylinder, "evaluate_at_points", counting)
     return calls
@@ -212,6 +212,24 @@ class TestBuildLedger:
             assert (row.b_value, row.b_target) == ckn.ledger_B(run, CENTER, TOP, row.k)
             assert row.weighted == ckn.ledger_weighted(run, CENTER, TOP, row.k, eta=0.6, t0=0.0)
             assert row.a_value > 0.0 and row.b_value > 0.0
+
+
+    def test_rows_share_each_frame_components_spectrum(self, grid16, monkeypatch):
+        # stored every 1/256 up to t = 1/16: 17 slices, every one of them in
+        # the k = 2 window, and the k = 3 and k = 4 windows inside it
+        cfg = pns.PNSConfig(dt=1.0 / 256.0, T=1.0 / 16.0, stride=1)
+        run = pns.run_pns(taylor_green_3d(grid16, 0.3), cfg)
+        calls = []
+        real = cylinder.spectral_coefficients
+
+        def counting(values):
+            calls.append(values)
+            return real(values)
+
+        monkeypatch.setattr(cylinder, "spectral_coefficients", counting)
+        ckn.build_ledger(run, (0.0, 0.0, 0.0), 1.0 / 16.0, ks=(2, 3, 4), eta=0.6, t0=0.0)
+        assert len(run.v.times) == 17
+        assert len(calls) == 68  # three velocity components and q per stored slice
 
 
 class TestMorreySup:

@@ -426,16 +426,20 @@ def driven_run16():
     return pns.run_pns(v0, cfg, a_provider=heat_drift(a0))
 
 
-def count_evaluations(monkeypatch):
+def count_evaluations(monkeypatch, outs=None):
     """Wrap the evaluator the cylinder quadrature calls; returns the list
-    of (coefficient array, points) it fills, one entry per call."""
+    of (coefficient array, points) it fills, one entry per call. Each
+    call's out buffer (None when it allocates) is appended to outs when
+    given."""
     calls = []
     original = cylinder.evaluate_at_points
 
-    def counted(f, axes, coeffs=None):
-        out = original(f, axes, coeffs)
-        calls.append((coeffs, out.size))  # holding coeffs keeps its id unique
-        return out
+    def counted(f, axes, coeffs=None, out=None):
+        if outs is not None:
+            outs.append(out)
+        values = original(f, axes, coeffs, out=out)
+        calls.append((coeffs, values.size))  # holding coeffs keeps its id unique
+        return values
 
     monkeypatch.setattr(cylinder, "evaluate_at_points", counted)
     return calls
@@ -469,6 +473,18 @@ class TestSlabbedOscillation:
         assert len(points) == 7 * len(r.v.times)
         assert set(points.values()) == {131**3}
         assert len(calls) > len(points)
+
+    def test_slab_calls_share_one_output_buffer(self, driven_run16, monkeypatch):
+        r = driven_run16
+        outs = []
+        calls = count_evaluations(monkeypatch, outs)
+        pressure.pressure_oscillation_terms(r.v, r.a, r.q, (0, 0, 0), self.R, self.RHO)
+        assert len(outs) == len(calls) == 5 * 7 * len(r.v.times)  # 5 slabs, 7 components
+        assert all(out is not None for out in outs)
+        # every call writes into a view of the one buffer the oscillation
+        # makes, and the views start at its two rows only
+        assert len({id(out.base) for out in outs}) == 1
+        assert len({out.__array_interface__["data"][0] for out in outs}) == 2
 
     def test_small_lattice_is_one_slab(self, driven_run16, monkeypatch):
         # r = 1/4 under rho = 1: 67^3 points, one evaluation per component

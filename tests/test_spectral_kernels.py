@@ -3,6 +3,7 @@ random real fields on a 16^3 grid, and off-grid evaluation of real fields
 against the brute-force trigonometric sum over the full spectrum."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +28,7 @@ from critnorm.spectral import (
     tensor_div_hat,
     tensor_divergence,
 )
-from critnorm.spectral import _SYM_INDEX
+from critnorm.spectral import _SYM_INDEX, _yz_tables
 
 GRID = Grid(16, 2.0 * np.pi * np.sqrt(2.0))
 KMAX = float(np.sqrt(np.max(GRID.k2)))
@@ -152,6 +153,47 @@ def test_evaluate_at_points_is_the_trigonometric_sum(seed, n, lengths):
     want = np.sum(coeffs * np.exp(1j * phase), axis=(-3, -2, -1)).real
     assert got.shape == lengths
     assert _small(got - want, np.sqrt(np.sum(np.abs(coeffs) ** 2)))
+
+
+@bounded
+@given(seeds, st.tuples(*[st.integers(min_value=1, max_value=24)] * 3))
+def test_evaluate_at_points_into_out_is_the_allocating_call(seed, lengths):
+    # out is a view inside a larger buffer, off its start, as a slab's is
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(GRID.shape)
+    f, coeffs = ScalarField(GRID, values), spectral_coefficients(values)
+    axes = tuple(rng.uniform(-GRID.L, GRID.L, size=m) for m in lengths)
+    want = evaluate_at_points(f, axes, coeffs)
+    size = int(np.prod(lengths))
+    buf = np.full(2 * size + 3, np.nan)
+    out = buf[3 : 3 + size].reshape(lengths)
+    got = evaluate_at_points(f, axes, coeffs, out=out)
+    assert got is out and np.shares_memory(got, buf)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_evaluate_at_points_rejects_an_out_it_cannot_fill():
+    f = ScalarField(GRID, _data(0, ()))
+    axes = (np.zeros(2), np.zeros(3), np.zeros(4))
+    for out in (np.empty((2, 3, 5)), np.empty((2, 3, 4), dtype=np.float32),
+                np.empty((2, 3, 8))[..., ::2]):
+        with pytest.raises(ValueError, match="out must be"):
+            evaluate_at_points(f, axes, out=out)
+
+
+def test_phase_tables_are_built_once_per_lattice_read_only_and_bounded():
+    f = ScalarField(GRID, _data(0, ()))
+    yz = np.linspace(-1.0, 1.0, 9)
+    _yz_tables.cache_clear()
+    for x0 in range(5):  # five x-slabs of one lattice
+        evaluate_at_points(f, (np.array([0.1, 0.2]) + x0, yz, yz))
+    info = _yz_tables.cache_info()
+    assert (info.misses, info.hits) == (1, 4)
+    tables = _yz_tables(GRID.n, GRID.k0, GRID.x[0], yz.tobytes(), yz.tobytes())
+    assert not any(t.flags.writeable for t in tables)
+    for m in range(2, 8):
+        evaluate_at_points(f, (yz, yz[:m], yz))
+    assert _yz_tables.cache_info().currsize == 4
 
 
 def _full_tensor(Sh):
