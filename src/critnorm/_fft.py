@@ -13,7 +13,3 @@ def rfftn(a, axes=None):
 
 def irfftn(a, s, axes=None):
     return scipy.fft.irfftn(a, s=s, axes=axes)
-
-
-def fftn(a, axes=None):
-    return scipy.fft.fftn(a, axes=axes)

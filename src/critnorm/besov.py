@@ -90,14 +90,14 @@ def lp_project(f, j, bank=None):
     return apply_multiplier(f, bank.weight(j))
 
 
-def besov_norm_lp(f, s, p, q=math.inf, bank=None, name=None):
+def besov_norm_lp(f, s, p, q=math.inf, name=None):
     """Littlewood-Paley Besov norm (sum over bands of (2^{js} ||block||_p)^q)^{1/q}."""
     p = float(p)
     s = float(s)
     limit = 0.0 if p == math.inf else 3.0 / p
     if not s < limit:
         raise ValueError("regularity must satisfy s < 3/p")
-    bank = bank or _bank_for(f.grid)
+    bank = _bank_for(f.grid)
     terms = [2.0 ** (j * s) * box_lp(f.grid, lp_project(f, j, bank).data, p) for j in bank.bands]
     if q == math.inf:
         value = max(terms)
@@ -111,7 +111,7 @@ def besov_norm_lp(f, s, p, q=math.inf, bank=None, name=None):
     )
 
 
-def besov_norm_heat(f, s, p, name=None):
+def besov_norm_heat(f, s, p):
     """Heat-flow Besov norm sup_t t^{-s/2} ||e^{t Lap} f||_p, t on a log lattice.
 
     The sup is a lattice lower bound over 40 points spanning [dx^2, L^2/16];
@@ -129,7 +129,7 @@ def besov_norm_heat(f, s, p, name=None):
         damped = _fft.irfftn(hat * np.exp(-g.k2 * t), s=g.shape, axes=(-3, -2, -1))
         best = max(best, t ** (-s / 2.0) * box_lp(g, damped, p))
     return NormReport(
-        name=name or "B_heat(%g,%g)" % (s, p),
+        name="B_heat(%g,%g)" % (s, p),
         value=best,
         region=None,
         method="heat-flow sup over %d log-spaced times (lower bound)" % _HEAT_SAMPLES,

@@ -10,12 +10,14 @@ ledger tracks
     A_k = r^{-2} int_{Q} |v|^3  +  r^{-(1+delta)/2} int_{Q} |q - (q)_r(s)|^{3/2}
     B_k = sup_s int_{B} |v|^2  +  int_{Q} |grad v|^2
 
-so the pressure part carries r^{-1}, against the budgets
-eps*^{2/3} r^{3-delta} = r^2 for A_k and C_B eps*^{2/3} r^{3-2 delta/3}
-= r^{7/3} for B_k. The time-weighted variants A'_k and A''_k answer to
-half the A_k budget, r^2/2, and B'_k to r^{7/3}; their left sides are
-divided by powers of (s - t0)_+, so they only admit perturbations that
-are quiet up to t0. morrey_sup weighs int_{Q_r} |v|^3 by r^{delta-5} = r^{-4}.
+with (q)_r(s) the ball mean of q at slice s. The cubic part of A_k is
+local_cubed_mass / r^2 and the pressure part carries r^{-1}, against the
+budgets eps*^{2/3} r^{3-delta} = r^2 for A_k and C_B eps*^{2/3}
+r^{3-2 delta/3} = r^{7/3} for B_k. The time-weighted variants A'_k and
+A''_k answer to half the A_k budget, r^2/2, and B'_k to r^{7/3}; their
+left sides are divided by powers of (s - t0)_+ (WeightedValues), so they
+only admit perturbations that are quiet up to t0. morrey_sup weighs
+int_{Q_r} |v|^3 by r^{delta-5} = r^{-4}.
 
 Cylinder integrals follow the quadrature of critnorm.cylinder (stored
 slices in time, native cells or the r/8 lattice in space). Suprema in
@@ -56,9 +58,6 @@ __all__ = [
     "build_test_function",
     "local_cubed_mass",
     "cylinder_smallness",
-    "ledger_A",
-    "ledger_B",
-    "ledger_weighted",
     "build_ledger",
     "morrey_sup",
     "kernel_constant",
@@ -72,9 +71,12 @@ C_B = 1.0  # prefactor of the B_k budget
 
 @dataclass(frozen=True)
 class WeightedValues:
-    """Weighted-row suprema: each value is sup over stored slices of
-    lhs(s) / (s - t0)_+^p. A slice with zero weight but nonzero lhs
-    pushes the value to infinity, which no finite budget passes."""
+    """Weighted-row suprema (A'_k, A''_k, B'_k), eta' = eta/6: each value
+    is the sup over stored slices s of a running integral up to s over
+    (s - t0)_+^p, p = 3 eta'/2 for the |v|^3 part of A_k, 3 eta'/4 for
+    its pressure part and eta' for B_k, so value <= target holds at every
+    stored slice. A slice at or before t0 has zero weight, so any mass
+    there sends the value to +inf, which no finite budget passes."""
 
     apk: float
     appk: float
@@ -230,8 +232,8 @@ def _check_weights(t_top, eta, t0):
 
 def _row(run, center, t_top, k, eta, t0, spectra):
     """Ledger row k on Q_{2^-k}(center, t_top) from one pass over its
-    slices: A_k, B_k and their budgets, and the weighted values of
-    ledger_weighted when eta is given (else None). The weights are
+    slices: A_k, B_k and their budgets r^2 and r^{7/3}, and the
+    WeightedValues when eta is given (else None). The weights are
     checked before any slice is sampled. spectra is _slice_loads'.
     """
     if eta is not None:
@@ -262,48 +264,12 @@ def _row(run, center, t_top, k, eta, t0, spectra):
     return LedgerRow(int(k), r, a_val, a_tgt, b_val, b_tgt, bool(passed), wv)
 
 
-def ledger_A(run, center, t_top, k):
-    """A_k on Q_{2^-k}(center, t_top) and its budget eps*^{2/3} r^{3-delta} = r^2.
-
-    A_k is r^{-2} int |v|^3 plus the oscillation part
-    r^{-(1+delta)/2} int |q - (q)_r(s)|^{3/2} = r^{-1} int ..., with (q)_r
-    the ball mean slice by slice; the cubic part alone is
-    local_cubed_mass / r^2. Returns (value, target).
-    """
-    row = _row(run, center, t_top, k, None, None, {})
-    return row.a_value, row.a_target
-
-
-def ledger_B(run, center, t_top, k):
-    """B_k: sup-in-time ball energy plus cylinder dissipation, against the
-    budget C_B eps*^{2/3} r^{3-2 delta/3} = r^{7/3}. The sup scans stored
-    slices only, so that part is a lower bound; the dissipation is a
-    time trapezoid, second order in the stride, so B_k as a whole may
-    move either way when the stride is refined."""
-    row = _row(run, center, t_top, k, None, None, {})
-    return row.b_value, row.b_target
-
-
-def ledger_weighted(run, center, t_top, k, eta=0.6, t0=0.0):
-    """Weighted row (A'_k, A''_k, B'_k) with eta' = eta/6.
-
-    For each stored slice s in the window the running integrals up to s
-    are divided by the budget weight (s - t0)_+^p, with p = 3 eta'/2 for
-    the |v|^3 part, 3 eta'/4 for the pressure oscillation, and eta' for
-    the energy; the reported values are the suprema of those quotients,
-    so value <= target is the displayed bound at every stored slice.
-    Slices at or below t0 carry zero weight: any mass there sends the
-    quotient to infinity, which is the point of the weighting.
-    """
-    return _row(run, center, t_top, k, eta, t0, {}).weighted
-
-
 def build_ledger(run, center, t_top, ks=(2, 3, 4, 5), eta=None, t0=None):
     """Assemble ledger rows over strictly halving radii; each pass flag
     compares the row's values to its budgets (weighted ones included
     when eta is given, which needs t0). Each row samples its cylinder's
     slices once and takes A_k, B_k and the weighted values from the same
-    loads, the numbers ledger_A, ledger_B and ledger_weighted return.
+    loads.
 
     ks must be consecutive increasing integers; ks and the weights are
     checked before any slice is sampled.
@@ -459,10 +425,6 @@ class TestFunction:
     def value(self, axes, s):
         self._check_time(s)
         return _phi_fields(self.center, self.t_top, self.r_n, axes, s)[0]
-
-    def gradient(self, axes, s):
-        self._check_time(s)
-        return _phi_fields(self.center, self.t_top, self.r_n, axes, s, grad=True)[1]
 
     def heat_residual(self, axes, s):
         self._check_time(s)

@@ -1,8 +1,10 @@
 """Stock test fields: seeded random data and exact divergence-free profiles.
 
-The azimuthal construction u = g(r) (-(y-cy), (x-cx), 0) is divergence-free
-for every radial profile g, with no derivatives taken, so it yields exactly
-compactly supported solenoidal data when g is a plateau cutoff.
+Every profile is centred at the origin, the grid point x[n // 2], which
+is exactly 0.0 on every Grid. The azimuthal construction
+u = g(r) (-y, x, 0) is divergence-free for every radial profile g, with
+no derivatives taken, so it yields exactly compactly supported
+solenoidal data when g is a plateau cutoff.
 """
 
 import numpy as np
@@ -26,6 +28,8 @@ __all__ = [
     "heat_smoothing_slopes",
 ]
 
+_BUMP_ON, _BUMP_OFF = 0.4, 1.3  # plateau and support radii of the stock bumps
+
 
 def band_limit(values, grid, kmax):
     """Zero every mode with any axis index exceeding kmax in magnitude."""
@@ -36,11 +40,11 @@ def band_limit(values, grid, kmax):
     return _fft.irfftn(hat, grid.shape)
 
 
-def random_scalar(grid, rng, kmax=6, amplitude=1.0):
-    """Band-limited random scalar with sup-norm `amplitude`."""
+def random_scalar(grid, rng, kmax=6):
+    """Band-limited random scalar with sup-norm one."""
     vals = band_limit(rng.standard_normal(grid.shape), grid, kmax)
     scale = np.max(np.abs(vals))
-    return ScalarField(grid, vals * (amplitude / scale))
+    return ScalarField(grid, vals * (1.0 / scale))
 
 
 def random_divfree(grid, rng, kmax=6, amplitude=1.0):
@@ -53,23 +57,23 @@ def random_divfree(grid, rng, kmax=6, amplitude=1.0):
     return VectorField(grid, u.data * (amplitude / scale))
 
 
-def azimuthal_field(grid, profile, center=(0.0, 0.0, 0.0)):
-    """Swirl field g(r) * (-(y-cy), (x-cx), 0) around a vertical axis.
+def azimuthal_field(grid, profile):
+    """Swirl field g(r) * (-y, x, 0) around the vertical axis.
 
-    profile receives the periodic distance r from `center` and returns g(r).
+    profile receives the periodic distance r from the origin and returns g(r).
     The divergence vanishes identically: the field is tangent to circles
     and its magnitude r g(r) depends only on r.
     """
-    dxs = grid.minimal_image(grid.x - center[0])[:, None, None]
-    dys = grid.minimal_image(grid.x - center[1])[None, :, None]
-    r = grid.radius(center)
+    dxs = grid.minimal_image(grid.x)[:, None, None]
+    dys = grid.minimal_image(grid.x)[None, :, None]
+    r = grid.radius()
     g = profile(r)
     zero = np.zeros(grid.shape)
     return VectorField(grid, np.stack([-dys * g + zero, dxs * g + zero, zero]))
 
 
-def compact_divfree_bump(grid, r_on=0.4, r_off=1.3, amplitude=1.0, center=(0.0, 0.0, 0.0)):
-    """Swirl supported exactly in the ball of radius r_off.
+def compact_divfree_bump(grid):
+    """Unit swirl supported exactly in the ball of radius _BUMP_OFF.
 
     Solenoidal in the continuum; the discrete spectral divergence is only
     as small as the resolution of the cutoff allows (exact support and
@@ -78,20 +82,19 @@ def compact_divfree_bump(grid, r_on=0.4, r_off=1.3, amplitude=1.0, center=(0.0, 
     """
 
     def profile(r):
-        cut = 1.0 - smoothstep((r - r_on) / (r_off - r_on))
-        return amplitude * cut
+        return 1.0 - smoothstep((r - _BUMP_ON) / (_BUMP_OFF - _BUMP_ON))
 
-    return azimuthal_field(grid, profile, center)
+    return azimuthal_field(grid, profile)
 
 
-def curl_bump(grid, r_on=0.4, r_off=1.3, amplitude=1.0, center=(0.0, 0.0, 0.0)):
-    """Spectral curl of a compact vector potential.
+def curl_bump(grid, amplitude=1.0):
+    """Spectral curl of a compact vector potential, max |u| = amplitude.
 
     Discretely divergence-free to round-off by construction; the support is
-    only essentially compact (trig-interpolant tails outside r_off at the
-    aliasing level of the cutoff).
+    only essentially compact (trig-interpolant tails outside _BUMP_OFF at
+    the aliasing level of the cutoff).
     """
-    psi = smooth_radial_cutoff(grid, r_on, r_off, center).values
+    psi = smooth_radial_cutoff(grid, _BUMP_ON, _BUMP_OFF).values
     X, Y, Z = grid.coords()
     zero = np.zeros(grid.shape)
     # three independent smooth components, no symmetry to hide bugs behind
@@ -107,7 +110,7 @@ def curl_bump(grid, r_on=0.4, r_off=1.3, amplitude=1.0, center=(0.0, 0.0, 0.0)):
     return VectorField(grid, u.data * (amplitude / scale))
 
 
-def inverse_radius_field(grid, r_inner, r_outer, amplitude=1.0, center=(0.0, 0.0, 0.0)):
+def inverse_radius_field(grid, r_inner, r_outer, amplitude=1.0):
     """Swirl with |u| = amplitude / r on r in (r_inner, r_outer), cut smoothly.
 
     Scales like the critical profile 1/|x|: the L^3 mass per dyadic shell is
@@ -121,7 +124,7 @@ def inverse_radius_field(grid, r_inner, r_outer, amplitude=1.0, center=(0.0, 0.0
         safe = np.maximum(r, 0.25 * r_inner)  # rise is exactly 0 below this
         return amplitude * rise * fall / safe ** 2
 
-    return azimuthal_field(grid, profile, center)
+    return azimuthal_field(grid, profile)
 
 
 # measured defect of sum_{0<|k|<=R} |k|^-2 against 4 pi R on the integer
@@ -129,18 +132,16 @@ def inverse_radius_field(grid, r_inner, r_outer, amplitude=1.0, center=(0.0, 0.0
 _INV_SQUARE_SELF = 8.91436
 
 
-def inverse_square_scalar(grid, r_outer=None, center=(0.0, 0.0, 0.0)):
+def inverse_square_scalar(grid, r_outer=None):
     """Scalar 1/|x| sample whose squared ball sums reproduce 4 pi r.
 
     Plain cell-center sampling of 1/|x|^2 underestimates the ball integral
     by a fixed lattice constant times dx; assigning the origin cell the
     matching self-term cancels it, so L^2 norms over B_r track (4 pi r)^0.5
-    within a few percent down to r = 2 dx. Requires the center to sit on
-    the lattice. With r_outer the sample is zeroed outside that radius.
+    within a few percent down to r = 2 dx. With r_outer the sample is
+    zeroed outside that radius.
     """
-    r = grid.radius(center)
-    if np.min(r) > 1e-12 * grid.dx:
-        raise ValueError("center must sit on the sample lattice")
+    r = grid.radius()
     vals = 1.0 / np.where(r > 0, r, 1.0)
     vals[r == 0] = np.sqrt(_INV_SQUARE_SELF) / grid.dx
     if r_outer is not None:

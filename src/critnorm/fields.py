@@ -209,10 +209,6 @@ class ScalarField(_Field):
 class VectorField(_Field):
     _rank_shape = (3,)
 
-    @property
-    def components(self):
-        return self.data
-
     def magnitude(self):
         return np.sqrt(np.sum(self.data ** 2, axis=0))
 
@@ -222,10 +218,6 @@ class VectorField(_Field):
 
 class TensorField(_Field):
     _rank_shape = (3, 3)
-
-    @property
-    def components(self):
-        return self.data
 
 
 def outer(u, v):
@@ -318,15 +310,15 @@ def taylor_green_3d(grid, amplitude=1.0):
     return VectorField(grid, np.stack([u, v, zero]))
 
 
-def gaussian_bump(grid, sigma, amplitude=1.0, center=(0.0, 0.0, 0.0)):
-    """Isotropic Gaussian amplitude * exp(-|x - c|^2 / (2 sigma^2))."""
-    r = grid.radius(center)
-    return ScalarField(grid, amplitude * np.exp(-0.5 * (r / sigma) ** 2))
+def gaussian_bump(grid, sigma):
+    """Isotropic unit Gaussian exp(-|x|^2 / (2 sigma^2)) about the origin."""
+    r = grid.radius()
+    return ScalarField(grid, np.exp(-0.5 * (r / sigma) ** 2))
 
 
-def ball_indicator(grid, radius, center=(0.0, 0.0, 0.0)):
-    """Indicator of the ball, sampled at cell centers."""
-    return ScalarField(grid, (grid.radius(center) <= radius).astype(np.float64))
+def ball_indicator(grid, radius):
+    """Indicator of the ball about the origin, sampled at cell centers."""
+    return ScalarField(grid, (grid.radius() <= radius).astype(np.float64))
 
 
 def smoothstep(s):
@@ -352,9 +344,9 @@ def nonic_step(u):
     return s, ds, dss
 
 
-def smooth_radial_cutoff(grid, r_on, r_off, center=(0.0, 0.0, 0.0)):
-    """Smooth radial plateau: identically 1 for r <= r_on, 0 for r >= r_off."""
+def smooth_radial_cutoff(grid, r_on, r_off):
+    """Smooth radial plateau about the origin: 1 for r <= r_on, 0 for r >= r_off."""
     if not r_on < r_off:
         raise ValueError("need r_on < r_off")
-    r = grid.radius(center)
+    r = grid.radius()
     return ScalarField(grid, 1.0 - smoothstep((r - r_on) / (r_off - r_on)))

@@ -29,6 +29,7 @@ import numpy as np
 from . import _fft
 from .cylinder import stored_window
 from .fieldio import csv_cells, write_csv
+from .fields import ScalarField
 from .spectral import padded_hat
 
 __all__ = [
@@ -75,9 +76,6 @@ class NormReport:
         if not (np.isfinite(v) and v >= 0):
             raise ValueError("norm value must be finite and nonnegative")
         object.__setattr__(self, "value", v)
-
-    def __float__(self):
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -226,7 +224,7 @@ def lorentz_from_samples(values, weights, p, q):
     return vmax * float((p / q) * np.sum(cum ** (q / p) * drops)) ** (1.0 / q)
 
 
-def lorentz_quasinorm(f, p, q, region=None, name=None):
+def lorentz_quasinorm(f, p, q, region=None):
     """L^{p,q} quasinorm over a ball (or the whole box when region is None)."""
     g = f.grid
     if region is None:
@@ -238,7 +236,7 @@ def lorentz_quasinorm(f, p, q, region=None, name=None):
         values = _magnitude(f.data)[mask]
     value = lorentz_from_samples(values, g.cell_volume, p, q)
     return NormReport(
-        name=name or "L(%g,%s)" % (p, "inf" if q == math.inf else "%g" % q),
+        name="L(%g,%s)" % (p, "inf" if q == math.inf else "%g" % q),
         value=value,
         region=region,
         method="distribution-function quadrature",
@@ -309,8 +307,7 @@ def parabolic_holder_seminorm(u, nu, region, t_window=None):
     for i in range(m):
         for j in range(i + 1, m):
             h = float(times[sel[j]] - times[sel[i]])
-            diff = slab[j] - slab[i]
-            mag = np.sqrt(np.sum(diff * diff, axis=tuple(range(diff.ndim - 3))))
+            mag = _magnitude(slab[j] - slab[i])
             t_best = max(t_best, float(np.max(mag[mask])) / h**nu)
 
     s_best = 0.0
@@ -323,10 +320,7 @@ def parabolic_holder_seminorm(u, nu, region, t_window=None):
                 shifted = np.roll(frame, -k, axis=frame.ndim - 3 + axis)
                 both = mask & np.roll(mask, -k, axis=axis)
                 if np.any(both):
-                    diff = shifted - frame
-                    mag = np.sqrt(
-                        np.sum(diff * diff, axis=tuple(range(diff.ndim - 3)))
-                    )
+                    mag = _magnitude(shifted - frame)
                     s_best = max(
                         s_best, float(np.max(mag[both])) / (k * g.dx) ** (2 * nu)
                     )
@@ -356,7 +350,7 @@ def _free_convolution(f, kernel):
     """
     if f.grid != kernel.grid:
         raise ValueError("convolution factors live on different grids")
-    if getattr(f, "components", None) is not None:
+    if not (isinstance(f, ScalarField) and isinstance(kernel, ScalarField)):
         raise ValueError("convolution check takes scalar fields")
     g = f.grid
     hat = padded_hat(g, f.values) * padded_hat(g, kernel.values)

@@ -338,9 +338,10 @@ def pressure_oscillation_terms(v, a, q, center, r, rho, t_top=None, weighted=Fal
     constant; the weighted variant replaces the drift factors by the
     sup-weight ma and the singular-time kernels |s - t0|^(-1),
     |s - t0|^(-3/4), and requires t0 strictly outside the window so
-    every weight stays finite. Each stored slice is sampled one x-slab
-    at a time, with one spectrum per field component and slice, into
-    slab and ball buffers made once per call.
+    every weight stays finite; its J-terms read a only through ma, so
+    it samples a on the native grid alone. Each stored slice is sampled
+    one x-slab at a time, with one spectrum per field component and
+    slice, into slab and ball buffers made once per call.
     """
     g = v.grid
     if q.grid != g or (a is not None and a.grid != g):
@@ -358,6 +359,7 @@ def pressure_oscillation_terms(v, a, q, center, r, rho, t_top=None, weighted=Fal
         if np.min(np.abs(ts - t0)) <= 1e-12:
             raise ValueError("t0 must lie outside the cylinder window")
 
+    drift = a is not None and not weighted  # a on the lattice feeds J2, J4, J6 unweighted
     geometry, cell = _ball_geometry(g, center, r, rho)
     m = len(sel)
     osc = np.empty(m)
@@ -397,7 +399,7 @@ def pressure_oscillation_terms(v, a, q, center, r, rho, t_top=None, weighted=Fal
             q_r.append(f[in_r])
             np.abs(f, out=f)
             s_q += np.dot(f, np.sqrt(f, out=root))
-            if a is not None:
+            if drift:
                 np.compress(ball, sample_slice(g, a.frames[i], axes, ca, rows, pts), out=f)
                 a2_near.append(f[in_2r])
                 amag = np.sqrt(f, out=root)
@@ -415,7 +417,7 @@ def pressure_oscillation_terms(v, a, q, center, r, rho, t_top=None, weighted=Fal
         v_tail[row] = s_vtail * cell
         v2_ring[row] = s_ring * cell
         bulk[row] = v3_rho[row] + s_q * cell
-        if a is not None:
+        if drift:
             a2_near = np.concatenate(a2_near)
             a5_2r[row] = np.dot(np.square(a2_near), np.sqrt(a2_near)) * cell
             a5_rho[row] = s_a5 * cell

@@ -165,13 +165,17 @@ class TestZeroField:
 
 
 class TestWeightedRows:
+    @staticmethod
+    def _weighted(run, t0):
+        return ckn.build_ledger(run, CENTER, TOP, ks=(2,), eta=0.6, t0=t0).rows[0].weighted
+
     def test_mass_at_or_before_t0_is_infinite(self, grid16):
         run = _orbit(grid16, T16)
         # window of k = 2 holds t = 4/64 .. 8/64; three slices sit at or below t0
-        w = ckn.ledger_weighted(run, CENTER, TOP, 2, t0=6.0 / 64.0)
+        w = self._weighted(run, 6.0 / 64.0)
         assert w.apk == w.appk == w.bpk == math.inf
         assert not w.ok
-        quiet = ckn.ledger_weighted(run, CENTER, TOP, 2, t0=0.0)
+        quiet = self._weighted(run, 0.0)
         assert all(math.isfinite(x) for x in (quiet.apk, quiet.appk, quiet.bpk))
 
 
@@ -203,15 +207,43 @@ class TestLedgerEntries:
         ckn.DyadicLedger((self._row(apk=math.inf),), 0.6, 0.0)
 
 
+def _ledger_row_by_formula(run, k):
+    """(A_k, B_k) on Q_{2^-k}(CENTER, TOP) from the module docstring's
+    formulas, with the cylinder quadrature taken slice by slice."""
+    g, r = run.grid, 2.0**-k
+    sel = cylinder.stored_window(run.v.times, TOP - r * r, TOP)
+    axes, rad, cell = cylinder.ball_points(g, CENTER, r)
+    inside = rad <= r
+    cubic, osc, energy, dissipation = [], [], [], []
+    for i in sel:
+        v2 = cylinder.sample_slice(g, run.v.frames[i], axes)[inside]
+        q = cylinder.sample_slice(g, run.q.frames[i], axes)[inside]
+        cubic.append(np.sum(v2**1.5) * cell)
+        osc.append(np.sum(np.abs(q - np.mean(q)) ** 1.5) * cell)
+        energy.append(np.sum(v2) * cell)
+        dissipation.append(np.sum(cylinder.sample_grad_sq(g, run.v.frames[i], axes)[inside]) * cell)
+    ts = run.v.times[sel]
+    a_k = np.trapezoid(cubic, ts) / r**2 + np.trapezoid(osc, ts) / r
+    b_k = max(energy) + np.trapezoid(dissipation, ts)
+    return a_k, b_k
+
+
 class TestBuildLedger:
-    def test_rows_are_the_public_row_functions(self, grid16):
+    def test_rows_match_the_module_formulas(self, grid16):
         run = _orbit(grid16, T16, scale=lambda t: 1.0 + 4.0 * t)
         ledger = ckn.build_ledger(run, CENTER, TOP, ks=(2, 3), eta=0.6, t0=0.0)
-        for row in ledger.rows:
-            assert (row.a_value, row.a_target) == ckn.ledger_A(run, CENTER, TOP, row.k)
-            assert (row.b_value, row.b_target) == ckn.ledger_B(run, CENTER, TOP, row.k)
-            assert row.weighted == ckn.ledger_weighted(run, CENTER, TOP, row.k, eta=0.6, t0=0.0)
+        plain = ckn.build_ledger(run, CENTER, TOP, ks=(2, 3))
+        for row, bare, k in zip(ledger.rows, plain.rows, (2, 3)):
+            a_k, b_k = _ledger_row_by_formula(run, k)
+            assert (row.k, row.r_k) == (k, 2.0**-k)
+            assert row.a_value == pytest.approx(a_k, rel=1e-13)
+            assert row.b_value == pytest.approx(b_k, rel=1e-13)
+            assert (row.a_target, row.b_target) == (row.r_k**2, row.r_k ** (7.0 / 3.0))
             assert row.a_value > 0.0 and row.b_value > 0.0
+            # the weighted variant leaves A_k, B_k and their budgets alone
+            assert (bare.a_value, bare.a_target, bare.b_value, bare.b_target) == (
+                row.a_value, row.a_target, row.b_value, row.b_target)
+            assert bare.weighted is None and row.weighted is not None
 
 
     def test_rows_share_each_frame_components_spectrum(self, grid16, monkeypatch):

@@ -325,6 +325,13 @@ class TestOneil:
         with pytest.raises(ValueError):
             check_oneil(f, f, (1.5, math.inf, 1.5, math.inf, 3, 2))
 
+    def test_vector_field_is_refused(self, grid16):
+        f = ball_indicator(grid16, 1.0)
+        v = VectorField(grid16, np.stack([f.values] * 3))
+        for pair in ((v, f), (f, v)):
+            with pytest.raises(ValueError, match="convolution check takes scalar fields"):
+                check_oneil(*pair, (1.5, math.inf, 1.5, math.inf, 3, math.inf))
+
 
 class TestHunt:
     def test_zero_factor(self, grid16):

@@ -69,3 +69,11 @@ def test_duhamel_is_exact_on_sources_constant_in_time(seed, dt, m):
 def test_littlewood_paley_bands_partition_unity_on_every_box(L):
     bank = LPProjectorBank(Grid(16, L))
     assert bank.partition_defect() <= 4 * EPS
+
+
+@bounded
+@given(st.sampled_from([8, 16, 32, 64]), st.floats(min_value=8.0, max_value=1e6, exclude_min=True))
+def test_the_origin_is_a_grid_point(n, L):
+    # the corpus centres every profile at x[n // 2]; the grids stay at or
+    # below 64^3, since a Grid allocates its wavenumber arrays eagerly
+    assert Grid(n, L).x[n // 2] == 0.0

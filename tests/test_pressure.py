@@ -486,6 +486,16 @@ class TestSlabbedOscillation:
         assert len({id(out.base) for out in outs}) == 1
         assert len({out.__array_interface__["data"][0] for out in outs}) == 2
 
+    def test_weighted_variant_leaves_the_drift_off_the_lattice(self, driven_run16, monkeypatch):
+        # its J-terms read a only through ma, which samples the native grid
+        r = driven_run16
+        calls = count_evaluations(monkeypatch)
+        pressure.pressure_oscillation_terms(
+            r.v, r.a, r.q, (0, 0, 0), self.R, self.RHO, weighted=True, t0=self.T0
+        )
+        assert len(calls) == 5 * 4 * len(r.v.times)  # 5 slabs; v and q, 4 components
+        assert len({id(coeffs) for coeffs, _ in calls}) == 4 * len(r.v.times)
+
     def test_small_lattice_is_one_slab(self, driven_run16, monkeypatch):
         # r = 1/4 under rho = 1: 67^3 points, one evaluation per component
         r = driven_run16
