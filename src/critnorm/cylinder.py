@@ -13,7 +13,10 @@ refinement.
 The r/8 lattice over an outer ball B_rho grows like (rho/r)^3, so a sum
 over it walks ball_slabs: the same points, lattice or native cells, cut
 into x-slabs of at most _SLAB_POINTS points, each point with the bits
-ball_points gives it. A sampled field is then held on one slab at a time.
+ball_points gives it. A sampled field, and any weight made from the
+slab's distances, is then held on one slab at a time; a sum that visits
+every stored slice on each slab in turn holds memory that does not grow
+with the number of slabs.
 """
 
 import math

@@ -11,12 +11,14 @@ distinguished singular time outside the observation window; its
 integrals follow the quadrature of critnorm.cylinder.
 
 The r/8 lattice of the outer ball B_rho has about (16 rho/r)^3 points,
-so the oscillation walks it in the x-slabs of cylinder.ball_slabs and
-never holds a field on the whole lattice. The values on B_r and B_2r are
-gathered slab by slab in lattice order, so the oscillation and the J1
-and J2 integrands have the bits of one pass over the whole lattice; the
-sums over B_rho add one partial sum per slab, which moves them by
-round-off only when there is more than one slab.
+so the oscillation walks the x-slabs of cylinder.ball_slabs once and
+holds neither a field nor the ball's weights on the whole lattice. Each
+slab builds its own weights, samples every slice of the window in turn
+and adds its dot products to per-slice sums over B_rho, in x order; one
+partial sum per slab moves these sums by round-off only when there is
+more than one slab. The values on B_r and B_2r are kept per slice, slab
+by slab in lattice order, so the oscillation and the J1 and J2
+integrands have the bits of one pass over the whole lattice.
 
 The scale exponent is delta = cylinder.DELTA = 1, shared with the dyadic
 ledger of critnorm.ckn. On Q_r with outer radius rho the oscillation
@@ -303,31 +305,6 @@ class OscillationReport:
     ma: float  # drift weight sup |s-t0|^(1/2) |a(s)|_inf(B_1); 0 unweighted
 
 
-def _ball_geometry(grid, center, r, rho):
-    """(geometry, cell): per x-slab of cylinder.ball_slabs, (rows, axes,
-    shape, ball, in_r, in_2r, w_tail, w_ring). shape is the slab's point
-    shape and ball the flat mask of its points in B_rho; the rest are
-    packed into B_rho: the indices of B_r and B_2r, 1/|x|^4 on the
-    annulus 2r < |x| < rho and the ring rho/2 < |x| < rho, both zero
-    elsewhere, so each tail and ring sum is a dot product."""
-    slabs, cell = ball_slabs(grid, center, r, outer=rho)
-    geometry = []
-    for rows, axes, rad in slabs:
-        ball = (rad <= rho).ravel()
-        shape = rad.shape
-        rad = np.compress(ball, rad)
-        annulus = (rad > 2.0 * r) & (rad < rho)
-        w_tail = np.zeros_like(rad)
-        w_tail[annulus] = rad[annulus] ** -4.0
-        # a mask: np.dot casts it to 0.0 and 1.0 per slab, so only the
-        # slab being summed ever holds it as float64
-        w_ring = (rad > rho / 2.0) & (rad < rho)
-        in_r = np.flatnonzero(rad <= r)
-        in_2r = np.flatnonzero(rad <= 2.0 * r)
-        geometry.append((rows, axes, shape, ball, in_r, in_2r, w_tail, w_ring))
-    return geometry, cell
-
-
 def pressure_oscillation_terms(v, a, q, center, r, rho, t_top=None, weighted=False, t0=None):
     """Oscillation of q on Q_r(center, t_top) against its six bounds.
 
@@ -339,9 +316,9 @@ def pressure_oscillation_terms(v, a, q, center, r, rho, t_top=None, weighted=Fal
     sup-weight ma and the singular-time kernels |s - t0|^(-1),
     |s - t0|^(-3/4), and requires t0 strictly outside the window so
     every weight stays finite; its J-terms read a only through ma, so
-    it samples a on the native grid alone. Each stored slice is sampled
-    one x-slab at a time, with one spectrum per field component and
-    slice, into slab and ball buffers made once per call.
+    it samples a on the native grid alone. Each slab of the lattice
+    samples every slice of the window into one slab buffer, made at the
+    first slab; a slice's spectra are dropped after the last slab.
     """
     g = v.grid
     if q.grid != g or (a is not None and a.grid != g):
@@ -356,72 +333,84 @@ def pressure_oscillation_terms(v, a, q, center, r, rho, t_top=None, weighted=Fal
     if weighted:
         if t0 is None:
             raise ValueError("weighted variant needs t0")
-        if np.min(np.abs(ts - t0)) <= 1e-12:
-            raise ValueError("t0 must lie outside the cylinder window")
+        if ts[0] - 1e-12 <= t0 <= ts[-1] + 1e-12:
+            raise ValueError(
+                "t0 = %g must lie outside the cylinder window [%g, %g]" % (t0, ts[0], ts[-1])
+            )
 
     drift = a is not None and not weighted  # a on the lattice feeds J2, J4, J6 unweighted
-    geometry, cell = _ball_geometry(g, center, r, rho)
+    slabs, cell = ball_slabs(g, center, r, outer=rho)
     m = len(sel)
+    # per slice, sums over B_rho, each slab's dot products added in x
+    # order: |v|^3 = |v|^2 |v|, |q|^(3/2) = |q| |q|^(1/2), |v|^2 / |x|^4
+    # and |v| / |x|^4 on the annulus, |v|^2 on the ring, |a|^5 = |a|^4 |a|
+    # and |v||a| / |x|^4 on the annulus
+    sums = np.zeros((7, m))
+    v3_rho, q32_rho, tail, v_tail, v2_ring, a5_rho, cross_tail = sums
+    # per slice, q on B_r and |v|^2 and |a|^2 on B_2r, slab by slab
+    q_r, v2_near, a2_near = ([[] for _ in sel] for _ in range(3))
+    spectra = {}  # (slice, field) -> the coefficient dict of sample_slice
+    buf = None
+    for rows, axes, rad in slabs:
+        if buf is None:  # the first slab is the largest
+            buf = np.empty((2,) + rad.shape)
+        pts = buf[:, : rad.shape[0]]
+        last = rows.stop >= rad.shape[1]  # the lattice is a cube
+        ball = rad <= rho
+        rad = rad[ball]
+        annulus = (rad > 2.0 * r) & (rad < rho)
+        w_tail = np.zeros_like(rad)
+        w_tail[annulus] = rad[annulus] ** -4.0
+        # a mask: np.dot casts it to 0.0 and 1.0, so only this slab ever
+        # holds it as float64
+        w_ring = (rad > rho / 2.0) & (rad < rho)
+        in_r = np.flatnonzero(rad <= r)
+        in_2r = np.flatnonzero(rad <= 2.0 * r)
+
+        def on_ball(f, i, name):  # slice i of f on this slab's points in B_rho
+            coeffs = spectra.setdefault((i, name), {})
+            return sample_slice(g, f.frames[i], axes, coeffs, rows, pts)[ball]
+
+        for row, i in enumerate(sel):
+            v2 = on_ball(v, i, "v")
+            vmag = np.sqrt(v2)
+            v2_near[row].append(v2[in_2r])
+            v3_rho[row] += np.dot(v2, vmag)
+            tail[row] += np.dot(v2, w_tail)
+            v_tail[row] += np.dot(vmag, w_tail)
+            v2_ring[row] += np.dot(v2, w_ring)
+            del v2  # one field on the ball at a time, besides |v|
+            f = on_ball(q, i, "q")
+            q_r[row].append(f[in_r])
+            np.abs(f, out=f)
+            q32_rho[row] += np.dot(f, np.sqrt(f))
+            if drift:
+                f = on_ball(a, i, "a")
+                a2_near[row].append(f[in_2r])
+                amag = np.sqrt(f)
+                a5_rho[row] += np.dot(np.square(f, out=f), amag)
+                cross_tail[row] += np.dot(vmag, np.multiply(amag, w_tail, out=amag))
+            if last:
+                for name in "vqa":
+                    spectra.pop((i, name), None)
+    # the B_r and B_2r values in lattice order: these sums keep the bits
+    # of one pass over the whole lattice
     osc = np.empty(m)
     v3_2r = np.empty(m)
     v2_2r = np.empty(m)
     a5_2r = np.zeros(m)
-    tail = np.empty(m)  # |v|^2 / |x|^4 on the annulus
-    cross_tail = np.zeros(m)  # |v||a| / |x|^4 on the annulus
-    v_tail = np.empty(m)  # |v| / |x|^4 on the annulus
-    bulk = np.empty(m)  # |v|^3 + |q|^(3/2) on B_rho
-    v3_rho = np.empty(m)
-    a5_rho = np.zeros(m)
-    v2_ring = np.empty(m)
-    ma = 0.0
-    # every slab is sampled into one pair of slab buffers and packed into
-    # B_rho before the next field is sampled; the packed values live in
-    # four ball buffers: |v|^2, |v|, then q or |a|^2, and a root of it
-    slab = np.empty((2, max(ball.size for _, _, _, ball, *_ in geometry)))
-    packed = np.empty((4, max(len(w_tail) for *_, w_tail, _ in geometry)))
-    for row, i in enumerate(sel):
-        cv, cq, ca = {}, {}, {}  # v, q and a: each field and spectrum made once per slice
-        # slab sums over B_rho, each a dot product: |v|^3 = |v|^2 |v|,
-        # |q|^(3/2) = |q| |q|^(1/2), |a|^5 = |a|^4 |a|, the tails and the ring
-        s_v3 = s_q = s_tail = s_vtail = s_ring = s_a5 = s_cross = 0.0
-        q_r, v2_near, a2_near = [], [], []  # q on B_r, |v|^2 and |a|^2 on B_2r
-        for rows, axes, shape, ball, in_r, in_2r, w_tail, w_ring in geometry:
-            pts = slab[:, : ball.size].reshape((2,) + shape)
-            v2, vmag, f, root = packed[:, : len(w_tail)]
-            np.compress(ball, sample_slice(g, v.frames[i], axes, cv, rows, pts), out=v2)
-            np.sqrt(v2, out=vmag)
-            v2_near.append(v2[in_2r])
-            s_v3 += np.dot(v2, vmag)
-            s_tail += np.dot(v2, w_tail)
-            s_vtail += np.dot(vmag, w_tail)
-            s_ring += np.dot(v2, w_ring)
-            np.compress(ball, sample_slice(g, q.frames[i], axes, cq, rows, pts), out=f)
-            q_r.append(f[in_r])
-            np.abs(f, out=f)
-            s_q += np.dot(f, np.sqrt(f, out=root))
-            if drift:
-                np.compress(ball, sample_slice(g, a.frames[i], axes, ca, rows, pts), out=f)
-                a2_near.append(f[in_2r])
-                amag = np.sqrt(f, out=root)
-                s_a5 += np.dot(np.square(f, out=f), amag)
-                s_cross += np.dot(vmag, np.multiply(amag, w_tail, out=amag))
-        # the B_r and B_2r values in lattice order: these sums keep the
-        # bits of one pass over the whole lattice
-        q_r = np.concatenate(q_r)
-        osc[row] = np.sum(np.abs(q_r - np.sum(q_r) / len(q_r)) ** 1.5) * cell
-        v2_near = np.concatenate(v2_near)
-        v3_2r[row] = np.dot(v2_near, np.sqrt(v2_near)) * cell
-        v2_2r[row] = np.sum(v2_near) * cell
-        v3_rho[row] = s_v3 * cell
-        tail[row] = s_tail * cell
-        v_tail[row] = s_vtail * cell
-        v2_ring[row] = s_ring * cell
-        bulk[row] = v3_rho[row] + s_q * cell
+    for row in range(m):
+        near = np.concatenate(q_r[row])
+        osc[row] = np.sum(np.abs(near - np.sum(near) / len(near)) ** 1.5) * cell
+        near = np.concatenate(v2_near[row])
+        v3_2r[row] = np.dot(near, np.sqrt(near)) * cell
+        v2_2r[row] = np.sum(near) * cell
         if drift:
-            a2_near = np.concatenate(a2_near)
-            a5_2r[row] = np.dot(np.square(a2_near), np.sqrt(a2_near)) * cell
-            a5_rho[row] = s_a5 * cell
-            cross_tail[row] = s_cross * cell
+            near = np.concatenate(a2_near[row])
+            a5_2r[row] = np.dot(np.square(near), np.sqrt(near)) * cell
+    sums *= cell
+    bulk = v3_rho + q32_rho  # |v|^3 + |q|^(3/2) on B_rho
+    ma = 0.0  # drift weight sup |s-t0|^(1/2) |a(s)|_inf(B_1); 0 unweighted
     if weighted and a is not None:
         # sup weight over the whole stored orbit, unit ball at the center,
         # always on the native grid (the unit ball is well resolved there)

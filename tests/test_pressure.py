@@ -283,6 +283,15 @@ class TestOscillation:
                 r.v, r.a, r.q, (0, 0, 0), 0.125, 0.25, weighted=True, t0=0.02
             )
 
+    def test_weighted_t0_between_window_slices_rejected(self, driven_run):
+        # t0 = 0.0105 is on no stored slice, but inside the window [0.005, 0.02]
+        r = driven_run
+        message = r"t0 = 0\.0105 must lie outside the cylinder window \[0\.005, 0\.02\]"
+        with pytest.raises(ValueError, match=message):
+            pressure.pressure_oscillation_terms(
+                r.v, r.a, r.q, (0, 0, 0), 0.125, 0.25, weighted=True, t0=0.0105
+            )
+
     def test_zero_data_gives_zero_lhs(self, grid16):
         v0 = VectorField(grid16, np.zeros((3,) + grid16.shape))
         run = pns.run_pns(v0, pns.PNSConfig(dt=1e-3, T=0.002, stride=1))
@@ -516,3 +525,18 @@ class TestSlabbedOscillation:
             finally:
                 tracemalloc.stop()
         assert peaks[0] <= 0.5 * peaks[1], peaks
+
+    def test_peak_memory_does_not_grow_with_the_slab_count(self, driven_run16):
+        # rho = 1/2: 131^3 points in 5 slabs; rho = 3/4: 195^3 points in 15
+        r = driven_run16
+        peaks = []
+        for rho in (self.RHO, 0.75):
+            args = (r.v, r.a, r.q, (0, 0, 0), self.R, rho)
+            pressure.pressure_oscillation_terms(*args)  # caches filled before the measurement
+            tracemalloc.start()
+            try:
+                pressure.pressure_oscillation_terms(*args)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.2 * peaks[0], peaks
