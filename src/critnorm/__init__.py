@@ -7,7 +7,7 @@ Subpackage map:
 - norms: Lebesgue/Morrey/Lorentz norm engines and inequality checks
 - besov: Littlewood-Paley projections, Besov norms, frequency splitting
 - mild: Duhamel integrals, Picard iteration, drift-operator inversion
-- cylinder: the quadrature of parabolic-cylinder integrals over stored runs
+- cylinder: parabolic-cylinder and cumulative time quadratures over stored runs
 - pns: perturbed Navier-Stokes time stepper and energy bookkeeping
 - pressure: localized pressure representation and oscillation estimates
 - ckn: dyadic ledger of local quantities and test-function battery

@@ -33,12 +33,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .cylinder import (
     DELTA,
     ball_points,
     cube_lattice,
+    cumulative_trapezoid,
     sample_grad_sq,
     sample_slice,
     stored_window,
@@ -250,7 +250,7 @@ def _row(run, center, t_top, k, eta, t0, spectra):
     wv = None
     if eta is not None:
         etap = eta / 6.0
-        run_int = {name: cumulative_trapezoid(loads[name], ts, initial=0.0)
+        run_int = {name: cumulative_trapezoid(loads[name], ts)
                    for name in ("v3", "qosc", "grad2")}
         wv = WeightedValues(
             apk=_weighted_sup(run_int["v3"] / r**2, ts, t0, 1.5 * etap),

@@ -17,6 +17,11 @@ ball_points gives it. A sampled field, and any weight made from the
 slab's distances, is then held on one slab at a time; a sum that visits
 every stored slice on each slab in turn holds memory that does not grow
 with the number of slabs.
+
+Running time integrals over the stored slices are cumulative_trapezoid
+(the weighted ledger sups) and cumulative_simpson (the energy identity):
+scipy.integrate's arithmetic in numpy, since importing scipy.integrate
+loads scipy's optimize, sparse and linalg, 0.3 s and 25 MB at start-up.
 """
 
 import math
@@ -34,6 +39,7 @@ __all__ = [
     "ball_slabs",
     "sample_slice",
     "sample_grad_sq",
+    "cumulative_trapezoid", "cumulative_simpson",
 ]
 
 # the scale exponent delta of the epsilon-regularity budgets on Q_r: the
@@ -214,3 +220,33 @@ def sample_grad_sq(grid, frame, axes, coeffs=None):
             else:
                 total += d
     return total
+
+
+def cumulative_trapezoid(y, x):
+    """scipy.integrate.cumulative_trapezoid(y, x, initial=0.0), bit for bit."""
+    h = np.diff(x)
+    if np.any(h <= 0):
+        raise ValueError("the sample times must be strictly increasing")
+    return np.concatenate(([0.0], np.cumsum(h * (y[1:] + y[:-1]) / 2.0)))
+
+
+def _simpson_halves(y, h):
+    # the quadratic through y[i:i+3] over [x[i], x[i+1]] (eqn 8 of scipy's reference)
+    x21, x32 = h[:-1], h[1:]
+    x21_x31 = x21 / (x21 + x32)
+    x21x21_x31x32 = x21_x31 * (x21 / x32)
+    c2 = 3 + x21x21_x31x32 + x21_x31
+    return x21 / 6 * ((3 - x21_x31) * y[:-2] + c2 * y[1:-1] - x21x21_x31x32 * y[2:])
+
+
+def cumulative_simpson(y, x):
+    """scipy.integrate.cumulative_simpson(y, x=x, initial=0.0), bit for
+    bit: interval i takes the quadratic through samples i..i+2 for even
+    i, through i-1..i+1 for odd i and the last; below three, the trapezoid."""
+    h = np.diff(x)
+    if len(y) < 3 or np.any(h <= 0):  # the trapezoid raises on the latter
+        return cumulative_trapezoid(y, x)
+    left = _simpson_halves(y[::-1], h[::-1])[::-1]
+    sub = np.append(_simpson_halves(y, h), left[-1])
+    sub[1::2] = left[::2]
+    return np.concatenate(([0.0], np.cumsum(sub)))

@@ -36,10 +36,9 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from . import _fft
-from .cylinder import stored_window
+from .cylinder import cumulative_simpson, stored_window
 from .fieldio import write_csv
 from .fields import ScalarField, SpaceTimeField, VectorField
 from .spectral import (
@@ -198,7 +197,8 @@ def drift_from_spacetime(stf):
 
     def provider(t):
         if t < times[0] - 1e-9 or t > times[-1] + 1e-9 * max(1.0, times[-1]):
-            raise ValueError("drift requested outside stored window")
+            raise ValueError("drift requested at t = %.17g, outside the stored window "
+                             "[%.17g, %.17g]" % (t, times[0], times[-1]))
         s = (t - float(times[0])) / dt
         # the slack below times[0] must not floor to -1, the last frame
         i = min(max(int(math.floor(s)), 0), len(times) - 2)
@@ -224,9 +224,12 @@ def run_pns(v0, cfg, a_provider=None):
     """Integrate from v0, storing every cfg.stride-th slice with pressure.
 
     Initial data is dealiased and projected once; thereafter both
-    properties are preserved by the stepper itself.
+    properties are preserved by the stepper itself. a_provider is asked
+    for cfg.T first, so a drift orbit that ends early fails up front.
     """
     g = v0.grid
+    if a_provider is not None:
+        a_provider(cfg.T)
     vh = v0.hat * (g.dealias_mask if cfg.dealias else 1.0)
     state = SolverState(
         v=leray_project(
@@ -337,7 +340,7 @@ def verify_local_energy(run, phi, window=None, tol_c=10.0):
             dens["drift_convection"][row] = 2.0 * np.sum(np.sum(conv * a, axis=0) * phiv) * cell
 
     ts = times[sel]
-    cum = {name: cumulative_simpson(arr, x=ts, initial=0.0) for name, arr in dens.items()}
+    cum = {name: cumulative_simpson(arr, ts) for name, arr in dens.items()}
     entries = []
     for row in range(1, m):
         lhs = e[row] + 2.0 * cum["dissipation"][row]
@@ -387,7 +390,7 @@ def global_energy_check(run):
         en[i] = np.sum(v**2) * cell
         vh = run.v[i].hat
         diss[i] = np.sum(weight * (np.square(vh.real) + np.square(vh.imag)))
-    cum = cumulative_simpson(diss, x=times, initial=0.0)
+    cum = cumulative_simpson(diss, times)
     tol = 1e-6 * en[0]
     rows = []
     worst = 0.0

@@ -1,10 +1,13 @@
 """Package metadata: each critnorm module's __all__ names attributes that
-exist in that module, and the package's optional parameters do not grow."""
+exist in that module, importing the package stays light, and the
+package's optional parameters do not grow."""
 
 import ast
 import importlib
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -27,27 +30,67 @@ def test_all_names_only_real_attributes(name):
     assert [attr for attr in exported if not hasattr(module, attr)] == []
 
 
+# scipy subpackages that importing scipy.integrate loads, about 0.3 s and
+# 25 MB of start-up that no critnorm module needs
+HEAVY_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.linalg",
+               "scipy.spatial", "scipy.constants")
+
+
+def test_importing_every_module_leaves_heavy_scipy_unloaded():
+    # a fresh interpreter: this one holds whatever the tests imported
+    src = str(pathlib.Path(critnorm.__file__).parent.parent)
+    code = ("import importlib, sys\n"
+            "sys.path.insert(0, %r)\n"
+            "for name in %r:\n"
+            "    importlib.import_module(name)\n"
+            "print(' '.join(name for name in %r if name in sys.modules))"
+            % (src, MODULES, HEAVY_SCIPY))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == []
+
+
 # the count of test_optional_parameters_do_not_grow; lower it when options go
-OPTIONAL_PARAMETERS = 58
+OPTIONAL_PARAMETERS = 64
+
+
+def _is_dataclass(cls):
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+               for d in cls.decorator_list)
+
+
+def _settable_field(value):
+    """A dataclass field default that the constructor takes: anything
+    but field(..., init=False)."""
+    return not (isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field"
+                and any(kw.arg == "init" and isinstance(kw.value, ast.Constant)
+                        and kw.value.value is False for kw in value.keywords))
 
 
 def test_optional_parameters_do_not_grow():
-    """Defaults on the public functions and methods of critnorm.
+    """Settable defaults of the public functions and classes of critnorm.
 
     The scan reads every .py file of the package with ast. It counts the
     defaults, positional and keyword-only, of each def at module level
-    whose name has no leading underscore, and of each such def in the
-    body of a module-level class whose name has no leading underscore.
-    Only the def's and its class's names decide: a module's name does
-    not, so _fft's entry points count, and dunder methods such as
-    __init__ do not; nor do dataclass field defaults or nested defs.
+    whose name has no leading underscore. In the body of each
+    module-level class whose name has no leading underscore it counts
+    those of __init__ and of each def whose name has no leading
+    underscore, and, when the class is a dataclass, every field with a
+    default except field(init=False), which the constructor does not
+    take. Only the names of the def and its class decide: a module's name
+    does not, so _fft's entry points count; other dunder methods and
+    nested defs do not.
     """
     count = 0
     for path in pathlib.Path(critnorm.__file__).parent.glob("*.py"):
         for node in ast.parse(path.read_text()).body:
             public_class = isinstance(node, ast.ClassDef) and not node.name.startswith("_")
             for fn in node.body if public_class else [node]:
-                if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                if isinstance(fn, ast.FunctionDef) and (
+                    fn.name == "__init__" and public_class or not fn.name.startswith("_")
+                ):
                     args = fn.args
                     count += len(args.defaults) + sum(d is not None for d in args.kw_defaults)
+                elif public_class and _is_dataclass(node) and isinstance(fn, ast.AnnAssign):
+                    count += fn.value is not None and _settable_field(fn.value)
     assert count <= OPTIONAL_PARAMETERS, count

@@ -226,7 +226,9 @@ class TestRun:
 
         cfg = pns.PNSConfig(dt=0.05, T=0.4, stride=2)
         pns.run_pns(taylor_green(grid16, amplitude=0.1), cfg, a_provider=provider)
-        assert len(asked) == len(set(asked)) == cfg.n_steps + 1
+        # the horizon check first, then each time level once
+        assert asked[0] == cfg.T
+        assert len(asked[1:]) == len(set(asked[1:])) == cfg.n_steps + 1
 
 
 class TestRecoverPressure:
@@ -305,6 +307,18 @@ class TestDriftProvider:
         one = SpaceTimeField(grid16, np.array([0.0]), np.ones((1, 3) + grid16.shape))
         with pytest.raises(ValueError, match="at least two stored slices"):
             pns.drift_from_spacetime(one)
+
+    def test_short_orbit_fails_before_the_first_step(self, grid16, monkeypatch):
+        # the orbit covers [0, 1/64] and the run needs its drift up to 4/64
+        orbit = pns.run_pns(taylor_green_3d(grid16, amplitude=0.3),
+                            pns.PNSConfig(dt=1.0 / 256.0, T=1.0 / 64.0, stride=1))
+        steps = []
+        monkeypatch.setattr(pns, "step", lambda *args, **kw: steps.append(args))
+        with pytest.raises(ValueError, match=r"t = 0\.0625, outside .* \[0, 0\.015625\]"):
+            pns.run_pns(taylor_green_3d(grid16, amplitude=0.1),
+                        pns.PNSConfig(dt=1.0 / 256.0, T=4.0 / 64.0, stride=2),
+                        a_provider=pns.drift_from_spacetime(orbit.v))
+        assert steps == []
 
 
 class TestLocalEnergy:
