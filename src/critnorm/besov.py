@@ -84,10 +84,9 @@ def _bank_for(grid):
     return LPProjectorBank(grid)
 
 
-def lp_project(f, j, bank=None):
+def lp_project(f, j):
     """Dyadic block: multiply the spectrum by phi(2^-j |xi|)."""
-    bank = bank or _bank_for(f.grid)
-    return apply_multiplier(f, bank.weight(j))
+    return apply_multiplier(f, _bank_for(f.grid).weight(j))
 
 
 def besov_norm_lp(f, s, p, q=math.inf, name=None):
@@ -98,7 +97,7 @@ def besov_norm_lp(f, s, p, q=math.inf, name=None):
     if not s < limit:
         raise ValueError("regularity must satisfy s < 3/p")
     bank = _bank_for(f.grid)
-    terms = [2.0 ** (j * s) * box_lp(f.grid, lp_project(f, j, bank).data, p) for j in bank.bands]
+    terms = [2.0 ** (j * s) * box_lp(f.grid, lp_project(f, j).data, p) for j in bank.bands]
     if q == math.inf:
         value = max(terms)
     else:
@@ -122,11 +121,11 @@ def besov_norm_heat(f, s, p):
         raise ValueError("heat characterization needs s < 0")
     g = f.grid
     data = f.data - np.mean(f.data, axis=(-3, -2, -1), keepdims=True)
-    hat = _fft.rfftn(data, axes=(-3, -2, -1))
+    hat = _fft.rfftn(data)
     ts = np.geomspace(g.dx**2, g.L**2 / 16.0, _HEAT_SAMPLES)
     best = 0.0
     for t in ts:
-        damped = _fft.irfftn(hat * np.exp(-g.k2 * t), s=g.shape, axes=(-3, -2, -1))
+        damped = _fft.irfftn(hat * np.exp(-g.k2 * t), s=g.shape)
         best = max(best, t ** (-s / 2.0) * box_lp(g, damped, p))
     return NormReport(
         name="B_heat(%g,%g)" % (s, p),

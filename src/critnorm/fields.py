@@ -177,7 +177,7 @@ class _Field:
         want = cls._rank_shape + grid.shape[:2] + (grid.n // 2 + 1,)
         if hat.shape != want:
             raise ValueError("expected a spectrum of shape %s, got %s" % (want, hat.shape))
-        field = cls(grid, _fft.irfftn(hat, grid.shape, axes=(-3, -2, -1)))
+        field = cls(grid, _fft.irfftn(hat, grid.shape))
         field._hat = _freeze(hat, np.complex128)
         return field
 
@@ -185,7 +185,7 @@ class _Field:
     def hat(self):
         """rfftn of the data over the spatial axes (cached)."""
         if self._hat is None:
-            h = _fft.rfftn(self.data, axes=(-3, -2, -1))
+            h = _fft.rfftn(self.data)
             h.flags.writeable = False
             self._hat = h
         return self._hat

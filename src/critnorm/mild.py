@@ -174,7 +174,7 @@ class _March:
             S = h if S is None else h + self.E * S
             if i == same + 1:
                 self._check = (i, S)
-            out[i] = _fft.irfftn(self.ctilde * S, self.grid.shape, axes=(-3, -2, -1))
+            out[i] = _fft.irfftn(self.ctilde * S, self.grid.shape)
         self._last = (frames, out)
         return out
 
@@ -185,7 +185,7 @@ def duhamel(f):
     g = f.grid
 
     def hat(j, frame):
-        return _fft.rfftn(frame, axes=(-3, -2, -1))
+        return _fft.rfftn(frame)
 
     return SpaceTimeField(g, f.times, _March(g, f.times, hat, f.frames.shape[1:-3])(f.frames))
 
@@ -198,7 +198,7 @@ def duhamel_div(F):
     g = F.grid
 
     def hat(j, frame):
-        return tensor_div_hat(g, _fft.rfftn(frame, axes=(-3, -2, -1)))
+        return tensor_div_hat(g, _fft.rfftn(frame))
 
     return SpaceTimeField(g, F.times, _March(g, F.times, hat, (3,))(F.frames))
 

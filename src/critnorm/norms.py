@@ -170,11 +170,7 @@ def l2_uloc(f, ball_radius=1.0):
     squares = _magnitude(f.data) ** 2
     stencil = (g.radius((g.x[0], g.x[0], g.x[0])) <= ball_radius).astype(np.float64)
     # stencil is even in the displacement, so correlation == convolution
-    sums = _fft.irfftn(
-        _fft.rfftn(squares, axes=(0, 1, 2)) * _fft.rfftn(stencil, axes=(0, 1, 2)),
-        s=squares.shape,
-        axes=(0, 1, 2),
-    )
+    sums = _fft.irfftn(_fft.rfftn(squares) * _fft.rfftn(stencil), squares.shape)
     coarse = np.maximum(sums[::4, ::4, ::4], 0.0)
     idx = np.unravel_index(int(np.argmax(coarse)), coarse.shape)
     best = tuple(g.x[4 * i] for i in idx)

@@ -167,7 +167,7 @@ def step(state, dt, use_dealias=True):
     k1 = _rhs_kept(kept, state.v.data, a_data)
     hat = np.zeros_like(state.v.hat)
     hat[kept.index] = E * (vh + dt * k1)
-    vstar = _fft.irfftn(hat, g.shape, axes=(-3, -2, -1))
+    vstar = _fft.irfftn(hat, g.shape)
     a_next = state.drift(state.t + dt)
     k2 = _rhs_kept(kept, vstar, None if a_next is None else a_next.data)
     hat[kept.index] = E * vh + 0.5 * dt * (E * k1 + k2)
@@ -183,7 +183,7 @@ def recover_pressure(v, a=None):
         raise ValueError("grids differ")
     qh = sym_ddiv_hat(g, _stress_hat(v.data, None if a is None else a.data)) / g.k2_d_safe
     qh[0, 0, 0] = 0.0
-    return ScalarField(g, _fft.irfftn(qh, g.shape, axes=(-3, -2, -1)))
+    return ScalarField(g, _fft.irfftn(qh, g.shape))
 
 
 def drift_from_spacetime(stf):
@@ -233,7 +233,7 @@ def run_pns(v0, cfg, a_provider=None):
     vh = v0.hat * (g.dealias_mask if cfg.dealias else 1.0)
     state = SolverState(
         v=leray_project(
-            VectorField(g, _fft.irfftn(vh, g.shape, axes=(-3, -2, -1)))
+            VectorField(g, _fft.irfftn(vh, g.shape))
         ),
         t=0.0,
         a_provider=a_provider,

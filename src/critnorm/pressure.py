@@ -36,7 +36,6 @@ In the weighted variant J2 carries r^{3/4-delta/2} = r^{1/4}, and J6
 r^{4-delta/2} = r^{7/2} times rho^{-15/4}; the others keep their powers.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -48,13 +47,10 @@ from .fieldio import write_csv
 from .fields import ScalarField, nonic_step
 from .norms import BallRegion, lp_ball
 from .spectral import (
-    _TRUNCATION,
     SYM_PAIRS,
-    cropped_inverse,
-    doubled_grid,
+    free_riesz_sum,
     newtonian_potential,
     newtonian_potential_div,
-    padded_hat,
     sym_ddiv_hat,
 )
 # bound here for perfbench/test_spans.py::test_from_import_bindings_are_counted
@@ -156,66 +152,19 @@ def _sym_part(V):
     return S
 
 
-@functools.lru_cache(maxsize=4)
-def _riesz_factor(grid):
-    """Doubled-grid wavenumbers and the truncated traceless factor of
-    _free_riesz_sum, read-only; only these arrays are kept, not the
-    doubled Grid."""
-    big = doubled_grid(grid)
-    kappa = _TRUNCATION * grid.L * np.sqrt(big.k2)
-    ks = np.where(kappa > 0.0, kappa, 1.0)
-    gfac = np.where(
-        kappa > 0.0, 1.0 - 3.0 * (np.sin(ks) - ks * np.cos(ks)) / ks**3, 0.0
-    )
-    kvec = big.wavenumbers()
-    for arr in kvec + (gfac,):
-        arr.flags.writeable = False
-    return kvec, gfac
-
-
-def _free_riesz_sum(grid, tensor_values):
-    """Free-space sum_ij R_i R_j T_ij via the doubled periodic grid; only
-    the six components of the symmetric part of T are transformed.
-
-    The operator splits into its local part, -trace/3, applied pointwise
-    with no convolution at all, and a traceless principal-value kernel.
-    The latter is spherically truncated like the Newtonian kernel; its
-    Fourier factor comes from integrating the spherical Bessel identity
-    d/dz (j1(z)/z) = -j2(z)/z out to the truncation radius. Trace
-    sources therefore see the exact answer pointwise, and compact
-    off-trace sources see the free-space kernel with no periodic-image
-    contribution.
-    """
-    kvec, gfac = _riesz_factor(grid)
-    sym = _sym_part(tensor_values)
-    acc = None
-    trace_hat = None
-    for c, (i, j) in enumerate(SYM_PAIRS):
-        hat = padded_hat(grid, sym[c])
-        w = 1.0 if i == j else 2.0
-        contrib = (w * kvec[i] * kvec[j]) * hat
-        acc = contrib if acc is None else acc + contrib
-        if i == j:
-            trace_hat = hat if trace_hat is None else trace_hat + hat
-    k2 = kvec[0] ** 2 + kvec[1] ** 2 + kvec[2] ** 2
-    k2[0, 0, 0] = 1.0
-    qh = -trace_hat / 3.0 - gfac * (acc / k2 - trace_hat / 3.0)
-    return ScalarField(grid, cropped_inverse(grid, qh))
-
-
 def riesz_split_at(V, center, radius):
     """Near/far split of the Riesz sum by masking the source tensor.
 
     Returns the pair (near, far) where near comes from V restricted to
     the ball of the given radius about center and far from the
     complement. The masks are sharp indicators, so near + far recovers
-    the unsplit operator exactly by linearity.
+    the unsplit operator exactly by linearity. V must vanish outside
+    |x| < L/4, as free_riesz_sum requires.
     """
     g = V.grid
+    S = _sym_part(V.data)
     inside = g.radius(center) <= radius
-    near = np.where(inside[None, None], V.data, 0.0)
-    far = np.where(inside[None, None], 0.0, V.data)
-    return _free_riesz_sum(g, near), _free_riesz_sum(g, far)
+    return free_riesz_sum(g, np.where(inside, S, 0.0)), free_riesz_sum(g, np.where(inside, 0.0, S))
 
 
 def split_pressure(p, V, cutoff):
@@ -229,7 +178,7 @@ def split_pressure(p, V, cutoff):
     g = p.grid
     if V.grid != g or cutoff.grid != g:
         raise ValueError("grids differ")
-    dd = sym_ddiv_hat(g, _fft.rfftn(_sym_part(V.data), axes=(-3, -2, -1)))
+    dd = sym_ddiv_hat(g, _fft.rfftn(_sym_part(V.data)))
     # same Nyquist-zeroed metric on both sides of the discrete statement
     resid = g.k2_d * p.hat - dd
     dd_scale = np.sqrt(np.sum(np.abs(dd) ** 2))
@@ -247,7 +196,7 @@ def split_pressure(p, V, cutoff):
     d2 = cutoff.hessian
     lap_phi = cutoff.laplacian
 
-    riesz = _free_riesz_sum(g, phiv * V.data)
+    riesz = free_riesz_sum(g, _sym_part(phiv * V.data))
 
     src = np.zeros(g.shape)
     for i in range(3):

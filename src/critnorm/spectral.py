@@ -1,11 +1,13 @@
 """Constant-coefficient operators on the periodic box.
 
 Everything here is an exact Fourier multiplier except the free-space
-Newtonian potential, which leaves the periodic setting through a
-zero-padded convolution on a doubled grid.
+Newtonian potentials and Riesz sum, which leave the periodic setting
+through zero-padded convolutions on a doubled grid. This module owns
+their truncated kernels and the doubled-grid layout.
 """
 
 import functools
+import operator
 
 import numpy as np
 
@@ -33,16 +35,15 @@ __all__ = [
     "riesz_riesz",
     "newtonian_potential",
     "newtonian_potential_div",
-    "doubled_grid",
+    "free_riesz_sum",
     "padded_hat",
-    "cropped_inverse",
     "evaluate_at_points",
     "spectral_coefficients",
 ]
 
 
 def _inverse(grid, hat):
-    return _fft.irfftn(hat, grid.shape, axes=(-3, -2, -1))
+    return _fft.irfftn(hat, grid.shape)
 
 
 def _same_type(field, hat):
@@ -104,7 +105,7 @@ def sym_outer_hat(u, w):
             S[c] *= 2.0  # u_i w_i + w_i u_i, the same bits
         else:
             S[c] += np.multiply(w[i], u[j], out=scratch)
-    return _fft.rfftn(S, axes=(-3, -2, -1))
+    return _fft.rfftn(S)
 
 
 def sym_ddiv_hat(grid, Sh):
@@ -214,15 +215,11 @@ def riesz_riesz(f, i, j):
 
 
 # ---------------------------------------------------------------------------
-# free-space Newtonian potential
+# free-space convolutions on the doubled grid
 
-# truncation radius for the kernel, in units of L; see _kernel_hat
+# truncation radius of both free-space kernels, in units of L; this module
+# is its one owner (see _kernel_hat and _riesz_factor)
 _TRUNCATION = 1.2
-
-
-def doubled_grid(grid):
-    """The grid of side 2L and 2n cells that free-space convolutions run on."""
-    return Grid(2 * grid.n, 2 * grid.L)
 
 
 def padded_hat(grid, values):
@@ -233,15 +230,16 @@ def padded_hat(grid, values):
     return _fft.rfftn(pad)
 
 
-def cropped_inverse(grid, hat):
+def _cropped_inverse(grid, hat):
     """Values on the original box of a doubled-grid spectrum (undoes padded_hat)."""
     n = grid.n
     return _fft.irfftn(hat, (2 * n, 2 * n, 2 * n))[:n, :n, :n]
 
 
 @functools.lru_cache(maxsize=4)
-def _kernel_hat(grid, deriv_order):
-    """Fourier-side truncated kernel N_T = N * chi_{|x| < T} on the doubled grid.
+def _kernel_hat(grid):
+    """Wavenumbers of the doubled grid (side 2L, 2n cells) and the
+    Fourier-side truncated kernel N_T = N * chi_{|x| < T} on it, read-only.
 
     The transform of -chi_{|x|<T}/(4 pi |x|) is -(1 - cos(T|k|))/|k|^2, which
     is smooth, so no real-space sampling of the singularity is needed and the
@@ -252,10 +250,10 @@ def _kernel_hat(grid, deriv_order):
     doubled torus exceed 1.25 L > T, so chi never clips a real interaction
     and never admits a spurious one.
 
-    At most four kernels are kept: at n = 128 the deriv_order 0 kernel takes
-    68 MB and the three deriv_order 1 kernels 406 MB.
+    N_T is real and takes 68 MB at n = 128; at most four grids are kept.
+    The derivative kernels i k_j N_T are formed per call, never kept.
     """
-    big = doubled_grid(grid)
+    big = Grid(2 * grid.n, 2 * grid.L)
     T = _TRUNCATION * grid.L
     k2 = big.k2
     kk = np.sqrt(k2)
@@ -263,63 +261,112 @@ def _kernel_hat(grid, deriv_order):
     nhat = np.where(k2 > 0.0, -(1.0 - np.cos(T * kk)) / den, -0.5 * T * T)
     # compensate the dx^3 quadrature weight applied by the caller
     nhat /= big.cell_volume
-    out = (nhat,) if deriv_order == 0 else tuple(1j * k * nhat for k in big.wavenumbers())
-    for arr in out:
+    kvec = big.wavenumbers()
+    for arr in kvec + (nhat,):
         arr.flags.writeable = False
-    return out
+    return kvec, nhat
 
 
-def _check_potential_support(f):
-    g = f.grid
-    outside = g.radius() >= 0.25 * g.L
-    worst = np.max(np.abs(f.values[outside])) if np.any(outside) else 0.0
-    scale = np.max(np.abs(f.values))
-    if scale > 0.0 and worst > 1e-12 * scale:
-        raise ValueError(
-            "source must vanish outside |x| < L/4 (periodic images would "
-            "alias the free-space kernel); found %g there" % worst
-        )
+@functools.lru_cache(maxsize=4)
+def _riesz_factor(grid):
+    """Doubled-grid wavenumbers and the truncated traceless factor of
+    free_riesz_sum, read-only. A cache apart from _kernel_hat, so the
+    first Riesz sum, which sets split_pressure's peak memory, runs
+    before N_T is built."""
+    big = Grid(2 * grid.n, 2 * grid.L)
+    kappa = _TRUNCATION * grid.L * np.sqrt(big.k2)
+    ks = np.where(kappa > 0.0, kappa, 1.0)
+    gfac = np.where(
+        kappa > 0.0, 1.0 - 3.0 * (np.sin(ks) - ks * np.cos(ks)) / ks**3, 0.0
+    )
+    kvec = big.wavenumbers()
+    for arr in kvec + (gfac,):
+        arr.flags.writeable = False
+    return kvec, gfac
 
 
-def newtonian_potential(f, deriv_order=0):
+def _check_support(grid, sources):
+    """Refuse any source that reaches |x| >= L/4 (one mask for all)."""
+    outside = grid.radius() >= 0.25 * grid.L
+    for values in sources:
+        worst = np.max(np.abs(values[outside]))
+        if worst > 1e-12 * np.max(np.abs(values)):
+            raise ValueError(
+                "source must vanish outside |x| < L/4 (periodic images would "
+                "alias the free-space kernel); found %g there" % worst
+            )
+
+
+def newtonian_potential(f):
     """Convolve a compactly supported scalar with N(x) = -1/(4 pi |x|).
 
-    deriv_order 0 returns N * f; deriv_order 1 returns the three components
-    of (grad N) * f = grad(N * f). The convolution is carried out on a
-    zero-padded doubled grid with a spherically truncated kernel built in
-    Fourier space, so it is an exact free-space convolution of the
-    trigonometric interpolant of the source; see _kernel_hat.
+    The convolution is carried out on a zero-padded doubled grid with a
+    spherically truncated kernel built in Fourier space, so it is an exact
+    free-space convolution of the trigonometric interpolant of the source;
+    see _kernel_hat.
 
     The source must vanish outside the ball |x| < L/4.
     """
-    if deriv_order not in (0, 1):
-        raise ValueError("deriv_order must be 0 or 1")
-    _check_potential_support(f)
     g = f.grid
+    _check_support(g, [f.values])
     phat = padded_hat(g, f.values)
-    comps = tuple(
-        ScalarField(g, cropped_inverse(g, phat * kh) * g.cell_volume)
-        for kh in _kernel_hat(g, deriv_order)
-    )
-    return comps[0] if deriv_order == 0 else comps
+    phat *= _kernel_hat(g)[1]
+    return ScalarField(g, _cropped_inverse(g, phat) * g.cell_volume)
 
 
 def newtonian_potential_div(sources):
     """N * div s = sum_j d_j (N * s_j) for three compactly supported
-    ScalarFields s_j on one grid: newtonian_potential(s_j, 1)[j] summed,
-    with the sum taken in Fourier space, so one inverse transform in all.
+    ScalarFields s_j on one grid: term j is i k_j N_T times the spectrum
+    of s_j, and the terms are summed in Fourier space, so one inverse
+    transform in all.
 
     Every source must vanish outside the ball |x| < L/4.
     """
+    if len(sources) != 3:
+        raise ValueError("newtonian_potential_div takes 3 sources, got %d" % len(sources))
     g = sources[0].grid
+    if any(s.grid != g for s in sources):
+        raise ValueError("grids differ")
+    _check_support(g, [s.values for s in sources])
+    kvec, nhat = _kernel_hat(g)
     acc = None
-    for kh, s in zip(_kernel_hat(g, 1), sources):
-        if s.grid != g:
-            raise ValueError("grids differ")
-        _check_potential_support(s)
-        term = kh * padded_hat(g, s.values)
-        acc = term if acc is None else acc + term
-    return ScalarField(g, cropped_inverse(g, acc) * g.cell_volume)
+    for k, s in zip(kvec, sources):
+        term = 1j * k * nhat
+        term *= padded_hat(g, s.values)
+        acc = term if acc is None else operator.iadd(acc, term)
+    return ScalarField(g, _cropped_inverse(g, acc) * g.cell_volume)
+
+
+def free_riesz_sum(grid, S):
+    """Free-space sum_ij R_i R_j T_ij of a symmetric tensor T given by its
+    six components S in the SYM_PAIRS order, via the doubled periodic grid.
+
+    The operator splits into its local part, -trace/3, applied pointwise
+    with no convolution at all, and a traceless principal-value kernel.
+    The latter is spherically truncated like the Newtonian kernel; its
+    Fourier factor comes from integrating the spherical Bessel identity
+    d/dz (j1(z)/z) = -j2(z)/z out to the truncation radius. Trace
+    sources therefore see the exact answer pointwise, and compact
+    off-trace sources see the free-space kernel with no periodic-image
+    contribution.
+
+    Every component must vanish outside the ball |x| < L/4.
+    """
+    _check_support(grid, S)
+    kvec, gfac = _riesz_factor(grid)
+    acc = None
+    trace_hat = None
+    for c, (i, j) in enumerate(SYM_PAIRS):
+        hat = padded_hat(grid, S[c])
+        w = 1.0 if i == j else 2.0
+        contrib = (w * kvec[i] * kvec[j]) * hat
+        acc = contrib if acc is None else operator.iadd(acc, contrib)
+        if i == j:
+            trace_hat = hat if trace_hat is None else operator.iadd(trace_hat, hat)
+    k2 = kvec[0] ** 2 + kvec[1] ** 2 + kvec[2] ** 2
+    k2[0, 0, 0] = 1.0
+    qh = -trace_hat / 3.0 - gfac * (acc / k2 - trace_hat / 3.0)
+    return ScalarField(grid, _cropped_inverse(grid, qh))
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,7 @@ class TestLpProject:
         bank = LPProjectorBank(grid32)
         total = np.zeros(grid32.shape)
         for j in bank.bands:
-            total += lp_project(f, j, bank).values
+            total += lp_project(f, j).values
         assert np.allclose(total, f.values - f.mean(), atol=1e-10)
 
     def test_disjoint_band_is_zero(self, grid32):

@@ -1,6 +1,7 @@
 """Package metadata: each critnorm module's __all__ names attributes that
-exist in that module, importing the package stays light, and the
-package's optional parameters do not grow."""
+exist in that module, no module imports a sibling's private name,
+importing the package stays light, and the package's optional parameters
+do not grow."""
 
 import ast
 import importlib
@@ -30,6 +31,22 @@ def test_all_names_only_real_attributes(name):
     assert [attr for attr in exported if not hasattr(module, attr)] == []
 
 
+def test_no_module_imports_a_siblings_private_name():
+    """A _-prefixed name belongs to its module: no critnorm module imports
+    one from a sibling (from .spectral import _x). Importing a private
+    sibling module itself, from . import _fft, is allowed."""
+    found = []
+    for path in sorted(pathlib.Path(critnorm.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            # from . import _fft and from critnorm import _fft import a module, not a name in one
+            sibling = isinstance(node, ast.ImportFrom) and node.module is not None and (
+                node.level > 0 or node.module.startswith("critnorm."))
+            if sibling:
+                found += ["%s: %s.%s" % (path.name, node.module, alias.name)
+                          for alias in node.names if alias.name.startswith("_")]
+    assert found == []
+
+
 # scipy subpackages that importing scipy.integrate loads, about 0.3 s and
 # 25 MB of start-up that no critnorm module needs
 HEAVY_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.linalg",
@@ -50,7 +67,7 @@ def test_importing_every_module_leaves_heavy_scipy_unloaded():
 
 
 # the count of test_optional_parameters_do_not_grow; lower it when options go
-OPTIONAL_PARAMETERS = 64
+OPTIONAL_PARAMETERS = 60
 
 
 def _is_dataclass(cls):

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from critnorm import corpus, cylinder, pns, pressure
+from critnorm import corpus, cylinder, pns, pressure, spectral
 from critnorm.fields import (
     Grid,
     ScalarField,
@@ -83,7 +83,8 @@ class TestRieszSum:
         # trace sources see only the local part of the operator, which is
         # applied pointwise, so the answer is exact to roundoff
         psi = pressure.RadialCutoff(grid32, 0.3, 0.9).values
-        out = pressure._free_riesz_sum(grid32, trace_tensor(grid32, psi).data)
+        trace = np.stack([psi, psi, psi] + [np.zeros_like(psi)] * 3)  # SYM_PAIRS order
+        out = spectral.free_riesz_sum(grid32, trace)
         assert np.max(np.abs(out.values + psi)) <= 1e-13
 
     def test_masked_split_is_exact_partition(self, grid32, rng):
@@ -91,17 +92,24 @@ class TestRieszSum:
         vals *= pressure.RadialCutoff(grid32, 0.5, 1.0).values
         V = TensorField(grid32, vals)
         near, far = pressure.riesz_split_at(V, (0.0, 0.0, 0.0), 0.5)
-        whole = pressure._free_riesz_sum(grid32, V.data)
+        whole = spectral.free_riesz_sum(grid32, pressure._sym_part(V.data))
         gap = np.max(np.abs(near.values + far.values - whole.values))
         assert gap <= 1e-12 * np.max(np.abs(whole.values))
 
     def test_doubled_grid_factor_cache_is_bounded_and_read_only(self):
         for L in (9.0, 10.0, 11.0, 12.0, 13.0):
             g = Grid(8, L)
-            pressure._free_riesz_sum(g, np.zeros((3, 3) + g.shape))
-        assert pressure._riesz_factor.cache_info().currsize <= 4
-        kvec, gfac = pressure._riesz_factor(Grid(8, 13.0))
+            spectral.free_riesz_sum(g, np.zeros((6,) + g.shape))
+        assert spectral._riesz_factor.cache_info().currsize <= 4
+        kvec, gfac = spectral._riesz_factor(Grid(8, 13.0))
         assert not any(a.flags.writeable for a in kvec + (gfac,))
+
+    def test_whole_box_source_is_rejected(self, grid32, rng):
+        # the far part reaches past |x| < L/4, where the doubled torus's
+        # periodic images would alias it
+        V = TensorField(grid32, rng.standard_normal((3, 3) + grid32.shape))
+        with pytest.raises(ValueError, match="vanish outside"):
+            pressure.riesz_split_at(V, (0.0, 0.0, 0.0), 0.5)
 
     def test_masked_split_far_part_vanishes_for_inner_data(self, grid32):
         psi = pressure.RadialCutoff(grid32, 0.2, 0.45).values

@@ -217,6 +217,21 @@ class TestNewtonianPotential:
             spectral.newtonian_potential(ScalarField(g, np.zeros(g.shape)))
         assert spectral._kernel_hat.cache_info().currsize <= 4
 
+    def test_kernel_cache_keeps_one_real_kernel(self):
+        # the derivative kernels i k_j N_T are formed per call: what stays
+        # cached is N_T, real, and the doubled grid's wavenumber vectors
+        g = Grid(16, DEFAULT_L)
+        zero = ScalarField(g, np.zeros(g.shape))
+        spectral.newtonian_potential_div([zero, zero, zero])
+        kvec, nhat = spectral._kernel_hat(g)
+        cached = kvec + (nhat,)
+        assert not any(a.flags.writeable for a in cached)
+        assert not any(np.iscomplexobj(a) for a in cached)
+        n = 2 * g.n
+        budget = n * n * (n // 2 + 1) * 8 + sum(a.nbytes for a in kvec)
+        assert sum(a.nbytes for a in cached) <= budget
+        assert max(a.size for a in kvec) == n
+
     def test_unit_ball_center_value(self, grid64):
         f = ball_indicator(grid64, 1.0)
         pot = spectral.newtonian_potential(f)
@@ -236,9 +251,14 @@ class TestNewtonianPotential:
 
     def test_gradient_kernel_far_field(self, grid64):
         # wide ramp: the convolution is exact for the interpolant, so the
-        # far-field error is set by how well the grid resolves the source
+        # far-field error is set by how well the grid resolves the source;
+        # with zero partner sources each term d_j (N * f) stands alone
         f = smooth_radial_cutoff(grid64, 0.3, 2.0)
-        gx, gy, gz = spectral.newtonian_potential(f, deriv_order=1)
+        zero = ScalarField(grid64, np.zeros(grid64.shape))
+        gx, gy, gz = (
+            spectral.newtonian_potential_div([f if k == j else zero for k in range(3)])
+            for j in range(3)
+        )
         mass = np.sum(f.values) * grid64.cell_volume
         c = np.argmin(np.abs(grid64.x))
         i = np.argmin(np.abs(grid64.x - 3.0))
@@ -251,6 +271,12 @@ class TestNewtonianPotential:
         f = ScalarField(grid32, np.ones(grid32.shape))
         with pytest.raises(ValueError):
             spectral.newtonian_potential(f)
+
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_divergence_potential_needs_three_sources(self, grid32, count):
+        zero = ScalarField(grid32, np.zeros(grid32.shape))
+        with pytest.raises(ValueError, match="3 sources, got %d" % count):
+            spectral.newtonian_potential_div([zero] * count)
 
     def test_laplacian_inverts_potential(self):
         # 4th-order stencil on the interior ball; the periodic spectral
