@@ -36,6 +36,7 @@ import numpy as np
 
 from .cylinder import (
     DELTA,
+    FrameSpectra,
     ball_points,
     cube_lattice,
     cumulative_trapezoid,
@@ -150,40 +151,35 @@ def write_ledger_csv(path, ledger):
 # cylinder quadrature
 
 
-def _slice_loads(run, center, t_top, r, spectra, ledger=False):
-    """Per-slice ball integrals over Q_r(center, t_top).
-
-    Returns the selected times and a dict of per-slice values: |v|^3
-    always; for a ledger row also the oscillation |q - (q)_r|^{3/2} with
-    the slice ball mean, |v|^2 and |grad v|^2. Each entry already
-    carries the cell volume. spectra maps (slice, field) to the
-    coefficient dict of sample_slice, so calls sharing it transform
-    each frame component once.
+def _slice_loads(v, center, t_top, r, q=None):
+    """Per-slice ball integrals over Q_r(center, t_top) from the
+    FrameSpectra v of a velocity and q of its pressure: |v|^3 always;
+    given q, for a ledger row, also the oscillation |q - (q)_r|^{3/2}
+    with the slice ball mean, |v|^2 and |grad v|^2. Returns the selected
+    times and a dict of these per-slice values, each with the cell volume.
     """
-    g = run.grid
-    sel = stored_window(run.v.times, t_top - r * r, t_top)
-    axes, rad, cell = ball_points(g, center, r)
+    times = v.stf.times
+    sel = stored_window(times, t_top - r * r, t_top)
+    axes, rad, cell = ball_points(v.stf.grid, center, r)
     inside = rad <= r
     n_in = int(np.count_nonzero(inside))
-    names = ("v3", "qosc", "v2", "grad2") if ledger else ("v3",)
+    names = ("v3",) if q is None else ("v3", "qosc", "v2", "grad2")
     out = {name: np.empty(len(sel)) for name in names}
     for row, i in enumerate(sel):
-        coeffs = spectra.setdefault((i, "v"), {})  # for |v|^2 and |grad v|^2
-        s2 = sample_slice(g, run.v.frames[i], axes, coeffs)
+        s2 = sample_slice(v, i, axes)
         out["v3"][row] = np.sum(s2[inside] ** 1.5) * cell
-        if ledger:
-            qs = sample_slice(g, run.q.frames[i], axes, spectra.setdefault((i, "q"), {}))
+        if q is not None:
+            qs = sample_slice(q, i, axes)
             qa = float(np.sum(qs[inside]) / n_in)
             out["qosc"][row] = np.sum(np.abs(qs[inside] - qa) ** 1.5) * cell
             out["v2"][row] = np.sum(s2[inside]) * cell
-            d2 = sample_grad_sq(g, run.v.frames[i], axes, coeffs)
-            out["grad2"][row] = np.sum(d2[inside]) * cell
-    return run.v.times[sel], out
+            out["grad2"][row] = np.sum(sample_grad_sq(v, i, axes)[inside]) * cell
+    return times[sel], out
 
 
 def local_cubed_mass(run, center, t_top, r):
     """Integral of |v|^3 over Q_r(center, t_top) from the stored slices."""
-    ts, loads = _slice_loads(run, center, t_top, float(r), {})
+    ts, loads = _slice_loads(FrameSpectra(run.v), center, t_top, float(r))
     return float(np.trapezoid(loads["v3"], ts))
 
 
@@ -195,15 +191,15 @@ def cylinder_smallness(run, center, t_top, r=1.0):
     span: the budget is measured on the run that exists, so a run
     shorter than r^2 contributes what it has rather than raising.
     """
-    g = run.grid
     r = float(r)
     sel = stored_window(run.v.times, t_top - r * r, t_top, clip_start=True)
-    axes, rad, cell = ball_points(g, center, r)
+    axes, rad, cell = ball_points(run.grid, center, r)
     inside = rad <= r
+    v, q = FrameSpectra(run.v), FrameSpectra(run.q)
     vals = np.empty(len(sel))
     for row, i in enumerate(sel):
-        s2 = sample_slice(g, run.v.frames[i], axes)
-        qs = sample_slice(g, run.q.frames[i], axes)
+        s2 = sample_slice(v, i, axes)
+        qs = sample_slice(q, i, axes)
         vals[row] = (np.sum(s2[inside] ** 1.5) + np.sum(np.abs(qs[inside]) ** 1.5)) * cell
     return float(np.trapezoid(vals, run.v.times[sel]))
 
@@ -230,16 +226,16 @@ def _check_weights(t_top, eta, t0):
         raise ValueError("t0 must not exceed the top time")
 
 
-def _row(run, center, t_top, k, eta, t0, spectra):
+def _row(v, q, center, t_top, k, eta, t0):
     """Ledger row k on Q_{2^-k}(center, t_top) from one pass over its
     slices: A_k, B_k and their budgets r^2 and r^{7/3}, and the
     WeightedValues when eta is given (else None). The weights are
-    checked before any slice is sampled. spectra is _slice_loads'.
+    checked before any slice is sampled; v and q are _slice_loads'.
     """
     if eta is not None:
         _check_weights(t_top, eta, t0)
     r = float(2.0 ** -k)
-    ts, loads = _slice_loads(run, center, t_top, r, spectra, ledger=True)
+    ts, loads = _slice_loads(v, center, t_top, r, q)
     q_power = r ** (-(1.0 + DELTA) / 2.0)
     a_val = float(np.trapezoid(loads["v3"], ts)) / r**2
     a_val = a_val + float(np.trapezoid(loads["qosc"], ts)) * q_power
@@ -283,10 +279,8 @@ def build_ledger(run, center, t_top, ks=(2, 3, 4, 5), eta=None, t0=None):
     if eta is not None and t0 is None:
         raise ValueError("the weighted ledger (eta given) needs t0, the time the "
                          "weights (s - t0)_+ start from")
-    spectra = {}  # one coefficient dict per stored slice and field, shared by the rows
-    return DyadicLedger(
-        tuple(_row(run, center, t_top, k, eta, t0, spectra) for k in ks), eta, t0
-    )
+    v, q = FrameSpectra(run.v), FrameSpectra(run.q)  # shared by the rows
+    return DyadicLedger(tuple(_row(v, q, center, t_top, k, eta, t0) for k in ks), eta, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +301,12 @@ def morrey_sup(run, region, ks=(2, 3, 4, 5)):
     each stored slice is sampled once per center and radius. The sup runs
     over a lattice of cylinders only, but each cylinder integral is a time
     trapezoid over stored slices, second order in the stride, so refining
-    the stride can lower the value as well as raise it.
+    the stride can lower the value as well as raise it. A radius whose r^2
+    exceeds the stored span, or whose window the storage stride cannot
+    resolve, raises, and so does an empty ks.
     """
+    if len(ks) == 0:
+        raise ValueError("morrey_sup needs at least one dyadic index k in ks")
     g = run.grid
     idx = np.argwhere(g.radius(region.center) <= region.radius)
     keep = np.all(idx % _MORREY_STRIDE == 0, axis=1)
@@ -316,26 +314,23 @@ def morrey_sup(run, region, ks=(2, 3, 4, 5)):
     if region.center not in centers:
         centers.append(region.center)
     times = run.v.times
-    coeffs = {}  # per-slice spectral coefficients, reused across centers and radii
+    v = FrameSpectra(run.v)  # reused across centers and radii
     best = 0.0
     for k in ks:
         r = 2.0 ** -k
         ok = times[times - r * r >= times[0] - 1e-12]
         if len(ok) == 0:
-            continue
+            raise ValueError("r = %g needs a window of r^2 = %g, but the stored slices span "
+                             "only %g (t = %g to %g): store a longer run or drop this k"
+                             % (r, r * r, times[-1] - times[0], times[0], times[-1]))
         pick = np.unique(np.linspace(0, len(ok) - 1, min(_MORREY_TOPS, len(ok))).astype(int))
-        windows = []
-        for t_top in ok[pick]:
-            try:
-                windows.append(stored_window(times, float(t_top) - r * r, float(t_top)))
-            except ValueError:
-                continue
+        windows = [stored_window(times, float(t) - r * r, float(t)) for t in ok[pick]]
         for c in centers:
             axes, rad, cell = ball_points(g, c, r)
             inside = rad <= r
             loads = {}  # slice index -> ball integral of |v|^3
             for i in set().union(*windows):
-                s2 = sample_slice(g, run.v.frames[i], axes, coeffs.setdefault(i, {}))
+                s2 = sample_slice(v, i, axes)
                 loads[i] = np.sum(s2[inside] ** 1.5) * cell
             for sel in windows:
                 mass = float(np.trapezoid([loads[i] for i in sel], times[sel]))

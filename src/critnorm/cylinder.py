@@ -18,6 +18,14 @@ slab's distances, is then held on one slab at a time; a sum that visits
 every stored slice on each slab in turn holds memory that does not grow
 with the number of slabs.
 
+A diagnostic call owns the spectra of the stored frames it samples off
+the grid: one FrameSpectra per stored field transforms each component
+once and keeps it until the call drops it or returns, never on the run.
+Per component, as one rfftn per vector frame (same bits) raised the peak
+RSS of perfbench's ledger_n32 from 155 to 160 MB in the allocator, its
+tracemalloc peak still 42.1 MB; per call, as spectra kept for the life
+of the run raised ledger_n32's and chain_n64's by 12-13 %.
+
 Running time integrals over the stored slices are cumulative_trapezoid
 (the weighted ledger sups) and cumulative_simpson (the energy identity):
 scipy.integrate's arithmetic in numpy, since importing scipy.integrate
@@ -28,7 +36,7 @@ import math
 
 import numpy as np
 
-from .fields import ScalarField, VectorField
+from .fields import VectorField
 from .spectral import evaluate_at_points, grad_hat, gradient, spectral_coefficients
 
 __all__ = [
@@ -37,6 +45,7 @@ __all__ = [
     "cube_lattice",
     "ball_points",
     "ball_slabs",
+    "FrameSpectra",
     "sample_slice",
     "sample_grad_sq",
     "cumulative_trapezoid", "cumulative_simpson",
@@ -144,81 +153,76 @@ def ball_slabs(grid, center, r, outer=None):
     return slabs(), cell
 
 
-def _component(grid, values, coeffs, key):
-    """One frame component as a ScalarField with its spectral
-    coefficients, made once per coeffs dict (each call without one).
-    The field's constructor scans the whole frame, so slabs share it."""
-    if coeffs is None:
-        coeffs = {}
-    if key not in coeffs:
-        coeffs[key] = (ScalarField(grid, values), spectral_coefficients(values))
-    return coeffs[key]
+class FrameSpectra:
+    """spectra[i]: the evaluation coefficients of frame i of the stored
+    SpaceTimeField stf, spectral_coefficients of each component (a
+    tuple) or of a scalar frame (one array); made at first use,
+    read-only, and kept until drop(i)."""
+
+    def __init__(self, stf):
+        self.stf, self._made = stf, {}
+
+    def __getitem__(self, i):
+        if i not in self._made:
+            frame = self.stf.frames[i]
+            made = tuple(spectral_coefficients(c) for c in frame.reshape((-1,) + frame.shape[-3:]))
+            for c in made:
+                c.flags.writeable = False
+            self._made[i] = made[0] if frame.ndim == 3 else made
+        return self._made[i]
+
+    def drop(self, i):
+        self._made.pop(i, None)
 
 
-def _on_points(grid, values, axes, coeffs, key, rows, out=None):
-    """One component on the points, written into out when given; without
-    out, on native cells, a view of values."""
-    if axes is not None:
-        field, c = _component(grid, values, coeffs, key)
-        return evaluate_at_points(field, axes, c, out=out)
-    if out is None:
-        return values[rows]
-    out[...] = values[rows]
-    return out
+def sample_slice(spectra, i, axes, rows=slice(None), out=None):
+    """Stored slice i of spectra.stf on the points of ball_points or of
+    one ball_slabs slab: a scalar frame's values, or a vector frame's
+    |v|^2, its components evaluated one at a time and summed in place.
 
-
-def sample_slice(grid, frame, axes, coeffs=None, rows=slice(None), out=None):
-    """A stored slice on the points of ball_points or of one ball_slabs
-    slab: a scalar frame's values, or a vector frame's squared magnitude
-    |v|^2.
-
-    Each scalar component is evaluated once and |v|^2 accumulates in
-    place; lattice components are never held together. coeffs, a dict
-    the caller keeps per slice and frame, reuses each component's field
-    and spectral coefficients across lattices and slabs. rows is a
-    slab's x rows; on the lattice its axes already hold them. out, a
-    pair of float64 arrays shaped like the points (a (2, ...) array
-    will do), makes the call allocate nothing for its values: they are
-    written into out[0], which is returned, and out[1] is the scratch a
-    vector frame's second and third components pass through.
+    Native cells (axes None) read the frame and transform nothing; rows
+    is then a slab's x rows (on the lattice its axes hold them). out, a
+    pair of float64 arrays shaped like the points (a (2, ...) array will
+    do), makes the call allocate nothing for its values: they are written
+    into out[0], which is returned, and out[1] is the scratch a vector
+    frame's second and third components pass through.
     """
+
+    def squared(c, buf):  # |component c|^2 on the points, into buf when given
+        if axes is None:
+            return np.square(frame[c, rows], out=buf)
+        comp = evaluate_at_points(spectra.stf, axes, spectra[i][c], out=buf)
+        return np.square(comp, out=comp)
+
     res, scratch = (None, None) if out is None else out
+    frame = spectra.stf.frames[i]
     if frame.ndim == 3:
-        return _on_points(grid, frame, axes, coeffs, 0, rows, res)
-
-    def squared(c, buf):
-        comp = _on_points(grid, frame[c], axes, coeffs, c, rows, buf)
-        # in place unless comp is a view of the native frame
-        return np.square(comp, out=None if axes is None and buf is None else comp)
-
+        if axes is not None:
+            return evaluate_at_points(spectra.stf, axes, spectra[i], out=res)
+        if res is None:
+            return frame[rows]
+        res[...] = frame[rows]
+        return res
     s2 = squared(0, res)
     s2 += squared(1, scratch)
     s2 += squared(2, scratch)
     return s2
 
 
-def sample_grad_sq(grid, frame, axes, coeffs=None):
-    """sum_ij |d_j v_i|^2 of a stored vector slice on the points of
-    ball_points.
-
-    On the lattice each derivative is evaluated straight from its
-    coefficients, grad_hat of the component's spectral coefficients, so
-    no derivative makes a round trip through the grid; the nine squares
-    accumulate in place. coeffs is the per-slice dict of sample_slice,
-    so one dict serves both.
-    """
+def sample_grad_sq(spectra, i, axes):
+    """sum_ij |d_j v_i|^2 of stored vector slice i of spectra.stf on the
+    points of ball_points. On the lattice each derivative is evaluated
+    straight from grad_hat of its component's coefficients, with no round
+    trip through the grid, and the nine squares accumulate in place;
+    native cells take the spectral gradient of the frame."""
+    g = spectra.stf.grid
     if axes is None:
-        return np.sum(np.square(gradient(VectorField(grid, frame)).data), axis=(0, 1))
-    total = None
-    for c in range(3):
-        field, ch = _component(grid, frame[c], coeffs, c)
-        for dh in grad_hat(grid, ch):
-            d = evaluate_at_points(field, axes, dh)  # only field.grid is read
-            d = np.square(d, out=d)
-            if total is None:
-                total = d
-            else:
-                total += d
+        return np.sum(np.square(gradient(VectorField(g, spectra.stf.frames[i])).data), axis=(0, 1))
+    total = 0.0
+    for ch in spectra[i]:
+        for dh in grad_hat(g, ch):
+            d = evaluate_at_points(spectra.stf, axes, dh)
+            total += np.square(d, out=d)
     return total
 
 

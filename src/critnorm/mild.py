@@ -493,7 +493,7 @@ def solve_mild(u0a, cfg, data_norm="l3", besov_p=6.0, data_gate=None):
         return H + march(frames)
 
     frames, k, contraction, hist = _picard_loop(
-        g, times, H.copy(), step, anchor, cfg.picard_tol, cfg.picard_max, 2.0
+        g, times, H, step, anchor, cfg.picard_tol, cfg.picard_max, 2.0
     )
     a = SpaceTimeField(g, times, frames)
 

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _fft
-from .cylinder import DELTA, ball_slabs, sample_slice, stored_window
+from .cylinder import DELTA, FrameSpectra, ball_slabs, sample_slice, stored_window
 from .fieldio import write_csv
 from .fields import ScalarField, nonic_step
 from .norms import BallRegion, lp_ball
@@ -267,7 +267,7 @@ def pressure_oscillation_terms(v, a, q, center, r, rho, t_top=None, weighted=Fal
     every weight stays finite; its J-terms read a only through ma, so
     it samples a on the native grid alone. Each slab of the lattice
     samples every slice of the window into one slab buffer, made at the
-    first slab; a slice's spectra are dropped after the last slab.
+    first slab; the last slab drops a slice's spectra after sampling it.
     """
     g = v.grid
     if q.grid != g or (a is not None and a.grid != g):
@@ -298,7 +298,7 @@ def pressure_oscillation_terms(v, a, q, center, r, rho, t_top=None, weighted=Fal
     v3_rho, q32_rho, tail, v_tail, v2_ring, a5_rho, cross_tail = sums
     # per slice, q on B_r and |v|^2 and |a|^2 on B_2r, slab by slab
     q_r, v2_near, a2_near = ([[] for _ in sel] for _ in range(3))
-    spectra = {}  # (slice, field) -> the coefficient dict of sample_slice
+    sv, sq, sa = (FrameSpectra(f) for f in (v, q, a))  # sa is unread when a is None
     buf = None
     for rows, axes, rad in slabs:
         if buf is None:  # the first slab is the largest
@@ -316,12 +316,8 @@ def pressure_oscillation_terms(v, a, q, center, r, rho, t_top=None, weighted=Fal
         in_r = np.flatnonzero(rad <= r)
         in_2r = np.flatnonzero(rad <= 2.0 * r)
 
-        def on_ball(f, i, name):  # slice i of f on this slab's points in B_rho
-            coeffs = spectra.setdefault((i, name), {})
-            return sample_slice(g, f.frames[i], axes, coeffs, rows, pts)[ball]
-
         for row, i in enumerate(sel):
-            v2 = on_ball(v, i, "v")
+            v2 = sample_slice(sv, i, axes, rows, pts)[ball]  # on this slab's points in B_rho
             vmag = np.sqrt(v2)
             v2_near[row].append(v2[in_2r])
             v3_rho[row] += np.dot(v2, vmag)
@@ -329,19 +325,19 @@ def pressure_oscillation_terms(v, a, q, center, r, rho, t_top=None, weighted=Fal
             v_tail[row] += np.dot(vmag, w_tail)
             v2_ring[row] += np.dot(v2, w_ring)
             del v2  # one field on the ball at a time, besides |v|
-            f = on_ball(q, i, "q")
+            f = sample_slice(sq, i, axes, rows, pts)[ball]
             q_r[row].append(f[in_r])
             np.abs(f, out=f)
             q32_rho[row] += np.dot(f, np.sqrt(f))
             if drift:
-                f = on_ball(a, i, "a")
+                f = sample_slice(sa, i, axes, rows, pts)[ball]
                 a2_near[row].append(f[in_2r])
                 amag = np.sqrt(f)
                 a5_rho[row] += np.dot(np.square(f, out=f), amag)
                 cross_tail[row] += np.dot(vmag, np.multiply(amag, w_tail, out=amag))
             if last:
-                for name in "vqa":
-                    spectra.pop((i, name), None)
+                for spectra in (sv, sq, sa):
+                    spectra.drop(i)
     # the B_r and B_2r values in lattice order: these sums keep the bits
     # of one pass over the whole lattice
     osc = np.empty(m)
@@ -365,7 +361,7 @@ def pressure_oscillation_terms(v, a, q, center, r, rho, t_top=None, weighted=Fal
         # always on the native grid (the unit ball is well resolved there)
         in_1 = g.radius(center) <= 1.0
         for i in range(len(times)):
-            amag = np.sqrt(sample_slice(g, a.frames[i], None))
+            amag = np.sqrt(sample_slice(sa, i, None))
             w = math.sqrt(abs(times[i] - t0)) * float(np.max(amag[in_1]))
             ma = max(ma, w)
 

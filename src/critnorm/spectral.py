@@ -413,11 +413,12 @@ def evaluate_at_points(f, axes_coords, coeffs=None, out=None):
     any values; periodicity is automatic). Returns an array of shape
     (len(x), len(y), len(z)) with the trigonometric interpolant of f,
     which is exact for band-limited data. Pass coeffs from
-    spectral_coefficients(f.values) to amortize the transform over sweeps,
-    and out, a C-contiguous float64 array of that shape, to have the
-    values written into it (and out returned). The y and z phase tables
-    are kept across calls (_yz_tables), so a lattice evaluated x-slab by
-    x-slab builds them once.
+    spectral_coefficients(f.values) to amortize the transform over sweeps:
+    only f.grid is then read, and coeffs must be shaped (n, n, n//2 + 1)
+    for it. Pass out, a C-contiguous float64 array of the output's shape,
+    to have the values written into it (and out returned). The y and z
+    phase tables are kept across calls (_yz_tables), so a lattice
+    evaluated x-slab by x-slab builds them once.
 
     The interpolant is Re sum over the full DFT spectrum C of f,
 
@@ -451,9 +452,11 @@ def evaluate_at_points(f, axes_coords, coeffs=None, out=None):
     the right one.
     """
     g = f.grid
+    n, half = g.n, g.n // 2
     if coeffs is None:
         coeffs = spectral_coefficients(f.values)
-    n, half = g.n, g.n // 2
+    elif coeffs.shape != (n, n, half + 1):
+        raise ValueError("coeffs shaped %r, f.grid needs %r" % (coeffs.shape, (n, n, half + 1)))
     x, y, z = (np.asarray(c, dtype=np.float64) for c in axes_coords)
     shape = (len(x), len(y), len(z))
     if out is not None and (out.shape != shape or out.dtype != np.float64

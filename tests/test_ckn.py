@@ -28,6 +28,11 @@ def _pressure(grid, x, y, z):
     return np.cos(k * x) * np.sin(k * y) + 0.2 * np.cos(k * z)
 
 
+def _spectra(grid, frame):
+    """The FrameSpectra of a one-frame stored field holding frame."""
+    return cylinder.FrameSpectra(SpaceTimeField(grid, [0.0], frame[None]))
+
+
 def _orbit(grid, times, scale=lambda t: 1.0, v=None, q=None):
     X, Y, Z = grid.coords()
     v = _velocity(grid, X, Y, Z) if v is None else v
@@ -91,13 +96,13 @@ class TestGradientLoad:
 
     def test_native_cells_and_lattice_match_closed_form(self, grid16):
         X, Y, Z = grid16.coords()
-        frame = _velocity(grid16, X, Y, Z)
+        spectra = _spectra(grid16, _velocity(grid16, X, Y, Z))
         want = self._grad_sq(grid16, X, Y, Z)
-        got = cylinder.sample_grad_sq(grid16, frame, None)
+        got = cylinder.sample_grad_sq(spectra, 0, None)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
         axes, _, _ = cylinder.ball_points(grid16, CENTER, 0.25)
         want = self._grad_sq(grid16, *np.meshgrid(*axes, indexing="ij"))
-        got = cylinder.sample_grad_sq(grid16, frame, axes)
+        got = cylinder.sample_grad_sq(spectra, 0, axes)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
 
 
@@ -116,9 +121,9 @@ class TestBallSlabs:
             assert all(np.array_equal(a, b) for a, b in zip(slab_axes[1:], axes[1:]))
         X, Y, Z = grid16.coords()
         frame = _velocity(grid16, X, Y, Z)
-        whole = cylinder.sample_slice(grid16, frame, axes)
-        coeffs = {}
-        parts = [cylinder.sample_slice(grid16, frame, a, coeffs, rows) for rows, a, _ in slabs]
+        whole = cylinder.sample_slice(_spectra(grid16, frame), 0, axes)
+        spectra = _spectra(grid16, frame)
+        parts = [cylinder.sample_slice(spectra, 0, a, rows) for rows, a, _ in slabs]
         assert np.allclose(np.concatenate(parts), whole, rtol=1e-13, atol=0.0)
 
     def test_native_slabs_are_row_blocks_of_the_grid(self, grid16):
@@ -132,7 +137,8 @@ class TestBallSlabs:
         assert np.array_equal(np.concatenate([s[2] for s in slabs]), grid.radius(CENTER))
         q = np.cos(grid.coords()[0]) + np.zeros(grid.shape)
         rows = slabs[1][0]
-        assert np.array_equal(cylinder.sample_slice(grid, q, None, rows=rows), q[rows])
+        got = cylinder.sample_slice(_spectra(grid, q), 0, None, rows=rows)
+        assert np.array_equal(got, q[rows])
 
 
 class TestSparseStorage:
@@ -214,14 +220,15 @@ def _ledger_row_by_formula(run, k):
     sel = cylinder.stored_window(run.v.times, TOP - r * r, TOP)
     axes, rad, cell = cylinder.ball_points(g, CENTER, r)
     inside = rad <= r
+    vs, qs = cylinder.FrameSpectra(run.v), cylinder.FrameSpectra(run.q)
     cubic, osc, energy, dissipation = [], [], [], []
     for i in sel:
-        v2 = cylinder.sample_slice(g, run.v.frames[i], axes)[inside]
-        q = cylinder.sample_slice(g, run.q.frames[i], axes)[inside]
+        v2 = cylinder.sample_slice(vs, i, axes)[inside]
+        q = cylinder.sample_slice(qs, i, axes)[inside]
         cubic.append(np.sum(v2**1.5) * cell)
         osc.append(np.sum(np.abs(q - np.mean(q)) ** 1.5) * cell)
         energy.append(np.sum(v2) * cell)
-        dissipation.append(np.sum(cylinder.sample_grad_sq(g, run.v.frames[i], axes)[inside]) * cell)
+        dissipation.append(np.sum(cylinder.sample_grad_sq(vs, i, axes)[inside]) * cell)
     ts = run.v.times[sel]
     a_k = np.trapezoid(cubic, ts) / r**2 + np.trapezoid(osc, ts) / r
     b_k = max(energy) + np.trapezoid(dissipation, ts)
@@ -301,6 +308,23 @@ class TestMorreySup:
         # r = 1/4 lies on the r/8 lattice: three components per slice, each
         # slice of the scanned windows (all nine) sampled once per centre
         assert calls == 3 * len(T16) * len(centres)
+
+    def test_every_radius_is_measured_or_raises(self, grid16):
+        # stored every 1/16 up to t = 1/16: k = 2 has one window, k = 3 a
+        # window of r^2 = 1/64 that holds one slice, and k = 1 none at all
+        run = _orbit(grid16, np.array([0.0, 1.0 / 16.0]))
+        region = BallRegion(CENTER, 0.5)
+        assert ckn.morrey_sup(run, region, ks=(2,)).value > 0.0
+        unresolved = "window of length 0.015625 .* needs at least two stored slices"
+        for ks in [(3,), (2, 3)]:
+            with pytest.raises(ValueError, match=unresolved):
+                ckn.morrey_sup(run, region, ks=ks)
+        with pytest.raises(ValueError, match=unresolved):
+            ckn.build_ledger(run, CENTER, 1.0 / 16.0, ks=(3,))
+        with pytest.raises(ValueError, match=r"r = 0\.5 .* span only 0\.0625"):
+            ckn.morrey_sup(run, region, ks=(1, 2))
+        with pytest.raises(ValueError, match="at least one"):
+            ckn.morrey_sup(run, region, ks=())
 
 
 class TestTestFunction:

@@ -385,11 +385,12 @@ def whole_lattice_oscillation(v, a, q, center, r, rho, t0=None):
     near_r, near_2r = rad <= r, rad <= 2.0 * r
     w_tail = np.where((rad > 2.0 * r) & (rad < rho), rad, np.inf) ** -4.0
     ring = (rad > rho / 2.0) & (rad < rho)
+    sv, sq, sa = (cylinder.FrameSpectra(f) for f in (v, q, a))
     rows = []
     for i in sel:
-        v2 = cylinder.sample_slice(g, v.frames[i], axes)[ball]
-        qs = cylinder.sample_slice(g, q.frames[i], axes)[ball]
-        a2 = cylinder.sample_slice(g, a.frames[i], axes)[ball]
+        v2 = cylinder.sample_slice(sv, i, axes)[ball]
+        qs = cylinder.sample_slice(sq, i, axes)[ball]
+        a2 = cylinder.sample_slice(sa, i, axes)[ball]
         vm, am = np.sqrt(v2), np.sqrt(a2)
         q_r = qs[near_r]
         rows.append([

@@ -180,6 +180,17 @@ def test_evaluate_at_points_rejects_an_out_it_cannot_fill():
             evaluate_at_points(f, axes, out=out)
 
 
+def test_evaluate_at_points_rejects_coeffs_of_another_shape():
+    # a 16^3 spectrum on a 32^3 field, and a three-component spectrum
+    f = ScalarField(Grid(32, GRID.L), np.zeros((32,) * 3))
+    axes = (np.zeros(2), np.zeros(3), np.zeros(4))
+    for coeffs in (spectral_coefficients(_data(0, ())), spectral_coefficients(_data(0, (3,)))):
+        want = r"coeffs shaped %s, f.grid needs \(32, 32, 17\)" % (
+            str(coeffs.shape).replace("(", r"\(").replace(")", r"\)"))
+        with pytest.raises(ValueError, match=want):
+            evaluate_at_points(f, axes, coeffs)
+
+
 def test_phase_tables_are_built_once_per_lattice_read_only_and_bounded():
     f = ScalarField(GRID, _data(0, ()))
     yz = np.linspace(-1.0, 1.0, 9)
