@@ -46,7 +46,7 @@ from .cylinder import (
 )
 from .fieldio import write_csv
 from .fields import nonic_step
-from .norms import InequalityReport, NormReport
+from .norms import InequalityReport, NormReport, ball_mask
 # bound here for perfbench/test_spans.py::test_from_import_bindings_are_counted
 from .spectral import evaluate_at_points  # noqa: F401
 
@@ -151,15 +151,14 @@ def write_ledger_csv(path, ledger):
 # cylinder quadrature
 
 
-def _slice_loads(v, center, t_top, r, q=None):
-    """Per-slice ball integrals over Q_r(center, t_top) from the
-    FrameSpectra v of a velocity and q of its pressure: |v|^3 always;
-    given q, for a ledger row, also the oscillation |q - (q)_r|^{3/2}
-    with the slice ball mean, |v|^2 and |grad v|^2. Returns the selected
-    times and a dict of these per-slice values, each with the cell volume.
+def _slice_loads(v, sel, center, r, q=None):
+    """Per-slice ball integrals over B_r(center) on the stored slices sel,
+    a stored_window, from the FrameSpectra v of a velocity and q of its
+    pressure: |v|^3 always; given q, for a ledger row, also the
+    oscillation |q - (q)_r|^{3/2} with the slice ball mean, |v|^2 and
+    |grad v|^2. Returns the selected times and a dict of these per-slice
+    values, each with the cell volume.
     """
-    times = v.stf.times
-    sel = stored_window(times, t_top - r * r, t_top)
     axes, rad, cell = ball_points(v.stf.grid, center, r)
     inside = rad <= r
     n_in = int(np.count_nonzero(inside))
@@ -174,16 +173,18 @@ def _slice_loads(v, center, t_top, r, q=None):
             out["qosc"][row] = np.sum(np.abs(qs[inside] - qa) ** 1.5) * cell
             out["v2"][row] = np.sum(s2[inside]) * cell
             out["grad2"][row] = np.sum(sample_grad_sq(v, i, axes)[inside]) * cell
-    return times[sel], out
+    return v.stf.times[sel], out
 
 
 def local_cubed_mass(run, center, t_top, r):
     """Integral of |v|^3 over Q_r(center, t_top) from the stored slices."""
-    ts, loads = _slice_loads(FrameSpectra(run.v), center, t_top, float(r))
+    r = float(r)
+    sel = stored_window(run.v.times, t_top - r * r, t_top)
+    ts, loads = _slice_loads(FrameSpectra(run.v), sel, center, r)
     return float(np.trapezoid(loads["v3"], ts))
 
 
-def cylinder_smallness(run, center, t_top, r=1.0):
+def cylinder_smallness(run, center, t_top, r):
     """Integral of |v|^3 + |q|^{3/2} over Q_r: the measured smallness the
     ledger budgets are calibrated against.
 
@@ -226,16 +227,14 @@ def _check_weights(t_top, eta, t0):
         raise ValueError("t0 must not exceed the top time")
 
 
-def _row(v, q, center, t_top, k, eta, t0):
+def _row(v, q, sel, center, k, eta, t0):
     """Ledger row k on Q_{2^-k}(center, t_top) from one pass over its
-    slices: A_k, B_k and their budgets r^2 and r^{7/3}, and the
-    WeightedValues when eta is given (else None). The weights are
-    checked before any slice is sampled; v and q are _slice_loads'.
+    slices sel: A_k, B_k and their budgets r^2 and r^{7/3}, and the
+    WeightedValues when eta is given (else None); v, q and sel are
+    _slice_loads'.
     """
-    if eta is not None:
-        _check_weights(t_top, eta, t0)
     r = float(2.0 ** -k)
-    ts, loads = _slice_loads(v, center, t_top, r, q)
+    ts, loads = _slice_loads(v, sel, center, r, q)
     q_power = r ** (-(1.0 + DELTA) / 2.0)
     a_val = float(np.trapezoid(loads["v3"], ts)) / r**2
     a_val = a_val + float(np.trapezoid(loads["qosc"], ts)) * q_power
@@ -260,15 +259,15 @@ def _row(v, q, center, t_top, k, eta, t0):
     return LedgerRow(int(k), r, a_val, a_tgt, b_val, b_tgt, bool(passed), wv)
 
 
-def build_ledger(run, center, t_top, ks=(2, 3, 4, 5), eta=None, t0=None):
+def build_ledger(run, center, t_top, ks, eta=None, t0=None):
     """Assemble ledger rows over strictly halving radii; each pass flag
     compares the row's values to its budgets (weighted ones included
     when eta is given, which needs t0). Each row samples its cylinder's
     slices once and takes A_k, B_k and the weighted values from the same
     loads.
 
-    ks must be consecutive increasing integers; ks and the weights are
-    checked before any slice is sampled.
+    ks must be consecutive increasing integers; ks, the weights and
+    every row's window are checked before any slice is sampled.
     """
     ks = tuple(ks)
     if not ks or any(int(k) != k for k in ks) or any(b != a + 1 for a, b in zip(ks, ks[1:])):
@@ -279,8 +278,12 @@ def build_ledger(run, center, t_top, ks=(2, 3, 4, 5), eta=None, t0=None):
     if eta is not None and t0 is None:
         raise ValueError("the weighted ledger (eta given) needs t0, the time the "
                          "weights (s - t0)_+ start from")
+    if eta is not None:
+        _check_weights(t_top, eta, t0)
+    sels = [stored_window(run.v.times, t_top - 4.0**-k, t_top) for k in ks]  # r_k^2 = 4^-k
     v, q = FrameSpectra(run.v), FrameSpectra(run.q)  # shared by the rows
-    return DyadicLedger(tuple(_row(v, q, center, t_top, k, eta, t0) for k in ks), eta, t0)
+    return DyadicLedger(
+        tuple(_row(v, q, sel, center, k, eta, t0) for k, sel in zip(ks, sels)), eta, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +294,7 @@ _MORREY_STRIDE = 2  # morrey_sup keeps every second grid point per axis as a cen
 _MORREY_TOPS = 6  # and scans at most this many top times per radius
 
 
-def morrey_sup(run, region, ks=(2, 3, 4, 5)):
+def morrey_sup(run, region, ks):
     """Sup of r^{delta-5} int_{Q_r} |v|^3 = r^{-4} int_{Q_r} |v|^3 over a
     center lattice in the region, dyadic radii 2^{-k}, and stored top times.
 
@@ -303,19 +306,18 @@ def morrey_sup(run, region, ks=(2, 3, 4, 5)):
     trapezoid over stored slices, second order in the stride, so refining
     the stride can lower the value as well as raise it. A radius whose r^2
     exceeds the stored span, or whose window the storage stride cannot
-    resolve, raises, and so does an empty ks.
+    resolve, raises before any slice is sampled; so does an empty ks.
     """
     if len(ks) == 0:
         raise ValueError("morrey_sup needs at least one dyadic index k in ks")
     g = run.grid
-    idx = np.argwhere(g.radius(region.center) <= region.radius)
+    idx = np.argwhere(ball_mask(g, region))
     keep = np.all(idx % _MORREY_STRIDE == 0, axis=1)
     centers = [tuple(float(g.x[j]) for j in trip) for trip in idx[keep]]
     if region.center not in centers:
         centers.append(region.center)
     times = run.v.times
-    v = FrameSpectra(run.v)  # reused across centers and radii
-    best = 0.0
+    scans = []  # (r, windows) per radius, every window checked before any sample
     for k in ks:
         r = 2.0 ** -k
         ok = times[times - r * r >= times[0] - 1e-12]
@@ -324,7 +326,10 @@ def morrey_sup(run, region, ks=(2, 3, 4, 5)):
                              "only %g (t = %g to %g): store a longer run or drop this k"
                              % (r, r * r, times[-1] - times[0], times[0], times[-1]))
         pick = np.unique(np.linspace(0, len(ok) - 1, min(_MORREY_TOPS, len(ok))).astype(int))
-        windows = [stored_window(times, float(t) - r * r, float(t)) for t in ok[pick]]
+        scans.append((r, [stored_window(times, float(t) - r * r, float(t)) for t in ok[pick]]))
+    v = FrameSpectra(run.v)  # reused across centers and radii
+    best = 0.0
+    for r, windows in scans:
         for c in centers:
             axes, rad, cell = ball_points(g, c, r)
             inside = rad <= r

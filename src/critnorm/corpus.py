@@ -48,7 +48,11 @@ def random_scalar(grid, rng, kmax=6):
 
 
 def random_divfree(grid, rng, kmax=6, amplitude=1.0):
-    """Band-limited random divergence-free vector field, |u| <= amplitude."""
+    """Band-limited random divergence-free vector field, |u| <= amplitude.
+
+    The white noise is drawn on the grid itself and scaled by its sampled
+    max |u|, so one seed gives a different field on each grid.
+    """
     comps = np.stack(
         [band_limit(rng.standard_normal(grid.shape), grid, kmax) for _ in range(3)]
     )
@@ -92,7 +96,11 @@ def curl_bump(grid, amplitude=1.0):
 
     Discretely divergence-free to round-off by construction; the support is
     only essentially compact (trig-interpolant tails outside _BUMP_OFF at
-    the aliasing level of the cutoff).
+    the aliasing level of the cutoff). The scale is the sampled max |u|,
+    so each grid gets a different function: at amplitude 0.5 on the box
+    of side 2 pi sqrt 2, ||u||_2^2 is 0.4576, 0.5100 and 0.5097 at 32^3,
+    64^3 and 128^3. Numbers from a 32^3 run on this datum, or on
+    random_divfree noise, are therefore not the 64^3 numbers at lower cost.
     """
     psi = smooth_radial_cutoff(grid, _BUMP_ON, _BUMP_OFF).values
     X, Y, Z = grid.coords()

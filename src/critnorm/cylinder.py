@@ -19,12 +19,12 @@ every stored slice on each slab in turn holds memory that does not grow
 with the number of slabs.
 
 A diagnostic call owns the spectra of the stored frames it samples off
-the grid: one FrameSpectra per stored field transforms each component
-once and keeps it until the call drops it or returns, never on the run.
-Per component, as one rfftn per vector frame (same bits) raised the peak
-RSS of perfbench's ledger_n32 from 155 to 160 MB in the allocator, its
-tracemalloc peak still 42.1 MB; per call, as spectra kept for the life
-of the run raised ledger_n32's and chain_n64's by 12-13 %.
+the grid: one FrameSpectra per stored field takes the rfftn of each
+component once and keeps it until the call drops it or returns, never
+on the run. Per component, as one rfftn per vector frame (same bits)
+raised the peak RSS of perfbench's ledger_n32 from 155 to 160 MB in the
+allocator, its tracemalloc peak still 42.1 MB; per call, as spectra kept
+for the life of the run raised ledger_n32's and chain_n64's by 12-13 %.
 
 Running time integrals over the stored slices are cumulative_trapezoid
 (the weighted ledger sups) and cumulative_simpson (the energy identity):
@@ -36,8 +36,9 @@ import math
 
 import numpy as np
 
+from . import _fft
 from .fields import VectorField
-from .spectral import evaluate_at_points, grad_hat, gradient, spectral_coefficients
+from .spectral import evaluate_at_points, grad_hat, gradient
 
 __all__ = [
     "DELTA",
@@ -154,10 +155,9 @@ def ball_slabs(grid, center, r, outer=None):
 
 
 class FrameSpectra:
-    """spectra[i]: the evaluation coefficients of frame i of the stored
-    SpaceTimeField stf, spectral_coefficients of each component (a
-    tuple) or of a scalar frame (one array); made at first use,
-    read-only, and kept until drop(i)."""
+    """spectra[i]: the spectra of frame i of the stored SpaceTimeField
+    stf, the rfftn of each component (a tuple) or of a scalar frame (one
+    array); made at first use, read-only, and kept until drop(i)."""
 
     def __init__(self, stf):
         self.stf, self._made = stf, {}
@@ -165,7 +165,7 @@ class FrameSpectra:
     def __getitem__(self, i):
         if i not in self._made:
             frame = self.stf.frames[i]
-            made = tuple(spectral_coefficients(c) for c in frame.reshape((-1,) + frame.shape[-3:]))
+            made = tuple(_fft.rfftn(c) for c in frame.reshape((-1,) + frame.shape[-3:]))
             for c in made:
                 c.flags.writeable = False
             self._made[i] = made[0] if frame.ndim == 3 else made
@@ -191,14 +191,14 @@ def sample_slice(spectra, i, axes, rows=slice(None), out=None):
     def squared(c, buf):  # |component c|^2 on the points, into buf when given
         if axes is None:
             return np.square(frame[c, rows], out=buf)
-        comp = evaluate_at_points(spectra.stf, axes, spectra[i][c], out=buf)
+        comp = evaluate_at_points(spectra.stf.grid, axes, spectra[i][c], out=buf)
         return np.square(comp, out=comp)
 
     res, scratch = (None, None) if out is None else out
     frame = spectra.stf.frames[i]
     if frame.ndim == 3:
         if axes is not None:
-            return evaluate_at_points(spectra.stf, axes, spectra[i], out=res)
+            return evaluate_at_points(spectra.stf.grid, axes, spectra[i], out=res)
         if res is None:
             return frame[rows]
         res[...] = frame[rows]
@@ -212,7 +212,7 @@ def sample_slice(spectra, i, axes, rows=slice(None), out=None):
 def sample_grad_sq(spectra, i, axes):
     """sum_ij |d_j v_i|^2 of stored vector slice i of spectra.stf on the
     points of ball_points. On the lattice each derivative is evaluated
-    straight from grad_hat of its component's coefficients, with no round
+    straight from grad_hat of its component's spectrum, with no round
     trip through the grid, and the nine squares accumulate in place;
     native cells take the spectral gradient of the frame."""
     g = spectra.stf.grid
@@ -221,7 +221,7 @@ def sample_grad_sq(spectra, i, axes):
     total = 0.0
     for ch in spectra[i]:
         for dh in grad_hat(g, ch):
-            d = evaluate_at_points(spectra.stf, axes, dh)
+            d = evaluate_at_points(g, axes, dh)
             total += np.square(d, out=d)
     return total
 

@@ -34,6 +34,7 @@ from .spectral import padded_hat
 
 __all__ = [
     "BallRegion",
+    "ball_mask",
     "NormReport",
     "InequalityReport",
     "box_lp",
@@ -112,10 +113,17 @@ def write_reports_csv(path, reports):
 # cell selection
 
 
-def _ball_mask(grid, region):
+def ball_mask(grid, region):
+    """The cells of grid whose centers lie in the BallRegion region: the
+    one membership rule of every ball on the native cells. A ball that
+    does not fit in the box with a one-cell margin raises, and so does
+    one that holds no cell center."""
     if region.radius + grid.dx > grid.L / 2:
         raise ValueError("ball plus one-cell margin does not fit in the box")
-    return grid.radius(region.center) <= region.radius
+    mask = grid.radius(region.center) <= region.radius
+    if not np.any(mask):
+        raise ValueError("region contains no cell centers")
+    return mask
 
 
 def _magnitude(data):
@@ -128,8 +136,6 @@ def _magnitude(data):
 
 def _lp_of_cells(values, mask, p, cell_volume):
     if mask is not None:
-        if not np.any(mask):
-            raise ValueError("region contains no cell centers")
         values = values[mask]
     if p == math.inf:
         return float(np.max(values))
@@ -147,7 +153,7 @@ def lp_ball(f, p, region, name=None):
     p = float(p)
     if not (p >= 1):
         raise ValueError("p must lie in [1, inf]")
-    mask = _ball_mask(f.grid, region)
+    mask = ball_mask(f.grid, region)
     value = _lp_of_cells(_magnitude(f.data), mask, p, f.grid.cell_volume)
     return NormReport(
         name=name or "L%g(B_%g)" % (p, region.radius),
@@ -165,10 +171,8 @@ def l2_uloc(f, ball_radius=1.0):
     is a lattice lower bound of the true uniformly-local norm.
     """
     g = f.grid
-    if ball_radius + g.dx > g.L / 2:
-        raise ValueError("ball plus one-cell margin does not fit in the box")
+    stencil = ball_mask(g, BallRegion((g.x[0],) * 3, ball_radius)).astype(np.float64)
     squares = _magnitude(f.data) ** 2
-    stencil = (g.radius((g.x[0], g.x[0], g.x[0])) <= ball_radius).astype(np.float64)
     # stencil is even in the displacement, so correlation == convolution
     sums = _fft.irfftn(_fft.rfftn(squares) * _fft.rfftn(stencil), squares.shape)
     coarse = np.maximum(sums[::4, ::4, ::4], 0.0)
@@ -222,15 +226,10 @@ def lorentz_from_samples(values, weights, p, q):
 
 def lorentz_quasinorm(f, p, q, region=None):
     """L^{p,q} quasinorm over a ball (or the whole box when region is None)."""
-    g = f.grid
-    if region is None:
-        values = _magnitude(f.data)
-    else:
-        mask = _ball_mask(g, region)
-        if not np.any(mask):
-            raise ValueError("region contains no cell centers")
-        values = _magnitude(f.data)[mask]
-    value = lorentz_from_samples(values, g.cell_volume, p, q)
+    values = _magnitude(f.data)
+    if region is not None:
+        values = values[ball_mask(f.grid, region)]
+    value = lorentz_from_samples(values, f.grid.cell_volume, p, q)
     return NormReport(
         name="L(%g,%s)" % (p, "inf" if q == math.inf else "%g" % q),
         value=value,
@@ -261,7 +260,7 @@ def morrey_critical(f, center_set, r_min, r_max):
     for r in radii:
         for center in center_set:
             region = BallRegion(center, r)
-            mask = _ball_mask(g, region)
+            mask = ball_mask(g, region)
             val = _lp_of_cells(values, mask, 2.0, g.cell_volume) / math.sqrt(r)
             if val > best:
                 best = val
@@ -293,9 +292,7 @@ def parabolic_holder_seminorm(u, nu, region, t_window=None):
     times = u.times
     lo, hi = (times[0], times[-1]) if t_window is None else t_window
     sel = stored_window(times, float(lo), float(hi))
-    mask = _ball_mask(g, region)
-    if not np.any(mask):
-        raise ValueError("region contains no cell centers")
+    mask = ball_mask(g, region)
 
     slab = u.frames[sel]  # (m, ..., n, n, n)
     m = len(sel)
@@ -409,7 +406,7 @@ def check_hunt(f, g, exponents, region=None):
     if f.grid != g.grid:
         raise ValueError("product factors live on different grids")
 
-    mask = None if region is None else _ball_mask(f.grid, region)
+    mask = None if region is None else ball_mask(f.grid, region)
 
     def _norm(values, pp, qq):
         picked = values if mask is None else values[mask]

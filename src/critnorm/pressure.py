@@ -45,7 +45,7 @@ from . import _fft
 from .cylinder import DELTA, FrameSpectra, ball_slabs, sample_slice, stored_window
 from .fieldio import write_csv
 from .fields import ScalarField, nonic_step
-from .norms import BallRegion, lp_ball
+from .norms import BallRegion, ball_mask, lp_ball
 from .spectral import (
     SYM_PAIRS,
     free_riesz_sum,
@@ -159,11 +159,11 @@ def riesz_split_at(V, center, radius):
     the ball of the given radius about center and far from the
     complement. The masks are sharp indicators, so near + far recovers
     the unsplit operator exactly by linearity. V must vanish outside
-    |x| < L/4, as free_riesz_sum requires.
+    |x| < L/4, as free_riesz_sum requires, and the ball is ball_mask's.
     """
     g = V.grid
+    inside = ball_mask(g, BallRegion(center, radius))
     S = _sym_part(V.data)
-    inside = g.radius(center) <= radius
     return free_riesz_sum(g, np.where(inside, S, 0.0)), free_riesz_sum(g, np.where(inside, 0.0, S))
 
 
@@ -233,12 +233,9 @@ def split_pressure(p, V, cutoff):
 
 
 def mean_on_ball(q, ball):
-    """Cell average of q over the ball."""
-    mask = q.grid.radius(ball.center) <= ball.radius
-    count = int(np.count_nonzero(mask))
-    if count == 0:
-        raise ValueError("ball contains no grid cells")
-    return float(np.sum(q.values[mask]) / count)
+    """Cell average of q over the ball, its cells those of ball_mask."""
+    mask = ball_mask(q.grid, ball)
+    return float(np.sum(q.values[mask]) / np.count_nonzero(mask))
 
 
 @dataclass(frozen=True)
@@ -359,7 +356,7 @@ def pressure_oscillation_terms(v, a, q, center, r, rho, t_top=None, weighted=Fal
     if weighted and a is not None:
         # sup weight over the whole stored orbit, unit ball at the center,
         # always on the native grid (the unit ball is well resolved there)
-        in_1 = g.radius(center) <= 1.0
+        in_1 = ball_mask(g, BallRegion(center, 1.0))
         for i in range(len(times)):
             amag = np.sqrt(sample_slice(sa, i, None))
             w = math.sqrt(abs(times[i] - t0)) * float(np.max(amag[in_1]))

@@ -38,7 +38,6 @@ __all__ = [
     "free_riesz_sum",
     "padded_hat",
     "evaluate_at_points",
-    "spectral_coefficients",
 ]
 
 
@@ -373,19 +372,14 @@ def free_riesz_sum(grid, S):
 # off-lattice evaluation of band-limited fields
 
 
-def spectral_coefficients(values):
-    """rfft coefficients of real box values, normalized for point evaluation."""
-    values = np.asarray(values)
-    return _fft.rfftn(values) / values.size
-
-
 @functools.lru_cache(maxsize=4)
 def _yz_tables(n, k0, x0, y_bytes, z_bytes):
     """The y and z phase tables of evaluate_at_points, read-only: Ey0,
     e^{i k y'} on the n FFT modes; Ey, the same with the Nyquist column
-    folded to cos(N k0 y') and sin(N k0 y') appended; and the z basis.
-    They depend on the grid and the y and z coordinates only, so all the
-    x-slabs of one lattice share them. At most four sets are kept."""
+    folded to cos(N k0 y') and sin(N k0 y') appended; and the z basis,
+    which also carries the interpolant's 1/n^3. They depend on the grid
+    and the y and z coordinates only, so all the x-slabs of one lattice
+    share them. At most four sets are kept."""
     half = n // 2
     rel_y = np.frombuffer(y_bytes) - x0
     rel_z = np.frombuffer(z_bytes) - x0
@@ -401,26 +395,26 @@ def _yz_tables(n, k0, x0, y_bytes, z_bytes):
     basis[1::2] = -np.sin(phase[:half])
     basis[1] = np.sin(phase[half])
     basis[2:n] *= 2.0
+    basis /= float(n) ** 3  # a power of two: exact, and commutes with every rounding
     for arr in (Ey0, Ey, basis):
         arr.flags.writeable = False
     return Ey0, Ey, basis
 
 
-def evaluate_at_points(f, axes_coords, coeffs=None, out=None):
-    """Evaluate a (band-limited) real scalar field on a tensor lattice of points.
+def evaluate_at_points(grid, axes_coords, hat, out=None):
+    """Evaluate a band-limited real scalar field on a tensor lattice of points.
 
-    axes_coords is a triple of 1-D coordinate arrays (absolute positions,
-    any values; periodicity is automatic). Returns an array of shape
-    (len(x), len(y), len(z)) with the trigonometric interpolant of f,
-    which is exact for band-limited data. Pass coeffs from
-    spectral_coefficients(f.values) to amortize the transform over sweeps:
-    only f.grid is then read, and coeffs must be shaped (n, n, n//2 + 1)
-    for it. Pass out, a C-contiguous float64 array of the output's shape,
-    to have the values written into it (and out returned). The y and z
-    phase tables are kept across calls (_yz_tables), so a lattice
-    evaluated x-slab by x-slab builds them once.
+    hat is the rfftn of the field's values on grid, shaped (n, n, n//2 + 1),
+    as a field's .hat is. axes_coords is a triple of 1-D coordinate arrays
+    (absolute positions, any values; periodicity is automatic). Returns an
+    array of shape (len(x), len(y), len(z)) with the trigonometric
+    interpolant of the field, which is exact for band-limited data. Pass
+    out, a C-contiguous float64 array of the output's shape, to have the
+    values written into it (and out returned). The y and z phase tables
+    are kept across calls (_yz_tables), so a lattice evaluated x-slab by
+    x-slab builds them once.
 
-    The interpolant is Re sum over the full DFT spectrum C of f,
+    The interpolant is Re sum over the full DFT spectrum C = fftn / n^3,
 
         Re sum_{a,b,c} C_abc e^{i (k_a x' + k_b y' + k_c z')},
 
@@ -431,7 +425,7 @@ def evaluate_at_points(f, axes_coords, coeffs=None, out=None):
     same contraction with both Nyquist phases flipped to e^{+iN k0 .}.
     Averaging the two phases folds the mirror into one contraction:
 
-        S = (D + D~) / 2 = D + i sx Ry + i sy Rx,
+    S = (D + D~) / 2 = D + i sx Ry + i sy Rx,
 
     sx = sin(N k0 x'), sy = sin(N k0 y'), and Rx, Ry the contractions of
     the Nyquist rows C[:, N, c] and C[N, :, c] with the Nyquist phase
@@ -448,30 +442,27 @@ def evaluate_at_points(f, axes_coords, coeffs=None, out=None):
     Q_N = Im D_N from one contraction of the Nyquist z-plane with the
     original phases. Im S_0 vanishes, so Q_N takes its slot and the
     interleaved real and imaginary parts of S are the left factor of one
-    real matrix product into the output, with the factors 2 and -2 in
-    the right one.
+    real matrix product into the output, with the factors 2, -2 and
+    1/n^3 in the right one; n is a power of two, so the 1/n^3 is exact.
     """
-    g = f.grid
-    n, half = g.n, g.n // 2
-    if coeffs is None:
-        coeffs = spectral_coefficients(f.values)
-    elif coeffs.shape != (n, n, half + 1):
-        raise ValueError("coeffs shaped %r, f.grid needs %r" % (coeffs.shape, (n, n, half + 1)))
+    n, half = grid.n, grid.n // 2
+    if hat.shape != (n, n, half + 1):
+        raise ValueError("hat shaped %r, the grid needs %r" % (hat.shape, (n, n, half + 1)))
     x, y, z = (np.asarray(c, dtype=np.float64) for c in axes_coords)
     shape = (len(x), len(y), len(z))
     if out is not None and (out.shape != shape or out.dtype != np.float64
                             or not out.flags.c_contiguous):
         raise ValueError("out must be a C-contiguous float64 array of shape %r, got %s %r"
                          % (shape, out.dtype, out.shape))
-    Ey0, Ey, basis = _yz_tables(n, g.k0, g.x[0], y.tobytes(), z.tobytes())
+    Ey0, Ey, basis = _yz_tables(n, grid.k0, grid.x[0], y.tobytes(), z.tobytes())
     # FFT index 0 sits at x = -L/2, so phases use box-relative offsets
-    rel = x - g.x[0]
-    Ex = np.exp(1j * np.outer(rel, g.k0 * g.modes))
-    qn = ((Ex @ coeffs[:, :, half]) @ Ey0.T).imag  # Im D_N, before the folding
-    Ex[:, half] = np.cos(half * g.k0 * rel)
+    rel = x - grid.x[0]
+    Ex = np.exp(1j * np.outer(rel, grid.k0 * grid.modes))
+    qn = ((Ex @ hat[:, :, half]) @ Ey0.T).imag  # Im D_N, before the folding
+    Ex[:, half] = np.cos(half * grid.k0 * rel)
     A = np.empty((len(x), n + 1, half + 1), dtype=np.complex128)  # A[x, b, c]
-    A[:, :n] = np.tensordot(Ex, coeffs, axes=(1, 0))
-    np.multiply.outer(-np.sin(half * g.k0 * rel), coeffs[half, half], out=A[:, n])
+    A[:, :n] = np.tensordot(Ex, hat, axes=(1, 0))
+    np.multiply.outer(-np.sin(half * grid.k0 * rel), hat[half, half], out=A[:, n])
     S = np.matmul(Ey, A)  # S[x, y, c]
     S[..., 0].imag = qn
     # Re S_0, Q_N, Re S_1, Im S_1, ..., Re S_N; the slot of Im S_N is dropped

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from critnorm import ckn, cylinder, pns, pressure
+from critnorm import _fft, ckn, cylinder, pns, pressure
 from critnorm.fields import Grid, SpaceTimeField, taylor_green_3d
 from critnorm.norms import BallRegion
 
@@ -259,13 +259,13 @@ class TestBuildLedger:
         cfg = pns.PNSConfig(dt=1.0 / 256.0, T=1.0 / 16.0, stride=1)
         run = pns.run_pns(taylor_green_3d(grid16, 0.3), cfg)
         calls = []
-        real = cylinder.spectral_coefficients
+        real = _fft.rfftn
 
-        def counting(values):
+        def counting(values):  # every lattice here is off the grid: FrameSpectra's
             calls.append(values)
             return real(values)
 
-        monkeypatch.setattr(cylinder, "spectral_coefficients", counting)
+        monkeypatch.setattr(_fft, "rfftn", counting)
         ckn.build_ledger(run, (0.0, 0.0, 0.0), 1.0 / 16.0, ks=(2, 3, 4), eta=0.6, t0=0.0)
         assert len(run.v.times) == 17
         assert len(calls) == 68  # three velocity components and q per stored slice
@@ -325,6 +325,18 @@ class TestMorreySup:
             ckn.morrey_sup(run, region, ks=(1, 2))
         with pytest.raises(ValueError, match="at least one"):
             ckn.morrey_sup(run, region, ks=())
+
+    def test_every_window_is_checked_before_any_sample(self, grid16, evaluations):
+        # the k = 2 cylinders are sampleable and come first; the k = 3
+        # window cannot be resolved, so neither call may sample anything
+        run = _orbit(grid16, np.array([0.0, 1.0 / 16.0]))
+        unresolved = "window of length 0.015625 .* needs at least two stored slices"
+        with pytest.raises(ValueError, match=unresolved):
+            ckn.morrey_sup(run, BallRegion(CENTER, 0.5), ks=(2, 3))
+        assert len(evaluations) == 0
+        with pytest.raises(ValueError, match=unresolved):
+            ckn.build_ledger(run, CENTER, 1.0 / 16.0, ks=(2, 3))
+        assert len(evaluations) == 0
 
 
 class TestTestFunction:

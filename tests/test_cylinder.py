@@ -73,13 +73,13 @@ class TestFrameSpectra:
     def test_entries_are_read_only_per_component_spectra(self, grid16):
         vec, sca = cylinder.FrameSpectra(_stored(grid16, 3)), cylinder.FrameSpectra(_stored(grid16, 0))
         assert len(vec[1]) == 3 and isinstance(sca[1], np.ndarray)
-        for c, coeffs in enumerate(vec[1]):
-            assert np.array_equal(coeffs, _fft.rfftn(vec.stf.frames[1, c]) / grid16.n**3)
-        assert np.array_equal(sca[1], _fft.rfftn(sca.stf.frames[1]) / grid16.n**3)
-        for coeffs in vec[1] + (sca[1],):
-            assert not coeffs.flags.writeable
+        for c, hat in enumerate(vec[1]):
+            assert np.array_equal(hat, _fft.rfftn(vec.stf.frames[1, c]))
+        assert np.array_equal(sca[1], _fft.rfftn(sca.stf.frames[1]))
+        for hat in vec[1] + (sca[1],):
+            assert not hat.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
-                coeffs[0, 0, 0] = 0.0
+                hat[0, 0, 0] = 0.0
 
     def test_each_component_is_transformed_once_per_call(self, grid16, transforms):
         stf = _stored(grid16, 3)

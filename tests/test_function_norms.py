@@ -15,6 +15,7 @@ from critnorm.fields import (
 from critnorm.norms import (
     BallRegion,
     NormReport,
+    ball_mask,
     check_hunt,
     check_oneil,
     l2_uloc,
@@ -49,6 +50,15 @@ class TestRegionAndReport:
         f = ScalarField(grid32, np.ones(grid32.shape))
         with pytest.raises(ValueError):
             lp_ball(f, 2, BallRegion((0, 0, 0), grid32.L / 2))
+
+    def test_ball_mask_is_cell_center_membership(self, grid32):
+        for center, radius in [((0, 0, 0), 1.0), ((0.3, -0.7, 1.1), 1.2), ((4.0, 0, 0), 0.5)]:
+            want = grid32.radius(center) <= radius
+            assert np.array_equal(ball_mask(grid32, BallRegion(center, radius)), want)
+        with pytest.raises(ValueError, match="does not fit"):
+            ball_mask(grid32, BallRegion((0, 0, 0), grid32.L / 2 - grid32.dx / 2))
+        with pytest.raises(ValueError, match="no cell centers"):
+            ball_mask(grid32, BallRegion((grid32.dx / 2, 0, 0), grid32.dx / 4))
 
     def test_report_rejects_bad_values(self):
         with pytest.raises(ValueError):
@@ -368,7 +378,7 @@ class TestScalingInvariance:
     def test_lp_ball_scaling(self, grid64, lam):
         f = gaussian_bump(grid64, 0.35)
         coords = [lam * grid64.x] * 3
-        scaled = ScalarField(grid64, lam * evaluate_at_points(f, coords))
+        scaled = ScalarField(grid64, lam * evaluate_at_points(grid64, coords, f.hat))
         a = lp_ball(scaled, 3, BallRegion((0, 0, 0), 1.0 / lam)).value
         b = lp_ball(f, 3, B1).value
         assert np.isclose(a, b, rtol=0.06)

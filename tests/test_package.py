@@ -49,10 +49,10 @@ def test_no_module_imports_a_siblings_private_name():
 
 def test_only_cylinder_calls_the_off_grid_evaluator():
     """The spectra of stored frames have one owner, cylinder.FrameSpectra:
-    outside spectral, no module but cylinder calls spectral_coefficients
-    or evaluate_at_points. Importing the names, as ckn and pressure do so
-    that perfbench's tracer finds a binding there, is not calling them."""
-    names = {"spectral_coefficients", "evaluate_at_points"}
+    outside spectral, no module but cylinder calls evaluate_at_points.
+    Importing the name, as ckn and pressure do so that perfbench's
+    tracer finds a binding there, is not calling it."""
+    names = {"evaluate_at_points"}
     found = []
     for path in sorted(pathlib.Path(critnorm.__file__).parent.glob("*.py")):
         if path.name in ("spectral.py", "cylinder.py"):
@@ -86,7 +86,7 @@ def test_importing_every_module_leaves_heavy_scipy_unloaded():
 
 
 # the count of test_optional_parameters_do_not_grow; lower it when options go
-OPTIONAL_PARAMETERS = 58
+OPTIONAL_PARAMETERS = 54
 
 
 def _is_dataclass(cls):

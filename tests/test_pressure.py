@@ -234,8 +234,18 @@ class TestMeanOnBall:
     def test_empty_ball_rejected(self, grid32):
         q = ScalarField(grid32, np.ones(grid32.shape))
         center = (grid32.dx / 2.0, 0.0, 0.0)
-        with pytest.raises(ValueError, match="no grid cells"):
+        with pytest.raises(ValueError, match="no cell centers"):
             pressure.mean_on_ball(q, BallRegion(center, 0.05))
+
+    def test_ball_that_does_not_fit_is_rejected(self, grid32):
+        # lp_ball refuses this ball too: with a one-cell margin it wraps
+        # round the box
+        q = ScalarField(grid32, np.ones(grid32.shape))
+        ball = BallRegion((0, 0, 0), grid32.L / 2 - grid32.dx / 2)
+        with pytest.raises(ValueError, match="does not fit"):
+            lp_ball(q, 2, ball)
+        with pytest.raises(ValueError, match="does not fit"):
+            pressure.mean_on_ball(q, ball)
 
 
 def mean_close(q, ball, want):
@@ -446,17 +456,16 @@ def driven_run16():
 
 def count_evaluations(monkeypatch, outs=None):
     """Wrap the evaluator the cylinder quadrature calls; returns the list
-    of (coefficient array, points) it fills, one entry per call. Each
-    call's out buffer (None when it allocates) is appended to outs when
-    given."""
+    of (spectrum, points) it fills, one entry per call. Each call's out
+    buffer (None when it allocates) is appended to outs when given."""
     calls = []
     original = cylinder.evaluate_at_points
 
-    def counted(f, axes, coeffs=None, out=None):
+    def counted(grid, axes, hat, out=None):
         if outs is not None:
             outs.append(out)
-        values = original(f, axes, coeffs, out=out)
-        calls.append((coeffs, values.size))  # holding coeffs keeps its id unique
+        values = original(grid, axes, hat, out=out)
+        calls.append((hat, values.size))  # holding hat keeps its id unique
         return values
 
     monkeypatch.setattr(cylinder, "evaluate_at_points", counted)
@@ -484,9 +493,9 @@ class TestSlabbedOscillation:
         calls = count_evaluations(monkeypatch)
         pressure.pressure_oscillation_terms(r.v, r.a, r.q, (0, 0, 0), self.R, self.RHO)
         points = {}
-        for coeffs, size in calls:
+        for hat, size in calls:
             assert size <= 2**19  # one slab: 4 MB of float64
-            points[id(coeffs)] = points.get(id(coeffs), 0) + size
+            points[id(hat)] = points.get(id(hat), 0) + size
         # v, q and a: seven components per stored slice, each over the whole lattice
         assert len(points) == 7 * len(r.v.times)
         assert set(points.values()) == {131**3}
@@ -512,7 +521,7 @@ class TestSlabbedOscillation:
             r.v, r.a, r.q, (0, 0, 0), self.R, self.RHO, weighted=True, t0=self.T0
         )
         assert len(calls) == 5 * 4 * len(r.v.times)  # 5 slabs; v and q, 4 components
-        assert len({id(coeffs) for coeffs, _ in calls}) == 4 * len(r.v.times)
+        assert len({id(hat) for hat, _ in calls}) == 4 * len(r.v.times)
 
     def test_small_lattice_is_one_slab(self, driven_run16, monkeypatch):
         # r = 1/4 under rho = 1: 67^3 points, one evaluation per component

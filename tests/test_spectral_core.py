@@ -355,7 +355,7 @@ class TestEvaluateAtPoints:
             np.array([0.7, -0.2]),
             np.array([1.9, 0.0, -0.4]),
         )
-        got = spectral.evaluate_at_points(f, pts)
+        got = spectral.evaluate_at_points(f.grid, pts, f.hat)
         X, Y, Z = np.meshgrid(*pts, indexing="ij")
         want = np.cos(k * X) * np.sin(k * Y) + 0.0 * Z
         assert np.allclose(got, want, atol=1e-13)
@@ -370,7 +370,7 @@ class TestEvaluateAtPoints:
             np.array([0.0, 2.2]),
             np.array([-0.9]),
         )
-        got = spectral.evaluate_at_points(f, pts)
+        got = spectral.evaluate_at_points(f.grid, pts, f.hat)
         want = np.zeros((2, 2, 1), dtype=complex)
         for ix, px in enumerate(pts[0]):
             for iy, py in enumerate(pts[1]):
@@ -389,7 +389,7 @@ class TestEvaluateAtPoints:
     def test_reproduces_grid_values(self, grid16, rng):
         f = corpus.random_scalar(grid16, rng, kmax=5)
         pts = (grid16.x[:4], grid16.x[:3], grid16.x[:5])
-        got = spectral.evaluate_at_points(f, pts)
+        got = spectral.evaluate_at_points(f.grid, pts, f.hat)
         assert np.allclose(got, f.values[:4, :3, :5], atol=1e-12)
 
 

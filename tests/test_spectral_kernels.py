@@ -21,7 +21,6 @@ from critnorm.spectral import (
     leray_project,
     neg_leray_div_hat,
     newtonian_potential_div,
-    spectral_coefficients,
     sym_ddiv_hat,
     sym_outer_hat,
     tensor_div_hat,
@@ -140,7 +139,7 @@ def test_evaluate_at_points_is_the_trigonometric_sum(seed, n, lengths):
     rng = np.random.default_rng(seed)
     values = rng.standard_normal(g.shape)
     axes = tuple(rng.uniform(-1.5 * g.L, 1.5 * g.L, size=m) for m in lengths)
-    got = evaluate_at_points(ScalarField(g, values), axes, spectral_coefficients(values))
+    got = evaluate_at_points(g, axes, _fft.rfftn(values))
     coeffs = np.fft.fftn(values) / values.size
     k = g.k0 * g.modes
     X, Y, Z = np.meshgrid(*[a - g.x[0] for a in axes], indexing="ij")
@@ -160,49 +159,48 @@ def test_evaluate_at_points_into_out_is_the_allocating_call(seed, lengths):
     # out is a view inside a larger buffer, off its start, as a slab's is
     rng = np.random.default_rng(seed)
     values = rng.standard_normal(GRID.shape)
-    f, coeffs = ScalarField(GRID, values), spectral_coefficients(values)
+    hat = _fft.rfftn(values)
     axes = tuple(rng.uniform(-GRID.L, GRID.L, size=m) for m in lengths)
-    want = evaluate_at_points(f, axes, coeffs)
+    want = evaluate_at_points(GRID, axes, hat)
     size = int(np.prod(lengths))
     buf = np.full(2 * size + 3, np.nan)
     out = buf[3 : 3 + size].reshape(lengths)
-    got = evaluate_at_points(f, axes, coeffs, out=out)
+    got = evaluate_at_points(GRID, axes, hat, out=out)
     assert got is out and np.shares_memory(got, buf)
     assert got.tobytes() == want.tobytes()
 
 
 def test_evaluate_at_points_rejects_an_out_it_cannot_fill():
-    f = ScalarField(GRID, _data(0, ()))
+    hat = _fft.rfftn(_data(0, ()))
     axes = (np.zeros(2), np.zeros(3), np.zeros(4))
     for out in (np.empty((2, 3, 5)), np.empty((2, 3, 4), dtype=np.float32),
                 np.empty((2, 3, 8))[..., ::2]):
         with pytest.raises(ValueError, match="out must be"):
-            evaluate_at_points(f, axes, out=out)
+            evaluate_at_points(GRID, axes, hat, out=out)
 
 
 def test_evaluate_at_points_rejects_coeffs_of_another_shape():
-    # a 16^3 spectrum on a 32^3 field, and a three-component spectrum
-    f = ScalarField(Grid(32, GRID.L), np.zeros((32,) * 3))
+    # a 16^3 spectrum on a 32^3 grid, and a three-component spectrum
     axes = (np.zeros(2), np.zeros(3), np.zeros(4))
-    for coeffs in (spectral_coefficients(_data(0, ())), spectral_coefficients(_data(0, (3,)))):
-        want = r"coeffs shaped %s, f.grid needs \(32, 32, 17\)" % (
-            str(coeffs.shape).replace("(", r"\(").replace(")", r"\)"))
+    for hat in (_fft.rfftn(_data(0, ())), _fft.rfftn(_data(0, (3,)))):
+        want = r"hat shaped %s, the grid needs \(32, 32, 17\)" % (
+            str(hat.shape).replace("(", r"\(").replace(")", r"\)"))
         with pytest.raises(ValueError, match=want):
-            evaluate_at_points(f, axes, coeffs)
+            evaluate_at_points(Grid(32, GRID.L), axes, hat)
 
 
 def test_phase_tables_are_built_once_per_lattice_read_only_and_bounded():
-    f = ScalarField(GRID, _data(0, ()))
+    hat = _fft.rfftn(_data(0, ()))
     yz = np.linspace(-1.0, 1.0, 9)
     _yz_tables.cache_clear()
     for x0 in range(5):  # five x-slabs of one lattice
-        evaluate_at_points(f, (np.array([0.1, 0.2]) + x0, yz, yz))
+        evaluate_at_points(GRID, (np.array([0.1, 0.2]) + x0, yz, yz), hat)
     info = _yz_tables.cache_info()
     assert (info.misses, info.hits) == (1, 4)
     tables = _yz_tables(GRID.n, GRID.k0, GRID.x[0], yz.tobytes(), yz.tobytes())
     assert not any(t.flags.writeable for t in tables)
     for m in range(2, 8):
-        evaluate_at_points(f, (yz, yz[:m], yz))
+        evaluate_at_points(GRID, (yz, yz[:m], yz), hat)
     assert _yz_tables.cache_info().currsize == 4
 
 
