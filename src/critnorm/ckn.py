@@ -37,6 +37,7 @@ import numpy as np
 from .cylinder import (
     DELTA,
     FrameSpectra,
+    ball_mask,
     ball_points,
     cube_lattice,
     cumulative_trapezoid,
@@ -46,7 +47,7 @@ from .cylinder import (
 )
 from .fieldio import write_csv
 from .fields import nonic_step
-from .norms import InequalityReport, NormReport, ball_mask
+from .norms import InequalityReport, NormReport
 # bound here for perfbench/test_spans.py::test_from_import_bindings_are_counted
 from .spectral import evaluate_at_points  # noqa: F401
 
@@ -262,9 +263,9 @@ def _row(v, q, sel, center, k, eta, t0):
 def build_ledger(run, center, t_top, ks, eta=None, t0=None):
     """Assemble ledger rows over strictly halving radii; each pass flag
     compares the row's values to its budgets (weighted ones included
-    when eta is given, which needs t0). Each row samples its cylinder's
-    slices once and takes A_k, B_k and the weighted values from the same
-    loads.
+    when eta is given; eta and t0 are given together or not at all).
+    Each row samples its cylinder's slices once and takes A_k, B_k and
+    the weighted values from the same loads.
 
     ks must be consecutive increasing integers; ks, the weights and
     every row's window are checked before any slice is sampled.
@@ -278,6 +279,9 @@ def build_ledger(run, center, t_top, ks, eta=None, t0=None):
     if eta is not None and t0 is None:
         raise ValueError("the weighted ledger (eta given) needs t0, the time the "
                          "weights (s - t0)_+ start from")
+    if t0 is not None and eta is None:
+        raise ValueError("t0 = %g was given without eta: the weighted ledger needs both "
+                         "(pass eta, or drop t0 for the unweighted rows)" % t0)
     if eta is not None:
         _check_weights(t_top, eta, t0)
     sels = [stored_window(run.v.times, t_top - 4.0**-k, t_top) for k in ks]  # r_k^2 = 4^-k

@@ -10,6 +10,11 @@ sample_slice). Keeping r/h fixed makes the ball-quadrature bias
 scale-invariant, so dyadic fits across radii are not polluted by the
 refinement.
 
+This module owns the ball geometry of the package: cell-center
+membership (ball_mask), the lattice cover (ball_points, ball_slabs) and
+the one rule both apply, that a ball plus a one-cell margin fits in the
+box.
+
 The r/8 lattice over an outer ball B_rho grows like (rho/r)^3, so a sum
 over it walks ball_slabs: the same points, lattice or native cells, cut
 into x-slabs of at most _SLAB_POINTS points, each point with the bits
@@ -43,6 +48,7 @@ from .spectral import evaluate_at_points, grad_hat, gradient
 __all__ = [
     "DELTA",
     "stored_window",
+    "ball_mask",
     "cube_lattice",
     "ball_points",
     "ball_slabs",
@@ -99,11 +105,28 @@ def cube_lattice(center, offs, rows=slice(None)):
     return axes, rad
 
 
+def _check_fits(grid, radius):
+    # the one fit rule of every ball, on the native cells or a lattice
+    if radius + grid.dx > grid.L / 2:
+        raise ValueError("ball plus one-cell margin does not fit in the box")
+
+
+def ball_mask(grid, region):
+    """The cells of grid whose centers lie in the ball region (a
+    norms.BallRegion): the one membership rule of every ball on the
+    native cells. A ball that does not fit in the box with a one-cell
+    margin raises, and so does one that holds no cell center."""
+    _check_fits(grid, region.radius)
+    mask = grid.radius(region.center) <= region.radius
+    if not np.any(mask):
+        raise ValueError("region contains no cell centers")
+    return mask
+
+
 def _resolution(grid, r, outer):
     """(offs, cell): the r/8 lattice offsets covering B_outer, or None
     where the native cells resolve radius r, and each point's volume."""
-    if outer >= grid.L / 2.0:
-        raise ValueError("ball does not fit in the box")
+    _check_fits(grid, outer)
     if r / grid.dx < 8.0:
         h = r / 8.0
         m = int(math.ceil(outer / h)) + 1

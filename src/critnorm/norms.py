@@ -1,9 +1,9 @@
 """Ball-localized norms: Lebesgue, uniformly-local L2, Lorentz, Morrey, parabolic Holder.
 
-All ball quadrature is cell-center membership: a cell contributes iff its
-center lies in the ball, with weight dx^3 and no partial cells. Region
-boundaries therefore carry an O(dx) error which callers must absorb in
-their tolerances.
+All ball quadrature is cell-center membership (cylinder.ball_mask): a
+cell contributes iff its center lies in the ball, with weight dx^3 and
+no partial cells. Region boundaries therefore carry an O(dx) error
+which callers must absorb in their tolerances.
 
 Lorentz quasinorms use the distribution-function normalization
 
@@ -27,14 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _fft
-from .cylinder import stored_window
+from .cylinder import ball_mask, stored_window
 from .fieldio import csv_cells, write_csv
 from .fields import ScalarField
 from .spectral import padded_hat
 
 __all__ = [
     "BallRegion",
-    "ball_mask",
     "NormReport",
     "InequalityReport",
     "box_lp",
@@ -52,7 +51,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BallRegion:
-    """Euclidean ball; must fit in the box with a one-cell margin."""
+    """Euclidean ball; cylinder.ball_mask refuses one that does not fit in
+    the box with a one-cell margin."""
 
     center: tuple
     radius: float
@@ -107,23 +107,6 @@ def write_reports_csv(path, reports):
             center = str(rep.region)
         rows.append(csv_cells((rep.name, rep.value, center, radius, rep.method)))
     write_csv(path, ["name", "value", "center", "radius", "method"], sorted(rows))
-
-
-# ---------------------------------------------------------------------------
-# cell selection
-
-
-def ball_mask(grid, region):
-    """The cells of grid whose centers lie in the BallRegion region: the
-    one membership rule of every ball on the native cells. A ball that
-    does not fit in the box with a one-cell margin raises, and so does
-    one that holds no cell center."""
-    if region.radius + grid.dx > grid.L / 2:
-        raise ValueError("ball plus one-cell margin does not fit in the box")
-    mask = grid.radius(region.center) <= region.radius
-    if not np.any(mask):
-        raise ValueError("region contains no cell centers")
-    return mask
 
 
 def _magnitude(data):

@@ -7,6 +7,10 @@ dt <= 0.5 dx / max|v + a| remains. Products are formed pointwise and
 every accepted state is Leray-projected by construction (the right-hand
 side is projected mode by mode).
 
+step is a pure function of v and the drift slices at its two ends;
+run_pns owns the time loop and asks the drift provider once per time
+level.
+
 A step works on its kept modes: the 2/3 block |m_x|, |m_y|, m_z < n/3 of
 Grid.dealias_mask, or every mode without dealiasing. Each stage gathers
 the stress spectrum there once and applies -P div (neg_leray_div_hat)
@@ -33,7 +37,7 @@ violation, which is the sign convention suitable solutions care about.
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +56,6 @@ from .spectral import (
 
 __all__ = [
     "PNSConfig",
-    "SolverState",
     "PNSRun",
     "EnergyLedgerEntry",
     "GlobalEnergyReport",
@@ -94,25 +97,6 @@ class PNSConfig:
         return round(self.T / self.dt)
 
 
-@dataclass
-class SolverState:
-    """Mutable integration state; a_provider maps t to a drift slice."""
-
-    v: VectorField
-    t: float
-    a_provider: object = None
-    # the last drift slice asked for, as (t, slice): a step's drift at
-    # t + dt is the next step's drift at t and the slice stored there
-    _last_drift: tuple = field(default=None, init=False, repr=False, compare=False)
-
-    def drift(self, t):
-        if self.a_provider is None:
-            return None
-        if self._last_drift is None or self._last_drift[0] != t:
-            self._last_drift = (t, self.a_provider(t))
-        return self._last_drift[1]
-
-
 def _stress_hat(v_data, a_data):
     # v x v + a x v + v x a = v x w + w x v with w = v/2 + a
     w = 0.5 * v_data
@@ -145,35 +129,33 @@ def _rhs_kept(kept, v_data, a_data):
     return neg_leray_div_hat(kept.kd, kept.k2_d_safe, _stress_hat(v_data, a_data)[kept.index])
 
 
-def step(state, dt, use_dealias=True):
-    """One integrating-factor Heun step; rejects advective CFL violations.
+def step(v, dt, a_now, a_next, dealias):
+    """One integrating-factor Heun step from v, the drift slices a_now and
+    a_next at the step's two ends (None undriven); returns the new
+    VectorField and rejects advective CFL violations.
 
-    Runs on the kept modes (see the module docstring): the new state's
+    Runs on the kept modes (see the module docstring): the new field's
     spectrum is zero elsewhere and is carried with it, so the next step
-    reads state.v.hat without a forward transform.
+    reads v.hat without a forward transform.
     """
-    g = state.v.grid
-    a_now = state.drift(state.t)
+    g = v.grid
     a_data = None if a_now is None else a_now.data
-    speed = state.v.data if a_data is None else state.v.data + a_data
+    speed = v.data if a_data is None else v.data + a_data
     amax = float(np.max(np.sqrt(np.sum(speed**2, axis=0))))
     if amax > 0 and dt > 0.5 * g.dx / amax:
         raise ValueError(
             "advective CFL violation: dt <= %.6g required" % (0.5 * g.dx / amax)
         )
-    kept = _kept_modes(g, use_dealias)
+    kept = _kept_modes(g, dealias)
     E = np.exp(-kept.k2 * dt)
-    vh = state.v.hat[kept.index]
-    k1 = _rhs_kept(kept, state.v.data, a_data)
-    hat = np.zeros_like(state.v.hat)
+    vh = v.hat[kept.index]
+    k1 = _rhs_kept(kept, v.data, a_data)
+    hat = np.zeros_like(v.hat)
     hat[kept.index] = E * (vh + dt * k1)
     vstar = _fft.irfftn(hat, g.shape)
-    a_next = state.drift(state.t + dt)
     k2 = _rhs_kept(kept, vstar, None if a_next is None else a_next.data)
     hat[kept.index] = E * vh + 0.5 * dt * (E * k1 + k2)
-    state.v = VectorField.from_hat(g, hat)
-    state.t = state.t + dt
-    return state
+    return VectorField.from_hat(g, hat)
 
 
 def recover_pressure(v, a=None):
@@ -224,20 +206,22 @@ def run_pns(v0, cfg, a_provider=None):
     """Integrate from v0, storing every cfg.stride-th slice with pressure.
 
     Initial data is dealiased and projected once; thereafter both
-    properties are preserved by the stepper itself. a_provider is asked
-    for cfg.T first, so a drift orbit that ends early fails up front.
+    properties are preserved by the stepper itself. a_provider maps t to
+    a drift slice. It is asked for cfg.T first, so a drift orbit that
+    ends early fails up front, and then once per time level: a step's
+    slice at t + dt is the next step's slice at t and the one stored
+    there.
     """
     g = v0.grid
-    if a_provider is not None:
-        a_provider(cfg.T)
+
+    def drift(t):
+        return None if a_provider is None else a_provider(t)
+
+    drift(cfg.T)
     vh = v0.hat * (g.dealias_mask if cfg.dealias else 1.0)
-    state = SolverState(
-        v=leray_project(
-            VectorField(g, _fft.irfftn(vh, g.shape))
-        ),
-        t=0.0,
-        a_provider=a_provider,
-    )
+    v = leray_project(VectorField(g, _fft.irfftn(vh, g.shape)))
+    t = 0.0
+    a_now = drift(t)
     n = cfg.n_steps
     kept = n // cfg.stride + 1
     times = np.empty(kept)
@@ -246,16 +230,17 @@ def run_pns(v0, cfg, a_provider=None):
     sa = None if a_provider is None else np.empty((kept,) + (3,) + g.shape)
 
     def store(idx):
-        times[idx] = state.t
-        a_slice = state.drift(state.t)
-        vs[idx] = state.v.data
-        qs[idx] = recover_pressure(state.v, a_slice).data
+        times[idx] = t
+        vs[idx] = v.data
+        qs[idx] = recover_pressure(v, a_now).data
         if sa is not None:
-            sa[idx] = a_slice.data
+            sa[idx] = a_now.data
 
     store(0)
     for i in range(1, n + 1):
-        step(state, cfg.dt, use_dealias=cfg.dealias)
+        a_next = drift(t + cfg.dt)
+        v = step(v, cfg.dt, a_now, a_next, cfg.dealias)
+        t, a_now = t + cfg.dt, a_next
         if i % cfg.stride == 0:
             store(i // cfg.stride)
     return PNSRun(

@@ -42,10 +42,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _fft
-from .cylinder import DELTA, FrameSpectra, ball_slabs, sample_slice, stored_window
+from .cylinder import DELTA, FrameSpectra, ball_mask, ball_slabs, sample_slice, stored_window
 from .fieldio import write_csv
 from .fields import ScalarField, nonic_step
-from .norms import BallRegion, ball_mask, lp_ball
+from .norms import BallRegion, lp_ball
 from .spectral import (
     SYM_PAIRS,
     free_riesz_sum,
@@ -251,18 +251,18 @@ class OscillationReport:
     ma: float  # drift weight sup |s-t0|^(1/2) |a(s)|_inf(B_1); 0 unweighted
 
 
-def pressure_oscillation_terms(v, a, q, center, r, rho, t_top=None, weighted=False, t0=None):
+def pressure_oscillation_terms(v, a, q, center, r, rho, t_top=None, t0=None):
     """Oscillation of q on Q_r(center, t_top) against its six bounds.
 
     v and q are stored orbits (a may be None); the cylinder uses the
     slices with t in [t_top - r^2, t_top], its start clipped to the first
     stored slice; a t_top past the last stored slice raises. The
     unweighted terms follow the drift-aware pressure bound with unit
-    constant; the weighted variant replaces the drift factors by the
-    sup-weight ma and the singular-time kernels |s - t0|^(-1),
-    |s - t0|^(-3/4), and requires t0 strictly outside the window so
-    every weight stays finite; its J-terms read a only through ma, so
-    it samples a on the native grid alone. Each slab of the lattice
+    constant. A given t0 selects the weighted variant, which replaces
+    the drift factors by the sup-weight ma and the singular-time kernels
+    |s - t0|^(-1), |s - t0|^(-3/4), and requires t0 strictly outside the
+    window so every weight stays finite; its J-terms read a only through
+    ma, so it samples a on the native grid alone. Each slab of the lattice
     samples every slice of the window into one slab buffer, made at the
     first slab; the last slab drops a slice's spectra after sampling it.
     """
@@ -276,13 +276,11 @@ def pressure_oscillation_terms(v, a, q, center, r, rho, t_top=None, weighted=Fal
         t_top = float(times[-1])
     sel = stored_window(times, t_top - r * r, t_top, clip_start=True)
     ts = times[sel]
-    if weighted:
-        if t0 is None:
-            raise ValueError("weighted variant needs t0")
-        if ts[0] - 1e-12 <= t0 <= ts[-1] + 1e-12:
-            raise ValueError(
-                "t0 = %g must lie outside the cylinder window [%g, %g]" % (t0, ts[0], ts[-1])
-            )
+    weighted = t0 is not None
+    if weighted and ts[0] - 1e-12 <= t0 <= ts[-1] + 1e-12:
+        raise ValueError(
+            "t0 = %g must lie outside the cylinder window [%g, %g]" % (t0, ts[0], ts[-1])
+        )
 
     drift = a is not None and not weighted  # a on the lattice feeds J2, J4, J6 unweighted
     slabs, cell = ball_slabs(g, center, r, outer=rho)
@@ -401,7 +399,7 @@ def pressure_oscillation_terms(v, a, q, center, r, rho, t_top=None, weighted=Fal
         lhs=lhs,
         terms=tuple(float(x) for x in terms),
         ratio=float(ratio),
-        weighted=bool(weighted),
+        weighted=weighted,
         ma=float(ma),
     )
 

@@ -398,3 +398,9 @@ class TestLedgerInputs:
         with pytest.raises(ValueError, match="t0 must not exceed the top time"):
             ckn.build_ledger(run, CENTER, TOP, ks=(2, 3), eta=0.6, t0=1.0)
         assert evaluations == []
+
+    def test_t0_without_eta_names_both(self, grid16, evaluations):
+        run = _orbit(grid16, T16)
+        with pytest.raises(ValueError, match="t0 = 0.5 was given without eta"):
+            ckn.build_ledger(run, CENTER, TOP, ks=(2,), t0=0.5)
+        assert evaluations == []

@@ -1,6 +1,7 @@
 """The time quadratures of critnorm.cylinder against scipy.integrate,
 which stays the reference implementation here, and the call-scoped
-frame spectra that its off-grid sampling reads."""
+frame spectra that its off-grid sampling reads, and the one rule by
+which a ball fits the box."""
 
 import gc
 import weakref
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from critnorm import _fft, cylinder
 from critnorm.cylinder import cumulative_simpson, cumulative_trapezoid
 from critnorm.fields import SpaceTimeField
+from critnorm.norms import BallRegion
 
 @st.composite
 def samples(draw, min_size=1):
@@ -117,3 +119,21 @@ class TestFrameSpectra:
         into = cylinder.sample_slice(spectra, 2, None, rows, out)
         assert np.shares_memory(into, out[0]) and np.array_equal(out[0], got)
         assert transforms == []
+
+
+class TestBallFit:
+    def test_ball_points_and_ball_mask_share_the_fit_rule(self, grid32):
+        # r = L/2 - dx/2 would wrap round the box on the native cells
+        r = grid32.L / 2 - grid32.dx / 2
+        for fit in (lambda: cylinder.ball_points(grid32, (0, 0, 0), r),
+                    lambda: cylinder.ball_slabs(grid32, (0, 0, 0), r),
+                    lambda: cylinder.ball_mask(grid32, BallRegion((0, 0, 0), r))):
+            with pytest.raises(ValueError, match="ball plus one-cell margin does not fit in the box"):
+                fit()
+        # the largest ball that fits passes both
+        r = grid32.L / 2 - grid32.dx
+        cylinder.ball_points(grid32, (0, 0, 0), r)
+        cylinder.ball_mask(grid32, BallRegion((0, 0, 0), r))
+        # a lattice's outer ball answers to the same rule
+        with pytest.raises(ValueError, match="does not fit"):
+            cylinder.ball_points(grid32, (0, 0, 0), 0.25, outer=grid32.L / 2 - grid32.dx / 2)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from critnorm import corpus
+from critnorm.cylinder import ball_mask
 from critnorm.fields import (
     ScalarField,
     SpaceTimeField,
@@ -15,7 +16,6 @@ from critnorm.fields import (
 from critnorm.norms import (
     BallRegion,
     NormReport,
-    ball_mask,
     check_hunt,
     check_oneil,
     l2_uloc,

@@ -143,14 +143,14 @@ def compute():
         out["pressure.osc_J%d" % (j + 1)] = [term]
     out["pressure.osc_ratio"] = [osc.ratio]
     wosc = pressure.pressure_oscillation_terms(
-        run.v, run.a, run.q, ORIGIN, 0.25, 1.0, weighted=True, t0=0.0
+        run.v, run.a, run.q, ORIGIN, 0.25, 1.0, t0=0.0
     )
     # lhs and terms only: the ratio and ma would set the key's scale
     out["pressure.osc_weighted"] = [wosc.lhs, *wosc.terms]
     # r = 1/8 under rho = 1: a 131^3 lattice, summed over several x-slabs
     slab = pressure.pressure_oscillation_terms(run.v, run.a, run.q, ORIGIN, 0.125, 1.0)
     wslab = pressure.pressure_oscillation_terms(
-        run.v, run.a, run.q, ORIGIN, 0.125, 1.0, weighted=True, t0=0.0
+        run.v, run.a, run.q, ORIGIN, 0.125, 1.0, t0=0.0
     )
     out["pressure.osc_slabbed"] = [slab.lhs, *slab.terms, *wslab.terms]
 

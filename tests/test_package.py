@@ -1,7 +1,8 @@
 """Package metadata: each critnorm module's __all__ names attributes that
 exist in that module, no module imports a sibling's private name, only
 cylinder samples stored frames off the grid, importing the package stays
-light, and the package's optional parameters do not grow."""
+light, the package's optional parameters do not grow, and its public
+dataclasses are frozen."""
 
 import ast
 import importlib
@@ -86,7 +87,7 @@ def test_importing_every_module_leaves_heavy_scipy_unloaded():
 
 
 # the count of test_optional_parameters_do_not_grow; lower it when options go
-OPTIONAL_PARAMETERS = 54
+OPTIONAL_PARAMETERS = 51
 
 
 def _is_dataclass(cls):
@@ -130,3 +131,19 @@ def test_optional_parameters_do_not_grow():
                 elif public_class and _is_dataclass(node) and isinstance(fn, ast.AnnAssign):
                     count += fn.value is not None and _settable_field(fn.value)
     assert count <= OPTIONAL_PARAMETERS, count
+
+
+def test_public_dataclasses_are_frozen():
+    """Every module-level @dataclass of critnorm whose name has no leading
+    underscore is declared @dataclass(frozen=True): the package's records
+    and configs never change after they are made."""
+    found = []
+    for path in sorted(pathlib.Path(critnorm.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_") and _is_dataclass(node):
+                frozen = any(isinstance(d, ast.Call) and any(
+                    kw.arg == "frozen" and isinstance(kw.value, ast.Constant) and kw.value.value is True
+                    for kw in d.keywords) for d in node.decorator_list)
+                if not frozen:
+                    found.append("%s: %s" % (path.name, node.name))
+    assert found == []

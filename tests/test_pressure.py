@@ -292,13 +292,9 @@ class TestOscillation:
 
     def test_weighted_gates(self, driven_run):
         r = driven_run
-        with pytest.raises(ValueError, match="needs t0"):
-            pressure.pressure_oscillation_terms(
-                r.v, r.a, r.q, (0, 0, 0), 0.125, 0.25, weighted=True
-            )
         with pytest.raises(ValueError, match="outside the cylinder"):
             pressure.pressure_oscillation_terms(
-                r.v, r.a, r.q, (0, 0, 0), 0.125, 0.25, weighted=True, t0=0.02
+                r.v, r.a, r.q, (0, 0, 0), 0.125, 0.25, t0=0.02
             )
 
     def test_weighted_t0_between_window_slices_rejected(self, driven_run):
@@ -307,7 +303,7 @@ class TestOscillation:
         message = r"t0 = 0\.0105 must lie outside the cylinder window \[0\.005, 0\.02\]"
         with pytest.raises(ValueError, match=message):
             pressure.pressure_oscillation_terms(
-                r.v, r.a, r.q, (0, 0, 0), 0.125, 0.25, weighted=True, t0=0.0105
+                r.v, r.a, r.q, (0, 0, 0), 0.125, 0.25, t0=0.0105
             )
 
     def test_zero_data_gives_zero_lhs(self, grid16):
@@ -352,12 +348,12 @@ class TestOscillation:
     def test_weighted_variant(self, driven_run):
         r = driven_run
         rep = pressure.pressure_oscillation_terms(
-            r.v, r.a, r.q, (0, 0, 0), 0.125, 0.25, weighted=True, t0=0.08
+            r.v, r.a, r.q, (0, 0, 0), 0.125, 0.25, t0=0.08
         )
         plain = pressure.pressure_oscillation_terms(
             r.v, r.a, r.q, (0, 0, 0), 0.125, 0.25
         )
-        assert rep.weighted
+        assert rep.weighted and not plain.weighted
         assert rep.ma > 0.0
         assert np.isclose(rep.lhs, plain.lhs, rtol=1e-13)
         assert all(np.isfinite(t) for t in rep.terms)
@@ -480,7 +476,7 @@ class TestSlabbedOscillation:
     @pytest.mark.parametrize("t0", [None, T0])
     def test_matches_whole_lattice_reference(self, driven_run16, t0):
         r = driven_run16
-        kw = {} if t0 is None else {"weighted": True, "t0": t0}
+        kw = {} if t0 is None else {"t0": t0}
         rep = pressure.pressure_oscillation_terms(r.v, r.a, r.q, (0, 0, 0), self.R, self.RHO, **kw)
         lhs, terms, ma = whole_lattice_oscillation(r.v, r.a, r.q, (0, 0, 0), self.R, self.RHO, t0)
         assert all(t > 0.0 for t in terms)
@@ -518,7 +514,7 @@ class TestSlabbedOscillation:
         r = driven_run16
         calls = count_evaluations(monkeypatch)
         pressure.pressure_oscillation_terms(
-            r.v, r.a, r.q, (0, 0, 0), self.R, self.RHO, weighted=True, t0=self.T0
+            r.v, r.a, r.q, (0, 0, 0), self.R, self.RHO, t0=self.T0
         )
         assert len(calls) == 5 * 4 * len(r.v.times)  # 5 slabs; v and q, 4 components
         assert len({id(hat) for hat, _ in calls}) == 4 * len(r.v.times)

@@ -10,8 +10,14 @@ the doubled box, not a datum generated there: corpus fields are
 normalized on the grid they are sampled on.
 
 One 16^3 chain runs at both scales: split, mild drift, driven PNS,
-pressure oscillation and ledger. The fields scale bit for bit; the
-critical numbers agree to 1e-14 relative.
+pressure oscillation and weighted ledger, then the local energy
+identity, the pressure split, the weighted oscillation and morrey_sup
+on its run. The fields scale bit for bit; the critical numbers agree to
+1e-14 relative.
+
+Every other exponent is counted from |v| ~ lam, q ~ lam^2, lengths
+(dx, r, rho) ~ 1/lam and times (dt, |s - t0|) ~ 1/lam^2, and each test
+states its count.
 """
 
 import math
@@ -20,13 +26,14 @@ import numpy as np
 import pytest
 
 from critnorm import besov, ckn, corpus, mild, norms, pns, pressure
-from critnorm.fields import Grid, VectorField
+from critnorm.fields import Grid, TensorField, VectorField, smooth_radial_cutoff
 
 DEFAULT_L = 2.0 * np.pi * np.sqrt(2.0)
 LAM = 0.5
 HORIZON = 5.0 / 64.0
 CENTER = (0.25, 0.0, -0.125)
 KS = (2, 3)  # the unscaled ledger rows
+ETA = 0.6  # the weighted ledger's eta, with t0 = 0
 RTOL = 1e-14
 
 
@@ -43,7 +50,8 @@ def _chain(lam, data):
     center = tuple(s * c for c in CENTER)
     osc = pressure.pressure_oscillation_terms(run.v, run.a, run.q, center, s * 0.25, s * 1.0)
     shift = round(math.log2(s))
-    ledger = ckn.build_ledger(run, center, s * s * HORIZON, ks=tuple(k - shift for k in KS))
+    ledger = ckn.build_ledger(run, center, s * s * HORIZON, ks=tuple(k - shift for k in KS),
+                              eta=ETA, t0=0.0)
     weak_l3 = norms.lorentz_quasinorm(run.v[-1], 3, math.inf).value
     return split, sol, run, osc, ledger, weak_l3
 
@@ -56,6 +64,32 @@ def chains():
     data = (corpus.curl_bump(g, amplitude=0.5).data
             + corpus.random_divfree(g, rng, kmax=4, amplitude=0.05).data)
     return _chain(1.0, data), _chain(LAM, data)
+
+
+def _diagnostics(lam, run):
+    """The run's local energy ledger, pressure split of its last slice,
+    weighted oscillation and morrey_sup, every radius and centre x 1/lam."""
+    s = 1.0 / lam
+    g = run.grid
+    center = tuple(s * c for c in CENTER)
+    energy = pns.verify_local_energy(run, smooth_radial_cutoff(g, s * 1.0, s * 3.0))
+    v, a = run.v.frames[-1], run.a.frames[-1]
+    cross = a[:, None] * v[None, :]
+    stress = TensorField(g, v[:, None] * v[None, :] + cross + np.swapaxes(cross, 0, 1))
+    # split_pressure takes r_off <= 1; about the chain's centre the
+    # transition holds grid points, so the Newton terms are not zero
+    cutoff = pressure.RadialCutoff(g, s * 0.2, s * 0.5, center=center)
+    psplit = pressure.split_pressure(run.q[-1], stress, cutoff)
+    wosc = pressure.pressure_oscillation_terms(run.v, run.a, run.q, center, s * 0.25, s * 1.0,
+                                               t0=0.0)
+    shift = round(math.log2(s))
+    msup = ckn.morrey_sup(run, norms.BallRegion(center, s * 1.0), ks=tuple(k - shift for k in KS))
+    return energy, psplit, wosc, msup.value
+
+
+@pytest.fixture(scope="module")
+def diagnostics(chains):
+    return _diagnostics(1.0, chains[0][2]), _diagnostics(LAM, chains[1][2])
 
 
 def _rel(a, b):
@@ -85,3 +119,64 @@ def test_ledger_b_scales_as_lam_to_the_minus_one(chains):
     for row, row_l in zip(ledger.rows, ledger_l.rows):
         assert (row_l.k, row_l.r_k) == (row.k - 1, row.r_k / LAM)
         assert row.b_value > 0.0 and row_l.b_value == row.b_value / LAM
+
+
+def test_local_energy_terms_scale_as_lam_to_the_minus_one(diagnostics):
+    # int |v|^2 phi dx ~ lam^2 lam^-3, and each space-time term the same:
+    # int int |grad v|^2 phi ~ lam^4 lam^-3 lam^-2, int int |v|^2 Lap phi
+    # ~ lam^2 lam^2 lam^-5, int int (|v|^2 + 2q) v . grad phi ~ lam^2 lam lam lam^-5
+    energy, energy_l = diagnostics[0][0], diagnostics[1][0]
+    assert len(energy) == len(energy_l) > 1
+    for entry, entry_l in zip(energy, energy_l):
+        assert entry_l.t == entry.t / LAM**2
+        assert entry.terms["drift_convection"] != 0.0
+        assert entry_l.terms == {name: val / LAM for name, val in entry.terms.items()}
+        assert (entry_l.lhs, entry_l.rhs, entry_l.slack) == (
+            entry.lhs / LAM, entry.rhs / LAM, entry.slack / LAM)
+
+
+def test_pressure_split_terms_scale_as_lam_squared(diagnostics):
+    # pointwise parts of phi q, with q ~ lam^2; the mismatch is taken on
+    # the absolute B_1, so it is not a scaled quantity
+    psplit, psplit_l = diagnostics[0][1], diagnostics[1][1]
+    assert np.array_equal(psplit_l.riesz_term.values, LAM**2 * psplit.riesz_term.values)
+    assert len(psplit_l.newton_terms) == len(psplit.newton_terms) == 4
+    for term, term_l in zip(psplit.newton_terms, psplit_l.newton_terms):
+        assert np.any(term.values != 0.0)
+        assert np.array_equal(term_l.values, LAM**2 * term.values)
+
+
+def test_oscillation_terms_scale_as_lam_to_the_minus_one(chains, diagnostics):
+    # lhs = r^-1 int int |q - (q)_r|^(3/2) ~ lam lam^3 lam^-3 lam^-2, and each
+    # J-term the same, unweighted and weighted (the pressure module's powers)
+    osc, osc_l = chains[0][3], chains[1][3]
+    for got, want in zip((osc_l.lhs,) + osc_l.terms, (osc.lhs,) + osc.terms):
+        assert want > 0.0 and _rel(want / LAM, got) <= RTOL
+    # the weighted J2, J4 and J6 carry ma^(3/2), ma = sup |s - t0|^(1/2) |a|_inf(B_1):
+    # B_1 is the absolute unit ball, not B_rho, so ma keeps no exponent of its own
+    wosc, wosc_l = diagnostics[0][2], diagnostics[1][2]
+    ma_factor = (wosc_l.ma / wosc.ma) ** 1.5
+    assert wosc.weighted and wosc_l.weighted and wosc.ma > 0.0
+    for j, (got, want) in enumerate(zip((wosc_l.lhs,) + wosc_l.terms, (wosc.lhs,) + wosc.terms)):
+        scaled = want / LAM * (ma_factor if j in (2, 4, 6) else 1.0)
+        assert want > 0.0 and _rel(scaled, got) <= RTOL
+
+
+def test_weighted_ledger_values_scale_by_their_weights(chains):
+    # with eta' = eta/6 and t0 = 0, (s - t0)^p ~ lam^(-2p):
+    # A'_k  = r^-2 int int |v|^3 / s^(3 eta'/2)        ~ lam^0  lam^(3 eta')
+    # A''_k = r^-1 int int |q - (q)_r|^(3/2) / s^(3 eta'/4) ~ lam^-1 lam^(3 eta'/2)
+    # B'_k  = (int |v|^2 + int int |grad v|^2) / s^eta'  ~ lam^-1 lam^(2 eta')
+    etap = ETA / 6.0
+    powers = (3.0 * etap, -1.0 + 1.5 * etap, -1.0 + 2.0 * etap)
+    ledger, ledger_l = chains[0][4], chains[1][4]
+    for row, row_l in zip(ledger.rows, ledger_l.rows):
+        w, w_l = row.weighted, row_l.weighted
+        for got, want, p in zip((w_l.apk, w_l.appk, w_l.bpk), (w.apk, w.appk, w.bpk), powers):
+            assert want > 0.0 and _rel(want * LAM**p, got) <= RTOL
+
+
+def test_morrey_sup_scales_as_lam_to_the_three_minus_delta(diagnostics):
+    # r^(delta - 5) int int |v|^3 ~ lam^4 lam^3 lam^-3 lam^-2 = lam^2 at delta = 1
+    msup, msup_l = diagnostics[0][3], diagnostics[1][3]
+    assert msup > 0.0 and msup_l == LAM**2 * msup
