@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _fft
 from .fieldio import write_csv
-from .fields import ScalarField, VectorField, smoothstep
+from .fields import VectorField, smoothstep
 from .norms import NormReport, box_lp
 from .spectral import apply_multiplier, divergence
 

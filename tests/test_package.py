@@ -1,8 +1,9 @@
 """Package metadata: each critnorm module's __all__ names attributes that
 exist in that module, no module imports a sibling's private name, only
-cylinder samples stored frames off the grid, importing the package stays
-light, the package's optional parameters do not grow, and its public
-dataclasses are frozen."""
+cylinder samples stored frames off the grid, no module keeps an import
+it never reads, importing the package stays light, the package's
+optional parameters do not grow, and its public dataclasses are
+frozen."""
 
 import ast
 import importlib
@@ -45,6 +46,28 @@ def test_no_module_imports_a_siblings_private_name():
             if sibling:
                 found += ["%s: %s.%s" % (path.name, node.module, alias.name)
                           for alias in node.names if alias.name.startswith("_")]
+    assert found == []
+
+
+def test_no_module_keeps_an_unused_import():
+    """Every name a critnorm module imports is read in that module, is in
+    its __all__, or sits on a line marked # noqa: F401. ckn and pressure
+    mark their evaluate_at_points, which they import only so that
+    perfbench's tracer finds a binding there."""
+    found = []
+    for path in sorted(pathlib.Path(critnorm.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        name = "critnorm" if path.stem == "__init__" else "critnorm." + path.stem
+        kept = set(getattr(importlib.import_module(name), "__all__", ()))
+        kept |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in kept and "# noqa: F401" not in lines[alias.lineno - 1]:
+                        found.append("%s: %s" % (path.name, bound))
     assert found == []
 
 

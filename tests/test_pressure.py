@@ -185,6 +185,14 @@ class TestSplitPressure:
         with pytest.raises(ValueError, match="unit ball"):
             pressure.split_pressure(p, V, pressure.RadialCutoff(grid32, 0.5, 1.2))
 
+    def test_cutoff_without_a_cell_in_its_transition_rejected(self, grid16):
+        # at the origin on 16^3 the nearest cell centres off c sit dx = 0.555
+        # away, past r_off: the annulus 0.2 < |x| < 0.5 holds none of them
+        v, V, p = tg_snapshot(grid16)
+        with pytest.raises(ValueError, match=r"r_on = 0\.2 .* r_off = 0\.5 about c = \(0\.0, 0\.0, "
+                                             r"0\.0\) holds no cell centre \(dx = 0\.555"):
+            pressure.split_pressure(p, V, pressure.RadialCutoff(grid16, 0.2, 0.5))
+
     def test_grid_mismatch_rejected(self, grid32, grid16):
         v, V, p = tg_snapshot(grid32)
         with pytest.raises(ValueError, match="grids"):
