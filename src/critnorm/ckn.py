@@ -194,7 +194,8 @@ def cylinder_smallness(run, center, t_top, r):
 
     Unlike the ledger rows, the time window is clipped to the stored
     span: the budget is measured on the run that exists, so a run
-    shorter than r^2 contributes what it has rather than raising.
+    shorter than r^2 contributes what it has rather than raising. Each
+    slice's spectra are dropped after its row.
     """
     r = float(r)
     sel = stored_window(run.v.times, t_top - r * r, t_top, clip_start=True)
@@ -206,6 +207,8 @@ def cylinder_smallness(run, center, t_top, r):
         s2 = sample_slice(v, i, axes)
         qs = sample_slice(q, i, axes)
         vals[row] = (np.sum(s2[inside] ** 1.5) + np.sum(np.abs(qs[inside]) ** 1.5)) * cell
+        v.drop(i)
+        q.drop(i)
     return float(np.trapezoid(vals, run.v.times[sel]))
 
 

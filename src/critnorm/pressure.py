@@ -118,7 +118,8 @@ class RadialCutoff:
 
 @dataclass(frozen=True)
 class PressureSplit:
-    """Five-part decomposition of phi*p; total is their pointwise sum."""
+    """Five-part decomposition of phi*p; total is their pointwise sum.
+    cutoff is phi's values (RadialCutoff.field), without its derivatives."""
 
     riesz_term: ScalarField
     newton_terms: tuple
@@ -127,6 +128,9 @@ class PressureSplit:
     mismatch: float  # relative L^{3/2}(B_1) gap between phi*p and total
 
     def __post_init__(self):
+        if not isinstance(self.cutoff, ScalarField):
+            raise TypeError("PressureSplit.cutoff takes the cutoff's values as a ScalarField "
+                            "(RadialCutoff.field), got %s" % type(self.cutoff).__name__)
         parts = self.riesz_term.values.copy()
         for term in self.newton_terms:
             parts = parts + term.values
@@ -167,28 +171,12 @@ def riesz_split_at(V, center, radius):
     return free_riesz_sum(g, np.where(inside, S, 0.0)), free_riesz_sum(g, np.where(inside, 0.0, S))
 
 
-def split_pressure(p, V, cutoff):
-    """Split cutoff*p into the Riesz term and four derivative terms.
-
-    Requires -Lap p = d_i d_j V_ij to _TOL_PRE (relative, spectral), the
-    cutoff supported in the unit ball around its own center, and a cell
-    centre in its transition r_on < |x - c| < r_off. The mismatch field
-    records the relative L^{3/2}(B_1) gap between cutoff*p and the
-    reconstruction.
-    """
+def _check_split_inputs(p, V, cutoff):
+    """split_pressure's refusals, the cheap ones first; its arrays are
+    freed on return, before the first convolution."""
     g = p.grid
     if V.grid != g or cutoff.grid != g:
         raise ValueError("grids differ")
-    dd = sym_ddiv_hat(g, _fft.rfftn(_sym_part(V.data)))
-    # same Nyquist-zeroed metric on both sides of the discrete statement
-    resid = g.k2_d * p.hat - dd
-    dd_scale = np.sqrt(np.sum(np.abs(dd) ** 2))
-    if dd_scale == 0.0:
-        ok = np.sqrt(np.sum(np.abs(resid) ** 2)) <= 1e-12
-    else:
-        ok = np.sqrt(np.sum(np.abs(resid) ** 2)) <= _TOL_PRE * dd_scale
-    if not ok:
-        raise ValueError("p does not solve the double-divergence equation")
     if cutoff.r_off > 1.0:
         raise ValueError("cutoff must be supported in the unit ball")
     rad = g.radius(cutoff.center)
@@ -197,11 +185,35 @@ def split_pressure(p, V, cutoff):
                          "no cell centre (dx = %g), so every Newton term would be zero: widen "
                          "the transition or refine the grid"
                          % (cutoff.r_on, cutoff.r_off, cutoff.center, g.dx))
+    dd = sym_ddiv_hat(g, _fft.rfftn(_sym_part(V.data)))
+    # same Nyquist-zeroed metric on both sides of the discrete statement;
+    # p's spectrum has the bits of p.hat but is not cached on p
+    resid = g.k2_d * _fft.rfftn(p.values) - dd
+    dd_scale = np.sqrt(np.sum(np.abs(dd) ** 2))
+    if dd_scale == 0.0:
+        ok = np.sqrt(np.sum(np.abs(resid) ** 2)) <= 1e-12
+    else:
+        ok = np.sqrt(np.sum(np.abs(resid) ** 2)) <= _TOL_PRE * dd_scale
+    if not ok:
+        raise ValueError("p does not solve the double-divergence equation")
+
+
+def split_pressure(p, V, cutoff):
+    """Split cutoff*p into the Riesz term and four derivative terms.
+
+    Requires -Lap p = d_i d_j V_ij to _TOL_PRE (relative, spectral), the
+    cutoff supported in the unit ball around its own center, and a cell
+    centre in its transition r_on < |x - c| < r_off. The mismatch field
+    records the relative L^{3/2}(B_1) gap between cutoff*p and the
+    reconstruction. The split keeps the cutoff's field, not the
+    RadialCutoff with its gradient and Hessian.
+    """
+    _check_split_inputs(p, V, cutoff)
+    g = p.grid
 
     phiv = cutoff.values
     d1 = cutoff.gradient
     d2 = cutoff.hessian
-    lap_phi = cutoff.laplacian
 
     riesz = free_riesz_sum(g, _sym_part(phiv * V.data))
 
@@ -218,7 +230,7 @@ def split_pressure(p, V, cutoff):
         [ScalarField(g, sum(d1[i] * V.data[i, j] for i in range(3))) for j in range(3)]
     )
     n2 = ScalarField(g, 2.0 * n2.values)
-    n3 = ScalarField(g, -newtonian_potential(ScalarField(g, p.values * lap_phi)).values)
+    n3 = ScalarField(g, -newtonian_potential(ScalarField(g, p.values * cutoff.laplacian)).values)
     n4 = newtonian_potential_div([ScalarField(g, d1[j] * p.values) for j in range(3)])
     n4 = ScalarField(g, 2.0 * n4.values)
 
@@ -234,7 +246,7 @@ def split_pressure(p, V, cutoff):
         riesz_term=riesz,
         newton_terms=(n1, n2, n3, n4),
         total=total,
-        cutoff=cutoff,
+        cutoff=cutoff.field,
         mismatch=mismatch,
     )
 

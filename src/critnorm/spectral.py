@@ -270,9 +270,9 @@ def _kernel_hat(grid):
 def _riesz_factor(grid):
     """Doubled-grid wavenumbers and the truncated traceless factor of
     free_riesz_sum, read-only. A cache apart from _kernel_hat, so the
-    first Riesz sum runs before N_T is built: on perfbench's chain_n64 it
-    sets split_pressure's peak, 127 MB traced from the split's start
-    against 123 MB for the second Newton divergence sum."""
+    Riesz sum runs before N_T is built. On perfbench's chain_n64 (seed 1)
+    split_pressure's peak is its second Newton divergence sum, 112.0 MB
+    traced from the split's start against 99.2 MB for the Riesz sum."""
     big = Grid(2 * grid.n, 2 * grid.L)
     kappa = _TRUNCATION * grid.L * np.sqrt(big.k2)
     ks = np.where(kappa > 0.0, kappa, 1.0)
@@ -318,8 +318,10 @@ def newtonian_potential_div(sources):
     """N * div s = sum_j d_j (N * s_j) for three compactly supported
     ScalarFields s_j on one grid: term j is i k_j N_T times the spectrum
     of s_j, and the terms are summed in Fourier space, so one inverse
-    transform in all. Its transient is about three doubled-grid spectra,
-    (2n)^2 (n+1) complex128 each: the sum, a source's spectrum, its term.
+    transform in all. Each source's spectrum is scaled in place, so its
+    transient is about three doubled-grid spectra, (2n)^2 (n+1)
+    complex128 each, and only while a source is transformed: the sum, the
+    padded cube and its spectrum.
 
     Every source must vanish outside the ball |x| < L/4.
     """
@@ -332,11 +334,11 @@ def newtonian_potential_div(sources):
     kvec, nhat = _kernel_hat(g)
     acc = None
     for k, s in zip(kvec, sources):
-        hat = padded_hat(g, s.values)  # transformed before its term is made
-        term = 1j * k * nhat
-        term *= hat
-        acc = term if acc is None else operator.iadd(acc, term)
-        del hat, term  # neither is held through the next transform
+        hat = padded_hat(g, s.values)
+        hat *= k * nhat  # then times 1j: the bits of (1j k N_T) * hat
+        hat *= 1j
+        acc = hat if acc is None else operator.iadd(acc, hat)
+        del hat  # not held through the next transform
     return ScalarField(g, _cropped_inverse(g, acc) * g.cell_volume)
 
 
@@ -353,32 +355,34 @@ def free_riesz_sum(grid, S):
     off-trace sources see the free-space kernel with no periodic-image
     contribution.
 
-    Every component must vanish outside the ball |x| < L/4. Done in place,
-    the sum's transient is four doubled-grid spectra, (2n)^2 (n+1)
-    complex128 each: the trace, the sum, a padded cube and its spectrum.
+    The two parts share one multiplier per component, so the sum holds
+    one spectrum: qh = sum_c m_c S_c with m_ij = -w_ij gfac k_i k_j / |k|^2
+    - delta_ij (1 - gfac) / 3, w_ij the SYM_PAIRS weight. Each m_c is made
+    in place after its component's transform, so the transient is three
+    doubled-grid spectra, (2n)^2 (n+1) complex128 each: the sum, the
+    padded cube and its spectrum.
+
+    Every component must vanish outside the ball |x| < L/4.
     """
     _check_support(grid, S)
     kvec, gfac = _riesz_factor(grid)
-    acc = trace = None
+    acc = None
     for c, (i, j) in enumerate(SYM_PAIRS):
         hat = padded_hat(grid, S[c])
-        if i == j:  # the unscaled trace, in an array of its own
-            trace = hat.copy() if trace is None else operator.iadd(trace, hat)
-        w = 1.0 if i == j else 2.0
-        hat *= w * kvec[i] * kvec[j]
+        m = kvec[0] ** 2 + kvec[1] ** 2 + kvec[2] ** 2
+        m[0, 0, 0] = 1.0  # gfac is 0 there
+        np.divide(gfac, m, out=m)
+        if i == j:  # (gfac - 1 - 3 gfac k_i^2 / |k|^2) / 3
+            m *= -3.0 * kvec[i] ** 2
+            m += gfac
+            m -= 1.0
+            m /= 3.0
+        else:
+            m *= -2.0 * kvec[i] * kvec[j]
+        hat *= m
         acc = hat if acc is None else operator.iadd(acc, hat)
-        del hat  # not held through the next transform
-    k2 = kvec[0] ** 2 + kvec[1] ** 2 + kvec[2] ** 2
-    k2[0, 0, 0] = 1.0
-    # qh = -trace/3 - gfac (acc/k2 - trace/3), one operation at a time
-    trace /= 3.0
-    acc /= k2
-    acc -= trace
-    acc *= gfac
-    np.negative(trace, out=trace)
-    trace -= acc
-    del acc, k2
-    return ScalarField(grid, _cropped_inverse(grid, trace))
+        del hat, m  # neither is held through the next transform
+    return ScalarField(grid, _cropped_inverse(grid, acc))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Transient memory of the doubled-grid sums, their kernel caches and the
-ledger rows, measured with tracemalloc at 32^3.
+"""Transient memory of the doubled-grid sums, their kernel caches, the
+pressure split and the ledger rows and cylinder integrals, and the memory
+a pressure split keeps, measured with tracemalloc at 32^3.
 
 tracemalloc sees every numpy array, not the FFT library's own work
 buffers. Each bound is a multiple of a stated unit, set from measurement
@@ -12,14 +13,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from critnorm import ckn, pns, spectral
-from critnorm.fields import Grid, ScalarField, taylor_green_3d
+from critnorm import ckn, pns, pressure, spectral
+from critnorm.fields import Grid, ScalarField, TensorField, taylor_green_3d
 
 N = 32
 # one doubled-grid spectrum: (2n)^2 (n + 1) complex128, 2.16 MB at 32^3
 SPECTRUM = (2 * N) ** 2 * (N + 1) * 16
 # the spectra of one stored slice: three velocity components and q
 SLICE = 4 * N * N * (N // 2 + 1) * 16
+# one float64 field on the box
+FIELD = N**3 * 8
 
 
 def _peak(fn):
@@ -48,19 +51,58 @@ def sources(grid32):
     return S, div
 
 
-def test_free_riesz_sum_holds_at_most_four_spectra(grid32, sources):
-    # measured 3.97 spectra: the trace, the running sum, the padded cube
-    # and its spectrum (7.50 while a scaled copy and qh's temporaries
-    # sat beside them)
+def test_free_riesz_sum_holds_at_most_three_spectra(grid32, sources):
+    # measured 2.97 spectra: the sum, the padded cube and its spectrum
+    # (3.97 while the trace had a spectrum of its own, 7.50 while a scaled
+    # copy and qh's temporaries sat beside them)
     S, _ = sources
-    assert _peak(lambda: spectral.free_riesz_sum(grid32, S)) <= 4.25 * SPECTRUM
+    assert _peak(lambda: spectral.free_riesz_sum(grid32, S)) <= 3.05 * SPECTRUM
 
 
 def test_newtonian_potential_div_holds_at_most_three_spectra(grid32, sources):
-    # measured 3.12 spectra: the running sum, a source's spectrum and its
-    # term (3.97 while the term was made before the source's transform)
+    # measured 2.97 spectra: the sum, the padded cube and its spectrum
+    # (3.12 while each source's term was an array of its own, 3.97 while
+    # the term was made before the source's transform)
     _, div = sources
-    assert _peak(lambda: spectral.newtonian_potential_div(div)) <= 3.5 * SPECTRUM
+    assert _peak(lambda: spectral.newtonian_potential_div(div)) <= 3.05 * SPECTRUM
+
+
+@pytest.fixture(scope="module")
+def tg_split_inputs(grid32):
+    """Taylor-Green velocity stress and its pressure, with every cache the
+    split reads built."""
+    v = taylor_green_3d(grid32, 1.0)
+    V = TensorField(grid32, v.data[:, None] * v.data[None, :])
+    p = pns.recover_pressure(v)
+    pressure.split_pressure(p, V, pressure.RadialCutoff(grid32, 0.2, 1.0))
+    return V, p.values
+
+
+def test_split_pressure_transient_beyond_its_inputs(grid32, tg_split_inputs):
+    # measured 3.94 spectra, the returned split's seven fields (0.85) included
+    # (5.33 while the check arrays and p's cached spectrum lived through the
+    # convolutions and the two doubled-grid sums held a spectrum more)
+    V, values = tg_split_inputs
+    p = ScalarField(grid32, values)
+    cutoff = pressure.RadialCutoff(grid32, 0.2, 1.0)
+    assert _peak(lambda: pressure.split_pressure(p, V, cutoff)) <= 4.25 * SPECTRUM
+
+
+def test_pressure_split_keeps_seven_fields(grid32, tg_split_inputs):
+    # the Riesz term, four Newton terms, the total and the cutoff's values,
+    # with the cutoff passed inline: measured 7.02 fields (20.1 while the
+    # split kept the RadialCutoff, its gradient and Hessian, and p kept
+    # its spectrum)
+    V, values = tg_split_inputs
+    p = ScalarField(grid32, values)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _split = pressure.split_pressure(p, V, pressure.RadialCutoff(grid32, 0.2, 1.0))
+        kept = tracemalloc.get_traced_memory()[0] - base  # _split is still held
+    finally:
+        tracemalloc.stop()
+    assert kept <= 7.25 * FIELD
 
 
 def test_kernel_caches_build_no_unread_spectra():
@@ -73,16 +115,32 @@ def test_kernel_caches_build_no_unread_spectra():
         assert _peak(lambda: cache(g)) <= 3.0 * SPECTRUM
 
 
-def test_ledger_keeps_only_the_slices_later_rows_read(grid32):
-    # 17 slices, all in the k = 2 window; the k = 3 window holds the last
-    # 5 of them, the k = 4 window the last 2. Measured 7.52 slices' worth
-    # (19.5 while every slice's spectra stayed until the call returned)
+@pytest.fixture(scope="module")
+def tg_run(grid32):
+    """17 stored slices, every one in the k = 2 window of t_top = 1/16."""
     cfg = pns.PNSConfig(dt=1.0 / 256.0, T=1.0 / 16.0, stride=1)
     run = pns.run_pns(taylor_green_3d(grid32, 0.3), cfg)
     assert len(run.v.times) == 17
+    return run
 
+
+def test_ledger_keeps_only_the_slices_later_rows_read(tg_run):
+    # the k = 3 window holds the last 5 slices, the k = 4 window the last 2.
+    # Measured 7.52 slices' worth (19.5 while every slice's spectra stayed
+    # until the call returned)
     def ledger():
-        return ckn.build_ledger(run, (0.0, 0.0, 0.0), 1.0 / 16.0, ks=(2, 3, 4), eta=0.6, t0=0.0)
+        return ckn.build_ledger(tg_run, (0.0, 0.0, 0.0), 1.0 / 16.0, ks=(2, 3, 4), eta=0.6,
+                                t0=0.0)
 
     ledger()  # the phase tables and ball lattices are cached
     assert _peak(ledger) <= 9.0 * SLICE
+
+
+def test_cylinder_smallness_keeps_one_slice_at_a_time(tg_run):
+    # r = 1/4 reads all 17 slices once each. Measured 1.48 slices' worth
+    # (17.5 while every slice's spectra stayed until the call returned)
+    def smallness():
+        return ckn.cylinder_smallness(tg_run, (0.0, 0.0, 0.0), 1.0 / 16.0, 0.25)
+
+    smallness()  # the ball lattice is cached
+    assert _peak(smallness) <= 2.0 * SLICE

@@ -211,6 +211,21 @@ class TestSplitPressure:
             )
 
 
+    def test_split_keeps_the_cutoff_field_and_refuses_anything_else(self, grid32):
+        v, V, p = tg_snapshot(grid32)
+        cut = pressure.RadialCutoff(grid32, 0.2, 1.0)
+        sp = pressure.split_pressure(p, V, cut)
+        assert sp.cutoff is cut.field
+        with pytest.raises(TypeError, match=r"\(RadialCutoff\.field\), got RadialCutoff"):
+            pressure.PressureSplit(
+                riesz_term=sp.riesz_term,
+                newton_terms=sp.newton_terms,
+                total=sp.total,
+                cutoff=cut,
+                mismatch=sp.mismatch,
+            )
+
+
 class TestMeanOnBall:
     def test_constant(self, grid32):
         q = ScalarField(grid32, np.full(grid32.shape, 2.5))

@@ -11,8 +11,8 @@ normalized on the grid they are sampled on.
 
 One 16^3 chain runs at both scales: split, mild drift, driven PNS,
 pressure oscillation and weighted ledger, then the local energy
-identity, the pressure split, the weighted oscillation and morrey_sup
-on its run. The fields scale bit for bit; the critical numbers agree to
+identity, the pressure split with the near and far Riesz sums of its
+cut-off stress, the weighted oscillation and morrey_sup on its run. The fields scale bit for bit; the critical numbers agree to
 1e-14 relative.
 
 Every other exponent is counted from |v| ~ lam, q ~ lam^2, lengths
@@ -68,7 +68,8 @@ def chains():
 
 def _diagnostics(lam, run):
     """The run's local energy ledger, pressure split of its last slice,
-    weighted oscillation and morrey_sup, every radius and centre x 1/lam."""
+    weighted oscillation, morrey_sup and the near and far Riesz sums of
+    the cut-off stress, every radius and centre x 1/lam."""
     s = 1.0 / lam
     g = run.grid
     center = tuple(s * c for c in CENTER)
@@ -80,11 +81,14 @@ def _diagnostics(lam, run):
     # transition holds grid points, so the Newton terms are not zero
     cutoff = pressure.RadialCutoff(g, s * 0.2, s * 0.5, center=center)
     psplit = pressure.split_pressure(run.q[-1], stress, cutoff)
+    # a wider cutoff, so that both parts of the ball's split hold cells
+    wide = pressure.RadialCutoff(g, s * 0.5, s * 1.0, center=center).values
+    near_far = pressure.riesz_split_at(TensorField(g, wide * stress.data), center, s * 0.5)
     wosc = pressure.pressure_oscillation_terms(run.v, run.a, run.q, center, s * 0.25, s * 1.0,
                                                t0=0.0)
     shift = round(math.log2(s))
     msup = ckn.morrey_sup(run, norms.BallRegion(center, s * 1.0), ks=tuple(k - shift for k in KS))
-    return energy, psplit, wosc, msup.value
+    return energy, psplit, wosc, msup.value, near_far
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +148,15 @@ def test_pressure_split_terms_scale_as_lam_squared(diagnostics):
     for term, term_l in zip(psplit.newton_terms, psplit_l.newton_terms):
         assert np.any(term.values != 0.0)
         assert np.array_equal(term_l.values, LAM**2 * term.values)
+
+
+def test_riesz_split_parts_scale_as_lam_squared(diagnostics):
+    # a zero-order operator on phi V, V ~ lam^2, split on a ball of radius
+    # 1/(2 lam) inside phi's support: near and far each ~ lam^2
+    for part, part_l in zip(diagnostics[0][4], diagnostics[1][4]):
+        scale = np.max(np.abs(part.values))
+        assert scale > 0.0
+        assert np.max(np.abs(part_l.values - LAM**2 * part.values)) <= RTOL * LAM**2 * scale
 
 
 def test_oscillation_terms_scale_as_lam_to_the_minus_one(chains, diagnostics):
