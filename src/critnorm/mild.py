@@ -12,14 +12,11 @@ and is exact for integrands constant in time (geometric sum), which the
 oracle tests lean on.
 
 Output i reads the integrand slices 0..i-1 only, and output 0 is zero.
-So the Picard iterates of a = e^{t Lap} u0a - L(P div(a x a)) settle one
-slice per pass: the iterate of pass p equals that of pass p - 1 exactly
-on slices 0..p-1. The march (_March) compares each iterate with the
-previous one slice by slice and resumes at the first slice that changed,
-from the outputs and the recurrence value S it kept. Its arithmetic is
-that of a fresh march, so the result is the same bit for bit, and on m
-stored times pass p forms m - p stress spectra instead of m - 1.
-invert_I_minus_La runs the same march.
+So the discrete mild equation a = e^{t Lap} u0a - L(P div(a x a)) is
+lower-triangular in time, and solve_mild solves it exactly by forward
+substitution: one march (_March) that adds into the frames it reads,
+m - 1 stress spectra on m stored times. invert_I_minus_La runs a fresh
+march on every Picard pass.
 
 The drift perturbation operator
 
@@ -82,7 +79,8 @@ _HOLDER_NU = 0.45
 
 @dataclass(frozen=True)
 class DuhamelConfig:
-    """Time discretization and fixed-point knobs shared by the solvers."""
+    """Time discretization of the solvers; picard_tol and picard_max are
+    read by invert_I_minus_La only."""
 
     dt: float
     T: float
@@ -108,7 +106,8 @@ class DuhamelConfig:
 
 
 class PicardDivergence(RuntimeError):
-    """Fixed-point iteration failed to contract; carries the update norms."""
+    """A solve blew up or failed to contract; history carries Picard's update
+    norms, or solve_mild's per-slice sizes ||a_i - e^{t_i Lap} u0a||_2."""
 
     def __init__(self, message, history):
         super().__init__(message)
@@ -141,41 +140,23 @@ def _duhamel_gate(f):
 
 class _March:
     """The recurrence of the module docstring over the spectra
-    h_j = hat(j, frames[j]) of the frames it is called on; returns L(h) at
-    every stored time. A call resumes at the first slice whose contents
-    differ from the previous call's frames (np.array_equal), with the
-    outputs before it taken from that call and the recurrence from the one
-    checkpoint (c, S_c) kept, S over slices 0..c-1, set where the next
-    Picard pass resumes. Callers never write to frames they handed in.
+    h_j = hat(j, frames[j]): a call adds L(h)(t_i) into out[i] for i >= 1
+    and returns out. Output i reads frames[:i] only, so out may be frames
+    itself, which solves x = x_0 + L(h(x)) forward in one pass.
     """
 
-    def __init__(self, grid, times, hat, comp_shape):
+    def __init__(self, grid, times, hat):
         dt = float(times[1] - times[0])
         self.grid, self.hat = grid, hat
-        self.shape = (len(times),) + comp_shape + grid.shape
         self.E = np.exp(-grid.k2 * dt)
         self.ctilde = np.where(grid.k2 > 0, (1.0 - self.E) / grid.k2_safe, dt)
-        self._last = None  # (frames, output) of the previous call
-        self._check = (0, None)
 
-    def __call__(self, frames):
-        m, same = self.shape[0], 0
-        if self._last is not None:
-            while same < m and np.array_equal(frames[same], self._last[0][same]):
-                same += 1
-            if same >= m - 1:  # output i reads slices before i only
-                self._last = (frames, self._last[1])
-                return self._last[1]
-        c, S = self._check if self._check[0] <= same else (0, None)
-        out = np.empty(self.shape)
-        out[: c + 1] = self._last[1][: c + 1] if c else 0.0  # output 0 is zero
-        for i in range(c + 1, m):
+    def __call__(self, frames, out):
+        S = None
+        for i in range(1, len(out)):
             h = self.hat(i - 1, frames[i - 1])
             S = h if S is None else h + self.E * S
-            if i == same + 1:
-                self._check = (i, S)
-            out[i] = _fft.irfftn(self.ctilde * S, self.grid.shape)
-        self._last = (frames, out)
+            out[i] += _fft.irfftn(self.ctilde * S, self.grid.shape)
         return out
 
 
@@ -187,7 +168,7 @@ def duhamel(f):
     def hat(j, frame):
         return _fft.rfftn(frame)
 
-    return SpaceTimeField(g, f.times, _March(g, f.times, hat, f.frames.shape[1:-3])(f.frames))
+    return SpaceTimeField(g, f.times, _March(g, f.times, hat)(f.frames, np.zeros(f.frames.shape)))
 
 
 def duhamel_div(F):
@@ -200,7 +181,8 @@ def duhamel_div(F):
     def hat(j, frame):
         return tensor_div_hat(g, _fft.rfftn(frame))
 
-    return SpaceTimeField(g, F.times, _March(g, F.times, hat, (3,))(F.frames))
+    out = np.zeros(F.frames.shape[:2] + F.frames.shape[3:])
+    return SpaceTimeField(g, F.times, _March(g, F.times, hat)(F.frames, out))
 
 
 def _sym_duhamel(grid, times, w_of_slice):
@@ -211,7 +193,7 @@ def _sym_duhamel(grid, times, w_of_slice):
     def hat(j, u):
         return neg_leray_div_hat(kd, grid.k2_d_safe, sym_outer_hat(u, w_of_slice(j, u)))
 
-    return _March(grid, times, hat, (3,))
+    return _March(grid, times, hat)
 
 
 def _drift_march(u, a):
@@ -226,7 +208,8 @@ def _drift_march(u, a):
 
 def apply_La(u, a):
     """Drift perturbation L_a(u); both arguments on the same time lattice."""
-    return SpaceTimeField(u.grid, u.times, -_drift_march(u, a)(u.frames))
+    out = _drift_march(u, a)(u.frames, np.zeros(u.frames.shape))
+    return SpaceTimeField(u.grid, u.times, np.negative(out, out=out))
 
 
 def _l5_weighted_sup(a):
@@ -371,11 +354,7 @@ def _picard_loop(grid, times, start, step, anchor, tol, cap, norm_q):
             raise PicardDivergence("Picard iterates blew up", history)
         cur = new
         if delta <= tol * anchor:
-            ratios = [
-                history[i] / history[i - 1]
-                for i in range(1, len(history))
-                if history[i - 1] > 0
-            ]
+            ratios = [b / a for a, b in zip(history, history[1:]) if a > 0]
             contraction = max(ratios) if ratios else 0.0
             return cur, k, contraction, tuple(history)
     raise PicardDivergence("no contraction within picard_max", history)
@@ -396,7 +375,7 @@ def invert_I_minus_La(f, a, cfg=None, working_q=2.0):
     anchor = spacetime_lebesgue(f, working_q, working_q)
 
     def step(frames):
-        return f.frames - march(frames)  # f + L_a(u)
+        return f.frames - march(frames, np.zeros(frames.shape))  # f + L_a(u)
 
     u, k, contraction, hist = _picard_loop(
         f.grid, f.times, f.frames, step, anchor,
@@ -418,7 +397,8 @@ def invert_I_minus_La(f, a, cfg=None, working_q=2.0):
 
 @dataclass(frozen=True)
 class MildSolution:
-    """Converged Kato iteration with its decay ledger.
+    """The discrete mild solution, solved forward in one pass
+    (iterations = 1), with its decay ledger.
 
     decay_table rows carry t, the plain L^3 norm, the weighted norms
     t^{1/8} L^4, t^{1/5} L^5, t^{1/2} L^inf, t^{1/2} L^3 of the gradient,
@@ -436,8 +416,6 @@ class MildSolution:
     residual: float
     residual_rel: float
     iterations: int
-    contraction: float
-    history: tuple
 
 
 def solve_mild(u0a, cfg, data_norm="l3", besov_p=6.0, data_gate=None):
@@ -447,7 +425,9 @@ def solve_mild(u0a, cfg, data_norm="l3", besov_p=6.0, data_gate=None):
     empirical constant: "l3", "weak_l3" (Lorentz L^{3,inf}), or "besov"
     (heat-characterized sup_t t^{(1-3/p)/2} ||e^{t Lap} u0a||_p, with
     p = besov_p > 3, which every kind reads for its decay column). When
-    data_gate is given the data norm is thresholded before iterating.
+    data_gate is given the data norm is thresholded before solving; a
+    solution whose distance from the heat orbit blows up raises
+    PicardDivergence.
     """
     if not isinstance(u0a, VectorField):
         raise ValueError("initial data must be a vector field")
@@ -484,20 +464,27 @@ def solve_mild(u0a, cfg, data_norm="l3", besov_p=6.0, data_gate=None):
             "data norm %.3g above configured gate %.3g" % (value, data_gate)
         )
 
-    anchor = _st_norm(g, times, H, 2, 2)
-
-    # L(-P div(a x a)), with w = a / 2 since the symmetrization doubles
+    # L(-P div(a x a)), with w = a / 2 since the symmetrization doubles.
+    # Marching into a itself is forward substitution: slice i reads the
+    # slices before i only, so one pass solves the discrete equation
     march = _sym_duhamel(g, times, lambda j, u: 0.5 * u)
-
-    def step(frames):
-        return H + march(frames)
-
-    frames, k, contraction, hist = _picard_loop(
-        g, times, H, step, anchor, cfg.picard_tol, cfg.picard_max, 2.0
-    )
+    frames = H.copy()
+    march(frames, frames)
+    bound = 1e6 * max(_st_norm(g, times, H, 2, 2), 1.0)
+    sizes = [box_lp(g, frames[i] - H[i], 2) for i in range(m)]
+    for t, size in zip(times, sizes):
+        if not size <= bound:  # inf and NaN too
+            raise PicardDivergence(
+                "mild solution blew up: ||a - e^{t Lap} u0a||_2 = %.3g at t = %g exceeds %.3g "
+                "= 1e6 max(||e^{t Lap} u0a||_{L^2_{t,x}}, 1); the data is too large for the "
+                "small-data theory on this horizon: shrink the data or the horizon T"
+                % (size, float(t), bound), sizes)
     a = SpaceTimeField(g, times, frames)
 
-    resid_frames = frames - H - march(frames)
+    # the residual a - H - L(a) in H's buffer, as -((H - a) + L(a)): the
+    # same bits, since rounding commutes with negation
+    resid_frames = np.subtract(H, frames, out=H)
+    np.negative(march(frames, resid_frames), out=resid_frames)
     residual = _st_norm(g, times, resid_frames, 2, 2)
 
     rows = []
@@ -538,9 +525,7 @@ def solve_mild(u0a, cfg, data_norm="l3", besov_p=6.0, data_gate=None):
         l5_spacetime=_st_norm(g, times, frames, 5, 5),
         residual=residual,
         residual_rel=residual / unorm if unorm > 0 else 0.0,
-        iterations=k,
-        contraction=contraction,
-        history=hist,
+        iterations=1,
     )
 
 

@@ -1,6 +1,6 @@
-"""Transient memory of the doubled-grid sums, their kernel caches, the
-pressure split and the ledger rows and cylinder integrals, and the memory
-a pressure split keeps, measured with tracemalloc at 32^3.
+"""Transient memory of the mild solve, the doubled-grid sums, their kernel
+caches, the pressure split and the ledger rows and cylinder integrals, and
+the memory a pressure split keeps, measured with tracemalloc at 32^3.
 
 tracemalloc sees every numpy array, not the FFT library's own work
 buffers. Each bound is a multiple of a stated unit, set from measurement
@@ -13,8 +13,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from critnorm import ckn, pns, pressure, spectral
-from critnorm.fields import Grid, ScalarField, TensorField, taylor_green_3d
+from critnorm import besov, ckn, corpus, mild, pns, pressure, spectral
+from critnorm.fields import Grid, ScalarField, TensorField, VectorField, taylor_green_3d
 
 N = 32
 # one doubled-grid spectrum: (2n)^2 (n + 1) complex128, 2.16 MB at 32^3
@@ -23,6 +23,8 @@ SPECTRUM = (2 * N) ** 2 * (N + 1) * 16
 SLICE = 4 * N * N * (N // 2 + 1) * 16
 # one float64 field on the box
 FIELD = N**3 * 8
+# the mild solution a on the chains' 6 stored times, 4.72 MB at 32^3
+MILD = 6 * 3 * FIELD
 
 
 def _peak(fn):
@@ -35,6 +37,28 @@ def _peak(fn):
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def mild_input(grid32):
+    """The chains' mild datum at seed 1: the Besov split's small part of a
+    curl bump plus noise, on their mild time lattice, with the grid's
+    arrays built."""
+    rng = np.random.default_rng(1)
+    bump = corpus.curl_bump(grid32, amplitude=0.5)
+    noise = corpus.random_divfree(grid32, rng, kmax=4, amplitude=0.05)
+    tilde = besov.besov_split(VectorField(grid32, bump.data + noise.data), 3.0, 6.0).tilde_g
+    cfg = mild.DuhamelConfig(dt=1.0 / 64.0, T=5.0 / 64.0)
+    assert mild.solve_mild(tilde, cfg).a.frames.nbytes == MILD
+    return tilde, cfg
+
+
+def test_solve_mild_transient_in_units_of_its_result(mild_input):
+    # measured 3.36 results' worth, the returned a included: a and the heat
+    # orbit, whose buffer then takes the residual, beside the march's spectra
+    # (6.54 while Picard held its iterates and the march its resume cache)
+    tilde, cfg = mild_input
+    assert _peak(lambda: mild.solve_mild(tilde, cfg)) <= 3.6 * MILD
 
 
 @pytest.fixture(scope="module")

@@ -295,37 +295,47 @@ def stress_spectra(monkeypatch):
     return calls
 
 
-def fresh_picard(grid, times, start, picard_map, tol, cap, anchor, q):
-    """The Picard loop u <- picard_map(u); returns (u, iterations, history)."""
+def fresh_picard(grid, times, start, picard_map, cap, q, stop=0.0):
+    """cap passes of u <- picard_map(u), fewer when an update's L^q norm is
+    at most stop; returns (u, passes, history)."""
     cur, history = start, []
     for k in range(1, cap + 1):
         new = picard_map(cur)
         history.append(mild._st_norm(grid, times, new - cur, q, q))
         cur = new
-        if history[-1] <= tol * anchor:
-            return cur, k, tuple(history)
-    raise AssertionError("reference loop did not converge")
+        if history[-1] <= stop:
+            break
+    return cur, k, tuple(history)
 
 
-class TestPicardReuse:
-    def test_solve_mild_is_the_fresh_loop(self, grid16, stress_spectra):
+class TestAgainstFreshLoops:
+    def test_solve_mild_is_the_forward_solution(self, grid16, stress_spectra):
+        # output i of the march reads slices before i only, so Picard pass p
+        # is exact on slices 0..p and m - 1 passes give the discrete solution
         u0 = gauss_curl(grid16, 1.0, eps=0.1)
         cfg = mild.DuhamelConfig(dt=0.05, T=0.4)
         sol = mild.solve_mild(u0, cfg)
-        times, m, k = cfg.times(), len(cfg.times()), sol.iterations
-        assert k >= 3
-        # pass p resumes at slice p - 1; the residual is pass k + 1
-        assert len(stress_spectra) == sum(m - 1 - p for p in range(k + 1))
+        times, m = cfg.times(), len(cfg.times())
+        assert sol.iterations == 1
+        # m - 1 for the forward pass, m - 1 for the residual
+        assert len(stress_spectra) == 2 * (m - 1)
         H = np.stack([heat_semigroup(u0, float(t)).data for t in times])
+        anchor = mild._st_norm(grid16, times, H, 2, 2)
 
         def picard_map(u):  # a march made from scratch on every pass
-            return H + mild._sym_duhamel(grid16, times, lambda j, v: 0.5 * v)(u)
+            march = mild._sym_duhamel(grid16, times, lambda j, v: 0.5 * v)
+            return H + march(u, np.zeros(u.shape))
 
-        a, iterations, history = fresh_picard(
-            grid16, times, H.copy(), picard_map, cfg.picard_tol, cfg.picard_max, mild._st_norm(grid16, times, H, 2, 2), 2.0,
+        exact, passes, _ = fresh_picard(grid16, times, H.copy(), picard_map, m - 1, 2.0)
+        assert passes == m - 1
+        assert np.array_equal(sol.a.frames, exact)
+        a, k, _ = fresh_picard(
+            grid16, times, H.copy(), picard_map, cfg.picard_max, 2.0, cfg.picard_tol * anchor,
         )
-        assert (sol.iterations, sol.history) == (iterations, history)
-        assert np.array_equal(sol.a.frames, a)
+        assert 3 <= k < m - 1
+        assert np.array_equal(a[: k + 1], sol.a.frames[: k + 1])
+        gap = mild._st_norm(grid16, times, a - sol.a.frames, 2, 2)
+        assert 0 < gap <= cfg.picard_tol * anchor
 
     def test_inversion_is_the_fresh_loop(self, grid16, stress_spectra):
         cfg, ts, f, araw = TestInversion().make_problem(grid16)
@@ -333,33 +343,18 @@ class TestPicardReuse:
         res = mild.invert_I_minus_La(f, a)
         m, k = len(ts), res.iterations
         assert k >= 3
-        assert len(stress_spectra) == sum(m - 1 - p for p in range(k))
+        assert len(stress_spectra) == k * (m - 1)
 
         def picard_map(u):
-            return f.frames - mild._sym_duhamel(grid16, ts, lambda j, _: a.frames[j])(u)
+            march = mild._sym_duhamel(grid16, ts, lambda j, _: a.frames[j])
+            return f.frames - march(u, np.zeros(u.shape))
 
         u, iterations, history = fresh_picard(
-            grid16, ts, f.frames, picard_map, cfg.picard_tol, cfg.picard_max,
-            mild.spacetime_lebesgue(f, 2, 2), 2.0,
+            grid16, ts, f.frames, picard_map, cfg.picard_max, 2.0,
+            cfg.picard_tol * mild.spacetime_lebesgue(f, 2, 2),
         )
         assert (res.iterations, res.history) == (iterations, history)
         assert np.array_equal(res.u.frames, u)
-
-    def test_any_iterate_sequence_gets_the_fresh_output(self, grid16, rng, stress_spectra):
-        # changes before the checkpoint restart the march; an equal copy is
-        # recognised by its contents and costs no spectrum
-        ts = mild.DuhamelConfig(dt=0.05, T=0.3).times()
-        w = rng.standard_normal((3,) + grid16.shape)
-        frames = rng.standard_normal((len(ts), 3) + grid16.shape)
-        march = mild._sym_duhamel(grid16, ts, lambda j, u: w)
-        for first in (0, 4, 2, 5, 1):
-            frames = frames.copy()
-            frames[first:] += rng.standard_normal(frames[first:].shape)
-            want = mild._sym_duhamel(grid16, ts, lambda j, u: w)(frames)
-            assert np.array_equal(march(frames), want)
-        del stress_spectra[:]
-        assert np.array_equal(march(frames.copy()), want)
-        assert not stress_spectra
 
 
 class TestSolveMild:
@@ -422,7 +417,6 @@ class TestSolveMild:
         g2, _ = gap(0.025)
         assert 3.5 <= g1 / g2 <= 4.5
         assert sol.residual_rel <= 10 * cfg.picard_tol
-        assert sol.contraction < 1
         kmax = math.sqrt(float(np.max(grid32.k2)))
         for i in range(len(sol.a)):
             assert divergence(sol.a[i]).l2() <= 1e-10 * kmax * max(sol.a[i].l2(), 1e-30)
@@ -441,8 +435,19 @@ class TestSolveMild:
 
     def test_nonlinear_runaway_raises(self, grid16):
         u0 = VectorField(grid16, taylor_green_3d(grid16).data * 60.0)
-        with pytest.raises(mild.PicardDivergence):
+        with pytest.raises(mild.PicardDivergence) as err:
             mild.solve_mild(u0, mild.DuhamelConfig(dt=0.05, T=0.5, picard_max=30))
+        # the refusal names the slice, its size and the bound, and what to change
+        times = mild.DuhamelConfig(dt=0.05, T=0.5).times()
+        H = np.stack([heat_semigroup(u0, float(t)).data for t in times])
+        bound = 1e6 * max(mild._st_norm(grid16, times, H, 2, 2), 1.0)
+        sizes = err.value.history
+        assert len(sizes) == len(times)
+        i = next(i for i, size in enumerate(sizes) if not size <= bound)
+        msg = str(err.value)
+        assert "= %.3g at t = %g" % (sizes[i], times[i]) in msg
+        assert "exceeds %.3g" % bound in msg
+        assert "shrink the data or the horizon" in msg
 
     def test_decay_csv(self, grid16, tmp_path):
         sol = mild.solve_mild(
