@@ -6,7 +6,7 @@ Subpackage map:
 - fields, spectral, fieldio: grids, multiplier operators, serialization
 - norms: Lebesgue/Morrey/Lorentz norm engines and inequality checks
 - besov: Littlewood-Paley projections, Besov norms, frequency splitting
-- mild: Duhamel integrals, Picard iteration, drift-operator inversion
+- mild: Duhamel integrals, forward solves of the mild and drift-operator equations
 - cylinder: parabolic-cylinder and cumulative time quadratures over stored runs
 - pns: perturbed Navier-Stokes time stepper and energy bookkeeping
 - pressure: localized pressure representation and oscillation estimates

@@ -12,11 +12,11 @@ and is exact for integrands constant in time (geometric sum), which the
 oracle tests lean on.
 
 Output i reads the integrand slices 0..i-1 only, and output 0 is zero.
-So the discrete mild equation a = e^{t Lap} u0a - L(P div(a x a)) is
-lower-triangular in time, and solve_mild solves it exactly by forward
-substitution: one march (_March) that adds into the frames it reads,
-m - 1 stress spectra on m stored times. invert_I_minus_La runs a fresh
-march on every Picard pass.
+So both discrete equations of this module are lower-triangular in time:
+the mild equation a = e^{t Lap} u0a - L(P div(a x a)) and the linear
+equation u = f + L_a(u). Each is solved exactly by forward substitution,
+one march (_March) that adds into the frames it reads: m - 1 stress
+spectra on m stored times (_forward_solve).
 
 The drift perturbation operator
 
@@ -25,10 +25,10 @@ The drift perturbation operator
 
 collapses mode by mode to L applied to the Leray-projected tensor
 divergence: (delta_km - xi_k xi_m / |xi|^2) i xi_j S_mj reproduces both
-pieces for symmetric S. Inversion of I - L_a runs plain Picard iteration
-in a configurable space-time Lebesgue norm and reports the measured
-contraction. The drift budget is the fixed threshold EPS_Q and the data
-gate a caller's value; neither is a derived constant.
+pieces for symmetric S. invert_I_minus_La reports ||u - f|| / ||u|| =
+||L_a u|| / ||u|| in L^2_{t,x}, a lower bound on the norm of L_a. The
+drift budget is the fixed threshold EPS_Q and the data gate a caller's
+value; neither is a derived constant.
 """
 
 import math
@@ -79,23 +79,16 @@ _HOLDER_NU = 0.45
 
 @dataclass(frozen=True)
 class DuhamelConfig:
-    """Time discretization of the solvers; picard_tol and picard_max are
-    read by invert_I_minus_La only."""
+    """Time discretization of the solvers: step dt and horizon T."""
 
     dt: float
     T: float
-    picard_tol: float = 1e-10
-    picard_max: int = 60
 
     def __post_init__(self):
         if not self.dt > 0:
             raise ValueError("dt must be positive")
         if not self.T >= self.dt:
             raise ValueError("horizon shorter than one step")
-        if not self.picard_tol > 0:
-            raise ValueError("picard_tol must be positive")
-        if self.picard_max < 1:
-            raise ValueError("picard_max must be at least 1, got %r" % (self.picard_max,))
         m = round(self.T / self.dt)
         if abs(m * self.dt - self.T) > 1e-9 * max(self.T, 1.0):
             raise ValueError("T must be an integer number of steps")
@@ -106,8 +99,8 @@ class DuhamelConfig:
 
 
 class PicardDivergence(RuntimeError):
-    """A solve blew up or failed to contract; history carries Picard's update
-    norms, or solve_mild's per-slice sizes ||a_i - e^{t_i Lap} u0a||_2."""
+    """A forward solve blew up; history carries its per-slice sizes
+    ||x_i - x0_i||_2, x0 the start orbit (e^{t Lap} u0a, or f)."""
 
     def __init__(self, message, history):
         super().__init__(message)
@@ -160,6 +153,27 @@ class _March:
         return out
 
 
+def _forward_solve(grid, times, x0, march, names):
+    """The solution of x = x0 + L(h(x)), march being the _March of L(h):
+    marching into a copy of x0 is forward substitution. A slice whose
+    ||x_i - x0_i||_2 is non-finite or above 1e6 max(||x0||_{L^2_{t,x}}, 1)
+    raises PicardDivergence, worded by names = (solution, x, x0, what to
+    shrink)."""
+    what, x, orbit, culprit = names
+    frames = x0.copy()
+    march(frames, frames)
+    bound = 1e6 * max(_st_norm(grid, times, x0, 2, 2), 1.0)
+    sizes = [box_lp(grid, frames[i] - x0[i], 2) for i in range(len(times))]
+    for t, size in zip(times, sizes):
+        if not size <= bound:  # inf and NaN too
+            raise PicardDivergence(
+                "%s blew up: ||%s - %s||_2 = %.3g at t = %g exceeds %.3g = 1e6 max(||%s||"
+                "_{L^2_{t,x}}, 1); the %s is too large for the small-data theory on this "
+                "horizon: shrink the %s or the horizon T"
+                % (what, x, orbit, size, float(t), bound, orbit, culprit, culprit), sizes)
+    return frames
+
+
 def duhamel(f):
     """L(f)(t) = int_0^t e^{(t-s) Lap} f(s) ds on the stored time lattice."""
     _duhamel_gate(f)
@@ -197,19 +211,19 @@ def _sym_duhamel(grid, times, w_of_slice):
 
 
 def _drift_march(u, a):
-    """The march of L(-P div(u x a + a x u)) for u on a's time lattice."""
+    """The march of L_a = L(P div(u x a + a x u)) for u on a's time lattice,
+    as L(-P div(u x w + w x u)) with w = -a."""
     _duhamel_gate(u)
     if u.frames.ndim != 5 or a.frames.ndim != 5:
         raise ValueError("L_a needs vector space-time fields")
     if u.grid != a.grid or len(u) != len(a) or not np.allclose(u.times, a.times):
         raise ValueError("u and a live on different lattices")
-    return _sym_duhamel(u.grid, u.times, lambda j, _: a.frames[j])
+    return _sym_duhamel(u.grid, u.times, lambda j, _: np.negative(a.frames[j]))
 
 
 def apply_La(u, a):
     """Drift perturbation L_a(u); both arguments on the same time lattice."""
-    out = _drift_march(u, a)(u.frames, np.zeros(u.frames.shape))
-    return SpaceTimeField(u.grid, u.times, np.negative(out, out=out))
+    return SpaceTimeField(u.grid, u.times, _drift_march(u, a)(u.frames, np.zeros(u.frames.shape)))
 
 
 def _l5_weighted_sup(a):
@@ -330,64 +344,39 @@ def check_duhamel_estimates(f=None, F=None, a=None, b=None):
 
 
 # ---------------------------------------------------------------------------
-# Picard machinery
+# inversion of I - L_a
 
 
 @dataclass(frozen=True)
 class InversionResult:
+    """u solves (I - L_a) u = f on the time lattice, up to round-off. contraction is
+    ||u - f|| / ||u|| = ||L_a u|| / ||u|| in L^2_{t,x} (0 for u = 0), a
+    lower bound on the norm of L_a; smallness is drift_smallness(a) and
+    smallness_ok whether it is within EPS_Q."""
+
     u: SpaceTimeField
-    iterations: int
     contraction: float
     smallness: float
     smallness_ok: bool
-    history: tuple
 
 
-def _picard_loop(grid, times, start, step, anchor, tol, cap, norm_q):
-    cur = start
-    history = []
-    for k in range(1, cap + 1):
-        new = step(cur)
-        delta = _st_norm(grid, times, new - cur, norm_q, norm_q)
-        history.append(delta)
-        if not math.isfinite(delta) or delta > 1e6 * max(anchor, 1.0):
-            raise PicardDivergence("Picard iterates blew up", history)
-        cur = new
-        if delta <= tol * anchor:
-            ratios = [b / a for a, b in zip(history, history[1:]) if a > 0]
-            contraction = max(ratios) if ratios else 0.0
-            return cur, k, contraction, tuple(history)
-    raise PicardDivergence("no contraction within picard_max", history)
-
-
-def invert_I_minus_La(f, a, cfg=None, working_q=2.0):
-    """Solve (I - L_a) u = f by Picard iteration in L^q space-time.
+def invert_I_minus_La(f, a):
+    """Solve (I - L_a) u = f, that is u = f + L_a(u), by forward substitution.
 
     The drift budget EPS_Q is a fixed threshold; exceeding it is
-    reported, not fatal, since the true smallness constant is unknown.
+    reported, not fatal, since the true smallness constant is unknown. A
+    solution whose distance from f blows up raises PicardDivergence.
     """
-    if cfg is None:
-        cfg = DuhamelConfig(dt=f.dt, T=float(f.times[-1]) - float(f.times[0]))
     march = _drift_march(f, a)
-    if not (working_q >= 1.25):
-        raise ValueError("working exponent below 5/4")
     small = drift_smallness(a)
-    anchor = spacetime_lebesgue(f, working_q, working_q)
-
-    def step(frames):
-        return f.frames - march(frames, np.zeros(frames.shape))  # f + L_a(u)
-
-    u, k, contraction, hist = _picard_loop(
-        f.grid, f.times, f.frames, step, anchor,
-        cfg.picard_tol, cfg.picard_max, working_q,
-    )
+    g, times = f.grid, f.times
+    u = _forward_solve(g, times, f.frames, march, ("(I - L_a)^{-1} f", "u", "f", "drift a"))
+    size = _st_norm(g, times, u, 2, 2)
     return InversionResult(
-        u=SpaceTimeField(f.grid, f.times, u),
-        iterations=k,
-        contraction=contraction,
+        u=SpaceTimeField(g, times, u),
+        contraction=_st_norm(g, times, u - f.frames, 2, 2) / size if size > 0 else 0.0,
         smallness=small,
         smallness_ok=small <= EPS_Q,
-        history=hist,
     )
 
 
@@ -464,21 +453,9 @@ def solve_mild(u0a, cfg, data_norm="l3", besov_p=6.0, data_gate=None):
             "data norm %.3g above configured gate %.3g" % (value, data_gate)
         )
 
-    # L(-P div(a x a)), with w = a / 2 since the symmetrization doubles.
-    # Marching into a itself is forward substitution: slice i reads the
-    # slices before i only, so one pass solves the discrete equation
+    # L(-P div(a x a)), with w = a / 2 since the symmetrization doubles
     march = _sym_duhamel(g, times, lambda j, u: 0.5 * u)
-    frames = H.copy()
-    march(frames, frames)
-    bound = 1e6 * max(_st_norm(g, times, H, 2, 2), 1.0)
-    sizes = [box_lp(g, frames[i] - H[i], 2) for i in range(m)]
-    for t, size in zip(times, sizes):
-        if not size <= bound:  # inf and NaN too
-            raise PicardDivergence(
-                "mild solution blew up: ||a - e^{t Lap} u0a||_2 = %.3g at t = %g exceeds %.3g "
-                "= 1e6 max(||e^{t Lap} u0a||_{L^2_{t,x}}, 1); the data is too large for the "
-                "small-data theory on this horizon: shrink the data or the horizon T"
-                % (size, float(t), bound), sizes)
+    frames = _forward_solve(g, times, H, march, ("mild solution", "a", "e^{t Lap} u0a", "data"))
     a = SpaceTimeField(g, times, frames)
 
     # the residual a - H - L(a) in H's buffer, as -((H - a) + L(a)): the

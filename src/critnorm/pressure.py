@@ -47,6 +47,7 @@ from .fieldio import write_csv
 from .fields import ScalarField, nonic_step
 from .norms import BallRegion, lp_ball
 from .spectral import (
+    SYM_INDEX,
     SYM_PAIRS,
     free_riesz_sum,
     newtonian_potential,
@@ -77,7 +78,9 @@ class RadialCutoff:
     the whole box, which the free-space convolutions reject; the nonic
     profile below gives gradient and Hessian that vanish identically
     outside the transition annulus, and its C^4 smoothness keeps the
-    annulus sources well represented on the grid.
+    annulus sources well represented on the grid. The Hessian holds its
+    six distinct components in the SYM_PAIRS order: H_ij is
+    hessian[SYM_INDEX[i][j]].
     """
 
     def __init__(self, grid, r_on, r_off, center=(0.0, 0.0, 0.0)):
@@ -100,11 +103,10 @@ class RadialCutoff:
         r_safe = np.where(r > 0, r, 1.0)
         offsets = (dx, dy, dz)
         self.gradient = np.stack([-ds * o / r_safe for o in offsets])
-        hess = np.empty((3, 3) + grid.shape)
-        for i in range(3):
-            for j in range(3):
-                rad2 = offsets[i] * offsets[j] / r_safe**2
-                hess[i, j] = -dss * rad2 - ds * (float(i == j) - rad2) / r_safe
+        hess = np.empty((6,) + grid.shape)
+        for c, (i, j) in enumerate(SYM_PAIRS):
+            rad2 = offsets[i] * offsets[j] / r_safe**2
+            hess[c] = -dss * rad2 - ds * (float(i == j) - rad2) / r_safe
         self.hessian = hess
 
     @property
@@ -113,7 +115,7 @@ class RadialCutoff:
 
     @property
     def laplacian(self):
-        return self.hessian[0, 0] + self.hessian[1, 1] + self.hessian[2, 2]
+        return self.hessian[0] + self.hessian[1] + self.hessian[2]
 
 
 @dataclass(frozen=True)
@@ -220,7 +222,7 @@ def split_pressure(p, V, cutoff):
     src = np.zeros(g.shape)
     for i in range(3):
         for j in range(3):
-            src += d2[i, j] * V.data[i, j]
+            src += d2[SYM_INDEX[i][j]] * V.data[i, j]
     n1 = ScalarField(g, -newtonian_potential(ScalarField(g, src)).values)
 
     # the two gradient-sourced potentials enter with plus sign: a shift

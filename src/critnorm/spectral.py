@@ -20,6 +20,7 @@ __all__ = [
     "tensor_div_hat",
     "leray_hat",
     "SYM_PAIRS",
+    "SYM_INDEX",
     "sym_outer_hat",
     "sym_ddiv_hat",
     "neg_leray_div_hat",
@@ -86,9 +87,9 @@ def tensor_div_hat(grid, Th):
 
 
 # symmetric tensors are stored as their six distinct components S_ij,
-# (i, j) in this order; _SYM_INDEX[i][j] is the slot of S_ij = S_ji
+# (i, j) in this order; SYM_INDEX[i][j] is the slot of S_ij = S_ji
 SYM_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
-_SYM_INDEX = ((0, 3, 4), (3, 1, 5), (4, 5, 2))
+SYM_INDEX = ((0, 3, 4), (3, 1, 5), (4, 5, 2))
 
 
 def sym_outer_hat(u, w):
@@ -128,7 +129,7 @@ def neg_leray_div_hat(kd, k2_d_safe, Sh):
     can differ."""
     mik = [-1j * k for k in kd]
     return _project(
-        kd, k2_d_safe, [mik[0] * Sh[a] + mik[1] * Sh[b] + mik[2] * Sh[c] for a, b, c in _SYM_INDEX]
+        kd, k2_d_safe, [mik[0] * Sh[a] + mik[1] * Sh[b] + mik[2] * Sh[c] for a, b, c in SYM_INDEX]
     )
 
 

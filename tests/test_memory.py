@@ -1,6 +1,8 @@
-"""Transient memory of the mild solve, the doubled-grid sums, their kernel
+"""Transient memory of the chain's stages (Besov split, mild solve, driven
+PNS run, local energy identity), the doubled-grid sums, their kernel
 caches, the pressure split and the ledger rows and cylinder integrals, and
-the memory a pressure split keeps, measured with tracemalloc at 32^3.
+the memory a pressure split and a radial cutoff keep, measured with
+tracemalloc at 32^3.
 
 tracemalloc sees every numpy array, not the FFT library's own work
 buffers. Each bound is a multiple of a stated unit, set from measurement
@@ -14,7 +16,14 @@ import numpy as np
 import pytest
 
 from critnorm import besov, ckn, corpus, mild, pns, pressure, spectral
-from critnorm.fields import Grid, ScalarField, TensorField, VectorField, taylor_green_3d
+from critnorm.fields import (
+    Grid,
+    ScalarField,
+    TensorField,
+    VectorField,
+    smooth_radial_cutoff,
+    taylor_green_3d,
+)
 
 N = 32
 # one doubled-grid spectrum: (2n)^2 (n + 1) complex128, 2.16 MB at 32^3
@@ -25,6 +34,10 @@ SLICE = 4 * N * N * (N // 2 + 1) * 16
 FIELD = N**3 * 8
 # the mild solution a on the chains' 6 stored times, 4.72 MB at 32^3
 MILD = 6 * 3 * FIELD
+# the Besov split's two vector fields
+SPLIT = 2 * 3 * FIELD
+# a driven run of chain_n32's lattice: v, a and q on 11 stored times
+RUN = 11 * 7 * FIELD
 
 
 def _peak(fn):
@@ -40,14 +53,26 @@ def _peak(fn):
 
 
 @pytest.fixture(scope="module")
-def mild_input(grid32):
-    """The chains' mild datum at seed 1: the Besov split's small part of a
-    curl bump plus noise, on their mild time lattice, with the grid's
-    arrays built."""
+def datum(grid32):
+    """The chains' datum at seed 1: a curl bump plus noise."""
     rng = np.random.default_rng(1)
     bump = corpus.curl_bump(grid32, amplitude=0.5)
     noise = corpus.random_divfree(grid32, rng, kmax=4, amplitude=0.05)
-    tilde = besov.besov_split(VectorField(grid32, bump.data + noise.data), 3.0, 6.0).tilde_g
+    return VectorField(grid32, bump.data + noise.data)
+
+
+def test_besov_split_transient_in_units_of_its_result(datum):
+    # measured 3.26 results' worth, the returned split (whose two fields
+    # keep their spectra, 2.07 results' worth in all) included
+    besov.besov_split(datum, 3.0, 6.0)  # the Littlewood-Paley bank is cached
+    assert _peak(lambda: besov.besov_split(datum, 3.0, 6.0)) <= 3.5 * SPLIT
+
+
+@pytest.fixture(scope="module")
+def mild_input(datum):
+    """The chains' mild datum at seed 1: the Besov split's small part, on
+    their mild time lattice, with the grid's arrays built."""
+    tilde = besov.besov_split(datum, 3.0, 6.0).tilde_g
     cfg = mild.DuhamelConfig(dt=1.0 / 64.0, T=5.0 / 64.0)
     assert mild.solve_mild(tilde, cfg).a.frames.nbytes == MILD
     return tilde, cfg
@@ -59,6 +84,36 @@ def test_solve_mild_transient_in_units_of_its_result(mild_input):
     # (6.54 while Picard held its iterates and the march its resume cache)
     tilde, cfg = mild_input
     assert _peak(lambda: mild.solve_mild(tilde, cfg)) <= 3.6 * MILD
+
+
+@pytest.fixture(scope="module")
+def driven(datum, mild_input):
+    """chain_n32's driven run on the seed-1 datum, with its caches built."""
+    bar = besov.besov_split(datum, 3.0, 6.0).bar_g
+    a = mild.solve_mild(*mild_input).a
+    cfg = pns.PNSConfig(dt=1.0 / 512.0, T=5.0 / 64.0, stride=4)
+
+    def run():
+        return pns.run_pns(bar, cfg, a_provider=pns.drift_from_spacetime(a))
+
+    stored = run()
+    assert stored.v.frames.nbytes + stored.a.frames.nbytes + stored.q.frames.nbytes == RUN
+    return run, stored
+
+
+def test_run_pns_transient_in_units_of_its_result(driven):
+    # measured 1.56 results' worth, the returned run included: the stored
+    # slices, the step's stages and the spectra of the stress
+    run, _ = driven
+    assert _peak(run) <= 1.65 * RUN
+
+
+def test_verify_local_energy_transient(grid32, driven):
+    # measured 41.4 fields; the entries it returns are a few scalars each
+    _, stored = driven
+    phi = smooth_radial_cutoff(grid32, 1.0, 3.0)
+    pns.verify_local_energy(stored, phi)
+    assert _peak(lambda: pns.verify_local_energy(stored, phi)) <= 44.0 * FIELD
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +182,20 @@ def test_pressure_split_keeps_seven_fields(grid32, tg_split_inputs):
     finally:
         tracemalloc.stop()
     assert kept <= 7.25 * FIELD
+
+
+def test_radial_cutoff_keeps_ten_fields(grid32):
+    # the values, three gradient and six Hessian components: measured 10.01
+    # fields (13.01 while the Hessian kept all nine components)
+    pressure.RadialCutoff(grid32, 0.2, 1.0)  # the grid's coordinates are built
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _cutoff = pressure.RadialCutoff(grid32, 0.2, 1.0)
+        kept = tracemalloc.get_traced_memory()[0] - base  # _cutoff is still held
+    finally:
+        tracemalloc.stop()
+    assert kept <= 10.25 * FIELD
 
 
 def test_kernel_caches_build_no_unread_spectra():

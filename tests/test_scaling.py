@@ -106,7 +106,18 @@ def test_fields_scale_bit_for_bit(chains):
     assert np.array_equal(sol_l.a.frames, LAM * sol.a.frames)
     assert np.array_equal(run_l.v.frames, LAM * run.v.frames)
     assert np.array_equal(run_l.q.frames, LAM**2 * run.q.frames)
-    assert sol_l.iterations == sol.iterations
+
+
+def test_mild_decay_table_is_invariant(chains):
+    # every column is a critical norm or a weighted one, t^{(1 - 3/p)/2} ||a(t)||_p;
+    # the residual is round-off and carries no exponent
+    sol, sol_l = chains[0][1], chains[1][1]
+    assert len(sol_l.decay_table) == len(sol.decay_table) > 1
+    for row, row_l in zip(sol.decay_table, sol_l.decay_table):
+        assert row_l.keys() == row.keys()
+        assert row_l["t"] == row["t"] / LAM**2
+        for key in row.keys() - {"t", "residual"}:
+            assert abs(row_l[key] - row[key]) <= RTOL * abs(row[key]), key
 
 
 def test_critical_numbers_are_invariant(chains):

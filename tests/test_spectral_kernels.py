@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from critnorm import _fft
 from critnorm.fields import Grid, ScalarField, TensorField, VectorField
 from critnorm.spectral import (
+    SYM_INDEX,
     SYM_PAIRS,
     curl,
     div_hat,
@@ -26,7 +27,7 @@ from critnorm.spectral import (
     tensor_div_hat,
     tensor_divergence,
 )
-from critnorm.spectral import _SYM_INDEX, _yz_tables
+from critnorm.spectral import _yz_tables
 
 GRID = Grid(16, 2.0 * np.pi * np.sqrt(2.0))
 KMAX = float(np.sqrt(np.max(GRID.k2)))
@@ -69,7 +70,7 @@ def sym_div_hat(grid, Sh):
     with leray_hat before neg_leray_div_hat."""
     kxd, kyd, kzd = grid.deriv_wavenumbers()
     return np.stack(
-        [1j * (kxd * Sh[a] + kyd * Sh[b] + kzd * Sh[c]) for a, b, c in _SYM_INDEX]
+        [1j * (kxd * Sh[a] + kyd * Sh[b] + kzd * Sh[c]) for a, b, c in SYM_INDEX]
     )
 
 
