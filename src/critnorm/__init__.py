@@ -3,7 +3,8 @@ concentration experiments on a periodic box.
 
 Subpackage map:
 
-- fields, spectral, fieldio: grids, multiplier operators, serialization
+- fields, spectral: grids and multiplier operators
+- fieldio: the CSV writer of every report, and a field plane as CSV
 - norms: Lebesgue/Morrey/Lorentz norm engines and inequality checks
 - besov: Littlewood-Paley projections, Besov norms, frequency splitting
 - mild: Duhamel integrals, forward solves of the mild and drift-operator equations

@@ -154,11 +154,12 @@ def write_ledger_csv(path, ledger):
 
 def _slice_loads(v, sel, center, r, q=None, keep=()):
     """Per-slice ball integrals over B_r(center) on the stored slices sel,
-    a stored_window, from the FrameSpectra v of a velocity and q of its
-    pressure: |v|^3 always; given q, for a ledger row, also the
-    oscillation |q - (q)_r|^{3/2} with the slice ball mean, |v|^2 and
-    |grad v|^2. Returns the selected times and a dict of these per-slice
-    values, each with the cell volume. Slices not in keep are dropped.
+    a stored_window or a sorted union of them, from the FrameSpectra v of
+    a velocity and q of its pressure: |v|^3 always; given q, for a ledger
+    row, also the oscillation |q - (q)_r|^{3/2} with the slice ball mean,
+    |v|^2 and |grad v|^2. Returns the selected times and a dict of these
+    per-slice values, each with the cell volume. Slices not in keep are
+    dropped.
     """
     axes, rad, cell = ball_points(v.stf.grid, center, r)
     inside = rad <= r
@@ -312,8 +313,10 @@ def morrey_sup(run, region, ks):
 
     Centers are the native grid points in the region thinned to every
     second one along each axis, plus the region center unless it is one of
-    them; for each radius at most six admissible top times are scanned, and
-    each stored slice is sampled once per center and radius. The sup runs
+    them; for each radius at most six admissible top times are scanned.
+    Each center and radius takes the ball loads of the ledger rows
+    (_slice_loads) on the sorted union of that radius's windows, so each
+    stored slice is sampled once per center and radius. The sup runs
     over a lattice of cylinders only, but each cylinder integral is a time
     trapezoid over stored slices, second order in the stride, so refining
     the stride can lower the value as well as raise it. A radius whose r^2
@@ -342,15 +345,11 @@ def morrey_sup(run, region, ks):
     v = FrameSpectra(run.v)  # reused across centers and radii
     best = 0.0
     for r, windows in scans:
+        slices = np.unique(np.concatenate(windows))  # the sorted union of the windows
         for c in centers:
-            axes, rad, cell = ball_points(g, c, r)
-            inside = rad <= r
-            loads = {}  # slice index -> ball integral of |v|^3
-            for i in set().union(*windows):
-                s2 = sample_slice(v, i, axes)
-                loads[i] = np.sum(s2[inside] ** 1.5) * cell
+            v3 = _slice_loads(v, slices, c, r, keep=slices)[1]["v3"]
             for sel in windows:
-                mass = float(np.trapezoid([loads[i] for i in sel], times[sel]))
+                mass = float(np.trapezoid(v3[np.searchsorted(slices, sel)], times[sel]))
                 best = max(best, r ** (DELTA - 5.0) * mass)
     return NormReport(
         "morrey_sup",

@@ -14,11 +14,10 @@ The r/8 lattice of the outer ball B_rho has about (16 rho/r)^3 points,
 so the oscillation walks the x-slabs of cylinder.ball_slabs once and
 holds neither a field nor the ball's weights on the whole lattice. Each
 slab builds its own weights, samples every slice of the window in turn
-and adds its dot products to per-slice sums over B_rho, in x order; one
-partial sum per slab moves these sums by round-off only when there is
-more than one slab. The values on B_r and B_2r are kept per slice, slab
-by slab in lattice order, so the oscillation and the J1 and J2
-integrands have the bits of one pass over the whole lattice.
+and adds its dot products to per-slice sums over B_rho and B_2r, in x
+order; one partial sum per slab moves these sums by round-off only when
+there is more than one slab. Only q on B_r is kept per slice, slab by
+slab, since its ball mean must come before the oscillation about it.
 
 The scale exponent is delta = cylinder.DELTA = 1, shared with the dyadic
 ledger of critnorm.ckn. On Q_r with outer radius rho the oscillation
@@ -208,7 +207,8 @@ def split_pressure(p, V, cutoff):
     centre in its transition r_on < |x - c| < r_off. The mismatch field
     records the relative L^{3/2}(B_1) gap between cutoff*p and the
     reconstruction. The split keeps the cutoff's field, not the
-    RadialCutoff with its gradient and Hessian.
+    RadialCutoff with its gradient and Hessian. V need not be symmetric:
+    like the equation, every term reads only (V + V^T)/2.
     """
     _check_split_inputs(p, V, cutoff)
     g = p.grid
@@ -227,9 +227,11 @@ def split_pressure(p, V, cutoff):
 
     # the two gradient-sourced potentials enter with plus sign: a shift
     # p -> p + c then moves both sides by c*cutoff, as it must, since
-    # -N*(c lap phi) + 2 sum_j d_j N*(c d_j phi) = c * phi
+    # -N*(c lap phi) + 2 sum_j d_j N*(c d_j phi) = c * phi; n2's source
+    # reads (V_ij + V_ji)/2, the only part of V that p and n1 see
     n2 = newtonian_potential_div(
-        [ScalarField(g, sum(d1[i] * V.data[i, j] for i in range(3))) for j in range(3)]
+        [ScalarField(g, sum(d1[i] * (0.5 * (V.data[i, j] + V.data[j, i])) for i in range(3)))
+         for j in range(3)]
     )
     n2 = ScalarField(g, 2.0 * n2.values)
     n3 = ScalarField(g, -newtonian_potential(ScalarField(g, p.values * cutoff.laplacian)).values)
@@ -309,11 +311,10 @@ def pressure_oscillation_terms(v, a, q, center, r, rho, t_top=None, t0=None):
     # per slice, sums over B_rho, each slab's dot products added in x
     # order: |v|^3 = |v|^2 |v|, |q|^(3/2) = |q| |q|^(1/2), |v|^2 / |x|^4
     # and |v| / |x|^4 on the annulus, |v|^2 on the ring, |a|^5 = |a|^4 |a|
-    # and |v||a| / |x|^4 on the annulus
-    sums = np.zeros((7, m))
-    v3_rho, q32_rho, tail, v_tail, v2_ring, a5_rho, cross_tail = sums
-    # per slice, q on B_r and |v|^2 and |a|^2 on B_2r, slab by slab
-    q_r, v2_near, a2_near = ([[] for _ in sel] for _ in range(3))
+    # and |v||a| / |x|^4 on the annulus; then |v|^3, |v|^2 and |a|^5 on B_2r
+    sums = np.zeros((10, m))
+    v3_rho, q32_rho, tail, v_tail, v2_ring, a5_rho, cross_tail, v3_2r, v2_2r, a5_2r = sums
+    q_r = [[] for _ in sel]  # per slice, q on B_r, slab by slab
     sv, sq, sa = (FrameSpectra(f) for f in (v, q, a))  # sa is unread when a is None
     buf = None
     for rows, axes, rad in slabs:
@@ -335,8 +336,9 @@ def pressure_oscillation_terms(v, a, q, center, r, rho, t_top=None, t0=None):
         for row, i in enumerate(sel):
             v2 = sample_slice(sv, i, axes, rows, pts)[ball]  # on this slab's points in B_rho
             vmag = np.sqrt(v2)
-            v2_near[row].append(v2[in_2r])
             v3_rho[row] += np.dot(v2, vmag)
+            v3_2r[row] += np.dot(v2[in_2r], vmag[in_2r])
+            v2_2r[row] += np.sum(v2[in_2r])
             tail[row] += np.dot(v2, w_tail)
             v_tail[row] += np.dot(vmag, w_tail)
             v2_ring[row] += np.dot(v2, w_ring)
@@ -347,28 +349,18 @@ def pressure_oscillation_terms(v, a, q, center, r, rho, t_top=None, t0=None):
             q32_rho[row] += np.dot(f, np.sqrt(f))
             if drift:
                 f = sample_slice(sa, i, axes, rows, pts)[ball]
-                a2_near[row].append(f[in_2r])
                 amag = np.sqrt(f)
-                a5_rho[row] += np.dot(np.square(f, out=f), amag)
+                np.square(f, out=f)
+                a5_rho[row] += np.dot(f, amag)
+                a5_2r[row] += np.dot(f[in_2r], amag[in_2r])
                 cross_tail[row] += np.dot(vmag, np.multiply(amag, w_tail, out=amag))
             if last:
                 for spectra in (sv, sq, sa):
                     spectra.drop(i)
-    # the B_r and B_2r values in lattice order: these sums keep the bits
-    # of one pass over the whole lattice
     osc = np.empty(m)
-    v3_2r = np.empty(m)
-    v2_2r = np.empty(m)
-    a5_2r = np.zeros(m)
     for row in range(m):
         near = np.concatenate(q_r[row])
         osc[row] = np.sum(np.abs(near - np.sum(near) / len(near)) ** 1.5) * cell
-        near = np.concatenate(v2_near[row])
-        v3_2r[row] = np.dot(near, np.sqrt(near)) * cell
-        v2_2r[row] = np.sum(near) * cell
-        if drift:
-            near = np.concatenate(a2_near[row])
-            a5_2r[row] = np.dot(np.square(near), np.sqrt(near)) * cell
     sums *= cell
     bulk = v3_rho + q32_rho  # |v|^3 + |q|^(3/2) on B_rho
     ma = 0.0  # drift weight sup |s-t0|^(1/2) |a(s)|_inf(B_1); 0 unweighted

@@ -1,64 +1,6 @@
 import numpy as np
-import pytest
 
 from critnorm import corpus, fieldio
-from critnorm.fields import Grid, ScalarField, TensorField, outer
-
-
-class TestBinaryRoundtrip:
-    def test_scalar(self, tmp_path, grid16, rng):
-        f = corpus.random_scalar(grid16, rng)
-        p = tmp_path / "f.cnlb"
-        fieldio.write_field(p, f)
-        back = fieldio.read_field(p)
-        assert isinstance(back, ScalarField)
-        assert back.grid == grid16
-        assert np.array_equal(back.values, f.values)
-
-    def test_vector(self, tmp_path, grid16, rng):
-        u = corpus.random_divfree(grid16, rng)
-        p = tmp_path / "u.cnlb"
-        fieldio.write_field(p, u)
-        back = fieldio.read_field(p, grid=grid16)
-        assert np.array_equal(back.data, u.data)
-
-    def test_tensor(self, tmp_path, grid16, rng):
-        u = corpus.random_divfree(grid16, rng)
-        T = outer(u, u)
-        p = tmp_path / "T.cnlb"
-        fieldio.write_field(p, T)
-        back = fieldio.read_field(p)
-        assert isinstance(back, TensorField)
-        assert np.array_equal(back.data, T.data)
-
-    def test_header_contents(self, tmp_path, grid16, rng):
-        p = tmp_path / "f.cnlb"
-        fieldio.write_field(p, corpus.random_scalar(grid16, rng))
-        raw = p.read_bytes()
-        assert raw[:4] == b"CNLB"
-        n = int.from_bytes(raw[8:12], "little")
-        assert n == grid16.n
-        assert len(raw) == 24 + 8 * grid16.n ** 3
-
-    def test_grid_mismatch_rejected(self, tmp_path, grid16, rng):
-        p = tmp_path / "f.cnlb"
-        fieldio.write_field(p, corpus.random_scalar(grid16, rng))
-        with pytest.raises(ValueError):
-            fieldio.read_field(p, grid=Grid(32, grid16.L))
-
-    def test_truncated_payload_rejected(self, tmp_path, grid16, rng):
-        p = tmp_path / "f.cnlb"
-        fieldio.write_field(p, corpus.random_scalar(grid16, rng))
-        raw = p.read_bytes()
-        p.write_bytes(raw[:-16])
-        with pytest.raises(ValueError):
-            fieldio.read_field(p)
-
-    def test_bad_magic_rejected(self, tmp_path):
-        p = tmp_path / "f.cnlb"
-        p.write_bytes(b"XXXX" + b"\x00" * 40)
-        with pytest.raises(ValueError):
-            fieldio.read_field(p)
 
 
 class TestCsvExport:

@@ -412,12 +412,14 @@ class TestGlobalEnergy:
         assert worst[False] < -1e-3
 
     def test_parseval_dissipation_is_the_grid_sum(self, grid16, rng):
-        # white noise, Nyquist planes included: the half-spectrum weights
-        # must reproduce the physical-space sum of |d_j v_i|^2
+        # white noise, Nyquist planes included: the dissipation must be the
+        # physical-space sum of |d_j v_i|^2; the local identity at phi = 1
+        # reads the zero pressure and the step size
         times = np.arange(3) / 64.0
         frames = rng.standard_normal((3, 3) + grid16.shape)
         v = SpaceTimeField(grid16, times, frames)
-        run = SimpleNamespace(grid=grid16, v=v, a=None)
+        q = SpaceTimeField(grid16, times, np.zeros((3,) + grid16.shape))
+        run = SimpleNamespace(grid=grid16, v=v, q=q, a=None, cfg=SimpleNamespace(dt=1.0 / 64.0))
         rows = pns.global_energy_check(run).rows
         cell = grid16.cell_volume
         diss = [np.sum(gradient(v[i]).data ** 2) * cell for i in range(3)]
