@@ -221,8 +221,11 @@ def sample_slice(spectra, i, axes, rows=slice(None), out=None):
         return np.square(comp, out=comp)
 
     res, scratch = (None, None) if out is None else out
-    frame = spectra.stf.frames[i]
-    if frame.ndim == 3:
+    # a lattice reads only the spectra, so a frame computed on every read
+    # (a run's DriftSlices) is computed once per call there, not once per slab
+    frame = spectra.stf.frames[i] if axes is None else None
+    scalar = frame.ndim == 3 if axes is None else not isinstance(spectra[i], tuple)
+    if scalar:
         if axes is not None:
             return evaluate_at_points(spectra.stf.grid, axes, spectra[i], out=res)
         if res is None:

@@ -133,9 +133,12 @@ def _duhamel_gate(f):
 
 class _March:
     """The recurrence of the module docstring over the spectra
-    h_j = hat(j, frames[j]): a call adds L(h)(t_i) into out[i] for i >= 1
-    and returns out. Output i reads frames[:i] only, so out may be frames
-    itself, which solves x = x_0 + L(h(x)) forward in one pass.
+    h_j = hat(j, frames[j]). increments(frames) yields (i, L(h)(t_i)) for
+    i >= 1 and reads frames[i - 1] only when increment i is asked for, so
+    the caller may add each increment into frames before the next one:
+    that solves x = x_0 + L(h(x)) forward in one pass. A call adds every
+    increment into out and returns out; out may be frames itself. hat
+    returns a fresh array, which the march sums into.
     """
 
     def __init__(self, grid, times, hat):
@@ -144,26 +147,49 @@ class _March:
         self.E = np.exp(-grid.k2 * dt)
         self.ctilde = np.where(grid.k2 > 0, (1.0 - self.E) / grid.k2_safe, dt)
 
-    def __call__(self, frames, out):
+    def increments(self, frames):
         S = None
-        for i in range(1, len(out)):
+        for i in range(1, len(frames)):
             h = self.hat(i - 1, frames[i - 1])
-            S = h if S is None else h + self.E * S
-            out[i] += _fft.irfftn(self.ctilde * S, self.grid.shape)
+            if S is not None:
+                S *= self.E
+                h += S  # h + E S, the running sum in h's buffer
+            S = h
+            yield i, _fft.irfftn(self.ctilde * S, self.grid.shape)
+
+    def __call__(self, frames, out):
+        for i, inc in self.increments(frames):
+            out[i] += inc
         return out
 
 
-def _forward_solve(grid, times, x0, march, names):
+def _forward_solve(grid, times, x0, march, names, residual=False):
     """The solution of x = x0 + L(h(x)), march being the _March of L(h):
-    marching into a copy of x0 is forward substitution. A slice whose
-    ||x_i - x0_i||_2 is non-finite or above 1e6 max(||x0||_{L^2_{t,x}}, 1)
-    raises PicardDivergence, worded by names = (solution, x, x0, what to
-    shrink)."""
+    adding each increment into a copy of x0 is forward substitution. A
+    slice whose ||x_i - x0_i||_2 is non-finite or above
+    1e6 max(||x0||_{L^2_{t,x}}, 1) raises PicardDivergence, worded by
+    names = (solution, x, x0, what to shrink).
+
+    With residual, x0 is the caller's scratch: slice i is overwritten by
+    the residual x_i - x0_i - L(h(x))(t_i), formed as -((x0_i - x_i) +
+    L(h(x))(t_i)) from the increment that made x_i, so no second march
+    re-forms the spectra of x.
+    """
     what, x, orbit, culprit = names
-    frames = x0.copy()
-    march(frames, frames)
     bound = 1e6 * max(_st_norm(grid, times, x0, 2, 2), 1.0)
-    sizes = [box_lp(grid, frames[i] - x0[i], 2) for i in range(len(times))]
+    frames = x0.copy()
+    sizes = []
+
+    def settle(i, inc):
+        gap = np.subtract(x0[i], frames[i], out=x0[i] if residual else None)
+        sizes.append(box_lp(grid, gap, 2))  # the norm of x_i - x0_i
+        if residual:
+            np.negative(np.add(gap, inc, out=gap), out=gap)
+
+    settle(0, 0.0)
+    for i, inc in march.increments(frames):
+        frames[i] += inc
+        settle(i, inc)
     for t, size in zip(times, sizes):
         if not size <= bound:  # inf and NaN too
             raise PicardDivergence(
@@ -453,15 +479,13 @@ def solve_mild(u0a, cfg, data_norm="l3", besov_p=6.0, data_gate=None):
             "data norm %.3g above configured gate %.3g" % (value, data_gate)
         )
 
-    # L(-P div(a x a)), with w = a / 2 since the symmetrization doubles
+    # L(-P div(a x a)), with w = a / 2 since the symmetrization doubles;
+    # the residual a - H - L(a) is left in H's buffer
     march = _sym_duhamel(g, times, lambda j, u: 0.5 * u)
-    frames = _forward_solve(g, times, H, march, ("mild solution", "a", "e^{t Lap} u0a", "data"))
+    frames = _forward_solve(g, times, H, march, ("mild solution", "a", "e^{t Lap} u0a", "data"),
+                            residual=True)
     a = SpaceTimeField(g, times, frames)
-
-    # the residual a - H - L(a) in H's buffer, as -((H - a) + L(a)): the
-    # same bits, since rounding commutes with negation
-    resid_frames = np.subtract(H, frames, out=H)
-    np.negative(march(frames, resid_frames), out=resid_frames)
+    resid_frames = H
     residual = _st_norm(g, times, resid_frames, 2, 2)
 
     rows = []

@@ -9,7 +9,13 @@ side is projected mode by mode).
 
 step is a pure function of v and the drift slices at its two ends;
 run_pns owns the time loop and asks the drift provider once per time
-level.
+level. The provider must be a pure function of t: the run keeps it and
+no drift frames, and its a (DriftSlices) re-reads it at the stored
+times, the floats the run passed it, so each re-read is the slice the
+step used. run.a.frames takes integer indices only, and each read
+computes a slice afresh: sampling a on the native grid
+(cylinder.sample_slice) re-reads a slice once per slab, which is once
+per slice up to 64^3.
 
 A step works on its kept modes: the 2/3 block |m_x|, |m_y|, m_z < n/3 of
 Grid.dealias_mask, or every mode without dealiasing. Each stage gathers
@@ -37,6 +43,7 @@ The whole-box check of undriven runs is this identity at phi = 1.
 """
 
 import math
+import operator
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -58,6 +65,7 @@ from .spectral import (
 __all__ = [
     "PNSConfig",
     "PNSRun",
+    "DriftSlices",
     "EnergyLedgerEntry",
     "GlobalEnergyReport",
     "step",
@@ -186,21 +194,62 @@ def drift_from_spacetime(stf):
         # the slack below times[0] must not floor to -1, the last frame
         i = min(max(int(math.floor(s)), 0), len(times) - 2)
         w = s - i
-        data = (1.0 - w) * stf.frames[i] + w * stf.frames[i + 1]
+        # (1 - w) F_i + w F_{i+1}, one temporary fewer, the same bits
+        data = np.multiply(stf.frames[i], 1.0 - w)
+        data += w * stf.frames[i + 1]
         return VectorField(stf.grid, data)
 
     return provider
 
 
 @dataclass(frozen=True)
+class DriftSlices:
+    """A run's drift at its stored times, never stored: slices[i] is
+    provider(times[i]), a VectorField on grid, computed afresh at each
+    read, and slices.frames[i] its data (integer indices only). For a
+    pure provider each read is, bit for bit, the slice the step used,
+    since a stored time is the float run_pns passed the provider."""
+
+    grid: object
+    times: np.ndarray
+    provider: object
+
+    @property
+    def dt(self):
+        return float(self.times[1] - self.times[0]) if len(self.times) > 1 else 0.0
+
+    def __len__(self):
+        return len(self.times)
+
+    def __getitem__(self, i):
+        return self.provider(float(self.times[operator.index(i)]))
+
+    @property
+    def frames(self):
+        return _FramesOf(self)
+
+
+class _FramesOf:
+    """frames[i] of a DriftSlices: the data of its slice i."""
+
+    def __init__(self, slices):
+        self._slices = slices
+
+    def __getitem__(self, i):
+        return self._slices[i].data
+
+
+@dataclass(frozen=True)
 class PNSRun:
-    """Stored slices of one integration: v, recovered q, and the drift."""
+    """Stored slices of one integration: v and recovered q on the stored
+    times, and the drift a as DriftSlices over the provider (None
+    undriven), which holds no frames."""
 
     grid: object
     cfg: PNSConfig
     v: SpaceTimeField
     q: SpaceTimeField
-    a: object  # SpaceTimeField or None
+    a: object  # DriftSlices or None
 
 
 def run_pns(v0, cfg, a_provider=None):
@@ -208,17 +257,25 @@ def run_pns(v0, cfg, a_provider=None):
 
     Initial data is dealiased and projected once; thereafter both
     properties are preserved by the stepper itself. a_provider maps t to
-    a drift slice. It is asked for cfg.T first, so a drift orbit that
-    ends early fails up front, and then once per time level: a step's
-    slice at t + dt is the next step's slice at t and the one stored
-    there.
+    a drift slice, a VectorField on v0's grid, and must be a pure
+    function of t: the run keeps the provider, not its slices, and
+    run.a re-reads it at the stored times. It is asked for cfg.T first,
+    so a drift orbit that ends early, or a slice of another kind or grid,
+    fails up front, and then once per time level: a step's slice at
+    t + dt is the next step's slice at t.
     """
     g = v0.grid
 
     def drift(t):
         return None if a_provider is None else a_provider(t)
 
-    drift(cfg.T)
+    end = drift(cfg.T)
+    if a_provider is not None and not (isinstance(end, VectorField) and end.grid == g):
+        raise ValueError(
+            "the drift provider must return a VectorField on the grid of v0, %r; at "
+            "t = T = %g it returned %s" % (
+                g, cfg.T, end.grid if isinstance(end, VectorField) else type(end).__name__))
+    del end
     vh = v0.hat * (g.dealias_mask if cfg.dealias else 1.0)
     v = leray_project(VectorField(g, _fft.irfftn(vh, g.shape)))
     t = 0.0
@@ -228,14 +285,11 @@ def run_pns(v0, cfg, a_provider=None):
     times = np.empty(kept)
     vs = np.empty((kept,) + (3,) + g.shape)
     qs = np.empty((kept,) + g.shape)
-    sa = None if a_provider is None else np.empty((kept,) + (3,) + g.shape)
 
     def store(idx):
         times[idx] = t
         vs[idx] = v.data
         qs[idx] = recover_pressure(v, a_now).data
-        if sa is not None:
-            sa[idx] = a_now.data
 
     store(0)
     for i in range(1, n + 1):
@@ -244,12 +298,13 @@ def run_pns(v0, cfg, a_provider=None):
         t, a_now = t + cfg.dt, a_next
         if i % cfg.stride == 0:
             store(i // cfg.stride)
+    v_run = SpaceTimeField(g, times, vs)
     return PNSRun(
         grid=g,
         cfg=cfg,
-        v=SpaceTimeField(g, times, vs),
+        v=v_run,
         q=SpaceTimeField(g, times, qs),
-        a=None if sa is None else SpaceTimeField(g, times, sa),
+        a=None if a_provider is None else DriftSlices(g, v_run.times, a_provider),
     )
 
 
@@ -280,6 +335,33 @@ class GlobalEnergyReport:
     passed: bool
 
 
+def _slice_densities(run, i, phiv, gphi, lap_phi):
+    """Stored slice i's localized energy and the densities of the
+    identity's time integrals, dissipation then _FLUX_TERMS (the drift
+    terms 0 undriven). Every field it makes dies on return, so no slice's
+    fields outlive its row."""
+    cell = run.grid.cell_volume
+    v = run.v.frames[i]
+    q = run.q.frames[i]
+    v2 = np.sum(v**2, axis=0)
+    grads = gradient(run.v[i]).data  # grads[j, i] = d_j v_i
+    out = [
+        np.sum(v2 * phiv) * cell,
+        np.sum(np.sum(grads**2, axis=(0, 1)) * phiv) * cell,
+        np.sum(v2 * lap_phi) * cell,
+    ]
+    v_gphi = np.sum(v * gphi, axis=0)
+    out.append(np.sum((v2 + 2.0 * q) * v_gphi) * cell)
+    if run.a is None:
+        return out + [0.0, 0.0, 0.0]
+    a = run.a.frames[i]  # a fresh slice, read once the gradient's transforms are done
+    out.append(np.sum(v2 * np.sum(a * gphi, axis=0)) * cell)
+    out.append(2.0 * np.sum(np.sum(a * v, axis=0) * v_gphi) * cell)
+    conv = np.einsum("j...,ji...->i...", v, grads)  # (v . grad) v
+    out.append(2.0 * np.sum(np.sum(conv * a, axis=0) * phiv) * cell)
+    return out
+
+
 def verify_local_energy(run, phi, window=None, tol_c=10.0):
     """Ledger of the localized energy identity on the stored slices.
 
@@ -298,37 +380,19 @@ def verify_local_energy(run, phi, window=None, tol_c=10.0):
     lo, hi = (times[0], times[-1]) if window is None else window
     sel = stored_window(times, lo, hi, clip_start=True)
 
-    cell = g.cell_volume
     cutoff = ScalarField(g, phi.values)
     phiv = cutoff.values
     gphi = gradient(cutoff).data
     lap_phi = laplacian(cutoff).values
 
-    m = len(sel)
-    e = np.empty(m)
-    # per-slice densities of the time integrals; the drift terms stay 0 undriven
-    dens = {name: np.zeros(m) for name in ("dissipation",) + _FLUX_TERMS}
-    for row, i in enumerate(sel):
-        v = run.v.frames[i]
-        q = run.q.frames[i]
-        a = None if run.a is None else run.a.frames[i]
-        v2 = np.sum(v**2, axis=0)
-        grads = gradient(run.v[i]).data  # grads[j, i] = d_j v_i
-        e[row] = np.sum(v2 * phiv) * cell
-        dens["dissipation"][row] = np.sum(np.sum(grads**2, axis=(0, 1)) * phiv) * cell
-        dens["heat"][row] = np.sum(v2 * lap_phi) * cell
-        v_gphi = np.sum(v * gphi, axis=0)
-        dens["flux"][row] = np.sum((v2 + 2.0 * q) * v_gphi) * cell
-        if a is not None:
-            dens["drift_gradphi"][row] = np.sum(v2 * np.sum(a * gphi, axis=0)) * cell
-            dens["drift_cross"][row] = 2.0 * np.sum(np.sum(a * v, axis=0) * v_gphi) * cell
-            conv = np.einsum("j...,ji...->i...", v, grads)  # (v . grad) v
-            dens["drift_convection"][row] = 2.0 * np.sum(np.sum(conv * a, axis=0) * phiv) * cell
-
     ts = times[sel]
-    cum = {name: cumulative_simpson(arr, ts) for name, arr in dens.items()}
+    # per slice: the energy, then the densities of the time integrals
+    dens = np.array([_slice_densities(run, i, phiv, gphi, lap_phi) for i in sel])
+    e = dens[:, 0]
+    names = ("dissipation",) + _FLUX_TERMS
+    cum = {name: cumulative_simpson(dens[:, k], ts) for k, name in enumerate(names, 1)}
     entries = []
-    for row in range(1, m):
+    for row in range(1, len(sel)):
         lhs = e[row] + 2.0 * cum["dissipation"][row]
         terms = {"initial_energy": e[0]}
         terms.update((name, cum[name][row]) for name in _FLUX_TERMS)

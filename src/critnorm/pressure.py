@@ -277,11 +277,11 @@ class OscillationReport:
 def pressure_oscillation_terms(v, a, q, center, r, rho, t_top=None, t0=None):
     """Oscillation of q on Q_r(center, t_top) against its six bounds.
 
-    v and q are stored orbits (a may be None); the cylinder uses the
-    slices with t in [t_top - r^2, t_top], its start clipped to the first
-    stored slice; a t_top past the last stored slice raises. The
-    unweighted terms follow the drift-aware pressure bound with unit
-    constant. A given t0 selects the weighted variant, which replaces
+    v and q are stored orbits, a one too or a run's DriftSlices (or None);
+    the cylinder uses the slices with t in [t_top - r^2, t_top], its start
+    clipped to the first stored slice; a t_top past the last stored slice
+    raises. The unweighted terms follow the drift-aware pressure bound
+    with unit constant. A given t0 selects the weighted variant, which replaces
     the drift factors by the sup-weight ma and the singular-time kernels
     |s - t0|^(-1), |s - t0|^(-3/4), and requires t0 strictly outside the
     window so every weight stays finite; its J-terms read a only through

@@ -36,6 +36,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from critnorm import besov, ckn, corpus, fieldio, mild, norms, pns, pressure
+from critnorm.spectral import heat_semigroup
 from critnorm.fields import (
     Grid,
     SpaceTimeField,
@@ -109,6 +110,13 @@ def compute():
     out["mild.duhamel_estimates"] = [
         x for name in sorted(estimates) for x in (estimates[name].lhs, estimates[name].rhs)
     ]
+    # the drift operator and its inversion on the heat orbit of the large part
+    heat = SpaceTimeField(g16, sol.a.times,
+                          np.array([heat_semigroup(split.bar_g, float(t)).data for t in sol.a.times]))
+    out["mild.apply_La"] = [float(np.sqrt(np.sum(f**2))) for f in mild.apply_La(heat, sol.a).frames]
+    inv = mild.invert_I_minus_La(heat, sol.a)
+    out["mild.invert_I_minus_La"] = [float(np.sqrt(np.sum(f**2))) for f in inv.u.frames]
+    out["mild.invert_I_minus_La"] += [inv.contraction]
 
     cfg = pns.PNSConfig(dt=1.0 / 128.0, T=HORIZON, stride=2)
     run = pns.run_pns(split.bar_g, cfg, a_provider=pns.drift_from_spacetime(sol.a))

@@ -36,8 +36,9 @@ FIELD = N**3 * 8
 MILD = 6 * 3 * FIELD
 # the Besov split's two vector fields
 SPLIT = 2 * 3 * FIELD
-# a driven run of chain_n32's lattice: v, a and q on 11 stored times
-RUN = 11 * 7 * FIELD
+# a driven run of chain_n32's lattice: v and q on 11 stored times (the
+# drift is re-read from its provider, not stored)
+RUN = 11 * 4 * FIELD
 
 
 def _peak(fn):
@@ -79,9 +80,10 @@ def mild_input(datum):
 
 
 def test_solve_mild_transient_in_units_of_its_result(mild_input):
-    # measured 3.36 results' worth, the returned a included: a and the heat
-    # orbit, whose buffer then takes the residual, beside the march's spectra
-    # (6.54 while Picard held its iterates and the march its resume cache)
+    # measured 3.35 results' worth, the returned a included: a and the heat
+    # orbit, whose buffer takes the residual slice by slice, beside the
+    # march's spectra (3.36 while a second march formed the residual, 6.54
+    # while Picard held its iterates and the march its resume cache)
     tilde, cfg = mild_input
     assert _peak(lambda: mild.solve_mild(tilde, cfg)) <= 3.6 * MILD
 
@@ -97,23 +99,26 @@ def driven(datum, mild_input):
         return pns.run_pns(bar, cfg, a_provider=pns.drift_from_spacetime(a))
 
     stored = run()
-    assert stored.v.frames.nbytes + stored.a.frames.nbytes + stored.q.frames.nbytes == RUN
+    assert stored.v.frames.nbytes + stored.q.frames.nbytes == RUN
     return run, stored
 
 
 def test_run_pns_transient_in_units_of_its_result(driven):
-    # measured 1.56 results' worth, the returned run included: the stored
-    # slices, the step's stages and the spectra of the stress
+    # measured 1.98 results' worth (87.2 fields), the returned run included:
+    # the stored slices, the step's stages, the drift slices and the spectra
+    # of the stress (120.2 fields while the run stored a copy of its drift)
     run, _ = driven
-    assert _peak(run) <= 1.65 * RUN
+    assert _peak(run) <= 2.05 * RUN
 
 
 def test_verify_local_energy_transient(grid32, driven):
-    # measured 41.4 fields; the entries it returns are a few scalars each
+    # measured 28.4 fields, one slice's fields at a time; the entries it
+    # returns are a few scalars each (41.4 while a row's gradient and
+    # products lived through the next row's gradient)
     _, stored = driven
     phi = smooth_radial_cutoff(grid32, 1.0, 3.0)
     pns.verify_local_energy(stored, phi)
-    assert _peak(lambda: pns.verify_local_energy(stored, phi)) <= 44.0 * FIELD
+    assert _peak(lambda: pns.verify_local_energy(stored, phi)) <= 30.0 * FIELD
 
 
 @pytest.fixture(scope="module")

@@ -327,9 +327,16 @@ class TestAgainstFreshLoops:
         sol = mild.solve_mild(u0, cfg)
         times, m = cfg.times(), len(cfg.times())
         assert sol.iterations == 1
-        # m - 1 for the forward pass, m - 1 for the residual
-        assert len(stress_spectra) == 2 * (m - 1)
+        # m - 1 for the forward pass; the residual reads its increments
+        assert len(stress_spectra) == m - 1
         H = np.stack([heat_semigroup(u0, float(t)).data for t in times])
+        # the residual a - H - L(a) of a second march over the final frames,
+        # bit for bit
+        march = mild._sym_duhamel(grid16, times, lambda j, v: 0.5 * v)
+        resid = -((H - sol.a.frames) + march(sol.a.frames, np.zeros(H.shape)))
+        assert [row["residual"] for row in sol.decay_table] == [
+            mild.box_lp(grid16, r, 2) for r in resid]
+        assert sol.residual == mild._st_norm(grid16, times, resid, 2, 2)
         anchor = mild._st_norm(grid16, times, H, 2, 2)
         tol = 1e-10  # Picard stops when an update's L^2_{t,x} norm is at most tol * anchor
 

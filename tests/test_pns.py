@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -225,6 +226,80 @@ class TestRun:
         # the horizon check first, then each time level once
         assert asked[0] == cfg.T
         assert len(asked[1:]) == len(set(asked[1:])) == cfg.n_steps + 1
+
+
+class TestDriftSlices:
+    def test_each_stored_slice_is_the_one_the_step_used(self, grid16, monkeypatch):
+        # the provider is re-read at the stored times, never stored: each
+        # re-read must be the step's slice bit for bit, asked for at the
+        # very float the run passed
+        drift = heat_drift(taylor_green_3d(grid16, amplitude=0.2))
+        asked = {}
+
+        def provider(t):
+            asked[t] = drift(t).data.copy()
+            return drift(t)
+
+        used = []  # per time level, the slice a step read there
+        inner = pns.step
+
+        def step(v, dt, a_now, a_next, dealias):
+            if not used:
+                used.append(a_now.data.copy())
+            used.append(a_next.data.copy())
+            return inner(v, dt, a_now, a_next, dealias)
+
+        monkeypatch.setattr(pns, "step", step)
+        cfg = pns.PNSConfig(dt=0.01, T=0.12, stride=3)
+        run = pns.run_pns(taylor_green(grid16, amplitude=0.1), cfg, a_provider=provider)
+        assert len(run.a) == len(run.v) == 5 and run.a.dt == run.v.dt
+        assert run.a.grid == grid16 and run.a.times is run.v.times
+        for i, t in enumerate(run.a.times):
+            assert float(t) in asked
+            assert np.array_equal(run.a.frames[i], used[i * cfg.stride])
+            assert np.array_equal(run.a[i].data, asked[float(t)])
+        assert np.array_equal(run.a.frames[-1], run.a.frames[4])
+
+    def test_frames_take_integer_indices_only(self, grid16):
+        run = pns.run_pns(taylor_green(grid16, amplitude=0.1), pns.PNSConfig(0.05, 0.2, 2),
+                          a_provider=heat_drift(taylor_green(grid16, amplitude=0.1)))
+        assert np.array_equal(run.a.frames[np.int64(1)], run.a.frames[1])
+        for index in (slice(0, 2), 0.5, np.array([0, 1])):
+            with pytest.raises(TypeError):
+                run.a.frames[index]
+
+    def test_the_run_keeps_only_v_q_and_the_times(self, grid16):
+        a = pns.run_pns(taylor_green_3d(grid16, amplitude=0.3), pns.PNSConfig(0.01, 0.08, 1))
+        provider = pns.drift_from_spacetime(a.v)
+        v0 = taylor_green(grid16, amplitude=0.1)
+        cfg = pns.PNSConfig(dt=0.01, T=0.08, stride=2)
+        pns.run_pns(v0, cfg, a_provider=provider)  # the grid's arrays are built
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run = pns.run_pns(v0, cfg, a_provider=provider)
+            kept = tracemalloc.get_traced_memory()[0] - base  # run is still held
+        finally:
+            tracemalloc.stop()
+        stored = run.v.frames.nbytes + run.q.frames.nbytes + run.v.times.nbytes
+        # a stored drift would add 15 fields (480 kB); the objects around
+        # the arrays take the rest, measured 3.5 kB
+        assert stored <= kept <= stored + 8 * 1024
+
+    @pytest.mark.parametrize("bad", ["array", "grid"])
+    def test_a_provider_of_another_kind_or_grid_fails_before_the_first_step(
+            self, grid16, grid32, bad, monkeypatch):
+        def provider(t):
+            if bad == "array":
+                return taylor_green(grid16, amplitude=0.1).data
+            return taylor_green(grid32, amplitude=0.1)
+
+        steps = []
+        monkeypatch.setattr(pns, "step", lambda *args, **kw: steps.append(args))
+        with pytest.raises(ValueError, match=r"VectorField on the grid of v0, Grid\(n=16"):
+            pns.run_pns(taylor_green(grid16, amplitude=0.1), pns.PNSConfig(0.05, 0.2, 2),
+                        a_provider=provider)
+        assert steps == []
 
 
 class TestRecoverPressure:
