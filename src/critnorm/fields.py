@@ -20,7 +20,6 @@ __all__ = [
     "VectorField",
     "TensorField",
     "SpaceTimeField",
-    "outer",
     "taylor_green",
     "taylor_green_3d",
     "gaussian_bump",
@@ -214,9 +213,6 @@ class ScalarField(_Field):
     def values(self):
         return self.data
 
-    def mean(self):
-        return float(np.mean(self.data))
-
 
 class VectorField(_Field):
     _rank_shape = (3,)
@@ -224,19 +220,9 @@ class VectorField(_Field):
     def magnitude(self):
         return np.sqrt(np.sum(self.data ** 2, axis=0))
 
-    def component(self, i):
-        return ScalarField(self.grid, self.data[i])
-
 
 class TensorField(_Field):
     _rank_shape = (3, 3)
-
-
-def outer(u, v):
-    """Tensor product field (u_i v_j)_{ij}."""
-    if u.grid != v.grid:
-        raise ValueError("grids differ")
-    return TensorField(u.grid, u.data[:, None] * v.data[None, :])
 
 
 class SpaceTimeField:
@@ -299,6 +285,8 @@ def taylor_green(grid, amplitude=1.0):
     Divergence-free, and the projected nonlinearity vanishes identically,
     so under the viscous evolution it decays as exp(-2 k^2 t) in energy.
     On the default box (L = 2 pi sqrt(2)) the active modes sit at |xi|^2 = 1.
+    No pipeline number starts from it; it stays as the exact-decay oracle
+    of the stepper and energy tests.
     """
     k = grid.k0
     X, Y, _ = grid.coords()

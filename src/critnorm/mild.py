@@ -108,7 +108,12 @@ class PicardDivergence(RuntimeError):
 
 
 def _st_norm(grid, times, frames, r, p):
-    vals = np.array([box_lp(grid, frames[i], p) for i in range(len(times))])
+    return _time_norm(times, [box_lp(grid, frames[i], p) for i in range(len(times))], r)
+
+
+def _time_norm(times, vals, r):
+    """L^r in time of per-slice values, weight dt; the max for r = inf."""
+    vals = np.array(vals)
     if r == math.inf:
         return float(np.max(vals))
     if len(times) < 2:
@@ -164,11 +169,11 @@ class _March:
 
 
 def _forward_solve(grid, times, x0, march, names, residual=False):
-    """The solution of x = x0 + L(h(x)), march being the _March of L(h):
-    adding each increment into a copy of x0 is forward substitution. A
-    slice whose ||x_i - x0_i||_2 is non-finite or above
-    1e6 max(||x0||_{L^2_{t,x}}, 1) raises PicardDivergence, worded by
-    names = (solution, x, x0, what to shrink).
+    """The solution of x = x0 + L(h(x)), march being the _March of L(h),
+    and its per-slice sizes ||x_i - x0_i||_2: adding each increment into
+    a copy of x0 is forward substitution. A slice whose size is non-finite
+    or above 1e6 max(||x0||_{L^2_{t,x}}, 1) raises PicardDivergence,
+    worded by names = (solution, x, x0, what to shrink).
 
     With residual, x0 is the caller's scratch: slice i is overwritten by
     the residual x_i - x0_i - L(h(x))(t_i), formed as -((x0_i - x_i) +
@@ -197,7 +202,7 @@ def _forward_solve(grid, times, x0, march, names, residual=False):
                 "_{L^2_{t,x}}, 1); the %s is too large for the small-data theory on this "
                 "horizon: shrink the %s or the horizon T"
                 % (what, x, orbit, size, float(t), bound, orbit, culprit, culprit), sizes)
-    return frames
+    return frames, sizes
 
 
 def duhamel(f):
@@ -396,11 +401,12 @@ def invert_I_minus_La(f, a):
     march = _drift_march(f, a)
     small = drift_smallness(a)
     g, times = f.grid, f.times
-    u = _forward_solve(g, times, f.frames, march, ("(I - L_a)^{-1} f", "u", "f", "drift a"))
+    u, gaps = _forward_solve(g, times, f.frames, march, ("(I - L_a)^{-1} f", "u", "f", "drift a"))
     size = _st_norm(g, times, u, 2, 2)
     return InversionResult(
         u=SpaceTimeField(g, times, u),
-        contraction=_st_norm(g, times, u - f.frames, 2, 2) / size if size > 0 else 0.0,
+        # ||u_i - f_i||_2 from the solve: box_lp squares, so the sign of f_i - u_i is moot
+        contraction=_time_norm(times, gaps, 2) / size if size > 0 else 0.0,
         smallness=small,
         smallness_ok=small <= EPS_Q,
     )
@@ -482,8 +488,8 @@ def solve_mild(u0a, cfg, data_norm="l3", besov_p=6.0, data_gate=None):
     # L(-P div(a x a)), with w = a / 2 since the symmetrization doubles;
     # the residual a - H - L(a) is left in H's buffer
     march = _sym_duhamel(g, times, lambda j, u: 0.5 * u)
-    frames = _forward_solve(g, times, H, march, ("mild solution", "a", "e^{t Lap} u0a", "data"),
-                            residual=True)
+    frames, _ = _forward_solve(g, times, H, march,
+                               ("mild solution", "a", "e^{t Lap} u0a", "data"), residual=True)
     a = SpaceTimeField(g, times, frames)
     resid_frames = H
     residual = _st_norm(g, times, resid_frames, 2, 2)

@@ -75,7 +75,6 @@ __all__ = [
     "verify_local_energy",
     "global_energy_check",
     "write_energy_csv",
-    "write_manifest",
 ]
 
 
@@ -214,10 +213,6 @@ class DriftSlices:
     times: np.ndarray
     provider: object
 
-    @property
-    def dt(self):
-        return float(self.times[1] - self.times[0]) if len(self.times) > 1 else 0.0
-
     def __len__(self):
         return len(self.times)
 
@@ -259,28 +254,29 @@ def run_pns(v0, cfg, a_provider=None):
     properties are preserved by the stepper itself. a_provider maps t to
     a drift slice, a VectorField on v0's grid, and must be a pure
     function of t: the run keeps the provider, not its slices, and
-    run.a re-reads it at the stored times. It is asked for cfg.T first,
-    so a drift orbit that ends early, or a slice of another kind or grid,
-    fails up front, and then once per time level: a step's slice at
-    t + dt is the next step's slice at t.
+    run.a re-reads it at the stored times. Time level i is i * cfg.dt,
+    as in DuhamelConfig.times(). The provider is asked for the last
+    level first, so a drift orbit that ends early, or a slice of another
+    kind or grid, fails up front, and then once per level: a step's
+    slice at level i + 1 is the next step's slice at level i.
     """
     g = v0.grid
 
     def drift(t):
         return None if a_provider is None else a_provider(t)
 
-    end = drift(cfg.T)
+    n = cfg.n_steps
+    end = drift(n * cfg.dt)
     if a_provider is not None and not (isinstance(end, VectorField) and end.grid == g):
         raise ValueError(
             "the drift provider must return a VectorField on the grid of v0, %r; at "
             "t = T = %g it returned %s" % (
-                g, cfg.T, end.grid if isinstance(end, VectorField) else type(end).__name__))
+                g, n * cfg.dt, end.grid if isinstance(end, VectorField) else type(end).__name__))
     del end
     vh = v0.hat * (g.dealias_mask if cfg.dealias else 1.0)
     v = leray_project(VectorField(g, _fft.irfftn(vh, g.shape)))
     t = 0.0
     a_now = drift(t)
-    n = cfg.n_steps
     kept = n // cfg.stride + 1
     times = np.empty(kept)
     vs = np.empty((kept,) + (3,) + g.shape)
@@ -293,9 +289,10 @@ def run_pns(v0, cfg, a_provider=None):
 
     store(0)
     for i in range(1, n + 1):
-        a_next = drift(t + cfg.dt)
+        t_next = i * cfg.dt
+        a_next = drift(t_next)
         v = step(v, cfg.dt, a_now, a_next, cfg.dealias)
-        t, a_now = t + cfg.dt, a_next
+        t, a_now = t_next, a_next
         if i % cfg.stride == 0:
             store(i // cfg.stride)
     v_run = SpaceTimeField(g, times, vs)
@@ -446,18 +443,3 @@ def write_energy_csv(path, entries):
         ([en.t, en.lhs, en.rhs, en.slack, en.passed] + [en.terms[k] for k in names]
          for en in entries),
     )
-
-
-def write_manifest(path, run, data_spec="", drift_spec=""):
-    g = run.grid
-    lines = [
-        "grid: n=%d L=%.17g" % (g.n, g.L),
-        "dt: %.17g" % run.cfg.dt,
-        "T: %.17g" % run.cfg.T,
-        "stride: %d" % run.cfg.stride,
-        "dealias: %s" % run.cfg.dealias,
-        "data: %s" % data_spec,
-        "drift: %s" % (drift_spec if run.a is not None else "none"),
-    ]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -62,7 +62,6 @@ __all__ = [
     "OscillationReport",
     "split_pressure",
     "riesz_split_at",
-    "mean_on_ball",
     "pressure_oscillation_terms",
     "write_oscillation_csv",
 ]
@@ -253,12 +252,6 @@ def split_pressure(p, V, cutoff):
         cutoff=cutoff.field,
         mismatch=mismatch,
     )
-
-
-def mean_on_ball(q, ball):
-    """Cell average of q over the ball, its cells those of ball_mask."""
-    mask = ball_mask(q.grid, ball)
-    return float(np.sum(q.values[mask]) / np.count_nonzero(mask))
 
 
 @dataclass(frozen=True)

@@ -24,16 +24,12 @@ __all__ = [
     "sym_outer_hat",
     "sym_ddiv_hat",
     "neg_leray_div_hat",
-    "derivative",
     "gradient",
     "divergence",
-    "tensor_divergence",
     "laplacian",
     "curl",
-    "dealias",
     "leray_project",
     "heat_semigroup",
-    "riesz_riesz",
     "newtonian_potential",
     "newtonian_potential_div",
     "free_riesz_sum",
@@ -46,19 +42,9 @@ def _inverse(grid, hat):
     return _fft.irfftn(hat, grid.shape)
 
 
-def _same_type(field, hat):
-    return type(field)(field.grid, _inverse(field.grid, hat))
-
-
 def apply_multiplier(field, mult):
     """Return the field whose spectrum is mult * field.hat (mult broadcastable)."""
-    return _same_type(field, field.hat * mult)
-
-
-def derivative(f, axis):
-    """Spectral partial derivative along axis 0, 1 or 2."""
-    k = f.grid.deriv_wavenumbers()[axis]
-    return apply_multiplier(f, 1j * k)
+    return type(field)(field.grid, _inverse(field.grid, field.hat * mult))
 
 
 # ---------------------------------------------------------------------------
@@ -159,11 +145,6 @@ def divergence(v):
     return ScalarField(v.grid, _inverse(v.grid, div_hat(v.grid, v.hat)))
 
 
-def tensor_divergence(T):
-    """Row-wise divergence (div T)_i = d_j T_ij of a TensorField."""
-    return VectorField(T.grid, _inverse(T.grid, tensor_div_hat(T.grid, T.hat)))
-
-
 def laplacian(f):
     return apply_multiplier(f, -f.grid.k2)
 
@@ -173,11 +154,6 @@ def curl(v):
     G = grad_hat(v.grid, v.hat)  # G[j, i] = d_j v_i
     hat = np.stack([G[1, 2] - G[2, 1], G[2, 0] - G[0, 2], G[0, 1] - G[1, 0]])
     return VectorField(v.grid, _inverse(v.grid, hat))
-
-
-def dealias(f):
-    """Zero all modes with any axis index >= n/3 (2/3 rule)."""
-    return _same_type(f, f.hat * f.grid.dealias_mask)
 
 
 def leray_project(f):
@@ -197,21 +173,6 @@ def heat_semigroup(f, t):
     if t == 0.0:
         return type(f)(f.grid, f.data)
     return apply_multiplier(f, np.exp(-f.grid.k2 * t))
-
-
-def riesz_riesz(f, i, j):
-    """Composition R_i R_j of Riesz transforms: multiplier -xi_i xi_j / |xi|^2.
-
-    The zero mode maps to zero, so sum_i R_i R_i f = -(f - mean f).
-    """
-    g = f.grid
-    if i == j:
-        k = g.wavenumbers()[i]
-        num = -(k * k)
-    else:
-        kd = g.deriv_wavenumbers()
-        num = -(kd[i] * kd[j])
-    return apply_multiplier(f, num / g.k2_safe)
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,7 @@ class TestLpProject:
         total = np.zeros(grid32.shape)
         for j in bank.bands:
             total += lp_project(f, j).values
-        assert np.allclose(total, f.values - f.mean(), atol=1e-10)
+        assert np.allclose(total, f.values - np.mean(f.values), atol=1e-10)
 
     def test_disjoint_band_is_zero(self, grid32):
         f = single_mode(grid32, (4, 4, 0))  # |xi| = 4

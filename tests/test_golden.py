@@ -13,6 +13,11 @@ numbers and merging only its keys; keys already in the fixture are refused:
 
     PYTHONPATH=src python tests/test_golden.py --add KEY [KEY ...]
 
+The public surface is what golden reaches: compute() runs once under a
+profile hook, and a test fails naming every public
+function or method (see public_callables) that it never calls, unless
+EXEMPT names it with the reason it stays.
+
 To show how far a change moves the numbers, dump each checkout's values
 as float.hex, with the CSV texts, and compare the two files; the fixture
 is not touched. --compare prints, per key, whether it is bit-identical
@@ -27,14 +32,20 @@ texts differ:
 
 import argparse
 import csv
+import importlib
+import inspect
 import json
 import math
 import os
+import pkgutil
+import sys
 import tempfile
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
+import critnorm
 from critnorm import besov, ckn, corpus, fieldio, mild, norms, pns, pressure
 from critnorm.spectral import heat_semigroup
 from critnorm.fields import (
@@ -54,6 +65,24 @@ GOLDEN_RTOL = 1e-12
 BOX = 2.0 * math.pi * math.sqrt(2.0)
 ORIGIN = (0.0, 0.0, 0.0)
 HORIZON = 5.0 / 64.0
+
+# public callables that compute() does not reach, each with the reason it stays
+EXEMPT = {
+    "fields.taylor_green": "the exact-decay oracle of the stepper and energy tests: its "
+                           "projected nonlinearity vanishes, so no pipeline number starts from it",
+    "corpus.random_scalar": "test data: band-limited random scalars of the spectral, norm, Besov "
+                            "and mild tests",
+    "corpus.azimuthal_field": "test data: the exactly solenoidal swirl that compact_divfree_bump "
+                              "and inverse_radius_field build on",
+    "corpus.compact_divfree_bump": "test data: the one swirl with exactly compact support; "
+                                   "curl_bump's support is only essential",
+    "corpus.inverse_radius_field": "test data: the critical 1/|x| swirl of the split-sweep, "
+                                   "weak-L^3 mild, dealiasing and corpus tests",
+    "corpus.inverse_square_scalar": "test data: the 1/|x| scalar of the Lorentz, Morrey and Hunt "
+                                    "tests",
+    "mild.PicardDivergence.__init__": "raised only when a forward solve blows up, which golden's "
+                                      "small data never does",
+}
 
 
 def _stress(v, a):
@@ -167,7 +196,18 @@ def compute():
         w = row.weighted
         out["ckn.ledger_k%d" % row.k] = [row.a_value, row.b_value]
         out["ckn.weighted_k%d" % row.k] = [w.apk, w.appk, w.bpk]
-    out["ckn.c1"] = [ckn.build_test_function(g16, ORIGIN, HORIZON, 2).c1]
+    tf = ckn.build_test_function(g16, ORIGIN, HORIZON, 2)
+    out["ckn.c1"] = [tf.c1]
+    # a lattice through the plateau and the cutoff's spatial taper, at the
+    # top time and inside the time taper
+    axes = (np.linspace(-0.32, 0.32, 9),) * 3
+    out["ckn.test_function_value"] = [
+        x for s in (HORIZON, HORIZON - 0.08)
+        for x in (float(np.sqrt(np.sum(tf.value(axes, s) ** 2))), float(np.max(tf.value(axes, s))))
+    ]
+    out["ckn.test_function_heat_residual"] = [
+        float(np.max(np.abs(tf.heat_residual(axes, s)))) for s in (HORIZON, HORIZON - 0.08)
+    ]
     families = ckn.build_test_function(g16, ORIGIN, HORIZON, 4).families
     out["ckn.test_families"] = [families[name] for name in sorted(families)]
     out["ckn.local_cubed_mass"] = [ckn.local_cubed_mass(run, ORIGIN, HORIZON, 0.25)]
@@ -191,10 +231,15 @@ def compute():
     out["pressure.osc_native"] = [osc64.lhs, *osc64.terms, osc64.ratio]
 
     # the indicator source of tests/test_ckn.py
-    kbound = ckn.check_kernel_bound(
-        lambda y1, y2, y3, s: np.where((y1**2 + y2**2 + y3**2 <= 0.09) & (abs(s) <= 0.1), 1.0, 0.0)
-    )
+    def source(y1, y2, y3, s):
+        return np.where((y1**2 + y2**2 + y3**2 <= 0.09) & (abs(s) <= 0.1), 1.0, 0.0)
+
+    kbound = ckn.check_kernel_bound(source)
     out["ckn.kernel_bound"] = [kbound.lhs, kbound.rhs]
+    out["ckn.kernel_integral"] = [
+        ckn.kernel_integral(source, x, t)
+        for x in (ORIGIN, (0.4, 0.0, 0.0), (1.25, 0.0, 0.0)) for t in (0.0, 0.2)
+    ]
 
     out["norms.lorentz_weak3"] = [norms.lorentz_quasinorm(u0, 3, math.inf).value]
     out["norms.lorentz_3_2"] = [norms.lorentz_quasinorm(u0, 3, 2).value]
@@ -206,6 +251,16 @@ def compute():
         gaussian_bump(g16, 0.6), ball_indicator(g16, 1.0), (1.5, 1.5, 1.5, 1.5, 3.0, 3.0)
     )
     out["norms.oneil"] = [oneil.lhs, oneil.rhs, oneil.ratio]
+    hunt = norms.check_hunt(
+        u0, gaussian_bump(g16, 0.6), (3, math.inf, 2, 2, 1.2, 2), region=norms.BallRegion(ORIGIN, 2.2)
+    )
+    out["norms.hunt"] = [hunt.lhs, hunt.rhs, hunt.ratio]
+    out["besov.norm_heat"] = [
+        besov.besov_norm_heat(u0, -0.5, 6).value, besov.besov_norm_heat(split.bar_g, -0.5, math.inf).value
+    ]
+    out["besov.partition_defect"] = [besov.LPProjectorBank(g).partition_defect() for g in (g16, g32)]
+    slopes = corpus.heat_smoothing_slopes(g32, 0.3, 1.0)
+    out["corpus.heat_smoothing_slopes"] = [slopes[name] for name in sorted(slopes)]
 
     texts = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -233,10 +288,68 @@ def _mismatch_report(psplit):
     return norms.NormReport("mismatch", psplit.mismatch, norms.BallRegion(ORIGIN, 1.0), "L3/2 gap, B_1")
 
 
-def test_matches_golden_fixture():
+def public_callables():
+    """{"module.function" or "module.Class.method": code object} over the
+    names in each critnorm module's __all__ that the module defines: its
+    functions, and for each class its methods, properties and
+    classmethods, inherited from a critnorm class too, whose names have
+    no leading underscore, plus __init__. Only code written in a critnorm
+    source file counts, so dataclass-generated methods are skipped."""
+    out = {}
+    for info in pkgutil.iter_modules(critnorm.__path__):
+        module = importlib.import_module("critnorm." + info.name)
+        for name in getattr(module, "__all__", ()):
+            obj = getattr(module, name)
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue  # a constant, or a name another module defines
+            if not inspect.isclass(obj):
+                fn = inspect.unwrap(obj)
+                if inspect.isfunction(fn):
+                    out["%s.%s" % (info.name, name)] = fn.__code__
+                continue
+            for klass in reversed(obj.__mro__):
+                if not klass.__module__.startswith("critnorm."):
+                    continue
+                for attr, member in vars(klass).items():
+                    if attr.startswith("_") and attr != "__init__":
+                        continue
+                    member = getattr(member, "fget", None) or getattr(member, "__func__", member)
+                    code = getattr(member, "__code__", None)
+                    if code is not None and code.co_filename == sys.modules[klass.__module__].__file__:
+                        out["%s.%s.%s" % (info.name, name, attr)] = code
+    return out
+
+
+def _unreached(public, called, exempt):
+    """(public names not called and not exempt, exempt names called or gone)."""
+    missed = sorted(name for name, code in public.items() if code not in called and name not in exempt)
+    stale = sorted(name for name in exempt if name not in public or public[name] in called)
+    return missed, stale
+
+
+@pytest.fixture(scope="module")
+def golden_run():
+    """compute() once, under a profile hook: its values and CSV texts, and
+    the code objects of every Python function it called."""
+    called = set()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        values, texts = compute()
+    finally:
+        sys.setprofile(previous)
+    return values, texts, called
+
+
+def test_matches_golden_fixture(golden_run):
     with open(GOLDEN) as fh:
         golden = json.load(fh)
-    got, texts = compute()
+    got, texts, _ = golden_run
     assert texts == golden["texts"]
     assert sorted(got) == sorted(golden["values"])
     for name, want in golden["values"].items():
@@ -246,6 +359,23 @@ def test_matches_golden_fixture():
         scale = float(np.max(np.abs(want))) if want.size else 0.0
         gap = float(np.max(np.abs(have - want))) if want.size else 0.0
         assert gap <= GOLDEN_RTOL * scale, "%s drifted by %.3g (scale %.3g)" % (name, gap, scale)
+
+
+def test_golden_reaches_every_public_callable(golden_run):
+    missed, stale = _unreached(public_callables(), golden_run[2], EXEMPT)
+    assert not missed, (
+        "compute() reaches no call of %s: pin a number of each in compute(), or delete it, "
+        "or name it in EXEMPT with the reason it stays" % ", ".join(missed))
+    assert not stale, "EXEMPT names %s, which compute() reaches or which is gone" % ", ".join(stale)
+    assert all(isinstance(why, str) and why for why in EXEMPT.values())
+
+
+def test_reachability_guard_names_the_missed_and_the_stale():
+    f, g, h = (compile(str(i), name, "eval") for i, name in enumerate("fgh"))
+    public = {"m.f": f, "m.g": g, "m.h": h}
+    missed, stale = _unreached(public, {f}, {"m.h": "why", "m.f": "reached", "m.gone": "x"})
+    assert missed == ["m.g"]
+    assert stale == ["m.f", "m.gone"]
 
 
 def test_dump_writes_exact_values(monkeypatch, tmp_path):

@@ -1,5 +1,5 @@
 """Transient memory of the chain's stages (Besov split, mild solve, driven
-PNS run, local energy identity), the doubled-grid sums, their kernel
+PNS run, local energy identity), the inversion of I - L_a, the doubled-grid sums, their kernel
 caches, the pressure split and the ledger rows and cylinder integrals, and
 the memory a pressure split and a radial cutoff keep, measured with
 tracemalloc at 32^3.
@@ -19,6 +19,7 @@ from critnorm import besov, ckn, corpus, mild, pns, pressure, spectral
 from critnorm.fields import (
     Grid,
     ScalarField,
+    SpaceTimeField,
     TensorField,
     VectorField,
     smooth_radial_cutoff,
@@ -86,6 +87,27 @@ def test_solve_mild_transient_in_units_of_its_result(mild_input):
     # while Picard held its iterates and the march its resume cache)
     tilde, cfg = mild_input
     assert _peak(lambda: mild.solve_mild(tilde, cfg)) <= 3.6 * MILD
+
+
+@pytest.fixture(scope="module")
+def inversion_input(datum):
+    """The heat orbit of the datum's large part and the mild drift on 21
+    stored times (dt = 1/256), where an orbit outweighs the march's
+    per-slice spectra, with the grid's arrays built."""
+    split = besov.besov_split(datum, 3.0, 6.0)
+    a = mild.solve_mild(split.tilde_g, mild.DuhamelConfig(dt=1.0 / 256.0, T=5.0 / 64.0)).a
+    heat = [spectral.heat_semigroup(split.bar_g, float(t)).data for t in a.times]
+    f = SpaceTimeField(a.grid, a.times, np.array(heat))
+    mild.invert_I_minus_La(f, a)
+    return f, a
+
+
+def test_invert_I_minus_La_transient_in_units_of_its_result(inversion_input):
+    # measured 1.39 results' worth, the returned u included: u beside the
+    # march's spectra (2.08 while the contraction formed u - f; on the
+    # chains' 6 stored times the march sets the peak, 2.35 either way)
+    f, a = inversion_input
+    assert _peak(lambda: mild.invert_I_minus_La(f, a)) <= 1.5 * f.frames.nbytes
 
 
 @pytest.fixture(scope="module")

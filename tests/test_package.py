@@ -112,7 +112,7 @@ def test_importing_every_module_leaves_heavy_scipy_unloaded():
 
 
 # the count of test_optional_parameters_do_not_grow; lower it when options go
-OPTIONAL_PARAMETERS = 46
+OPTIONAL_PARAMETERS = 44
 
 
 def _is_dataclass(cls):

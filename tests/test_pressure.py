@@ -8,12 +8,12 @@ from critnorm import corpus, cylinder, pns, pressure, spectral
 from critnorm.fields import (
     Grid,
     ScalarField,
+    SpaceTimeField,
     TensorField,
     VectorField,
     smooth_radial_cutoff,
     taylor_green_3d,
 )
-from critnorm.norms import BallRegion, lp_ball
 from critnorm.spectral import heat_semigroup
 
 DEFAULT_L = 2.0 * np.pi * np.sqrt(2.0)
@@ -258,55 +258,6 @@ class TestSplitPressure:
             )
 
 
-class TestMeanOnBall:
-    def test_constant(self, grid32):
-        q = ScalarField(grid32, np.full(grid32.shape, 2.5))
-        assert mean_close(q, BallRegion((0, 0, 0), 1.0), 2.5)
-
-    def test_odd_linear_vanishes(self, grid32):
-        X = grid32.coords()[0] * np.ones(grid32.shape)
-        q = ScalarField(grid32, X)
-        got = pressure.mean_on_ball(q, BallRegion((0, 0, 0), 1.5))
-        assert abs(got) <= 1e-13
-
-    def test_matches_brute_force(self, grid32, rng):
-        q = ScalarField(grid32, rng.standard_normal(grid32.shape))
-        ball = BallRegion((0.3, -0.7, 1.1), 1.2)
-        mask = grid32.radius(ball.center) <= ball.radius
-        brute = float(np.mean(q.values[mask]))
-        assert np.isclose(pressure.mean_on_ball(q, ball), brute, rtol=1e-14)
-
-    def test_minimizes_l2_over_constants(self, grid32, rng):
-        # the cell average is the L2 minimizer over constant shifts
-        q = ScalarField(grid32, rng.standard_normal(grid32.shape))
-        ball = BallRegion((0, 0, 0), 1.0)
-        m = pressure.mean_on_ball(q, ball)
-        best = lp_ball(ScalarField(grid32, q.values - m), 2, ball).value
-        for eps in (-0.2, -0.01, 0.01, 0.2):
-            trial = lp_ball(ScalarField(grid32, q.values - m - eps), 2, ball).value
-            assert best <= trial
-
-    def test_empty_ball_rejected(self, grid32):
-        q = ScalarField(grid32, np.ones(grid32.shape))
-        center = (grid32.dx / 2.0, 0.0, 0.0)
-        with pytest.raises(ValueError, match="no cell centers"):
-            pressure.mean_on_ball(q, BallRegion(center, 0.05))
-
-    def test_ball_that_does_not_fit_is_rejected(self, grid32):
-        # lp_ball refuses this ball too: with a one-cell margin it wraps
-        # round the box
-        q = ScalarField(grid32, np.ones(grid32.shape))
-        ball = BallRegion((0, 0, 0), grid32.L / 2 - grid32.dx / 2)
-        with pytest.raises(ValueError, match="does not fit"):
-            lp_ball(q, 2, ball)
-        with pytest.raises(ValueError, match="does not fit"):
-            pressure.mean_on_ball(q, ball)
-
-
-def mean_close(q, ball, want):
-    return np.isclose(pressure.mean_on_ball(q, ball), want, rtol=1e-13)
-
-
 @pytest.fixture(scope="module")
 def smooth_run():
     grid = Grid(32, DEFAULT_L)
@@ -369,6 +320,19 @@ class TestOscillation:
         )
         assert rep.lhs == 0.0
         assert rep.ratio == 0.0
+
+    def test_lhs_ignores_a_constant_shift_of_q(self, smooth_run):
+        # the oscillation is taken about q's mean on B_r, so a constant
+        # added to q moves the left side by round-off only
+        r = smooth_run
+        shifted = SpaceTimeField(r.grid, r.q.times, r.q.frames + 2.5)
+        base, moved = (
+            pressure.pressure_oscillation_terms(r.v, None, q, (0, 0, 0), 0.125, 0.25)
+            for q in (r.q, shifted)
+        )
+        assert base.lhs > 0.0
+        assert moved.lhs == pytest.approx(base.lhs, rel=1e-10)
+        assert moved.terms[0] == base.terms[0]
 
     def test_drift_free_terms_vanish(self, smooth_run):
         r = smooth_run

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from critnorm import corpus, spectral
+from critnorm._fft import irfftn, rfftn
 from critnorm.fields import (
     Grid,
     ScalarField,
@@ -167,42 +168,62 @@ class TestHeatSemigroup:
         assert abs(slopes["l3_l5"] - (-0.2)) <= 0.05 * 0.2
 
 
+def _riesz_sum(grid, S):
+    """sum_ij R_i R_j S_ij, multiplier -xi_i xi_j / |xi|^2, for six
+    components S in the SYM_PAIRS order: the pressure kernel
+    sym_ddiv_hat / k2_d_safe of pns.recover_pressure."""
+    return irfftn(spectral.sym_ddiv_hat(grid, rfftn(S)) / grid.k2_d_safe, grid.shape)
+
+
+def _in_slots(f, slots):
+    """Six SYM_PAIRS components holding f's values in the given slots."""
+    S = np.zeros((6,) + f.grid.shape)
+    S[list(slots)] = f.values
+    return S
+
+
 class TestRieszRiesz:
     def test_pure_mode_diagonal(self, grid32):
-        # mode (4,0,0): multiplier -xi_1^2/|xi|^2 = -1
+        # mode (4,0,0) in S_00: multiplier -xi_1^2/|xi|^2 = -1
         k = grid32.k0
         X, _, _ = grid32.coords()
         f = ScalarField(grid32, np.cos(4 * k * X) + np.zeros(grid32.shape))
-        out = spectral.riesz_riesz(f, 0, 0)
-        assert np.allclose(out.values, -f.values, rtol=1e-12, atol=1e-14)
+        out = _riesz_sum(grid32, _in_slots(f, [0]))
+        assert np.allclose(out, -f.values, rtol=1e-12, atol=1e-14)
 
     def test_constant_maps_to_zero(self, grid32):
         f = ScalarField(grid32, np.full(grid32.shape, 3.7))
-        out = spectral.riesz_riesz(f, 1, 1)
-        assert np.max(np.abs(out.values)) <= 1e-14
+        out = _riesz_sum(grid32, _in_slots(f, [1]))
+        assert np.max(np.abs(out)) <= 1e-14
 
     def test_trace_identity(self, grid32, rng):
+        # S = f delta_ij
         f = corpus.random_scalar(grid32, rng, kmax=9)
-        total = sum(spectral.riesz_riesz(f, i, i).values for i in range(3))
-        target = -(f.values - f.mean())
+        total = _riesz_sum(grid32, _in_slots(f, [0, 1, 2]))
+        target = -(f.values - np.mean(f.values))
         assert np.max(np.abs(total - target)) <= 1e-10 * np.max(np.abs(f.values))
 
     def test_self_adjoint_on_mean_zero(self, grid32, rng):
         f = corpus.random_scalar(grid32, rng, kmax=9)
         g = corpus.random_scalar(grid32, rng, kmax=9)
-        f = ScalarField(grid32, f.values - f.mean())
-        g = ScalarField(grid32, g.values - g.mean())
+        f = ScalarField(grid32, f.values - np.mean(f.values))
+        g = ScalarField(grid32, g.values - np.mean(g.values))
         w = grid32.cell_volume
-        for (i, j) in ((0, 0), (0, 1), (1, 2)):
-            lhs = np.sum(spectral.riesz_riesz(f, i, j).values * g.values) * w
-            rhs = np.sum(f.values * spectral.riesz_riesz(g, i, j).values) * w
+        for slot in (spectral.SYM_INDEX[0][0], spectral.SYM_INDEX[0][1], spectral.SYM_INDEX[1][2]):
+            lhs = np.sum(_riesz_sum(grid32, _in_slots(f, [slot])) * g.values) * w
+            rhs = np.sum(f.values * _riesz_sum(grid32, _in_slots(g, [slot]))) * w
             assert np.isclose(lhs, rhs, rtol=1e-10, atol=1e-12)
 
     def test_symmetric_in_indices(self, grid32, rng):
+        # the slot of S_02 = S_20 carries R_0 R_2 + R_2 R_0, and each of
+        # them is -d_i d_j of the inverse Laplacian, in either order
         f = corpus.random_scalar(grid32, rng, kmax=9)
-        a = spectral.riesz_riesz(f, 0, 2)
-        b = spectral.riesz_riesz(f, 2, 0)
-        assert np.allclose(a.values, b.values, atol=1e-13)
+        inv = ScalarField(grid32, irfftn(-f.hat / grid32.k2_d_safe, grid32.shape))
+        dd = spectral.gradient(spectral.gradient(inv)).data  # dd[j, i] = d_j d_i
+        pair = _riesz_sum(grid32, _in_slots(f, [spectral.SYM_INDEX[0][2]]))
+        assert np.allclose(dd[0, 2], dd[2, 0], atol=1e-13)
+        assert np.allclose(pair, -2.0 * dd[0, 2], atol=1e-13)
+        assert np.allclose(pair, -2.0 * dd[2, 0], atol=1e-13)
 
 
 class TestNewtonianPotential:
@@ -305,9 +326,9 @@ class TestDerivativesAndDealias:
         k = grid32.k0
         X, _, _ = grid32.coords()
         f = ScalarField(grid32, np.cos(3 * k * X) + np.zeros(grid32.shape))
-        out = spectral.derivative(f, 0)
+        out = spectral.gradient(f).data[0]
         want = -3 * k * np.sin(3 * k * X) + np.zeros(grid32.shape)
-        assert np.allclose(out.values, want, atol=1e-12)
+        assert np.allclose(out, want, atol=1e-12)
 
     def test_laplacian_single_mode(self, grid32):
         k = grid32.k0
@@ -330,26 +351,29 @@ class TestDerivativesAndDealias:
             grid32,
             np.cos(2 * k * X) + np.cos(m_hi * k * X) + np.zeros(grid32.shape),
         )
-        out = spectral.dealias(f)
+        # the 2/3 rule run_pns applies to its initial data
+        out = spectral.apply_multiplier(f, grid32.dealias_mask)
         want = np.cos(2 * k * X) + np.zeros(grid32.shape)
         assert np.allclose(out.values, want, atol=1e-12)
 
     def test_tensor_divergence_of_taylor_green_is_gradient(self, grid32):
-        # div(u x u) for the planar vortex is a pure gradient, so the
-        # projection annihilates it
-        from critnorm.fields import outer
-
-        tg = taylor_green(grid32)
-        nl = spectral.tensor_divergence(outer(tg, tg))
-        out = spectral.leray_project(nl)
-        assert np.max(np.abs(out.data)) <= 1e-12 * max(np.max(np.abs(nl.data)), 1.0)
+        # div(u x u) for the planar vortex is a pure gradient, so -P div,
+        # the kernel of pns.step, annihilates u x u = sym_outer(u, u/2)
+        g = grid32
+        u = taylor_green(g).data
+        nl = irfftn(spectral.tensor_div_hat(g, rfftn(u[:, None] * u[None, :])), g.shape)
+        out = spectral.neg_leray_div_hat(
+            g.deriv_wavenumbers(), g.k2_d_safe, spectral.sym_outer_hat(u, u / 2)
+        )
+        out = irfftn(out, g.shape)
+        assert np.max(np.abs(out)) <= 1e-12 * max(np.max(np.abs(nl)), 1.0)
 
 
 class TestEvaluateAtPoints:
     def test_matches_closed_form(self, grid32):
         k = grid32.k0
         tg = taylor_green(grid32)
-        f = tg.component(0)
+        f = ScalarField(grid32, tg.data[0])
         pts = (
             np.array([0.1, -2.3, 3.0]),
             np.array([0.7, -0.2]),

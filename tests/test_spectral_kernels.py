@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from critnorm import _fft
-from critnorm.fields import Grid, ScalarField, TensorField, VectorField
+from critnorm.fields import Grid, ScalarField, VectorField
 from critnorm.spectral import (
     SYM_INDEX,
     SYM_PAIRS,
@@ -25,7 +25,6 @@ from critnorm.spectral import (
     sym_ddiv_hat,
     sym_outer_hat,
     tensor_div_hat,
-    tensor_divergence,
 )
 from critnorm.spectral import _yz_tables
 
@@ -119,11 +118,9 @@ def test_double_divergence_is_divergence_of_divergence(seed):
 def test_field_operators_are_inverse_transforms_of_their_kernels(seed):
     f = ScalarField(GRID, _data(seed, ()))
     v = VectorField(GRID, _data(seed + 1, (3,)))
-    T = TensorField(GRID, _data(seed + 2, (3, 3)))
     assert np.array_equal(gradient(f).data, _inverse(grad_hat(GRID, f.hat)))
     assert np.array_equal(gradient(v).data, _inverse(grad_hat(GRID, v.hat)))
     assert np.array_equal(divergence(v).data, _inverse(div_hat(GRID, v.hat)))
-    assert np.array_equal(tensor_divergence(T).data, _inverse(tensor_div_hat(GRID, T.hat)))
     assert np.array_equal(leray_project(v).data, _inverse(leray_hat(GRID, v.hat)))
 
 
