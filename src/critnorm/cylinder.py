@@ -16,12 +16,16 @@ the one rule both apply, that a ball plus a one-cell margin fits in the
 box.
 
 The r/8 lattice over an outer ball B_rho grows like (rho/r)^3, so a sum
-over it walks ball_slabs: the same points, lattice or native cells, cut
-into x-slabs of at most _SLAB_POINTS points, each point with the bits
-ball_points gives it. A sampled field, and any weight made from the
-slab's distances, is then held on one slab at a time; a sum that visits
-every stored slice on each slab in turn holds memory that does not grow
-with the number of slabs.
+over it walks ball_slabs: the same points, lattice or native cells, each
+point with the bits ball_points gives it. A set of at most _SLAB_POINTS
+= 2^19 points is one slab; a larger one is cut into x-slabs of at most
+2^18 points, and walk_slabs samples those on two threads, at most two
+slabs in flight, so the points in flight stay at 2^19 either way. A
+sampled field, and any weight made from a slab's distances, is then held
+on the slabs in flight only; a sum that visits every stored slice on
+each slab in turn holds memory that does not grow with the number of
+slabs. walk_slabs yields each slab's result in x order, so a sum that
+adds them as they come does not depend on the threads' timing.
 
 A diagnostic call owns the spectra of the stored frames it samples off
 the grid: one FrameSpectra per stored field takes the rfftn of each
@@ -39,7 +43,12 @@ scipy.integrate's arithmetic in numpy, since importing scipy.integrate
 loads scipy's optimize, sparse and linalg, 0.3 s and 25 MB at start-up.
 """
 
+import itertools
 import math
+import os
+import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -54,6 +63,7 @@ __all__ = [
     "cube_lattice",
     "ball_points",
     "ball_slabs",
+    "walk_slabs",
     "FrameSpectra",
     "sample_slice",
     "sample_grad_sq",
@@ -65,9 +75,15 @@ __all__ = [
 # (critnorm.pressure) both read it from here
 DELTA = 1.0
 
-# most points in one x-slab of ball_slabs: 2^19 float64 values are 4 MB,
-# about one core's L2 cache, so each per-slab temporary stays that small
+# most points in flight in a walk over ball_slabs: 2^19 float64 values
+# are 4 MB, about one core's L2 cache, so each per-slab temporary stays
+# that small; one slab of at most this, or two of at most half of it
 _SLAB_POINTS = 2**19
+
+# threads of walk_slabs: numpy's matrix products and ufuncs release the
+# GIL, so two slabs are sampled at once where the process may use two CPUs
+_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
 
 
 def stored_window(times, lo, hi, clip_start=False):
@@ -160,12 +176,15 @@ def ball_slabs(grid, center, r, outer=None):
     those of ball_points on these rows (axes None on the native cells);
     cell is ball_points' cell. The slabs partition the points and every
     rad keeps its bits, so values gathered slab by slab, in order, are
-    ball_points' values in lattice order. A lattice of at most 80^3
-    points, or a native grid of at most 64^3 cells, is one slab.
+    ball_points' values in lattice order. At most _SLAB_POINTS points
+    (a lattice of up to 80^3 points, a native grid of up to 64^3 cells)
+    are one slab; more are cut into slabs of at most _SLAB_POINTS / 2,
+    the size walk_slabs takes two at a time.
     """
     offs, cell = _resolution(grid, r, r if outer is None else outer)
     side = grid.n if offs is None else len(offs)
-    step = max(1, _SLAB_POINTS // (side * side))  # x rows per slab
+    most = _SLAB_POINTS if side**3 <= _SLAB_POINTS else _SLAB_POINTS // 2
+    step = max(1, most // (side * side))  # x rows per slab
 
     def slabs():
         rad = grid.radius(center) if offs is None else None
@@ -179,23 +198,64 @@ def ball_slabs(grid, center, r, outer=None):
     return slabs(), cell
 
 
+def walk_slabs(slabs, fn):
+    """fn(slab) for each slab of ball_slabs' slabs, yielded in x order.
+
+    More than one slab is walked on _WORKERS threads, started and joined
+    within the walk, with at most _WORKERS slabs in flight, each made
+    only once a worker is free for it; one slab, or one worker, is walked
+    in the calling thread and starts none. fn must then be safe to call
+    from several threads at once. The results come in x order whatever the
+    timing, so a caller that adds them as they come gets the same bits
+    from any number of workers. fn is handed the only reference to its
+    slab, so it frees the slab's arrays as soon as it drops them.
+    """
+    waiting = {}  # slabs made and not yet handed to fn, by x position
+
+    def positions():  # not enumerate, whose reused result tuple keeps the last slab
+        k = 0
+        for slab in slabs:
+            waiting[k] = slab
+            del slab
+            yield k
+            k += 1
+
+    def take(k):
+        return fn(waiting.pop(k))
+
+    ks = positions()
+    head = list(itertools.islice(ks, _WORKERS))
+    if len(head) < 2:
+        for k in itertools.chain(head, ks):
+            yield take(k)
+        return
+    with ThreadPoolExecutor(_WORKERS) as pool:
+        pending = deque(pool.submit(take, k) for k in head)
+        while pending:
+            done = pending.popleft().result()
+            pending.extend(pool.submit(take, k) for k in itertools.islice(ks, 1))
+            yield done
+
+
 class FrameSpectra:
     """spectra[i]: the spectra of frame i of the stored SpaceTimeField
     stf, the rfftn of each component (a tuple) or of a scalar frame (one
-    array); made at first use, read-only, and kept until drop(i), which
-    the caller makes once no later sample reads slice i."""
+    array); made at first use, once even when two threads ask at once,
+    read-only, and kept until drop(i), which the caller makes once no
+    later sample reads slice i."""
 
     def __init__(self, stf):
-        self.stf, self._made = stf, {}
+        self.stf, self._made, self._lock = stf, {}, threading.Lock()
 
     def __getitem__(self, i):
-        if i not in self._made:
-            frame = self.stf.frames[i]
-            made = tuple(_fft.rfftn(c) for c in frame.reshape((-1,) + frame.shape[-3:]))
-            for c in made:
-                c.flags.writeable = False
-            self._made[i] = made[0] if frame.ndim == 3 else made
-        return self._made[i]
+        with self._lock:
+            if i not in self._made:
+                frame = self.stf.frames[i]
+                made = tuple(_fft.rfftn(c) for c in frame.reshape((-1,) + frame.shape[-3:]))
+                for c in made:
+                    c.flags.writeable = False
+                self._made[i] = made[0] if frame.ndim == 3 else made
+            return self._made[i]
 
     def drop(self, i):
         self._made.pop(i, None)

@@ -11,13 +11,18 @@ distinguished singular time outside the observation window; its
 integrals follow the quadrature of critnorm.cylinder.
 
 The r/8 lattice of the outer ball B_rho has about (16 rho/r)^3 points,
-so the oscillation walks the x-slabs of cylinder.ball_slabs once and
-holds neither a field nor the ball's weights on the whole lattice. Each
-slab builds its own weights, samples every slice of the window in turn
-and adds its dot products to per-slice sums over B_rho and B_2r, in x
-order; one partial sum per slab moves these sums by round-off only when
-there is more than one slab. Only q on B_r is kept per slice, slab by
-slab, since its ball mean must come before the oscillation about it.
+so the oscillation walks the x-slabs of cylinder.ball_slabs once, through
+cylinder.walk_slabs, and holds neither a field nor the ball's weights on
+the whole lattice. A lattice of at most 2^19 points is one slab, sampled
+in the calling thread; a larger one is cut into slabs of at most 2^18
+points, walked two at a time on two threads. Each slab builds its own
+weights, samples every slice of the window in turn and returns its
+per-slice dot products over B_rho and B_2r, with its piece of q on B_r;
+the calling thread adds them in x order, so the sums do not depend on
+the threads, and they differ from one pass over the whole lattice by
+round-off only where there is more than one slab. Only q on B_r is kept
+per slice, slab by slab, since its ball mean must come before the
+oscillation about it.
 
 The scale exponent is delta = cylinder.DELTA = 1, shared with the dyadic
 ledger of critnorm.ckn. On Q_r with outer radius rho the oscillation
@@ -36,12 +41,21 @@ r^{4-delta/2} = r^{7/2} times rho^{-15/4}; the others keep their powers.
 """
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _fft
-from .cylinder import DELTA, FrameSpectra, ball_mask, ball_slabs, sample_slice, stored_window
+from .cylinder import (
+    DELTA,
+    FrameSpectra,
+    ball_mask,
+    ball_slabs,
+    sample_slice,
+    stored_window,
+    walk_slabs,
+)
 from .fieldio import write_csv
 from .fields import ScalarField, nonic_step
 from .norms import BallRegion, lp_ball
@@ -279,8 +293,9 @@ def pressure_oscillation_terms(v, a, q, center, r, rho, t_top=None, t0=None):
     |s - t0|^(-1), |s - t0|^(-3/4), and requires t0 strictly outside the
     window so every weight stays finite; its J-terms read a only through
     ma, so it samples a on the native grid alone. Each slab of the lattice
-    samples every slice of the window into one slab buffer, made at the
-    first slab; the last slab drops a slice's spectra after sampling it.
+    samples every slice of the window into its thread's slab buffer, made
+    at that thread's first slab; the last slab to sample a slice drops
+    its spectra.
     """
     g = v.grid
     if q.grid != g or (a is not None and a.grid != g):
@@ -301,20 +316,23 @@ def pressure_oscillation_terms(v, a, q, center, r, rho, t_top=None, t0=None):
     drift = a is not None and not weighted  # a on the lattice feeds J2, J4, J6 unweighted
     slabs, cell = ball_slabs(g, center, r, outer=rho)
     m = len(sel)
-    # per slice, sums over B_rho, each slab's dot products added in x
-    # order: |v|^3 = |v|^2 |v|, |q|^(3/2) = |q| |q|^(1/2), |v|^2 / |x|^4
-    # and |v| / |x|^4 on the annulus, |v|^2 on the ring, |a|^5 = |a|^4 |a|
-    # and |v||a| / |x|^4 on the annulus; then |v|^3, |v|^2 and |a|^5 on B_2r
-    sums = np.zeros((10, m))
-    v3_rho, q32_rho, tail, v_tail, v2_ring, a5_rho, cross_tail, v3_2r, v2_2r, a5_2r = sums
-    q_r = [[] for _ in sel]  # per slice, q on B_r, slab by slab
     sv, sq, sa = (FrameSpectra(f) for f in (v, q, a))  # sa is unread when a is None
-    buf = None
-    for rows, axes, rad in slabs:
-        if buf is None:  # the first slab is the largest
-            buf = np.empty((2,) + rad.shape)
-        pts = buf[:, : rad.shape[0]]
-        last = rows.stop >= rad.shape[1]  # the lattice is a cube
+    scratch = threading.local()  # each thread's slab buffer
+    lock = threading.Lock()
+    covered = [0] * m  # per slice, the x rows of the slabs that have sampled it
+
+    def slab_sums(slab):
+        # per slice, this slab's dot products over B_rho: |v|^3 = |v|^2 |v|,
+        # |q|^(3/2) = |q| |q|^(1/2), |v|^2 / |x|^4 and |v| / |x|^4 on the
+        # annulus, |v|^2 on the ring, |a|^5 = |a|^4 |a| and |v||a| / |x|^4 on
+        # the annulus; then |v|^3, |v|^2 and |a|^5 on B_2r; and q on B_r
+        rows, axes, rad = slab
+        del slab  # the slab's distances go once rad holds only the ball's
+        nrows, side = rad.shape[:2]  # the lattice is a cube
+        buf = getattr(scratch, "buf", None)
+        if buf is None:  # at the thread's first slab: only the last is smaller, and none follows it
+            buf = scratch.buf = np.empty((2,) + rad.shape)
+        pts = buf[:, :nrows]
         ball = rad <= rho
         rad = rad[ball]
         annulus = (rad > 2.0 * r) & (rad < rho)
@@ -325,31 +343,46 @@ def pressure_oscillation_terms(v, a, q, center, r, rho, t_top=None, t0=None):
         w_ring = (rad > rho / 2.0) & (rad < rho)
         in_r = np.flatnonzero(rad <= r)
         in_2r = np.flatnonzero(rad <= 2.0 * r)
-
+        del rad, annulus  # the slice loop reads the weights and index sets only
+        part = np.zeros((10, m))
+        v3_rho, q32_rho, tail, v_tail, v2_ring, a5_rho, cross_tail, v3_2r, v2_2r, a5_2r = part
+        near = []
         for row, i in enumerate(sel):
             v2 = sample_slice(sv, i, axes, rows, pts)[ball]  # on this slab's points in B_rho
             vmag = np.sqrt(v2)
-            v3_rho[row] += np.dot(v2, vmag)
-            v3_2r[row] += np.dot(v2[in_2r], vmag[in_2r])
-            v2_2r[row] += np.sum(v2[in_2r])
-            tail[row] += np.dot(v2, w_tail)
-            v_tail[row] += np.dot(vmag, w_tail)
-            v2_ring[row] += np.dot(v2, w_ring)
+            v3_rho[row] = np.dot(v2, vmag)
+            v3_2r[row] = np.dot(v2[in_2r], vmag[in_2r])
+            v2_2r[row] = np.sum(v2[in_2r])
+            tail[row] = np.dot(v2, w_tail)
+            v_tail[row] = np.dot(vmag, w_tail)
+            v2_ring[row] = np.dot(v2, w_ring)
             del v2  # one field on the ball at a time, besides |v|
             f = sample_slice(sq, i, axes, rows, pts)[ball]
-            q_r[row].append(f[in_r])
+            near.append(f[in_r])
             np.abs(f, out=f)
-            q32_rho[row] += np.dot(f, np.sqrt(f))
+            q32_rho[row] = np.dot(f, np.sqrt(f))
             if drift:
                 f = sample_slice(sa, i, axes, rows, pts)[ball]
                 amag = np.sqrt(f)
                 np.square(f, out=f)
-                a5_rho[row] += np.dot(f, amag)
-                a5_2r[row] += np.dot(f[in_2r], amag[in_2r])
-                cross_tail[row] += np.dot(vmag, np.multiply(amag, w_tail, out=amag))
-            if last:
-                for spectra in (sv, sq, sa):
-                    spectra.drop(i)
+                a5_rho[row] = np.dot(f, amag)
+                a5_2r[row] = np.dot(f[in_2r], amag[in_2r])
+                cross_tail[row] = np.dot(vmag, np.multiply(amag, w_tail, out=amag))
+            with lock:
+                covered[row] += nrows
+                if covered[row] == side:  # the last slab to sample slice i
+                    for spectra in (sv, sq, sa):
+                        spectra.drop(i)
+        return part, near
+
+    # per slice, the slabs' sums added in x order, and q on B_r slab by slab
+    sums = np.zeros((10, m))
+    q_r = [[] for _ in sel]
+    for part, near in walk_slabs(slabs, slab_sums):
+        sums += part
+        for pieces, piece in zip(q_r, near):
+            pieces.append(piece)
+    v3_rho, q32_rho, tail, v_tail, v2_ring, a5_rho, cross_tail, v3_2r, v2_2r, a5_2r = sums
     osc = np.empty(m)
     for row in range(m):
         near = np.concatenate(q_r[row])

@@ -108,7 +108,7 @@ class TestGradientLoad:
 
 class TestBallSlabs:
     def test_lattice_slabs_partition_the_cube_bit_for_bit(self, grid16):
-        # r = 1/16 under 1/2: a 131^3 lattice in x-slabs of 30 rows
+        # r = 1/16 under 1/2: a 131^3 lattice in x-slabs of 15 rows
         axes, rad, cell = cylinder.ball_points(grid16, CENTER, 1.0 / 16.0, outer=0.5)
         slabs, slab_cell = cylinder.ball_slabs(grid16, CENTER, 1.0 / 16.0, outer=0.5)
         slabs = list(slabs)
@@ -127,12 +127,12 @@ class TestBallSlabs:
         assert np.allclose(np.concatenate(parts), whole, rtol=1e-13, atol=0.0)
 
     def test_native_slabs_are_row_blocks_of_the_grid(self, grid16):
-        # 128^3 native cells resolve r = 1: four slabs of 32 x rows
+        # 128^3 native cells resolve r = 1: eight slabs of 16 x rows
         grid = Grid(128, grid16.L)
         slabs, cell = cylinder.ball_slabs(grid, CENTER, 1.0)
         slabs = list(slabs)
         assert cell == grid.cell_volume
-        assert [s[0] for s in slabs] == [slice(x, x + 32) for x in range(0, 128, 32)]
+        assert [s[0] for s in slabs] == [slice(x, x + 16) for x in range(0, 128, 16)]
         assert all(s[1] is None for s in slabs)
         assert np.array_equal(np.concatenate([s[2] for s in slabs]), grid.radius(CENTER))
         q = np.cos(grid.coords()[0]) + np.zeros(grid.shape)

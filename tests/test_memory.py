@@ -1,11 +1,11 @@
 """Transient memory of the chain's stages (Besov split, mild solve, driven
 PNS run, local energy identity), the inversion of I - L_a, the doubled-grid sums, their kernel
-caches, the pressure split and the ledger rows and cylinder integrals, and
-the memory a pressure split and a radial cutoff keep, measured with
-tracemalloc at 32^3.
+caches, the pressure split, the ledger rows, cylinder integrals and
+pressure oscillation, and the memory a pressure split and a radial cutoff
+keep, measured with tracemalloc at 32^3.
 
-tracemalloc sees every numpy array, not the FFT library's own work
-buffers. Each bound is a multiple of a stated unit, set from measurement
+tracemalloc sees every numpy array, made in any thread, not the FFT
+library's own work buffers. Each bound is a multiple of a stated unit, set from measurement
 with the measured value beside it. Do not raise a multiple to get a
 pass: cut the transient instead.
 """
@@ -15,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from critnorm import besov, ckn, corpus, mild, pns, pressure, spectral
+from critnorm import besov, ckn, corpus, cylinder, mild, pns, pressure, spectral
 from critnorm.fields import (
     Grid,
     ScalarField,
@@ -37,6 +37,9 @@ FIELD = N**3 * 8
 MILD = 6 * 3 * FIELD
 # the Besov split's two vector fields
 SPLIT = 2 * 3 * FIELD
+# the points a walk over cylinder.ball_slabs has in flight, as float64:
+# one slab of 2^19 points, or two of 2^18, 4 MiB
+SLAB_PAIR = 2**19 * 8
 # a driven run of chain_n32's lattice: v and q on 11 stored times (the
 # drift is re-read from its provider, not stored)
 RUN = 11 * 4 * FIELD
@@ -264,3 +267,28 @@ def test_cylinder_smallness_keeps_one_slice_at_a_time(tg_run):
 
     smallness()  # the ball lattice is cached
     assert _peak(smallness) <= 2.0 * SLICE
+
+
+def _oscillation(run, r, rho):
+    return lambda: pressure.pressure_oscillation_terms(run.v, None, run.q, (0.0, 0.0, 0.0), r, rho)
+
+
+def test_slabbed_oscillation_holds_two_slabs_at_a_time(tg_run, monkeypatch):
+    # r = 1/16 under rho = 1/2: 131^3 points in 9 slabs of 2^18 at most, on
+    # two threads. Measured 5.6-6.3 slab pairs over 16 calls, as the two
+    # workers' phases vary; 7.5-8.8 with three slabs in flight, and 7.6
+    # with one slab of 2^19 points at a time
+    monkeypatch.setattr(cylinder, "_WORKERS", 2)
+    oscillation = _oscillation(tg_run, 1.0 / 16.0, 0.5)
+    oscillation()  # the phase tables are cached
+    assert _peak(oscillation) <= 7.0 * SLAB_PAIR
+
+
+def test_one_slab_oscillation_drops_each_slice_after_sampling_it(tg_run, monkeypatch):
+    # r = 1/4 under rho = 1: one slab of 67^3 points reading all 17 slices,
+    # in the calling thread. Measured 2.87 slab pairs, every call; 7.12
+    # while every slice's spectra stayed until the last slice was sampled
+    monkeypatch.setattr(cylinder, "_WORKERS", 2)
+    oscillation = _oscillation(tg_run, 0.25, 1.0)
+    oscillation()  # the phase tables are cached
+    assert _peak(oscillation) <= 3.2 * SLAB_PAIR

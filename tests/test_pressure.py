@@ -1,10 +1,13 @@
 import os
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from critnorm import corpus, cylinder, pns, pressure, spectral
+from critnorm import _fft, corpus, cylinder, pns, pressure, spectral
 from critnorm.fields import (
     Grid,
     ScalarField,
@@ -469,22 +472,38 @@ def driven_run16():
     return pns.run_pns(v0, cfg, a_provider=heat_drift(a0))
 
 
-def count_evaluations(monkeypatch, outs=None):
+def count_evaluations(monkeypatch, outs=None, threads=None):
     """Wrap the evaluator the cylinder quadrature calls; returns the list
     of (spectrum, points) it fills, one entry per call. Each call's out
-    buffer (None when it allocates) is appended to outs when given."""
+    buffer (None when it allocates) is appended to outs when given, and
+    the ident of the thread that made it to threads."""
     calls = []
     original = cylinder.evaluate_at_points
 
     def counted(grid, axes, hat, out=None):
         if outs is not None:
             outs.append(out)
+        if threads is not None:
+            threads.append(threading.get_ident())
         values = original(grid, axes, hat, out=out)
         calls.append((hat, values.size))  # holding hat keeps its id unique
         return values
 
     monkeypatch.setattr(cylinder, "evaluate_at_points", counted)
     return calls
+
+
+def count_thread_starts(monkeypatch):
+    """Wrap threading.Thread.start; returns the list of threads started."""
+    started = []
+    original = threading.Thread.start
+
+    def start(thread):
+        started.append(thread)
+        original(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return started
 
 
 class TestSlabbedOscillation:
@@ -518,15 +537,20 @@ class TestSlabbedOscillation:
 
     def test_slab_calls_share_one_output_buffer(self, driven_run16, monkeypatch):
         r = driven_run16
-        outs = []
-        calls = count_evaluations(monkeypatch, outs)
+        outs, threads = [], []
+        calls = count_evaluations(monkeypatch, outs, threads)
         pressure.pressure_oscillation_terms(r.v, r.a, r.q, (0, 0, 0), self.R, self.RHO)
-        assert len(outs) == len(calls) == 5 * 7 * len(r.v.times)  # 5 slabs, 7 components
+        assert len(outs) == len(calls) == 9 * 7 * len(r.v.times)  # 9 slabs, 7 components
         assert all(out is not None for out in outs)
-        # every call writes into a view of the one buffer the oscillation
-        # makes, and the views start at its two rows only
-        assert len({id(out.base) for out in outs}) == 1
-        assert len({out.__array_interface__["data"][0] for out in outs}) == 2
+        # every call writes into a view of its worker's one buffer, and the
+        # views start at that buffer's two rows only
+        bases = {}
+        for out, thread in zip(outs, threads):
+            bases.setdefault(thread, set()).add(id(out.base))
+        assert 1 <= len(bases) <= cylinder._WORKERS
+        assert all(len(made) == 1 for made in bases.values())
+        assert len(set.union(*bases.values())) == len(bases)
+        assert len({out.__array_interface__["data"][0] for out in outs}) == 2 * len(bases)
 
     def test_weighted_variant_leaves_the_drift_off_the_lattice(self, driven_run16, monkeypatch):
         # its J-terms read a only through ma, which samples the native grid
@@ -535,7 +559,7 @@ class TestSlabbedOscillation:
         pressure.pressure_oscillation_terms(
             r.v, r.a, r.q, (0, 0, 0), self.R, self.RHO, t0=self.T0
         )
-        assert len(calls) == 5 * 4 * len(r.v.times)  # 5 slabs; v and q, 4 components
+        assert len(calls) == 9 * 4 * len(r.v.times)  # 9 slabs; v and q, 4 components
         assert len({id(hat) for hat, _ in calls}) == 4 * len(r.v.times)
 
     def test_small_lattice_is_one_slab(self, driven_run16, monkeypatch):
@@ -544,6 +568,82 @@ class TestSlabbedOscillation:
         calls = count_evaluations(monkeypatch)
         pressure.pressure_oscillation_terms(r.v, r.a, r.q, (0, 0, 0), 0.25, 1.0)
         assert [size for _, size in calls] == [67**3] * (7 * len(r.v.times))
+
+    @pytest.mark.parametrize("t0", [None, T0])
+    def test_two_workers_give_the_bits_of_one(self, driven_run16, monkeypatch, t0):
+        # the same 9 slabs walked on two threads, in the calling thread, and
+        # on two threads again
+        r = driven_run16
+        kw = {} if t0 is None else {"t0": t0}
+        reports = []
+        for workers in (2, 1, 2):
+            monkeypatch.setattr(cylinder, "_WORKERS", workers)
+            threads = []
+            count_evaluations(monkeypatch, threads=threads)
+            rep = pressure.pressure_oscillation_terms(
+                r.v, r.a, r.q, (0, 0, 0), self.R, self.RHO, **kw
+            )
+            reports.append((rep.lhs, rep.terms, rep.ma))
+            assert {t == threading.get_ident() for t in threads} == {workers == 1}
+        assert reports[0] == reports[1] == reports[2]
+
+    def test_shared_spectra_are_made_and_dropped_once_under_contention(
+        self, driven_run16, monkeypatch
+    ):
+        # four workers on two cores, switching every microsecond, and each
+        # transform a millisecond longer: a lost check-then-act in
+        # FrameSpectra transforms a slice twice, and a lost update of a
+        # slice's sampled rows drops it early (to be made again) or never
+        r = driven_run16
+        args = (r.v, r.a, r.q, (0, 0, 0), self.R, self.RHO)
+        monkeypatch.setattr(cylinder, "_WORKERS", 1)
+        want = pressure.pressure_oscillation_terms(*args)
+        made, dropped = [], []
+        rfftn, drop = _fft.rfftn, cylinder.FrameSpectra.drop
+
+        def counted_drop(spectra, i):
+            dropped.append((id(spectra), i))
+            drop(spectra, i)
+
+        def slow_rfftn(x):
+            made.append(x.shape)
+            time.sleep(1e-3)
+            return rfftn(x)
+
+        monkeypatch.setattr(_fft, "rfftn", slow_rfftn)
+        monkeypatch.setattr(cylinder.FrameSpectra, "drop", counted_drop)
+        monkeypatch.setattr(cylinder, "_WORKERS", 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = pressure.pressure_oscillation_terms(*args)
+        finally:
+            sys.setswitchinterval(interval)
+        m = len(r.v.times)
+        assert len(made) == 7 * m  # v, q and a: seven components per slice
+        assert len(dropped) == len(set(dropped)) == 3 * m
+        assert got == want
+
+    def test_walk_joins_its_threads_before_it_returns(self, driven_run16, monkeypatch):
+        r = driven_run16
+        monkeypatch.setattr(cylinder, "_WORKERS", 2)
+        started = count_thread_starts(monkeypatch)
+        before = threading.active_count()
+        pressure.pressure_oscillation_terms(r.v, r.a, r.q, (0, 0, 0), self.R, self.RHO)
+        assert threading.active_count() == before
+        assert 1 <= len(started) <= 2
+        assert not any(thread.is_alive() for thread in started)
+
+    def test_one_slab_lattice_starts_no_thread(self, driven_run16, monkeypatch):
+        # r = 1/4 under rho = 1: 67^3 points, sampled in the calling thread
+        r = driven_run16
+        monkeypatch.setattr(cylinder, "_WORKERS", 2)
+        started = count_thread_starts(monkeypatch)
+        threads = []
+        count_evaluations(monkeypatch, threads=threads)
+        pressure.pressure_oscillation_terms(r.v, r.a, r.q, (0, 0, 0), 0.25, 1.0)
+        assert started == []
+        assert set(threads) == {threading.get_ident()}
 
     def test_peak_memory_is_at_most_half_the_whole_lattice_pass(self, driven_run16):
         r = driven_run16
@@ -560,7 +660,7 @@ class TestSlabbedOscillation:
         assert peaks[0] <= 0.5 * peaks[1], peaks
 
     def test_peak_memory_does_not_grow_with_the_slab_count(self, driven_run16):
-        # rho = 1/2: 131^3 points in 5 slabs; rho = 3/4: 195^3 points in 15
+        # rho = 1/2: 131^3 points in 9 slabs; rho = 3/4: 195^3 points in 33
         r = driven_run16
         peaks = []
         for rho in (self.RHO, 0.75):
