@@ -89,8 +89,9 @@ def lp_project(f, j):
     return apply_multiplier(f, _bank_for(f.grid).weight(j))
 
 
-def besov_norm_lp(f, s, p, q=math.inf, name=None):
-    """Littlewood-Paley Besov norm (sum over bands of (2^{js} ||block||_p)^q)^{1/q}."""
+def besov_norm_lp(f, s, p, name=None):
+    """Littlewood-Paley Besov norm sup over bands of 2^{js} ||block||_p: q = inf,
+    the paper's B^s_{p,inf}."""
     p = float(p)
     s = float(s)
     limit = 0.0 if p == math.inf else 3.0 / p
@@ -98,13 +99,9 @@ def besov_norm_lp(f, s, p, q=math.inf, name=None):
         raise ValueError("regularity must satisfy s < 3/p")
     bank = _bank_for(f.grid)
     terms = [2.0 ** (j * s) * box_lp(f.grid, lp_project(f, j).data, p) for j in bank.bands]
-    if q == math.inf:
-        value = max(terms)
-    else:
-        value = float(np.sum(np.asarray(terms) ** q)) ** (1.0 / q)
     return NormReport(
-        name=name or "B(%g,%g,%s)" % (s, p, "inf" if q == math.inf else "%g" % q),
-        value=value,
+        name=name or "B(%g,%g,inf)" % (s, p),
+        value=max(terms),
         region=None,
         method="Littlewood-Paley bands j in [%d, %d]" % (bank.j_min, bank.j_max),
     )

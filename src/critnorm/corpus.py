@@ -189,13 +189,14 @@ def self_similar_orbit(grid):
     return ScalarField(grid, vals), anchor
 
 
-def heat_smoothing_slopes(grid, t_lo, t_hi, samples=11):
-    """Fitted log-log decay slopes of the smoothing norms over [t_lo, t_hi].
+def heat_smoothing_slopes(grid, t_lo, t_hi):
+    """Fitted log-log decay slopes of the smoothing norms at 11 log-spaced
+    times in [t_lo, t_hi].
 
     Returns {'l1_linf': slope, 'l3_l5': slope}; the targets are
     -(3/2)(1/q - 1/p), i.e. -3/2 and -1/5.
     """
-    ts = np.geomspace(t_lo, t_hi, samples)
+    ts = np.geomspace(t_lo, t_hi, 11)
     delta = grid_delta(grid)
     sup = [np.max(np.abs(heat_semigroup(delta, t).values)) for t in ts]
     orbit, anchor = self_similar_orbit(grid)

@@ -35,18 +35,16 @@ def write_csv(path, header, rows):
             writer.writerow(csv_cells(row))
 
 
-def write_csv_slice(path, field, axis=2, index=None):
+def write_csv_slice(path, field, axis=2):
     """Export one plane of a field as CSV (coord1, coord2, value), %.17g.
 
-    axis selects the sliced dimension; index defaults to the plane through
-    the box center (n // 2). Vector and tensor fields export their first
+    axis selects the sliced dimension; the plane is the one through the
+    box center, index n // 2. Vector and tensor fields export their first
     flattened component.
     """
     g = field.grid
-    if index is None:
-        index = g.n // 2
     comps = field.data.reshape(-1, g.n, g.n, g.n)
-    plane = np.take(comps[0], index, axis=axis)
+    plane = np.take(comps[0], g.n // 2, axis=axis)
     keep = [ax for ax in range(3) if ax != axis]
     rows = ((g.x[i], g.x[j], plane[i, j]) for i in range(g.n) for j in range(g.n))
     write_csv(path, ["coord%d" % keep[0], "coord%d" % keep[1], "value"], rows)

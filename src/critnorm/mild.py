@@ -27,8 +27,7 @@ collapses mode by mode to L applied to the Leray-projected tensor
 divergence: (delta_km - xi_k xi_m / |xi|^2) i xi_j S_mj reproduces both
 pieces for symmetric S. invert_I_minus_La reports ||u - f|| / ||u|| =
 ||L_a u|| / ||u|| in L^2_{t,x}, a lower bound on the norm of L_a. The
-drift budget is the fixed threshold EPS_Q and the data gate a caller's
-value; neither is a derived constant.
+drift budget is the fixed threshold EPS_Q, not a derived constant.
 """
 
 import math
@@ -439,14 +438,13 @@ class MildSolution:
     iterations: int
 
 
-def solve_mild(u0a, cfg, data_norm="l3", besov_p=6.0, data_gate=None):
+def solve_mild(u0a, cfg, data_norm="l3", besov_p=6.0):
     """Small-data mild solution a = e^{t Lap} u0a - L(P div(a x a)).
 
     data_norm selects the critical norm of the data used for the
     empirical constant: "l3", "weak_l3" (Lorentz L^{3,inf}), or "besov"
     (heat-characterized sup_t t^{(1-3/p)/2} ||e^{t Lap} u0a||_p, with
-    p = besov_p > 3, which every kind reads for its decay column). When
-    data_gate is given the data norm is thresholded before solving; a
+    p = besov_p > 3, which every kind reads for its decay column). A
     solution whose distance from the heat orbit blows up raises
     PicardDivergence.
     """
@@ -479,10 +477,6 @@ def solve_mild(u0a, cfg, data_norm="l3", besov_p=6.0, data_gate=None):
             float(t) ** (0.5 * (1 - 3 / p)) * box_lp(g, H[i], p)
             for i, t in enumerate(times)
             if t > 0
-        )
-    if data_gate is not None and value > data_gate:
-        raise ValueError(
-            "data norm %.3g above configured gate %.3g" % (value, data_gate)
         )
 
     # L(-P div(a x a)), with w = a / 2 since the symmetrization doubles;

@@ -27,10 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _fft
-from .cylinder import ball_mask, stored_window
+from .cylinder import ball_mask
 from .fieldio import csv_cells, write_csv
-from .fields import ScalarField
-from .spectral import padded_hat
+from .spectral import free_convolution
 
 __all__ = [
     "BallRegion",
@@ -131,7 +130,7 @@ def box_lp(grid, data, p):
     return _lp_of_cells(_magnitude(data), None, p, grid.cell_volume)
 
 
-def lp_ball(f, p, region, name=None):
+def lp_ball(f, p, region):
     """L^p norm over a ball, cell-center Riemann sum; p = inf is the max."""
     p = float(p)
     if not (p >= 1):
@@ -139,22 +138,23 @@ def lp_ball(f, p, region, name=None):
     mask = ball_mask(f.grid, region)
     value = _lp_of_cells(_magnitude(f.data), mask, p, f.grid.cell_volume)
     return NormReport(
-        name=name or "L%g(B_%g)" % (p, region.radius),
+        name="L%g(B_%g)" % (p, region.radius),
         value=value,
         region=region,
         method="cell-center Riemann sum",
     )
 
 
-def l2_uloc(f, ball_radius=1.0):
-    """sup over ball centers of the local L2 norm, centers on a stride-4 lattice.
+def l2_uloc(f):
+    """The paper's L^2_uloc norm: sup over centers of the L2 norm on the unit
+    ball about them, centers on a stride-4 lattice.
 
     All translates are evaluated at once by FFT correlation of |f|^2 with the
-    ball stencil, then the sup is taken on the coarsened lattice; the result
-    is a lattice lower bound of the true uniformly-local norm.
+    unit-ball stencil, then the sup is taken on the coarsened lattice; the
+    result is a lattice lower bound of the true uniformly-local norm.
     """
     g = f.grid
-    stencil = ball_mask(g, BallRegion((g.x[0],) * 3, ball_radius)).astype(np.float64)
+    stencil = ball_mask(g, BallRegion((g.x[0],) * 3, 1.0)).astype(np.float64)
     squares = _magnitude(f.data) ** 2
     # stencil is even in the displacement, so correlation == convolution
     sums = _fft.irfftn(_fft.rfftn(squares) * _fft.rfftn(stencil), squares.shape)
@@ -164,7 +164,7 @@ def l2_uloc(f, ball_radius=1.0):
     return NormReport(
         name="L2_uloc",
         value=math.sqrt(float(coarse[idx]) * g.cell_volume),
-        region=BallRegion(best, ball_radius),
+        region=BallRegion(best, 1.0),
         method="FFT ball correlation, stride-4 center lattice (lower bound)",
     )
 
@@ -260,11 +260,11 @@ def morrey_critical(f, center_set, r_min, r_max):
 # parabolic Holder seminorm
 
 
-def parabolic_holder_seminorm(u, nu, region, t_window=None):
-    """Discrete parabolic Holder seminorm on ball x time-window.
+def parabolic_holder_seminorm(u, nu, region):
+    """Discrete parabolic Holder seminorm on a ball times the stored run.
 
     Time part: sup over cells in the ball and over all stored time pairs of
-    |u(x,t+h) - u(x,t)| / h^nu. Space part: sup over slices in the window of
+    |u(x,t+h) - u(x,t)| / h^nu. Space part: sup over the stored slices of
     the C^{0,2nu} quotient sampled on axis-aligned dyadic separations k dx,
     k = 1, 2, 4, ..., both endpoints inside the ball.
     """
@@ -273,16 +273,16 @@ def parabolic_holder_seminorm(u, nu, region, t_window=None):
         raise ValueError("nu must lie in (0, 1/2)")
     g = u.grid
     times = u.times
-    lo, hi = (times[0], times[-1]) if t_window is None else t_window
-    sel = stored_window(times, float(lo), float(hi))
+    m = len(times)
+    if m < 2:
+        raise ValueError("the time quotient needs at least two stored slices, got %d" % m)
     mask = ball_mask(g, region)
 
-    slab = u.frames[sel]  # (m, ..., n, n, n)
-    m = len(sel)
+    slab = u.frames  # (m, ..., n, n, n)
     t_best = 0.0
     for i in range(m):
         for j in range(i + 1, m):
-            h = float(times[sel[j]] - times[sel[i]])
+            h = float(times[j] - times[i])
             mag = _magnitude(slab[j] - slab[i])
             t_best = max(t_best, float(np.max(mag[mask])) / h**nu)
 
@@ -318,21 +318,6 @@ def _recip(x):
     return 0.0 if x == math.inf else 1.0 / x
 
 
-def _free_convolution(f, kernel):
-    """Linear (free-space) convolution on the zero-padded doubled grid.
-
-    Both fields are read as compactly supported on the box; the result is
-    returned as raw values on the whole doubled grid.
-    """
-    if f.grid != kernel.grid:
-        raise ValueError("convolution factors live on different grids")
-    if not (isinstance(f, ScalarField) and isinstance(kernel, ScalarField)):
-        raise ValueError("convolution check takes scalar fields")
-    g = f.grid
-    hat = padded_hat(g, f.values) * padded_hat(g, kernel.values)
-    return _fft.irfftn(hat, (2 * g.n,) * 3) * g.cell_volume
-
-
 def check_oneil(f, g, exponents):
     """O'Neil convolution inequality ||f*g||_{r,s} <= 3r ||f||_{p1,q1} ||g||_{p2,q2}.
 
@@ -355,7 +340,7 @@ def check_oneil(f, g, exponents):
 
     norm_f = lorentz_from_samples(_magnitude(f.data), f.grid.cell_volume, p1, q1)
     norm_g = lorentz_from_samples(_magnitude(g.data), g.grid.cell_volume, p2, q2)
-    conv = _free_convolution(f, g)
+    conv = free_convolution(f, g)
     lhs = lorentz_from_samples(conv, f.grid.cell_volume, r, s)
     rhs = 3.0 * r * norm_f * norm_g
     return InequalityReport(

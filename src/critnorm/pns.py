@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _fft
-from .cylinder import cumulative_simpson, stored_window
+from .cylinder import cumulative_simpson
 from .fieldio import write_csv
 from .fields import ScalarField, SpaceTimeField, VectorField
 from .spectral import (
@@ -312,6 +312,7 @@ def run_pns(v0, cfg, a_provider=None):
 # the right side's space-time integrals of the local energy identity (module
 # docstring), in order: the entries' terms, their sum and the CSV columns
 _FLUX_TERMS = ("heat", "flux", "drift_gradphi", "drift_cross", "drift_convection")
+_ENERGY_TOL_C = 10.0  # an energy entry passes when slack >= -_ENERGY_TOL_C (dt + dx^2) scale
 
 
 @dataclass(frozen=True)
@@ -359,44 +360,40 @@ def _slice_densities(run, i, phiv, gphi, lap_phi):
     return out
 
 
-def verify_local_energy(run, phi, window=None, tol_c=10.0):
-    """Ledger of the localized energy identity on the stored slices.
+def verify_local_energy(run, phi):
+    """Ledger of the localized energy identity over the whole stored run.
 
     phi is a static nonnegative spatial cutoff. Each entry integrates
-    from the first stored slice in the window up to its own time; passed
-    means slack >= -tol with tol = tol_c (dt + dx^2) scale(terms). A window
-    start before the run is clipped to its first slice; a window top past
-    the last stored slice raises.
+    from the first stored slice up to its own time; passed means
+    slack >= -tol with tol = _ENERGY_TOL_C (dt + dx^2) scale(terms),
+    _ENERGY_TOL_C = 10.
     """
     if float(np.min(phi.values)) < 0:
         raise ValueError("cutoff must be nonnegative")
     g = run.grid
     if phi.grid != g:
         raise ValueError("grids differ")
-    times = run.v.times
-    lo, hi = (times[0], times[-1]) if window is None else window
-    sel = stored_window(times, lo, hi, clip_start=True)
+    ts = run.v.times
 
     cutoff = ScalarField(g, phi.values)
     phiv = cutoff.values
     gphi = gradient(cutoff).data
     lap_phi = laplacian(cutoff).values
 
-    ts = times[sel]
     # per slice: the energy, then the densities of the time integrals
-    dens = np.array([_slice_densities(run, i, phiv, gphi, lap_phi) for i in sel])
+    dens = np.array([_slice_densities(run, i, phiv, gphi, lap_phi) for i in range(len(ts))])
     e = dens[:, 0]
     names = ("dissipation",) + _FLUX_TERMS
     cum = {name: cumulative_simpson(dens[:, k], ts) for k, name in enumerate(names, 1)}
     entries = []
-    for row in range(1, len(sel)):
+    for row in range(1, len(ts)):
         lhs = e[row] + 2.0 * cum["dissipation"][row]
         terms = {"initial_energy": e[0]}
         terms.update((name, cum[name][row]) for name in _FLUX_TERMS)
         terms.update(energy=e[row], dissipation=2.0 * cum["dissipation"][row])
         rhs = e[0] + sum(terms[name] for name in _FLUX_TERMS)
         scale = max(abs(lhs), abs(rhs), max(abs(val) for val in terms.values()))
-        tol = tol_c * (run.cfg.dt + g.dx**2) * scale
+        tol = _ENERGY_TOL_C * (run.cfg.dt + g.dx**2) * scale
         slack = rhs - lhs
         entries.append(
             EnergyLedgerEntry(

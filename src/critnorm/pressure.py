@@ -278,7 +278,7 @@ class OscillationReport:
     terms: tuple  # six bounding integrals, unit constant
     ratio: float
     weighted: bool
-    ma: float  # drift weight sup |s-t0|^(1/2) |a(s)|_inf(B_1); 0 unweighted
+    ma: float  # drift weight sup |s-t0|^(1/2) |a(s)|_inf(B_rho), a ball that scales; 0 unweighted
 
 
 def pressure_oscillation_terms(v, a, q, center, r, rho, t_top=None, t0=None):
@@ -292,7 +292,11 @@ def pressure_oscillation_terms(v, a, q, center, r, rho, t_top=None, t0=None):
     the drift factors by the sup-weight ma and the singular-time kernels
     |s - t0|^(-1), |s - t0|^(-3/4), and requires t0 strictly outside the
     window so every weight stays finite; its J-terms read a only through
-    ma, so it samples a on the native grid alone. Each slab of the lattice
+    ma = sup over the stored orbit of |s - t0|^(1/2) ||a(s)||_inf on
+    B_rho(center), so it samples a on the native grid alone. ma reads
+    B_rho, as the unweighted drift terms do, since every other ball of the
+    report scales with r and rho; a fixed ball would break the scaling of
+    the weighted J2, J4 and J6. Each slab of the lattice
     samples every slice of the window into its thread's slab buffer, made
     at that thread's first slab; the last slab to sample a slice drops
     its spectra.
@@ -315,6 +319,8 @@ def pressure_oscillation_terms(v, a, q, center, r, rho, t_top=None, t0=None):
 
     drift = a is not None and not weighted  # a on the lattice feeds J2, J4, J6 unweighted
     slabs, cell = ball_slabs(g, center, r, outer=rho)
+    if weighted and a is not None:  # ma's cells, refused before any sampling if there are none
+        in_rho = ball_mask(g, BallRegion(center, rho))
     m = len(sel)
     sv, sq, sa = (FrameSpectra(f) for f in (v, q, a))  # sa is unread when a is None
     scratch = threading.local()  # each thread's slab buffer
@@ -389,14 +395,12 @@ def pressure_oscillation_terms(v, a, q, center, r, rho, t_top=None, t0=None):
         osc[row] = np.sum(np.abs(near - np.sum(near) / len(near)) ** 1.5) * cell
     sums *= cell
     bulk = v3_rho + q32_rho  # |v|^3 + |q|^(3/2) on B_rho
-    ma = 0.0  # drift weight sup |s-t0|^(1/2) |a(s)|_inf(B_1); 0 unweighted
+    ma = 0.0  # drift weight sup |s-t0|^(1/2) |a(s)|_inf(B_rho); 0 unweighted
     if weighted and a is not None:
-        # sup weight over the whole stored orbit, unit ball at the center,
-        # always on the native grid (the unit ball is well resolved there)
-        in_1 = ball_mask(g, BallRegion(center, 1.0))
+        # sup weight over the whole stored orbit, always on the native grid
         for i in range(len(times)):
             amag = np.sqrt(sample_slice(sa, i, None))
-            w = math.sqrt(abs(times[i] - t0)) * float(np.max(amag[in_1]))
+            w = math.sqrt(abs(times[i] - t0)) * float(np.max(amag[in_rho]))
             ma = max(ma, w)
 
     p_osc = r ** (-(1.0 + DELTA) / 2.0)

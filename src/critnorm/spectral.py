@@ -1,9 +1,9 @@
 """Constant-coefficient operators on the periodic box.
 
 Everything here is an exact Fourier multiplier except the free-space
-Newtonian potentials and Riesz sum, which leave the periodic setting
-through zero-padded convolutions on a doubled grid. This module owns
-their truncated kernels and the doubled-grid layout.
+Newtonian potentials, Riesz sum and linear convolution, which leave the
+periodic setting through zero-padded convolutions on a doubled grid.
+This module owns their truncated kernels and the doubled-grid layout.
 """
 
 import functools
@@ -33,7 +33,7 @@ __all__ = [
     "newtonian_potential",
     "newtonian_potential_div",
     "free_riesz_sum",
-    "padded_hat",
+    "free_convolution",
     "evaluate_at_points",
 ]
 
@@ -183,7 +183,7 @@ def heat_semigroup(f, t):
 _TRUNCATION = 1.2
 
 
-def padded_hat(grid, values):
+def _padded_hat(grid, values):
     """rfftn of box values zero-padded into the low corner of the doubled grid."""
     n = grid.n
     pad = np.zeros((2 * n, 2 * n, 2 * n))
@@ -192,9 +192,25 @@ def padded_hat(grid, values):
 
 
 def _cropped_inverse(grid, hat):
-    """Values on the original box of a doubled-grid spectrum (undoes padded_hat)."""
+    """Values on the original box of a doubled-grid spectrum (undoes _padded_hat)."""
     n = grid.n
     return _fft.irfftn(hat, (2 * n, 2 * n, 2 * n))[:n, :n, :n]
+
+
+def free_convolution(f, kernel):
+    """Linear (free-space) convolution of two scalar fields on the
+    zero-padded doubled grid.
+
+    Both fields are read as compactly supported on the box; the result is
+    returned as raw values on the whole doubled grid.
+    """
+    if f.grid != kernel.grid:
+        raise ValueError("convolution factors live on different grids")
+    if not (isinstance(f, ScalarField) and isinstance(kernel, ScalarField)):
+        raise ValueError("convolution check takes scalar fields")
+    g = f.grid
+    hat = _padded_hat(g, f.values) * _padded_hat(g, kernel.values)
+    return _fft.irfftn(hat, (2 * g.n,) * 3) * g.cell_volume
 
 
 @functools.lru_cache(maxsize=4)
@@ -271,7 +287,7 @@ def newtonian_potential(f):
     """
     g = f.grid
     _check_support(g, [f.values])
-    phat = padded_hat(g, f.values)
+    phat = _padded_hat(g, f.values)
     phat *= _kernel_hat(g)[1]
     return ScalarField(g, _cropped_inverse(g, phat) * g.cell_volume)
 
@@ -296,7 +312,7 @@ def newtonian_potential_div(sources):
     kvec, nhat = _kernel_hat(g)
     acc = None
     for k, s in zip(kvec, sources):
-        hat = padded_hat(g, s.values)
+        hat = _padded_hat(g, s.values)
         hat *= k * nhat  # then times 1j: the bits of (1j k N_T) * hat
         hat *= 1j
         acc = hat if acc is None else operator.iadd(acc, hat)
@@ -330,7 +346,7 @@ def free_riesz_sum(grid, S):
     kvec, gfac = _riesz_factor(grid)
     acc = None
     for c, (i, j) in enumerate(SYM_PAIRS):
-        hat = padded_hat(grid, S[c])
+        hat = _padded_hat(grid, S[c])
         m = kvec[0] ** 2 + kvec[1] ** 2 + kvec[2] ** 2
         m[0, 0, 0] = 1.0  # gfac is 0 there
         np.divide(gfac, m, out=m)

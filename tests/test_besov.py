@@ -104,12 +104,6 @@ class TestBesovNormLp:
         with pytest.raises(ValueError):
             besov_norm_heat(f, 0.0, 6)
 
-    def test_finite_q_dominates_sup(self, grid32, rng):
-        f = corpus.random_scalar(grid32, rng)
-        sup = besov_norm_lp(f, -0.5, 6, q=math.inf).value
-        l2sum = besov_norm_lp(f, -0.5, 6, q=2).value
-        assert l2sum >= sup * (1 - 1e-12)
-
 
 class TestBesovNormHeat:
     def test_zero_and_constant(self, grid32):

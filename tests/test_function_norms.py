@@ -124,10 +124,6 @@ class TestL2Uloc:
         assert np.isclose(rep.value, lp_ball(f, 2, B1).value, rtol=1e-9)
         assert rep.region.center == (0.0, 0.0, 0.0)
 
-    def test_larger_ball_dominates(self, grid64):
-        f = ball_indicator(grid64, 1.0)
-        assert l2_uloc(f, ball_radius=1.5).value >= l2_uloc(f).value
-
 
 class TestLorentz:
     def test_indicator_weak_l3(self, grid64):
@@ -292,7 +288,9 @@ class TestParabolicHolder:
         frames = np.array([heat_semigroup(bump, t).values for t in times])
         u = SpaceTimeField(grid32, times, frames)
         full = parabolic_holder_seminorm(u, 0.25, B1)
-        late = parabolic_holder_seminorm(u, 0.25, B1, t_window=(0.1, 0.16))
+        # the later frames t = 0.1 .. 0.16 alone: the flow has smoothed them
+        later = SpaceTimeField(grid32, times[4:], frames[4:])
+        late = parabolic_holder_seminorm(later, 0.25, B1)
         assert 0 < late.value < full.value
 
     def test_rejections(self, grid32):
@@ -300,10 +298,6 @@ class TestParabolicHolder:
         u = SpaceTimeField(grid32, [0.0, 0.1, 0.2], frames)
         with pytest.raises(ValueError):
             parabolic_holder_seminorm(u, 0.7, B1)
-        with pytest.raises(ValueError):
-            parabolic_holder_seminorm(u, 0.25, B1, t_window=(0.5, 1.0))
-        with pytest.raises(ValueError):
-            parabolic_holder_seminorm(u, 0.25, B1, t_window=(0.0, 0.05))
         single = SpaceTimeField(grid32, [0.0], np.ones((1,) + grid32.shape))
         with pytest.raises(ValueError):
             parabolic_holder_seminorm(single, 0.25, B1)
@@ -388,7 +382,7 @@ class TestReportsCSV:
     def test_layout_and_ordering(self, tmp_path, grid32):
         f = ball_indicator(grid32, 1.0)
         reports = [
-            lp_ball(f, 2, B1, name="b"),
+            lp_ball(f, 2, B1),
             l2_uloc(f),
             NormReport("a", 1.5, None, "direct"),
         ]

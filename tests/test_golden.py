@@ -16,7 +16,10 @@ numbers and merging only its keys; keys already in the fixture are refused:
 The public surface is what golden reaches: compute() runs once under a
 profile hook, and a test fails naming every public
 function or method (see public_callables) that it never calls, unless
-EXEMPT names it with the reason it stays.
+EXEMPT names it with the reason it stays. The same run guards the options:
+a test fails naming every optional parameter (see optional_parameters)
+that no call sets to a value other than its default, unless
+EXEMPT_PARAMETERS names it with the reason it stays.
 
 To show how far a change moves the numbers, dump each checkout's values
 as float.hex, with the CSV texts, and compare the two files; the fixture
@@ -32,6 +35,7 @@ texts differ:
 
 import argparse
 import csv
+import dataclasses
 import importlib
 import inspect
 import json
@@ -59,7 +63,8 @@ from critnorm.fields import (
     taylor_green_3d,
 )
 
-GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden.json")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+GOLDEN = os.path.join(ROOT, "tests", "golden.json")
 GOLDEN_RTOL = 1e-12
 
 BOX = 2.0 * math.pi * math.sqrt(2.0)
@@ -82,6 +87,14 @@ EXEMPT = {
                                     "tests",
     "mild.PicardDivergence.__init__": "raised only when a forward solve blows up, which golden's "
                                       "small data never does",
+}
+
+# optional parameters that compute() never sets, each with the reason it stays
+EXEMPT_PARAMETERS = {
+    "pns.PNSConfig.dealias": "the negative control of both energy checks: a run without "
+                             "dealiasing pumps energy, and the energy tests must see it flagged",
+    "cylinder.ball_points.outer": "the whole-lattice reference that ball_slabs and the pressure "
+                                  "oscillation are checked against",
 }
 
 
@@ -127,7 +140,8 @@ def compute():
     split = besov.besov_split(u0, 3.0, 6.0)
     out["besov_split"] = [split.reports[k].value for k in sorted(split.reports)]
 
-    sol = mild.solve_mild(split.tilde_g, mild.DuhamelConfig(dt=1.0 / 64.0, T=HORIZON))
+    mcfg = mild.DuhamelConfig(dt=1.0 / 64.0, T=HORIZON)
+    sol = mild.solve_mild(split.tilde_g, mcfg)
     keys = sorted(sol.decay_table[0])
     out["mild.decay_table"] = [row[k] for row in sol.decay_table for k in keys]
     out["mild.k0_empirical"] = [sol.k0_empirical]
@@ -135,6 +149,13 @@ def compute():
     flux = SpaceTimeField(g16, sol.a.times, sol.a.frames[:, :, None] * sol.a.frames[:, None, :])
     out["mild.duhamel_div"] = [float(np.sqrt(np.sum(f**2))) for f in mild.duhamel_div(flux).frames]
     out["mild.drift_smallness"] = [mild.drift_smallness(sol.a)]
+    # the paper's other two critical data norms, L^{3,inf} and B^{-1+3/p}_{p,inf} at p = 4
+    weak = mild.solve_mild(split.tilde_g, mcfg, data_norm="weak_l3")
+    out["mild.weak_l3"] = [weak.data_norm, weak.k0_empirical]
+    out["mild.weak_l3"] += [row["weak3"] for row in weak.decay_table]
+    bes = mild.solve_mild(split.tilde_g, mcfg, data_norm="besov", besov_p=4.0)
+    out["mild.besov_p4"] = [bes.data_norm, bes.k0_empirical]
+    out["mild.besov_p4"] += [row["tp_lp"] for row in bes.decay_table]
     estimates = mild.check_duhamel_estimates(f=sol.a, F=flux, a=sol.a, b=sol.a)
     out["mild.duhamel_estimates"] = [
         x for name in sorted(estimates) for x in (estimates[name].lhs, estimates[name].rhs)
@@ -166,6 +187,15 @@ def compute():
     terms = (psplit.riesz_term,) + psplit.newton_terms + (psplit.total,)
     out["pressure.split_terms"] = [float(np.sqrt(np.sum(t.values**2))) for t in terms]
     out["pressure.split_mismatch"] = [psplit.mismatch]
+    # about an off-centre point, on the run's last slice; 24 cells lie in the transition
+    off_split = pressure.split_pressure(
+        run.q[-1], TensorField(g16, _stress(v_end, run.a.frames[-1])),
+        pressure.RadialCutoff(g16, 0.2, 1.0, center=(0.25, 0.0, -0.125)),
+    )
+    out["pressure.split_offcentre"] = [
+        float(np.sqrt(np.sum(t.values**2)))
+        for t in (off_split.riesz_term,) + off_split.newton_terms + (off_split.total,)
+    ] + [off_split.mismatch]
     # a compact source with V_ij != V_ji: the Riesz sum must see both halves
     nonsym = np.random.default_rng(11).standard_normal((3, 3) + g32.shape)
     nonsym *= pressure.RadialCutoff(g32, 0.6, 1.0).values
@@ -179,6 +209,11 @@ def compute():
     for j, term in enumerate(osc.terms):
         out["pressure.osc_J%d" % (j + 1)] = [term]
     out["pressure.osc_ratio"] = [osc.ratio]
+    # a cylinder below the last stored slice
+    top = pressure.pressure_oscillation_terms(
+        run.v, run.a, run.q, ORIGIN, 0.25, 1.0, t_top=3.0 / 64.0
+    )
+    out["pressure.osc_t_top"] = [top.lhs, *top.terms]
     wosc = pressure.pressure_oscillation_terms(
         run.v, run.a, run.q, ORIGIN, 0.25, 1.0, t0=0.0
     )
@@ -243,6 +278,9 @@ def compute():
 
     out["norms.lorentz_weak3"] = [norms.lorentz_quasinorm(u0, 3, math.inf).value]
     out["norms.lorentz_3_2"] = [norms.lorentz_quasinorm(u0, 3, 2).value]
+    out["norms.lorentz_weak3_ball"] = [
+        norms.lorentz_quasinorm(u0, 3, math.inf, region=norms.BallRegion(ORIGIN, 1.0)).value
+    ]
     uloc = norms.l2_uloc(u0)
     out["norms.l2_uloc"] = [uloc.value]
     centres = [ORIGIN, (0.5, 0.0, 0.0), (0.0, -0.5, 0.5)]
@@ -288,68 +326,154 @@ def _mismatch_report(psplit):
     return norms.NormReport("mismatch", psplit.mismatch, norms.BallRegion(ORIGIN, 1.0), "L3/2 gap, B_1")
 
 
-def public_callables():
-    """{"module.function" or "module.Class.method": code object} over the
+def _public_names():
+    """("module.Name", object) for each name in a critnorm module's __all__
+    that the module itself defines."""
+    for info in pkgutil.iter_modules(critnorm.__path__):
+        module = importlib.import_module("critnorm." + info.name)
+        for name in getattr(module, "__all__", ()):
+            obj = getattr(module, name)
+            if getattr(obj, "__module__", None) == module.__name__:
+                yield "%s.%s" % (info.name, name), obj
+
+
+def public_functions():
+    """{"module.function" or "module.Class.method": function} over the
     names in each critnorm module's __all__ that the module defines: its
     functions, and for each class its methods, properties and
     classmethods, inherited from a critnorm class too, whose names have
     no leading underscore, plus __init__. Only code written in a critnorm
     source file counts, so dataclass-generated methods are skipped."""
     out = {}
-    for info in pkgutil.iter_modules(critnorm.__path__):
-        module = importlib.import_module("critnorm." + info.name)
-        for name in getattr(module, "__all__", ()):
-            obj = getattr(module, name)
-            if getattr(obj, "__module__", None) != module.__name__:
-                continue  # a constant, or a name another module defines
-            if not inspect.isclass(obj):
-                fn = inspect.unwrap(obj)
-                if inspect.isfunction(fn):
-                    out["%s.%s" % (info.name, name)] = fn.__code__
+    for qualname, obj in _public_names():
+        if not inspect.isclass(obj):
+            fn = inspect.unwrap(obj)
+            if inspect.isfunction(fn):
+                out[qualname] = fn
+            continue
+        for klass in reversed(obj.__mro__):
+            if not klass.__module__.startswith("critnorm."):
                 continue
-            for klass in reversed(obj.__mro__):
-                if not klass.__module__.startswith("critnorm."):
+            for attr, member in vars(klass).items():
+                if attr.startswith("_") and attr != "__init__":
                     continue
-                for attr, member in vars(klass).items():
-                    if attr.startswith("_") and attr != "__init__":
-                        continue
-                    member = getattr(member, "fget", None) or getattr(member, "__func__", member)
-                    code = getattr(member, "__code__", None)
-                    if code is not None and code.co_filename == sys.modules[klass.__module__].__file__:
-                        out["%s.%s.%s" % (info.name, name, attr)] = code
+                member = getattr(member, "fget", None) or getattr(member, "__func__", member)
+                code = getattr(member, "__code__", None)
+                if code is not None and code.co_filename == sys.modules[klass.__module__].__file__:
+                    out["%s.%s" % (qualname, attr)] = member
     return out
 
 
-def _unreached(public, called, exempt):
-    """(public names not called and not exempt, exempt names called or gone)."""
-    missed = sorted(name for name, code in public.items() if code not in called and name not in exempt)
-    stale = sorted(name for name in exempt if name not in public or public[name] in called)
-    return missed, stale
+def public_callables():
+    """{name: code object} of public_functions."""
+    return {name: fn.__code__ for name, fn in public_functions().items()}
 
 
-@pytest.fixture(scope="module")
-def golden_run():
-    """compute() once, under a profile hook: its values and CSV texts, and
-    the code objects of every Python function it called."""
-    called = set()
+def _where(path, line):
+    return "%s:%d" % (os.path.relpath(path, ROOT), line)
+
+
+def _defaults(functions):
+    """{"name.parameter": (code, parameter, default, "file:line")} for every
+    parameter with a default of the {name: function} given."""
+    out = {}
+    for name, fn in functions.items():
+        code = fn.__code__
+        for param in inspect.signature(fn).parameters.values():
+            if param.default is not param.empty:
+                out["%s.%s" % (name, param.name)] = (
+                    code, param.name, param.default, _where(code.co_filename, code.co_firstlineno))
+    return out
+
+
+def optional_parameters():
+    """The parameters with a default of every public function that EXEMPT
+    does not name (public_functions), and every field with a default of
+    a public dataclass, "module.Class.field", read from the arguments of
+    the generated __init__; field(init=False) takes none."""
+    out = _defaults({name: fn for name, fn in public_functions().items() if name not in EXEMPT})
+    for qualname, obj in _public_names():
+        if not (inspect.isclass(obj) and dataclasses.is_dataclass(obj)):
+            continue
+        params = inspect.signature(obj.__init__).parameters
+        lines, start = inspect.getsourcelines(obj)
+        for field in dataclasses.fields(obj):
+            param = params.get(field.name)
+            if param is None or param.default is param.empty:
+                continue
+            # the field's own line; the class's for a field it inherits
+            line = start + next((i for i, text in enumerate(lines)
+                                 if text.strip().startswith(field.name + ":")), 0)
+            where = _where(inspect.getfile(obj), line)
+            out["%s.%s" % (qualname, field.name)] = (
+                obj.__init__.__code__, field.name, param.default, where)
+    return out
+
+
+def _is_default(value, default):
+    """value is the default, or equal to it: an argument that repeats the
+    default sets nothing. Arrays and other values without a plain truth
+    value differ."""
+    if value is default:
+        return True
+    try:
+        same = value == default
+    except (TypeError, ValueError):  # e.g. arrays that do not broadcast
+        return False
+    return isinstance(same, (bool, np.bool_)) and bool(same)
+
+
+def _profiled(fn, optional):
+    """fn() under a profile hook: its result, the code objects of every
+    Python function it called, and the names in optional (as made by
+    _defaults) that some call passed a value other than the default."""
+    watch = {}
+    for name, (code, param, default, _) in optional.items():
+        watch.setdefault(code, []).append((name, param, default))
+    called, changed = set(), set()
 
     def hook(frame, event, arg):
         if event == "call":
-            called.add(frame.f_code)
+            code = frame.f_code
+            called.add(code)
+            if code in watch:
+                args = frame.f_locals
+                changed.update(name for name, param, default in watch[code]
+                               if not _is_default(args[param], default))
 
     previous = sys.getprofile()
     sys.setprofile(hook)
     try:
-        values, texts = compute()
+        result = fn()
     finally:
         sys.setprofile(previous)
-    return values, texts, called
+    return result, called, changed
+
+
+def _unreached(names, reached, exempt):
+    """(names not reached and not exempt, exempt names reached or gone)."""
+    missed = sorted(name for name in names if name not in reached and name not in exempt)
+    stale = sorted(name for name in exempt if name not in names or name in reached)
+    return missed, stale
+
+
+def _called(public, called):
+    return {name for name, code in public.items() if code in called}
+
+
+@pytest.fixture(scope="module")
+def golden_run():
+    """compute() once, under a profile hook: its values and CSV texts, the
+    code objects of every Python function it called, and the optional
+    parameters (optional_parameters) that some call set."""
+    (values, texts), called, changed = _profiled(compute, optional_parameters())
+    return values, texts, called, changed
 
 
 def test_matches_golden_fixture(golden_run):
     with open(GOLDEN) as fh:
         golden = json.load(fh)
-    got, texts, _ = golden_run
+    got, texts = golden_run[:2]
     assert texts == golden["texts"]
     assert sorted(got) == sorted(golden["values"])
     for name, want in golden["values"].items():
@@ -362,7 +486,8 @@ def test_matches_golden_fixture(golden_run):
 
 
 def test_golden_reaches_every_public_callable(golden_run):
-    missed, stale = _unreached(public_callables(), golden_run[2], EXEMPT)
+    public = public_callables()
+    missed, stale = _unreached(public, _called(public, golden_run[2]), EXEMPT)
     assert not missed, (
         "compute() reaches no call of %s: pin a number of each in compute(), or delete it, "
         "or name it in EXEMPT with the reason it stays" % ", ".join(missed))
@@ -370,12 +495,43 @@ def test_golden_reaches_every_public_callable(golden_run):
     assert all(isinstance(why, str) and why for why in EXEMPT.values())
 
 
+def test_golden_sets_every_optional_parameter(golden_run):
+    optional = optional_parameters()
+    missed, stale = _unreached(optional, golden_run[3], EXEMPT_PARAMETERS)
+    assert not missed, (
+        "compute() never sets %s to a value other than its default: pin a number that sets "
+        "each in compute(), or delete it, or name it in EXEMPT_PARAMETERS with the reason it "
+        "stays" % ", ".join("%s (%s)" % (name, optional[name][3]) for name in missed))
+    assert not stale, (
+        "EXEMPT_PARAMETERS names %s, which compute() sets or which is gone" % ", ".join(stale))
+    assert all(isinstance(why, str) and why for why in EXEMPT_PARAMETERS.values())
+
+
 def test_reachability_guard_names_the_missed_and_the_stale():
-    f, g, h = (compile(str(i), name, "eval") for i, name in enumerate("fgh"))
-    public = {"m.f": f, "m.g": g, "m.h": h}
-    missed, stale = _unreached(public, {f}, {"m.h": "why", "m.f": "reached", "m.gone": "x"})
+    def f(x, y=1.0, z=None):
+        return x
+
+    def g(x=0):
+        return x
+
+    def h():
+        return None
+
+    public = {"m.f": f.__code__, "m.g": g.__code__, "m.h": h.__code__}
+    optional = _defaults({"m.f": f, "m.g": g})
+    assert sorted(optional) == ["m.f.y", "m.f.z", "m.g.x"]
+    # y only repeats its default; z is set once, by an array
+    _, called, changed = _profiled(lambda: (f(1, y=1.0), f(2, z=np.zeros(2)), f(3)), optional)
+    assert changed == {"m.f.z"}
+
+    missed, stale = _unreached(public, _called(public, called),
+                               {"m.h": "why", "m.f": "reached", "m.gone": "x"})
     assert missed == ["m.g"]
     assert stale == ["m.f", "m.gone"]
+    missed, stale = _unreached(optional, changed,
+                               {"m.g.x": "why", "m.f.z": "set", "m.gone.p": "x"})
+    assert missed == ["m.f.y"]
+    assert stale == ["m.f.z", "m.gone.p"]
 
 
 def test_dump_writes_exact_values(monkeypatch, tmp_path):

@@ -112,7 +112,7 @@ def test_importing_every_module_leaves_heavy_scipy_unloaded():
 
 
 # the count of test_optional_parameters_do_not_grow; lower it when options go
-OPTIONAL_PARAMETERS = 44
+OPTIONAL_PARAMETERS = 35
 
 
 def _is_dataclass(cls):
@@ -141,21 +141,30 @@ def test_optional_parameters_do_not_grow():
     default except field(init=False), which the constructor does not
     take. Only the names of the def and its class decide: a module's name
     does not, so _fft's entry points count; other dunder methods and
-    nested defs do not.
+    nested defs do not. A failure lists every name it counted,
+    module.function.parameter, module.Class.method.parameter or
+    module.Class.field.
     """
-    count = 0
-    for path in pathlib.Path(critnorm.__file__).parent.glob("*.py"):
+    names = []
+    for path in sorted(pathlib.Path(critnorm.__file__).parent.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             public_class = isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+            prefix = "%s.%s" % (path.stem, node.name + "." if public_class else "")
             for fn in node.body if public_class else [node]:
                 if isinstance(fn, ast.FunctionDef) and (
                     fn.name == "__init__" and public_class or not fn.name.startswith("_")
                 ):
                     args = fn.args
-                    count += len(args.defaults) + sum(d is not None for d in args.kw_defaults)
+                    positional = args.posonlyargs + args.args
+                    params = positional[len(positional) - len(args.defaults):]
+                    params += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+                    names += ["%s%s.%s" % (prefix, fn.name, a.arg) for a in params]
                 elif public_class and _is_dataclass(node) and isinstance(fn, ast.AnnAssign):
-                    count += fn.value is not None and _settable_field(fn.value)
-    assert count <= OPTIONAL_PARAMETERS, count
+                    if fn.value is not None and _settable_field(fn.value):
+                        names.append(prefix + fn.target.id)
+    assert len(names) <= OPTIONAL_PARAMETERS, (
+        "%d optional parameters, above the %d recorded: %s"
+        % (len(names), OPTIONAL_PARAMETERS, ", ".join(names)))
 
 
 def test_public_dataclasses_are_frozen():

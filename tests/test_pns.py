@@ -416,9 +416,6 @@ class TestLocalEnergy:
         bad = ScalarField(grid16, -np.ones(grid16.shape))
         with pytest.raises(ValueError):
             pns.verify_local_energy(run, bad)
-        phi = smooth_radial_cutoff(grid16, 1.0, 3.0)
-        with pytest.raises(ValueError):
-            pns.verify_local_energy(run, phi, window=(0.0, 0.01))
 
     def test_planar_vortex_ledger(self, grid32):
         run = pns.run_pns(
@@ -448,10 +445,11 @@ class TestLocalEnergy:
         assert abs(entries[-1].terms["drift_cross"]) > 1e-4
         assert abs(entries[-1].terms["drift_convection"]) > 1e-4
 
-    def test_missing_dealias_is_flagged(self, grid16, rng):
+    def test_missing_dealias_is_flagged(self, grid16, rng, monkeypatch):
         # near-truncation content at high amplitude: without dealiasing the
         # quadratic term pumps energy and the identity fails on the negative
-        # side; the honest twin stays within tolerance
+        # side; the honest twin stays within a tolerance 0.3 (dt + dx^2) scale
+        monkeypatch.setattr(pns, "_ENERGY_TOL_C", 0.3)
         v0 = corpus.random_divfree(grid16, rng, kmax=5, amplitude=50.0)
         phi = smooth_radial_cutoff(grid16, 1.0, 3.0)
         outcomes = {}
@@ -459,7 +457,7 @@ class TestLocalEnergy:
             run = pns.run_pns(
                 v0, pns.PNSConfig(dt=0.001, T=0.06, stride=2, dealias=deal)
             )
-            entries = pns.verify_local_energy(run, phi, tol_c=0.3)
+            entries = pns.verify_local_energy(run, phi)
             outcomes[deal] = entries
         assert all(e.passed for e in outcomes[True])
         flagged = [e for e in outcomes[False] if not e.passed]

@@ -306,6 +306,18 @@ class TestOscillation:
                 r.v, r.a, r.q, (0, 0, 0), 0.125, 0.25, t0=0.02
             )
 
+    def test_weighted_ball_without_cell_centres_fails_before_sampling(self, driven_run,
+                                                                       monkeypatch):
+        # ma reads |a| at the cell centres in B_rho: about the centre of a
+        # cell cube, B_0.2 holds none of the 32^3 grid's, which lie 0.24 away
+        r = driven_run
+        calls = count_evaluations(monkeypatch)
+        with pytest.raises(ValueError, match="no cell centers"):
+            pressure.pressure_oscillation_terms(
+                r.v, r.a, r.q, (0.5 * r.grid.dx,) * 3, 0.1, 0.2, t0=-0.01
+            )
+        assert calls == []
+
     def test_weighted_t0_between_window_slices_rejected(self, driven_run):
         # t0 = 0.0105 is on no stored slice, but inside the window [0.005, 0.02]
         r = driven_run
@@ -450,9 +462,9 @@ def whole_lattice_oscillation(v, a, q, center, r, rho, t0=None):
         j4 = r**3.5 * integral(cross**1.5)
         j6 = r**3.9 * rho**-3.9 * np.sqrt(integral(v3_rho)) * integral(a5_rho) ** 0.3
         return lhs, (j1, j2, j3, j4, j5, j6), 0.0
-    in_1 = g.radius(center) <= 1.0
+    in_rho = g.radius(center) <= rho
     ma = max(
-        np.sqrt(abs(t - t0)) * np.max(np.sqrt(np.sum(frame**2, axis=0))[in_1])
+        np.sqrt(abs(t - t0)) * np.max(np.sqrt(np.sum(frame**2, axis=0))[in_rho])
         for t, frame in zip(v.times, a.frames)
     )
     dist = np.abs(ts - t0)

@@ -1,0 +1,71 @@
+"""Quadrature order as a property of the time integrals.
+
+One driven 16^3 run is stored at every step (h = 1/256) and read again at
+strides 2 and 4. The ledger rows' A_k and B_k, local_cubed_mass and the
+pressure oscillation's lhs and J1 integrate their slice values with the
+trapezoid rule, so each carries an error c h^2 + O(h^3) and
+
+    (Q(4h) - Q(h)) / (Q(2h) - Q(h)) = (16 - 1) / (4 - 1) = 5
+
+up to the higher-order terms. B_k's sup of slice values adds no error
+here: the ball energy decays, so the sup sits on each window's first
+slice, which all three strides keep.
+"""
+
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from critnorm import ckn, corpus, pns, pressure
+from critnorm.fields import Grid, SpaceTimeField, VectorField
+from critnorm.spectral import heat_semigroup
+
+DEFAULT_L = 2.0 * np.pi * np.sqrt(2.0)
+TOP = 1.0 / 16.0
+CENTER = (0.0, 0.0, 0.0)
+STRIDES = (1, 2, 4)
+BAND = (4.5, 5.5)
+
+
+def _every(run, stride):
+    """The run read at every stride-th stored slice."""
+    g = run.grid
+
+    def sub(field):
+        return SpaceTimeField(g, field.times[::stride], field.frames[::stride])
+
+    return SimpleNamespace(grid=g, v=sub(run.v), q=sub(run.q),
+                           a=pns.DriftSlices(g, run.a.times[::stride], run.a.provider))
+
+
+def _quantities(run):
+    ledger = ckn.build_ledger(run, CENTER, TOP, ks=(2, 3))
+    osc = pressure.pressure_oscillation_terms(run.v, run.a, run.q, CENTER, 0.25, 1.0)
+    out = {"osc_lhs": osc.lhs, "osc_J1": osc.terms[0],
+           "local_cubed_mass": ckn.local_cubed_mass(run, CENTER, TOP, 0.25)}
+    for row in ledger.rows:
+        out["A_%d" % row.k] = row.a_value
+        out["B_%d" % row.k] = row.b_value
+    return out
+
+
+@pytest.fixture(scope="module")
+def by_stride():
+    # the seed-1 datum of the benchmark's workloads, under a decaying heat drift
+    g = Grid(16, DEFAULT_L)
+    rng = np.random.default_rng(1)
+    v0 = VectorField(g, corpus.curl_bump(g, amplitude=0.5).data
+                     + corpus.random_divfree(g, rng, kmax=4, amplitude=0.05).data)
+    a0 = corpus.curl_bump(g, amplitude=0.3)
+    run = pns.run_pns(v0, pns.PNSConfig(dt=TOP / 16.0, T=TOP, stride=1),
+                      a_provider=lambda t: heat_semigroup(a0, t))
+    return {s: _quantities(_every(run, s)) for s in STRIDES}
+
+
+@pytest.mark.parametrize("name", ["A_2", "B_2", "A_3", "B_3", "local_cubed_mass",
+                                  "osc_lhs", "osc_J1"])
+def test_time_integrals_are_second_order(by_stride, name):
+    q1, q2, q4 = (by_stride[s][name] for s in STRIDES)
+    ratio = (q4 - q1) / (q2 - q1)
+    assert BAND[0] <= ratio <= BAND[1], "%s: ratio %.4g" % (name, ratio)

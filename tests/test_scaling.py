@@ -176,14 +176,13 @@ def test_oscillation_terms_scale_as_lam_to_the_minus_one(chains, diagnostics):
     osc, osc_l = chains[0][3], chains[1][3]
     for got, want in zip((osc_l.lhs,) + osc_l.terms, (osc.lhs,) + osc.terms):
         assert want > 0.0 and _rel(want / LAM, got) <= RTOL
-    # the weighted J2, J4 and J6 carry ma^(3/2), ma = sup |s - t0|^(1/2) |a|_inf(B_1):
-    # B_1 is the absolute unit ball, not B_rho, so ma keeps no exponent of its own
+    # the weighted J2, J4 and J6 carry ma^(3/2), ma = sup |s - t0|^(1/2) |a|_inf(B_rho)
+    # ~ lam^-1 lam: invariant, so every weighted term scales as lam^-1 too
     wosc, wosc_l = diagnostics[0][2], diagnostics[1][2]
-    ma_factor = (wosc_l.ma / wosc.ma) ** 1.5
     assert wosc.weighted and wosc_l.weighted and wosc.ma > 0.0
-    for j, (got, want) in enumerate(zip((wosc_l.lhs,) + wosc_l.terms, (wosc.lhs,) + wosc.terms)):
-        scaled = want / LAM * (ma_factor if j in (2, 4, 6) else 1.0)
-        assert want > 0.0 and _rel(scaled, got) <= RTOL
+    assert _rel(wosc.ma, wosc_l.ma) <= RTOL
+    for got, want in zip((wosc_l.lhs,) + wosc_l.terms, (wosc.lhs,) + wosc.terms):
+        assert want > 0.0 and _rel(want / LAM, got) <= RTOL
 
 
 def test_weighted_ledger_values_scale_by_their_weights(chains):

@@ -163,7 +163,7 @@ class TestHeatSemigroup:
         # compact check of the L^q -> L^p decay exponents -(3/2)(1/q - 1/p);
         # the two-decade version runs in the acceptance suite on n = 256
         grid = Grid(128, 2.0 * DEFAULT_L)
-        slopes = corpus.heat_smoothing_slopes(grid, 0.09, 2.5, samples=9)
+        slopes = corpus.heat_smoothing_slopes(grid, 0.09, 2.5)
         assert abs(slopes["l1_linf"] - (-1.5)) <= 0.05 * 1.5
         assert abs(slopes["l3_l5"] - (-0.2)) <= 0.05 * 0.2
 
