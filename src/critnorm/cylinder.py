@@ -19,13 +19,14 @@ The r/8 lattice over an outer ball B_rho grows like (rho/r)^3, so a sum
 over it walks ball_slabs: the same points, lattice or native cells, each
 point with the bits ball_points gives it. A set of at most _SLAB_POINTS
 = 2^19 points is one slab; a larger one is cut into x-slabs of at most
-2^18 points, and walk_slabs samples those on two threads, at most two
-slabs in flight, so the points in flight stay at 2^19 either way. A
-sampled field, and any weight made from a slab's distances, is then held
-on the slabs in flight only; a sum that visits every stored slice on
-each slab in turn holds memory that does not grow with the number of
-slabs. walk_slabs yields each slab's result in x order, so a sum that
-adds them as they come does not depend on the threads' timing.
+2^18 points, and walk_slabs samples those on _fft.WORKERS threads, the
+package's one worker count, at most two slabs in flight, so the points
+in flight stay at 2^19 either way. A sampled field, and any weight made
+from a slab's distances, is then held on the slabs in flight only; a sum
+that visits every stored slice on each slab in turn holds memory that
+does not grow with the number of slabs. walk_slabs yields each slab's
+result in x order, so a sum that adds them as they come does not depend
+on the threads' timing.
 
 A diagnostic call owns the spectra of the stored frames it samples off
 the grid: one FrameSpectra per stored field takes the rfftn of each
@@ -45,7 +46,6 @@ loads scipy's optimize, sparse and linalg, 0.3 s and 25 MB at start-up.
 
 import itertools
 import math
-import os
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -79,11 +79,6 @@ DELTA = 1.0
 # are 4 MB, about one core's L2 cache, so each per-slab temporary stays
 # that small; one slab of at most this, or two of at most half of it
 _SLAB_POINTS = 2**19
-
-# threads of walk_slabs: numpy's matrix products and ufuncs release the
-# GIL, so two slabs are sampled at once where the process may use two CPUs
-_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-               else os.cpu_count() or 1)
 
 
 def stored_window(times, lo, hi, clip_start=False):
@@ -201,11 +196,12 @@ def ball_slabs(grid, center, r, outer=None):
 def walk_slabs(slabs, fn):
     """fn(slab) for each slab of ball_slabs' slabs, yielded in x order.
 
-    More than one slab is walked on _WORKERS threads, started and joined
-    within the walk, with at most _WORKERS slabs in flight, each made
-    only once a worker is free for it; one slab, or one worker, is walked
-    in the calling thread and starts none. fn must then be safe to call
-    from several threads at once. The results come in x order whatever the
+    More than one slab is walked on _fft.WORKERS threads (numpy's matrix
+    products and ufuncs release the GIL), started and joined within the
+    walk, with at most that many slabs in flight, each made only once a
+    worker is free for it; one slab, or one worker, is walked in the
+    calling thread and starts none. fn must then be safe to call from
+    several threads at once. The results come in x order whatever the
     timing, so a caller that adds them as they come gets the same bits
     from any number of workers. fn is handed the only reference to its
     slab, so it frees the slab's arrays as soon as it drops them.
@@ -224,12 +220,12 @@ def walk_slabs(slabs, fn):
         return fn(waiting.pop(k))
 
     ks = positions()
-    head = list(itertools.islice(ks, _WORKERS))
+    head = list(itertools.islice(ks, _fft.WORKERS))
     if len(head) < 2:
         for k in itertools.chain(head, ks):
             yield take(k)
         return
-    with ThreadPoolExecutor(_WORKERS) as pool:
+    with ThreadPoolExecutor(_fft.WORKERS) as pool:
         pending = deque(pool.submit(take, k) for k in head)
         while pending:
             done = pending.popleft().result()

@@ -15,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from critnorm import besov, ckn, corpus, cylinder, mild, pns, pressure, spectral
+from critnorm import _fft, besov, ckn, corpus, mild, pns, pressure, spectral
 from critnorm.fields import (
     Grid,
     ScalarField,
@@ -278,7 +278,7 @@ def test_slabbed_oscillation_holds_two_slabs_at_a_time(tg_run, monkeypatch):
     # two threads. Measured 5.6-6.3 slab pairs over 16 calls, as the two
     # workers' phases vary; 7.5-8.8 with three slabs in flight, and 7.6
     # with one slab of 2^19 points at a time
-    monkeypatch.setattr(cylinder, "_WORKERS", 2)
+    monkeypatch.setattr(_fft, "WORKERS", 2)
     oscillation = _oscillation(tg_run, 1.0 / 16.0, 0.5)
     oscillation()  # the phase tables are cached
     assert _peak(oscillation) <= 7.0 * SLAB_PAIR
@@ -288,7 +288,7 @@ def test_one_slab_oscillation_drops_each_slice_after_sampling_it(tg_run, monkeyp
     # r = 1/4 under rho = 1: one slab of 67^3 points reading all 17 slices,
     # in the calling thread. Measured 2.87 slab pairs, every call; 7.12
     # while every slice's spectra stayed until the last slice was sampled
-    monkeypatch.setattr(cylinder, "_WORKERS", 2)
+    monkeypatch.setattr(_fft, "WORKERS", 2)
     oscillation = _oscillation(tg_run, 0.25, 1.0)
     oscillation()  # the phase tables are cached
     assert _peak(oscillation) <= 3.2 * SLAB_PAIR

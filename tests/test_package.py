@@ -1,10 +1,10 @@
-"""Package metadata: each critnorm module's __all__ names attributes that
-exist in that module, no module imports a sibling's private name, only
-cylinder samples stored frames off the grid, no module keeps an import
-it never reads, importing the package stays light, the package's
-optional parameters do not grow, its public dataclasses are frozen, no
-module global is None, and the declared numpy floor has the numpy the
-package calls."""
+"""Package metadata: each critnorm module's __all__ names attributes
+that exist in that module, no module imports a sibling's private name,
+only _fft transforms, only cylinder samples stored frames off the grid,
+no module keeps an import it never reads, importing the package stays
+light, the package's optional parameters do not grow, its public
+dataclasses are frozen, no module global is None, and the declared numpy
+floor has the numpy the package calls."""
 
 import ast
 import importlib
@@ -48,6 +48,70 @@ def test_no_module_imports_a_siblings_private_name():
             if sibling:
                 found += ["%s: %s.%s" % (path.name, node.module, alias.name)
                           for alias in node.names if alias.name.startswith("_")]
+    assert found == []
+
+
+# the modules whose transforms only critnorm._fft may use; their
+# wavenumber and layout helpers are not transforms
+FFT_MODULES = ("numpy.fft", "scipy.fft")
+NOT_TRANSFORMS = {"fftfreq", "rfftfreq", "fftshift", "ifftshift", "next_fast_len"}
+
+
+def _transform_uses(text):
+    """Each line:name where a module's source reads a transform of
+    numpy.fft or scipy.fft, however the module was imported (import
+    numpy as np, from scipy import fft, from numpy.fft import rfftn, ...),
+    as a call or as a value."""
+    tree = ast.parse(text)
+    bound = {}  # a name the module binds by an import -> the dotted name it stands for
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                top = alias.name.split(".")[0]
+                bound[alias.asname or top] = alias.name if alias.asname else top
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.module + "." + alias.name
+
+    def dotted(expr):
+        if isinstance(expr, ast.Name):
+            return bound.get(expr.id, expr.id)
+        if isinstance(expr, ast.Attribute):
+            base = dotted(expr.value)
+            return base and base + "." + expr.attr
+        return None
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            module, _, attr = (dotted(node) or "").rpartition(".")
+            if module in FFT_MODULES and attr not in NOT_TRANSFORMS:
+                found.append((node.lineno, "%d:%s.%s" % (node.lineno, module, attr)))
+    return [use for _, use in sorted(found)]
+
+
+def test_transform_scan_sees_every_import_style():
+    text = ("import numpy as np\nimport scipy.fft\nimport scipy.fft as sf\n"
+            "from scipy import fft\nfrom numpy.fft import irfftn as inv\n"
+            "np.fft.rfftn(x)\nscipy.fft.fftn(x)\nsf.irfftn(x)\nfft.rfft(x)\n"
+            "f = inv\nk = np.fft.fftfreq(8) + fft.rfftfreq(8)\n")
+    assert _transform_uses(text) == [
+        "6:numpy.fft.rfftn", "7:scipy.fft.fftn", "8:scipy.fft.irfftn",
+        "9:scipy.fft.rfft", "10:numpy.fft.irfftn"]
+
+
+def test_only_fft_transforms():
+    """Every transform funnels through critnorm._fft, which picks its
+    worker count and where perfbench counts transforms: no other module
+    reads a transform of numpy.fft or scipy.fft. fftfreq, which
+    fields.Grid and spectral use for wavenumbers, is not a transform."""
+    found = []
+    for path in sorted(pathlib.Path(critnorm.__file__).parent.glob("*.py")):
+        uses = _transform_uses(path.read_text())
+        if path.name == "_fft.py":
+            assert uses  # the scan sees the transforms where they are
+        else:
+            found += ["%s:%s" % (path.name, use) for use in uses]
     assert found == []
 
 

@@ -559,7 +559,7 @@ class TestSlabbedOscillation:
         bases = {}
         for out, thread in zip(outs, threads):
             bases.setdefault(thread, set()).add(id(out.base))
-        assert 1 <= len(bases) <= cylinder._WORKERS
+        assert 1 <= len(bases) <= _fft.WORKERS
         assert all(len(made) == 1 for made in bases.values())
         assert len(set.union(*bases.values())) == len(bases)
         assert len({out.__array_interface__["data"][0] for out in outs}) == 2 * len(bases)
@@ -589,7 +589,7 @@ class TestSlabbedOscillation:
         kw = {} if t0 is None else {"t0": t0}
         reports = []
         for workers in (2, 1, 2):
-            monkeypatch.setattr(cylinder, "_WORKERS", workers)
+            monkeypatch.setattr(_fft, "WORKERS", workers)
             threads = []
             count_evaluations(monkeypatch, threads=threads)
             rep = pressure.pressure_oscillation_terms(
@@ -608,7 +608,7 @@ class TestSlabbedOscillation:
         # slice's sampled rows drops it early (to be made again) or never
         r = driven_run16
         args = (r.v, r.a, r.q, (0, 0, 0), self.R, self.RHO)
-        monkeypatch.setattr(cylinder, "_WORKERS", 1)
+        monkeypatch.setattr(_fft, "WORKERS", 1)
         want = pressure.pressure_oscillation_terms(*args)
         made, dropped = [], []
         rfftn, drop = _fft.rfftn, cylinder.FrameSpectra.drop
@@ -624,7 +624,7 @@ class TestSlabbedOscillation:
 
         monkeypatch.setattr(_fft, "rfftn", slow_rfftn)
         monkeypatch.setattr(cylinder.FrameSpectra, "drop", counted_drop)
-        monkeypatch.setattr(cylinder, "_WORKERS", 4)
+        monkeypatch.setattr(_fft, "WORKERS", 4)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -638,7 +638,7 @@ class TestSlabbedOscillation:
 
     def test_walk_joins_its_threads_before_it_returns(self, driven_run16, monkeypatch):
         r = driven_run16
-        monkeypatch.setattr(cylinder, "_WORKERS", 2)
+        monkeypatch.setattr(_fft, "WORKERS", 2)
         started = count_thread_starts(monkeypatch)
         before = threading.active_count()
         pressure.pressure_oscillation_terms(r.v, r.a, r.q, (0, 0, 0), self.R, self.RHO)
@@ -649,7 +649,7 @@ class TestSlabbedOscillation:
     def test_one_slab_lattice_starts_no_thread(self, driven_run16, monkeypatch):
         # r = 1/4 under rho = 1: 67^3 points, sampled in the calling thread
         r = driven_run16
-        monkeypatch.setattr(cylinder, "_WORKERS", 2)
+        monkeypatch.setattr(_fft, "WORKERS", 2)
         started = count_thread_starts(monkeypatch)
         threads = []
         count_evaluations(monkeypatch, threads=threads)

@@ -1,15 +1,22 @@
 """Quadrature order as a property of the time integrals.
 
 One driven 16^3 run is stored at every step (h = 1/256) and read again at
-strides 2 and 4. The ledger rows' A_k and B_k, local_cubed_mass and the
-pressure oscillation's lhs and J1 integrate their slice values with the
-trapezoid rule, so each carries an error c h^2 + O(h^3) and
+strides 2 and 4. The ledger rows' A_k and B_k, morrey_sup,
+local_cubed_mass and the pressure oscillation's lhs and J1 integrate
+their slice values with the trapezoid rule, so each carries an error
+c h^2 + O(h^3) and
 
     (Q(4h) - Q(h)) / (Q(2h) - Q(h)) = (16 - 1) / (4 - 1) = 5
 
 up to the higher-order terms. B_k's sup of slice values adds no error
-here: the ball energy decays, so the sup sits on each window's first
-slice, which all three strides keep.
+here: the ball energy about the origin decays, so the sup sits on each
+window's first slice, which all three strides keep; morrey_sup's sup
+sits on cylinders all three strides share.
+
+A sup of slice values is exact under refinement instead: the slices of
+a stride are among those of every finer stride, so the sup never falls.
+It is checked on B_k's ball energy about PEAK_CENTER, where it peaks on
+a slice that neither coarser stride keeps.
 """
 
 from types import SimpleNamespace
@@ -17,7 +24,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from critnorm import ckn, corpus, pns, pressure
+from critnorm import ckn, corpus, cylinder, norms, pns, pressure
 from critnorm.fields import Grid, SpaceTimeField, VectorField
 from critnorm.spectral import heat_semigroup
 
@@ -26,6 +33,9 @@ TOP = 1.0 / 16.0
 CENTER = (0.0, 0.0, 0.0)
 STRIDES = (1, 2, 4)
 BAND = (4.5, 5.5)
+# the ball energy about this point peaks at t = 7/256 in B_{1/4} and at
+# t = 13/256 in B_{1/8}: odd slices, which strides 2 and 4 both skip
+PEAK_CENTER = (-0.5, 1.0, -1.0)
 
 
 def _every(run, stride):
@@ -43,7 +53,8 @@ def _quantities(run):
     ledger = ckn.build_ledger(run, CENTER, TOP, ks=(2, 3))
     osc = pressure.pressure_oscillation_terms(run.v, run.a, run.q, CENTER, 0.25, 1.0)
     out = {"osc_lhs": osc.lhs, "osc_J1": osc.terms[0],
-           "local_cubed_mass": ckn.local_cubed_mass(run, CENTER, TOP, 0.25)}
+           "local_cubed_mass": ckn.local_cubed_mass(run, CENTER, TOP, 0.25),
+           "morrey_sup": ckn.morrey_sup(run, norms.BallRegion(CENTER, 0.5), ks=(2, 3)).value}
     for row in ledger.rows:
         out["A_%d" % row.k] = row.a_value
         out["B_%d" % row.k] = row.b_value
@@ -51,21 +62,40 @@ def _quantities(run):
 
 
 @pytest.fixture(scope="module")
-def by_stride():
+def fine_run():
     # the seed-1 datum of the benchmark's workloads, under a decaying heat drift
     g = Grid(16, DEFAULT_L)
     rng = np.random.default_rng(1)
     v0 = VectorField(g, corpus.curl_bump(g, amplitude=0.5).data
                      + corpus.random_divfree(g, rng, kmax=4, amplitude=0.05).data)
     a0 = corpus.curl_bump(g, amplitude=0.3)
-    run = pns.run_pns(v0, pns.PNSConfig(dt=TOP / 16.0, T=TOP, stride=1),
-                      a_provider=lambda t: heat_semigroup(a0, t))
-    return {s: _quantities(_every(run, s)) for s in STRIDES}
+    return pns.run_pns(v0, pns.PNSConfig(dt=TOP / 16.0, T=TOP, stride=1),
+                       a_provider=lambda t: heat_semigroup(a0, t))
 
 
-@pytest.mark.parametrize("name", ["A_2", "B_2", "A_3", "B_3", "local_cubed_mass",
-                                  "osc_lhs", "osc_J1"])
+@pytest.fixture(scope="module")
+def by_stride(fine_run):
+    return {s: _quantities(_every(fine_run, s)) for s in STRIDES}
+
+
+@pytest.mark.parametrize("name", ["A_2", "B_2", "A_3", "B_3", "morrey_sup",
+                                  "local_cubed_mass", "osc_lhs", "osc_J1"])
 def test_time_integrals_are_second_order(by_stride, name):
     q1, q2, q4 = (by_stride[s][name] for s in STRIDES)
     ratio = (q4 - q1) / (q2 - q1)
     assert BAND[0] <= ratio <= BAND[1], "%s: ratio %.4g" % (name, ratio)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_sup_of_slice_values_never_falls_under_refinement(fine_run, k):
+    sups = []
+    for stride in STRIDES:
+        run = _every(fine_run, stride)
+        sel = cylinder.stored_window(run.v.times, TOP - 4.0**-k, TOP)
+        ts, loads = ckn._slice_loads(cylinder.FrameSpectra(run.v), sel, PEAK_CENTER,
+                                     2.0**-k, cylinder.FrameSpectra(run.q))
+        sups.append(float(np.max(loads["v2"])))
+        # B_k: the sup of the ball energy, plus the gradient load's trapezoid
+        row = ckn.build_ledger(run, PEAK_CENTER, TOP, ks=(k,)).rows[0]
+        assert row.b_value == sups[-1] + float(np.trapezoid(loads["grad2"], ts))
+    assert sups[0] > sups[1] >= sups[2]
