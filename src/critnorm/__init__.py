@@ -13,6 +13,7 @@ Subpackage map:
 - pressure: localized pressure representation and oscillation estimates
 - ckn: dyadic ledger of local quantities and test-function battery
 - corpus: stock test fields
+- pipeline: the chain from the data split to the ledgers (run_chain), not imported here
 """
 
 __version__ = "0.1.0"

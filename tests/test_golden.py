@@ -1,5 +1,8 @@
 """Golden-output fixture: the numbers of a small run through every spectral
-kernel, quadrature and report writer, pinned to tests/golden.json.
+kernel, quadrature and report writer, pinned to tests/golden.json. The
+driven chain (split, mild drift, driven PNS, local energy, off-centre
+pressure split, oscillations at r = 1/4 and 1/8, weighted ledger) runs
+through pipeline.run_chain.
 
 Each quantity must agree with the stored one to GOLDEN_RTOL relative to
 that quantity's largest stored magnitude; headers and non-numeric CSV
@@ -50,7 +53,7 @@ import numpy as np
 import pytest
 
 import critnorm
-from critnorm import besov, ckn, corpus, fieldio, mild, norms, pns, pressure
+from critnorm import besov, ckn, corpus, fieldio, mild, norms, pipeline, pns, pressure
 from critnorm.spectral import heat_semigroup
 from critnorm.fields import (
     Grid,
@@ -59,7 +62,6 @@ from critnorm.fields import (
     VectorField,
     ball_indicator,
     gaussian_bump,
-    smooth_radial_cutoff,
     taylor_green_3d,
 )
 
@@ -98,11 +100,6 @@ EXEMPT_PARAMETERS = {
 }
 
 
-def _stress(v, a):
-    cross = a[:, None] * v[None, :]
-    return v[:, None] * v[None, :] + cross + np.swapaxes(cross, 0, 1)
-
-
 def _steady(grid, v, q, a=None):
     """Stored orbit repeating one slice at three times."""
     times = np.arange(3) / 64.0
@@ -137,11 +134,17 @@ def compute():
     u0 = VectorField(g16, bump.data + noise.data)
     out = {}
 
-    split = besov.besov_split(u0, 3.0, 6.0)
+    # the driven chain; the pressure split is about an off-centre point, on
+    # the run's last slice, with 24 cells in the transition
+    cfg = pns.PNSConfig(dt=1.0 / 128.0, T=HORIZON, stride=2)
+    chain = pipeline.run_chain(pipeline.ChainConfig(
+        split_N=3.0, mild_dt=1.0 / 64.0, pns=cfg, energy_radii=(1.0, 3.0),
+        split_cutoff=(0.2, 1.0, (0.25, 0.0, -0.125)), center=ORIGIN, osc_radii=(0.25, 0.125),
+        rho=1.0, ks=(2, 3), weights=(0.6, 0.0)), u0)
+    split, sol, run, entries, ledger = chain.split, chain.sol, chain.run, chain.energy, chain.ledger
     out["besov_split"] = [split.reports[k].value for k in sorted(split.reports)]
 
     mcfg = mild.DuhamelConfig(dt=1.0 / 64.0, T=HORIZON)
-    sol = mild.solve_mild(split.tilde_g, mcfg)
     keys = sorted(sol.decay_table[0])
     out["mild.decay_table"] = [row[k] for row in sol.decay_table for k in keys]
     out["mild.k0_empirical"] = [sol.k0_empirical]
@@ -168,12 +171,9 @@ def compute():
     out["mild.invert_I_minus_La"] = [float(np.sqrt(np.sum(f**2))) for f in inv.u.frames]
     out["mild.invert_I_minus_La"] += [inv.contraction]
 
-    cfg = pns.PNSConfig(dt=1.0 / 128.0, T=HORIZON, stride=2)
-    run = pns.run_pns(split.bar_g, cfg, a_provider=pns.drift_from_spacetime(sol.a))
     v_end, q_end = run.v.frames[-1], run.q.frames[-1]
     out["pns.final_v"] = [float(np.sqrt(np.sum(v_end**2))), float(np.max(np.abs(v_end)))]
     out["pns.final_q"] = [float(np.sqrt(np.sum(q_end**2))), float(np.max(np.abs(q_end)))]
-    entries = pns.verify_local_energy(run, smooth_radial_cutoff(g16, 1.0, 3.0))
     out["pns.local_energy"] = [x for e in entries for x in (e.lhs, e.rhs, e.slack)]
     free = pns.run_pns(taylor_green_3d(g16, 0.5), cfg)
     out["pns.global_energy"] = [x for row in pns.global_energy_check(free).rows for x in row]
@@ -181,17 +181,11 @@ def compute():
     v32 = taylor_green_3d(g32, 0.5)
     a32 = corpus.curl_bump(g32, amplitude=0.3)
     p32 = pns.recover_pressure(v32, a32)
-    psplit = pressure.split_pressure(
-        p32, TensorField(g32, _stress(v32.data, a32.data)), pressure.RadialCutoff(g32, 0.2, 1.0)
-    )
+    psplit = pressure.split_pressure(p32, pipeline.stress(v32, a32), pressure.RadialCutoff(g32, 0.2, 1.0))
     terms = (psplit.riesz_term,) + psplit.newton_terms + (psplit.total,)
     out["pressure.split_terms"] = [float(np.sqrt(np.sum(t.values**2))) for t in terms]
     out["pressure.split_mismatch"] = [psplit.mismatch]
-    # about an off-centre point, on the run's last slice; 24 cells lie in the transition
-    off_split = pressure.split_pressure(
-        run.q[-1], TensorField(g16, _stress(v_end, run.a.frames[-1])),
-        pressure.RadialCutoff(g16, 0.2, 1.0, center=(0.25, 0.0, -0.125)),
-    )
+    off_split = chain.psplit
     out["pressure.split_offcentre"] = [
         float(np.sqrt(np.sum(t.values**2)))
         for t in (off_split.riesz_term,) + off_split.newton_terms + (off_split.total,)
@@ -204,7 +198,7 @@ def compute():
         x for t in (near, far) for x in (float(np.sqrt(np.sum(t.values**2))), float(np.max(t.values)))
     ]
 
-    osc = pressure.pressure_oscillation_terms(run.v, run.a, run.q, ORIGIN, 0.25, 1.0)
+    osc, slab = chain.oscs  # r = 1/8 under rho = 1: a 131^3 lattice, over several x-slabs
     out["pressure.osc_lhs"] = [osc.lhs]
     for j, term in enumerate(osc.terms):
         out["pressure.osc_J%d" % (j + 1)] = [term]
@@ -219,14 +213,11 @@ def compute():
     )
     # lhs and terms only: the ratio and ma would set the key's scale
     out["pressure.osc_weighted"] = [wosc.lhs, *wosc.terms]
-    # r = 1/8 under rho = 1: a 131^3 lattice, summed over several x-slabs
-    slab = pressure.pressure_oscillation_terms(run.v, run.a, run.q, ORIGIN, 0.125, 1.0)
     wslab = pressure.pressure_oscillation_terms(
         run.v, run.a, run.q, ORIGIN, 0.125, 1.0, t0=0.0
     )
     out["pressure.osc_slabbed"] = [slab.lhs, *slab.terms, *wslab.terms]
 
-    ledger = ckn.build_ledger(run, ORIGIN, HORIZON, ks=(2, 3), eta=0.6, t0=0.0)
     for row in ledger.rows:
         w = row.weighted
         out["ckn.ledger_k%d" % row.k] = [row.a_value, row.b_value]
@@ -461,11 +452,22 @@ def _called(public, called):
     return {name for name, code in public.items() if code in called}
 
 
+def _clear_caches():
+    """Empty the function caches of every critnorm module, so that compute()
+    builds what it reads, and calls what builds it, whatever ran before."""
+    for info in pkgutil.iter_modules(critnorm.__path__):
+        for obj in vars(importlib.import_module("critnorm." + info.name)).values():
+            if callable(getattr(obj, "cache_clear", None)):
+                obj.cache_clear()
+
+
 @pytest.fixture(scope="module")
 def golden_run():
-    """compute() once, under a profile hook: its values and CSV texts, the
-    code objects of every Python function it called, and the optional
-    parameters (optional_parameters) that some call set."""
+    """compute() once, under a profile hook and from empty caches: its
+    values and CSV texts, the code objects of every Python function it
+    called, and the optional parameters (optional_parameters) that some
+    call set."""
+    _clear_caches()
     (values, texts), called, changed = _profiled(compute, optional_parameters())
     return values, texts, called, changed
 

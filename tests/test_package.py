@@ -24,7 +24,8 @@ MODULES = ["critnorm"] + sorted(
 
 
 def test_every_module_is_listed():
-    assert {"critnorm.ckn", "critnorm.corpus", "critnorm.fields", "critnorm.norms"} <= set(MODULES)
+    assert {"critnorm.ckn", "critnorm.corpus", "critnorm.fields", "critnorm.norms",
+            "critnorm.pipeline"} <= set(MODULES)
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -2,9 +2,9 @@
 
 One driven 16^3 run is stored at every step (h = 1/256) and read again at
 strides 2 and 4. The ledger rows' A_k and B_k, morrey_sup,
-local_cubed_mass and the pressure oscillation's lhs and J1 integrate
-their slice values with the trapezoid rule, so each carries an error
-c h^2 + O(h^3) and
+local_cubed_mass, the pressure oscillation's lhs, J1, J2, J4, J5 and J6,
+and its weighted J2, J4 and J6 integrate their slice values with the
+trapezoid rule, so each carries an error c h^2 + O(h^3) and
 
     (Q(4h) - Q(h)) / (Q(2h) - Q(h)) = (16 - 1) / (4 - 1) = 5
 
@@ -16,7 +16,9 @@ sits on cylinders all three strides share.
 A sup of slice values is exact under refinement instead: the slices of
 a stride are among those of every finer stride, so the sup never falls.
 It is checked on B_k's ball energy about PEAK_CENTER, where it peaks on
-a slice that neither coarser stride keeps.
+a slice that neither coarser stride keeps, and on the oscillation's J3:
+r^{6-delta/2} (sup over slices of the annulus tail)^{3/2} is a sup of
+slice values with no time integral, so it has no order to measure.
 """
 
 from types import SimpleNamespace
@@ -33,6 +35,10 @@ TOP = 1.0 / 16.0
 CENTER = (0.0, 0.0, 0.0)
 STRIDES = (1, 2, 4)
 BAND = (4.5, 5.5)
+# the weighted oscillation's singular time, 0.05 below the window [0, TOP];
+# no closer: at t0 = -0.01 its kernel |s - t0|^-1 varies on a scale under
+# three steps h = 1/256, and the weighted J2, J4 and J6 read 4.22-4.27
+T0 = -0.05
 # the ball energy about this point peaks at t = 7/256 in B_{1/4} and at
 # t = 13/256 in B_{1/8}: odd slices, which strides 2 and 4 both skip
 PEAK_CENTER = (-0.5, 1.0, -1.0)
@@ -52,9 +58,12 @@ def _every(run, stride):
 def _quantities(run):
     ledger = ckn.build_ledger(run, CENTER, TOP, ks=(2, 3))
     osc = pressure.pressure_oscillation_terms(run.v, run.a, run.q, CENTER, 0.25, 1.0)
-    out = {"osc_lhs": osc.lhs, "osc_J1": osc.terms[0],
+    wosc = pressure.pressure_oscillation_terms(run.v, run.a, run.q, CENTER, 0.25, 1.0, t0=T0)
+    out = {"osc_lhs": osc.lhs,
            "local_cubed_mass": ckn.local_cubed_mass(run, CENTER, TOP, 0.25),
            "morrey_sup": ckn.morrey_sup(run, norms.BallRegion(CENTER, 0.5), ks=(2, 3)).value}
+    out.update(("osc_J%d" % j, term) for j, term in enumerate(osc.terms, 1))
+    out.update(("wosc_J%d" % j, wosc.terms[j - 1]) for j in (2, 4, 6))
     for row in ledger.rows:
         out["A_%d" % row.k] = row.a_value
         out["B_%d" % row.k] = row.b_value
@@ -78,8 +87,9 @@ def by_stride(fine_run):
     return {s: _quantities(_every(fine_run, s)) for s in STRIDES}
 
 
-@pytest.mark.parametrize("name", ["A_2", "B_2", "A_3", "B_3", "morrey_sup",
-                                  "local_cubed_mass", "osc_lhs", "osc_J1"])
+@pytest.mark.parametrize("name", ["A_2", "B_2", "A_3", "B_3", "morrey_sup", "local_cubed_mass",
+                                  "osc_lhs", "osc_J1", "osc_J2", "osc_J4", "osc_J5", "osc_J6",
+                                  "wosc_J2", "wosc_J4", "wosc_J6"])
 def test_time_integrals_are_second_order(by_stride, name):
     q1, q2, q4 = (by_stride[s][name] for s in STRIDES)
     ratio = (q4 - q1) / (q2 - q1)
@@ -99,3 +109,8 @@ def test_sup_of_slice_values_never_falls_under_refinement(fine_run, k):
         row = ckn.build_ledger(run, PEAK_CENTER, TOP, ks=(k,)).rows[0]
         assert row.b_value == sups[-1] + float(np.trapezoid(loads["grad2"], ts))
     assert sups[0] > sups[1] >= sups[2]
+
+
+def test_oscillation_tail_sup_never_falls_under_refinement(by_stride):
+    j3 = [by_stride[s]["osc_J3"] for s in STRIDES]
+    assert j3[0] >= j3[1] >= j3[2] > 0.0

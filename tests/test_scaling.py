@@ -9,11 +9,12 @@ k^2 dt, k x and r/dx keeps its bits. The datum is the array times 1/2 on
 the doubled box, not a datum generated there: corpus fields are
 normalized on the grid they are sampled on.
 
-One 16^3 chain runs at both scales: split, mild drift, driven PNS,
-pressure oscillation and weighted ledger, then the local energy
-identity, the pressure split with the near and far Riesz sums of its
-cut-off stress, the weighted oscillation and morrey_sup on its run. The fields scale bit for bit; the critical numbers agree to
-1e-14 relative.
+One 16^3 chain runs at both scales through pipeline.run_chain: split,
+mild drift, driven PNS, local energy identity, pressure split, pressure
+oscillation and weighted ledger. On its run follow the weak L^3 norm,
+the near and far Riesz sums of the cut-off stress, the weighted
+oscillation and morrey_sup. The fields scale bit for bit; the critical
+numbers agree to 1e-14 relative.
 
 Every other exponent is counted from |v| ~ lam, q ~ lam^2, lengths
 (dx, r, rho) ~ 1/lam and times (dt, |s - t0|) ~ 1/lam^2, and each test
@@ -25,8 +26,8 @@ import math
 import numpy as np
 import pytest
 
-from critnorm import besov, ckn, corpus, mild, norms, pns, pressure
-from critnorm.fields import Grid, TensorField, VectorField, smooth_radial_cutoff
+from critnorm import ckn, corpus, norms, pipeline, pns, pressure
+from critnorm.fields import Grid, TensorField, VectorField
 
 DEFAULT_L = 2.0 * np.pi * np.sqrt(2.0)
 LAM = 0.5
@@ -38,26 +39,36 @@ RTOL = 1e-14
 
 
 def _chain(lam, data):
+    """The chain through run_chain at scale lam, every radius, centre and
+    time x 1/lam or 1/lam^2, as chains' and diagnostics' tuples; on its
+    run, the last slice's weak L^3 norm, the near and far Riesz sums of
+    the cut-off stress, the weighted oscillation and morrey_sup."""
     s = 1.0 / lam  # lengths scale by s, times by s^2
     g = Grid(16, s * DEFAULT_L)
-    split = besov.besov_split(VectorField(g, lam * data), 3.0 * lam, 6.0)
-    sol = mild.solve_mild(split.tilde_g, mild.DuhamelConfig(dt=s * s / 64.0, T=s * s * HORIZON))
-    run = pns.run_pns(
-        split.bar_g,
-        pns.PNSConfig(dt=s * s / 256.0, T=s * s * HORIZON, stride=2),
-        a_provider=pns.drift_from_spacetime(sol.a),
-    )
     center = tuple(s * c for c in CENTER)
-    osc = pressure.pressure_oscillation_terms(run.v, run.a, run.q, center, s * 0.25, s * 1.0)
-    shift = round(math.log2(s))
-    ledger = ckn.build_ledger(run, center, s * s * HORIZON, ks=tuple(k - shift for k in KS),
-                              eta=ETA, t0=0.0)
+    ks = tuple(k - round(math.log2(s)) for k in KS)
+    # split_pressure takes r_off <= 1; about the chain's centre the
+    # transition holds grid points, so the Newton terms are not zero
+    chain = pipeline.run_chain(pipeline.ChainConfig(
+        split_N=3.0 * lam, mild_dt=s * s / 64.0,
+        pns=pns.PNSConfig(dt=s * s / 256.0, T=s * s * HORIZON, stride=2),
+        energy_radii=(s * 1.0, s * 3.0), split_cutoff=(s * 0.2, s * 0.5, center), center=center,
+        osc_radii=(s * 0.25,), rho=s * 1.0, ks=ks, weights=(ETA, 0.0)), VectorField(g, lam * data))
+    run = chain.run
     weak_l3 = norms.lorentz_quasinorm(run.v[-1], 3, math.inf).value
-    return split, sol, run, osc, ledger, weak_l3
+    # a wider cutoff, so that both parts of the ball's split hold cells
+    wide = pressure.RadialCutoff(g, s * 0.5, s * 1.0, center=center).values
+    stress = pipeline.stress(run.v[-1], run.a[-1])
+    near_far = pressure.riesz_split_at(TensorField(g, wide * stress.data), center, s * 0.5)
+    wosc = pressure.pressure_oscillation_terms(run.v, run.a, run.q, center, s * 0.25, s * 1.0,
+                                               t0=0.0)
+    msup = ckn.morrey_sup(run, norms.BallRegion(center, s * 1.0), ks=ks)
+    return ((chain.split, chain.sol, run, chain.oscs[0], chain.ledger, weak_l3),
+            (chain.energy, chain.psplit, wosc, msup.value, near_far))
 
 
 @pytest.fixture(scope="module")
-def chains():
+def scales():
     # the seed-1 datum of the benchmark's workloads, on 16^3
     g = Grid(16, DEFAULT_L)
     rng = np.random.default_rng(1)
@@ -66,34 +77,14 @@ def chains():
     return _chain(1.0, data), _chain(LAM, data)
 
 
-def _diagnostics(lam, run):
-    """The run's local energy ledger, pressure split of its last slice,
-    weighted oscillation, morrey_sup and the near and far Riesz sums of
-    the cut-off stress, every radius and centre x 1/lam."""
-    s = 1.0 / lam
-    g = run.grid
-    center = tuple(s * c for c in CENTER)
-    energy = pns.verify_local_energy(run, smooth_radial_cutoff(g, s * 1.0, s * 3.0))
-    v, a = run.v.frames[-1], run.a.frames[-1]
-    cross = a[:, None] * v[None, :]
-    stress = TensorField(g, v[:, None] * v[None, :] + cross + np.swapaxes(cross, 0, 1))
-    # split_pressure takes r_off <= 1; about the chain's centre the
-    # transition holds grid points, so the Newton terms are not zero
-    cutoff = pressure.RadialCutoff(g, s * 0.2, s * 0.5, center=center)
-    psplit = pressure.split_pressure(run.q[-1], stress, cutoff)
-    # a wider cutoff, so that both parts of the ball's split hold cells
-    wide = pressure.RadialCutoff(g, s * 0.5, s * 1.0, center=center).values
-    near_far = pressure.riesz_split_at(TensorField(g, wide * stress.data), center, s * 0.5)
-    wosc = pressure.pressure_oscillation_terms(run.v, run.a, run.q, center, s * 0.25, s * 1.0,
-                                               t0=0.0)
-    shift = round(math.log2(s))
-    msup = ckn.morrey_sup(run, norms.BallRegion(center, s * 1.0), ks=tuple(k - shift for k in KS))
-    return energy, psplit, wosc, msup.value, near_far
+@pytest.fixture(scope="module")
+def chains(scales):
+    return scales[0][0], scales[1][0]
 
 
 @pytest.fixture(scope="module")
-def diagnostics(chains):
-    return _diagnostics(1.0, chains[0][2]), _diagnostics(LAM, chains[1][2])
+def diagnostics(scales):
+    return scales[0][1], scales[1][1]
 
 
 def _rel(a, b):
