@@ -8,11 +8,11 @@ Subpackage map:
 - norms: Lebesgue/Morrey/Lorentz norm engines and inequality checks
 - besov: Littlewood-Paley projections, Besov norms, frequency splitting
 - mild: Duhamel integrals, forward solves of the mild and drift-operator equations
-- cylinder: parabolic-cylinder and cumulative time quadratures over stored runs
+- cylinder: parabolic-cylinder quadrature and every time rule over stored slices
 - pns: perturbed Navier-Stokes time stepper and energy bookkeeping
 - pressure: localized pressure representation and oscillation estimates
 - ckn: dyadic ledger of local quantities and test-function battery
-- corpus: stock test fields
+- corpus: stock fields of the pipeline and the heat-smoothing experiment
 - pipeline: the chain from the data split to the ledgers (run_chain), not imported here
 """
 

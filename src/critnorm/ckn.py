@@ -19,14 +19,16 @@ left sides are divided by powers of (s - t0)_+ (WeightedValues), so they
 only admit perturbations that are quiet up to t0. morrey_sup weighs
 int_{Q_r} |v|^3 by r^{delta-5} = r^{-4}.
 
-Cylinder integrals follow the quadrature of critnorm.cylinder (stored
-slices in time, native cells or the r/8 lattice in space). Suprema in
-time scan stored slices only. A sup of slice values alone, such as
-sup_s int_B |v|^2, is therefore a lower bound that refining the storage
-stride can only raise. A value that also carries a time integral (A_k,
-the dissipation of B_k, the weighted rows, morrey_sup) does not share
-that bound: its trapezoid is second order in the stride and can fall
-under refinement, as A_k, B_k and morrey_sup do on a 16^3 driven run.
+Cylinder integrals follow the quadrature of critnorm.cylinder:
+cylinder.trapezoid over the stored slices in time (cumulative_trapezoid
+for the weighted rows' running integrals), native cells or the r/8
+lattice in space. Suprema in time scan stored slices only. A sup of
+slice values alone, such as sup_s int_B |v|^2, is therefore a lower
+bound that refining the storage stride can only raise. A value that
+also carries a time integral (A_k, the dissipation of B_k, the weighted
+rows, morrey_sup) does not share that bound: its trapezoid is second
+order in the stride and can fall under refinement, as A_k, B_k and
+morrey_sup do on a 16^3 driven run.
 """
 
 import math
@@ -44,6 +46,7 @@ from .cylinder import (
     sample_grad_sq,
     sample_slice,
     stored_window,
+    trapezoid,
 )
 from .fieldio import write_csv
 from .fields import nonic_step
@@ -186,7 +189,7 @@ def local_cubed_mass(run, center, t_top, r):
     r = float(r)
     sel = stored_window(run.v.times, t_top - r * r, t_top)
     ts, loads = _slice_loads(FrameSpectra(run.v), sel, center, r)
-    return float(np.trapezoid(loads["v3"], ts))
+    return trapezoid(loads["v3"], ts)
 
 
 def cylinder_smallness(run, center, t_top, r):
@@ -210,7 +213,7 @@ def cylinder_smallness(run, center, t_top, r):
         vals[row] = (np.sum(s2[inside] ** 1.5) + np.sum(np.abs(qs[inside]) ** 1.5)) * cell
         v.drop(i)
         q.drop(i)
-    return float(np.trapezoid(vals, run.v.times[sel]))
+    return trapezoid(vals, run.v.times[sel])
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +247,9 @@ def _row(v, q, sel, center, k, eta, t0, keep):
     r = float(2.0 ** -k)
     ts, loads = _slice_loads(v, sel, center, r, q, keep)
     q_power = r ** (-(1.0 + DELTA) / 2.0)
-    a_val = float(np.trapezoid(loads["v3"], ts)) / r**2
-    a_val = a_val + float(np.trapezoid(loads["qosc"], ts)) * q_power
-    b_val = float(np.max(loads["v2"])) + float(np.trapezoid(loads["grad2"], ts))
+    a_val = trapezoid(loads["v3"], ts) / r**2
+    a_val = a_val + trapezoid(loads["qosc"], ts) * q_power
+    b_val = float(np.max(loads["v2"])) + trapezoid(loads["grad2"], ts)
     a_tgt = EPS_STAR ** (2.0 / 3.0) * r ** (3.0 - DELTA)
     b_tgt = C_B * EPS_STAR ** (2.0 / 3.0) * r ** (3.0 - 2.0 * DELTA / 3.0)
     passed = a_val <= a_tgt and b_val <= b_tgt
@@ -349,7 +352,7 @@ def morrey_sup(run, region, ks):
         for c in centers:
             v3 = _slice_loads(v, slices, c, r, keep=slices)[1]["v3"]
             for sel in windows:
-                mass = float(np.trapezoid(v3[np.searchsorted(slices, sel)], times[sel]))
+                mass = trapezoid(v3[np.searchsorted(slices, sel)], times[sel])
                 best = max(best, r ** (DELTA - 5.0) * mass)
     return NormReport(
         "morrey_sup",

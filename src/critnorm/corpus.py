@@ -1,34 +1,28 @@
-"""Stock test fields: seeded random data and exact divergence-free profiles.
-
-Every profile is centred at the origin, the grid point x[n // 2], which
-is exactly 0.0 on every Grid. The azimuthal construction
-u = g(r) (-y, x, 0) is divergence-free for every radial profile g, with
-no derivatives taken, so it yields exactly compactly supported
-solenoidal data when g is a plateau cutoff.
+"""Stock fields of the pipeline and its experiments: seeded
+band-limited divergence-free noise (random_divfree), the discretely
+solenoidal curl bump (curl_bump) and the data of the heat-smoothing
+rate experiment. Every profile is centred at the origin, the grid point
+x[n // 2], which is exactly 0.0 on every Grid. Test data that no
+pipeline number starts from lives with the tests (tests/testdata.py).
 """
 
 import numpy as np
 from scipy.special import erf
 
 from . import _fft
-from .fields import ScalarField, VectorField, smooth_radial_cutoff, smoothstep
+from .fields import ScalarField, VectorField, smooth_radial_cutoff
 from .spectral import curl, heat_semigroup, leray_project
 
 __all__ = [
-    "random_scalar",
     "random_divfree",
-    "azimuthal_field",
-    "compact_divfree_bump",
     "curl_bump",
-    "inverse_radius_field",
-    "inverse_square_scalar",
     "band_limit",
     "grid_delta",
     "self_similar_orbit",
     "heat_smoothing_slopes",
 ]
 
-_BUMP_ON, _BUMP_OFF = 0.4, 1.3  # plateau and support radii of the stock bumps
+_BUMP_ON, _BUMP_OFF = 0.4, 1.3  # plateau and support radii of curl_bump's potential
 
 
 def band_limit(values, grid, kmax):
@@ -38,13 +32,6 @@ def band_limit(values, grid, kmax):
     keep_r = grid.modes_r <= kmax
     hat *= keep[:, None, None] & keep[None, :, None] & keep_r[None, None, :]
     return _fft.irfftn(hat, grid.shape)
-
-
-def random_scalar(grid, rng, kmax=6):
-    """Band-limited random scalar with sup-norm one."""
-    vals = band_limit(rng.standard_normal(grid.shape), grid, kmax)
-    scale = np.max(np.abs(vals))
-    return ScalarField(grid, vals * (1.0 / scale))
 
 
 def random_divfree(grid, rng, kmax=6, amplitude=1.0):
@@ -59,36 +46,6 @@ def random_divfree(grid, rng, kmax=6, amplitude=1.0):
     u = leray_project(VectorField(grid, comps))
     scale = np.max(u.magnitude())
     return VectorField(grid, u.data * (amplitude / scale))
-
-
-def azimuthal_field(grid, profile):
-    """Swirl field g(r) * (-y, x, 0) around the vertical axis.
-
-    profile receives the periodic distance r from the origin and returns g(r).
-    The divergence vanishes identically: the field is tangent to circles
-    and its magnitude r g(r) depends only on r.
-    """
-    dxs = grid.minimal_image(grid.x)[:, None, None]
-    dys = grid.minimal_image(grid.x)[None, :, None]
-    r = grid.radius()
-    g = profile(r)
-    zero = np.zeros(grid.shape)
-    return VectorField(grid, np.stack([-dys * g + zero, dxs * g + zero, zero]))
-
-
-def compact_divfree_bump(grid):
-    """Unit swirl supported exactly in the ball of radius _BUMP_OFF.
-
-    Solenoidal in the continuum; the discrete spectral divergence is only
-    as small as the resolution of the cutoff allows (exact support and
-    exact discrete solenoidality are mutually exclusive). Use curl_bump
-    when the discrete divergence must vanish to round-off.
-    """
-
-    def profile(r):
-        return 1.0 - smoothstep((r - _BUMP_ON) / (_BUMP_OFF - _BUMP_ON))
-
-    return azimuthal_field(grid, profile)
 
 
 def curl_bump(grid, amplitude=1.0):
@@ -116,45 +73,6 @@ def curl_bump(grid, amplitude=1.0):
     u = curl(VectorField(grid, pot))
     scale = np.max(u.magnitude())
     return VectorField(grid, u.data * (amplitude / scale))
-
-
-def inverse_radius_field(grid, r_inner, r_outer, amplitude=1.0):
-    """Swirl with |u| = amplitude / r on r in (r_inner, r_outer), cut smoothly.
-
-    Scales like the critical profile 1/|x|: the L^3 mass per dyadic shell is
-    constant, which makes it the stock example of weak-L^3 data that is not
-    small in L^3.
-    """
-
-    def profile(r):
-        rise = smoothstep((r - 0.5 * r_inner) / (0.5 * r_inner))
-        fall = 1.0 - smoothstep((r - 0.8 * r_outer) / (0.2 * r_outer))
-        safe = np.maximum(r, 0.25 * r_inner)  # rise is exactly 0 below this
-        return amplitude * rise * fall / safe ** 2
-
-    return azimuthal_field(grid, profile)
-
-
-# measured defect of sum_{0<|k|<=R} |k|^-2 against 4 pi R on the integer
-# lattice (averaged over R in [30, 58]; shell fluctuation ~0.13)
-_INV_SQUARE_SELF = 8.91436
-
-
-def inverse_square_scalar(grid, r_outer=None):
-    """Scalar 1/|x| sample whose squared ball sums reproduce 4 pi r.
-
-    Plain cell-center sampling of 1/|x|^2 underestimates the ball integral
-    by a fixed lattice constant times dx; assigning the origin cell the
-    matching self-term cancels it, so L^2 norms over B_r track (4 pi r)^0.5
-    within a few percent down to r = 2 dx. With r_outer the sample is
-    zeroed outside that radius.
-    """
-    r = grid.radius()
-    vals = 1.0 / np.where(r > 0, r, 1.0)
-    vals[r == 0] = np.sqrt(_INV_SQUARE_SELF) / grid.dx
-    if r_outer is not None:
-        vals = np.where(r <= r_outer, vals, 0.0)
-    return ScalarField(grid, vals)
 
 
 # ---------------------------------------------------------------------------

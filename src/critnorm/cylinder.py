@@ -38,10 +38,12 @@ ledger_n32 from 155 to 160 MB in the allocator, its tracemalloc peak
 still 42.1 MB; per call, as spectra kept for the life of the run raised
 ledger_n32's and chain_n64's by 12-13 %.
 
-Running time integrals over the stored slices are cumulative_trapezoid
-(the weighted ledger sups) and cumulative_simpson (the energy identity):
-scipy.integrate's arithmetic in numpy, since importing scipy.integrate
-loads scipy's optimize, sparse and linalg, 0.3 s and 25 MB at start-up.
+Every time integral over stored slices takes one of three rules here:
+trapezoid (ckn's cylinders, the oscillation, mild's L^r_t norms),
+cumulative_trapezoid (the weighted ledger sups) and cumulative_simpson
+(the energy identity), scipy.integrate's arithmetic in numpy: importing
+scipy.integrate loads scipy's optimize, sparse and linalg, 0.3 s and
+25 MB at start-up.
 """
 
 import itertools
@@ -67,7 +69,7 @@ __all__ = [
     "FrameSpectra",
     "sample_slice",
     "sample_grad_sq",
-    "cumulative_trapezoid", "cumulative_simpson",
+    "trapezoid", "cumulative_trapezoid", "cumulative_simpson",
 ]
 
 # the scale exponent delta of the epsilon-regularity budgets on Q_r: the
@@ -309,6 +311,11 @@ def sample_grad_sq(spectra, i, axes):
             d = evaluate_at_points(g, axes, dh)
             total += np.square(d, out=d)
     return total
+
+
+def trapezoid(y, t):
+    """The trapezoid integral of the samples y over the times t, a float."""
+    return float(np.trapezoid(y, t))
 
 
 def cumulative_trapezoid(y, x):

@@ -20,7 +20,6 @@ __all__ = [
     "VectorField",
     "TensorField",
     "SpaceTimeField",
-    "taylor_green",
     "taylor_green_3d",
     "gaussian_bump",
     "ball_indicator",
@@ -277,23 +276,6 @@ class SpaceTimeField:
 
 # ---------------------------------------------------------------------------
 # stock fields
-
-
-def taylor_green(grid, amplitude=1.0):
-    """Planar vortex array (cos kx sin ky, -sin kx cos ky, 0), k = 2 pi / L.
-
-    Divergence-free, and the projected nonlinearity vanishes identically,
-    so under the viscous evolution it decays as exp(-2 k^2 t) in energy.
-    On the default box (L = 2 pi sqrt(2)) the active modes sit at |xi|^2 = 1.
-    No pipeline number starts from it; it stays as the exact-decay oracle
-    of the stepper and energy tests.
-    """
-    k = grid.k0
-    X, Y, _ = grid.coords()
-    zero = np.zeros(grid.shape)
-    u = amplitude * np.cos(k * X) * np.sin(k * Y) + zero
-    v = -amplitude * np.sin(k * X) * np.cos(k * Y) + zero
-    return VectorField(grid, np.stack([u, v, zero]))
 
 
 def taylor_green_3d(grid, amplitude=1.0):

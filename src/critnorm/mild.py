@@ -28,6 +28,9 @@ divergence: (delta_km - xi_k xi_m / |xi|^2) i xi_j S_mj reproduces both
 pieces for symmetric S. invert_I_minus_La reports ||u - f|| / ||u|| =
 ||L_a u|| / ||u|| in L^2_{t,x}, a lower bound on the norm of L_a. The
 drift budget is the fixed threshold EPS_Q, not a derived constant.
+
+Every finite L^r_t norm here is cylinder.trapezoid of per-slice norms
+over the stored times [0, T].
 """
 
 import math
@@ -36,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _fft
+from .cylinder import trapezoid
 from .fieldio import write_csv
 from .fields import SpaceTimeField, VectorField
 from .norms import (
@@ -111,18 +115,17 @@ def _st_norm(grid, times, frames, r, p):
 
 
 def _time_norm(times, vals, r):
-    """L^r in time of per-slice values, weight dt; the max for r = inf."""
+    """L^r in time of per-slice values, trapezoid over [t_0, t_m]; the max for r = inf."""
     vals = np.array(vals)
     if r == math.inf:
         return float(np.max(vals))
     if len(times) < 2:
         raise ValueError("finite time exponent needs at least two slices")
-    dt = float(times[1] - times[0])
-    return float((np.sum(vals**r) * dt) ** (1.0 / r))
+    return trapezoid(vals**r, times) ** (1.0 / r)
 
 
 def spacetime_lebesgue(u, r, p):
-    """Mixed norm ||u||_{L^r_t L^p_x} by slice quadrature, weight dt."""
+    """Mixed norm ||u||_{L^r_t L^p_x} by slice quadrature, trapezoid in time."""
     if not (r >= 1 and p >= 1):
         raise ValueError("exponents must be >= 1")
     return _st_norm(u.grid, u.times, u.frames, r, p)
@@ -296,6 +299,7 @@ def check_duhamel_estimates(f=None, F=None, a=None, b=None):
         worst = (0.0, 0.0, 0.0)
         for i in range(1, len(f)):
             lhs = box_lp(g, Lf.frames[i], 2)
+            # the march's own exact discrete bound, constant 1: not a quadrature
             rhs = dt * sum(lp[:i])
             if rhs > 0 and lhs / rhs > worst[0]:
                 worst = (lhs / rhs, lhs, rhs)

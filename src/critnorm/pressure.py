@@ -8,7 +8,8 @@ report measures, on a parabolic cylinder, the scale-weighted pressure
 oscillation against the six velocity/drift/pressure integrals that
 bound it, with an optional time-weighted variant for runs carrying a
 distinguished singular time outside the observation window; its
-integrals follow the quadrature of critnorm.cylinder.
+integrals follow the quadrature of critnorm.cylinder, in time
+cylinder.trapezoid over the stored slices of the window.
 
 The r/8 lattice of the outer ball B_rho has about (16 rho/r)^3 points,
 so the oscillation walks the x-slabs of cylinder.ball_slabs once, through
@@ -55,6 +56,7 @@ from .cylinder import (
     sample_slice,
     stored_window,
     walk_slabs,
+    trapezoid,
 )
 from .fieldio import write_csv
 from .fields import ScalarField, nonic_step
@@ -405,26 +407,26 @@ def pressure_oscillation_terms(v, a, q, center, r, rho, t_top=None, t0=None):
 
     p_osc = r ** (-(1.0 + DELTA) / 2.0)
     p_far = r ** (4.0 - DELTA / 2.0)
-    lhs = p_osc * float(np.trapezoid(osc, ts))
-    iv3 = float(np.trapezoid(v3_2r, ts))
+    lhs = p_osc * trapezoid(osc, ts)
+    iv3 = trapezoid(v3_2r, ts)
     j1 = p_osc * iv3
     j3 = r ** (6.0 - DELTA / 2.0) * float(np.max(tail)) ** 1.5
-    j5 = p_far * rho ** (-4.5) * float(np.trapezoid(bulk, ts))
+    j5 = p_far * rho ** (-4.5) * trapezoid(bulk, ts)
     if not weighted:
-        j2 = r ** ((1.0 - DELTA) / 2.0) * math.sqrt(iv3) * float(np.trapezoid(a5_2r, ts)) ** 0.3
-        j4 = p_far * float(np.trapezoid(cross_tail**1.5, ts))
+        j2 = r ** ((1.0 - DELTA) / 2.0) * math.sqrt(iv3) * trapezoid(a5_2r, ts) ** 0.3
+        j4 = p_far * trapezoid(cross_tail**1.5, ts)
         j6 = (
             r ** ((44.0 - 5.0 * DELTA) / 10.0)
             * rho ** (-3.9)
-            * math.sqrt(float(np.trapezoid(v3_rho, ts)))
-            * float(np.trapezoid(a5_rho, ts)) ** 0.3
+            * math.sqrt(trapezoid(v3_rho, ts))
+            * trapezoid(a5_rho, ts) ** 0.3
         )
     else:
         wgt1 = np.abs(ts - t0) ** (-1.0)
         wgt34 = np.abs(ts - t0) ** (-0.75)
-        j2 = r ** (0.75 - DELTA / 2.0) * ma**1.5 * float(np.trapezoid(wgt1 * v2_2r, ts)) ** 0.75
-        j4 = p_far * ma**1.5 * float(np.trapezoid(wgt34 * v_tail**1.5, ts))
-        j6 = p_far * rho ** (-3.75) * ma**1.5 * float(np.trapezoid(wgt34 * v2_ring**0.75, ts))
+        j2 = r ** (0.75 - DELTA / 2.0) * ma**1.5 * trapezoid(wgt1 * v2_2r, ts) ** 0.75
+        j4 = p_far * ma**1.5 * trapezoid(wgt34 * v_tail**1.5, ts)
+        j6 = p_far * rho ** (-3.75) * ma**1.5 * trapezoid(wgt34 * v2_ring**0.75, ts)
     terms = (j1, j2, j3, j4, j5, j6)
     for val in terms:
         if not np.isfinite(val):

@@ -18,6 +18,8 @@ from critnorm.besov import (
 from critnorm.fields import Grid, ScalarField, TensorField, VectorField, gaussian_bump
 from critnorm.spectral import divergence, leray_project
 
+import testdata
+
 
 def single_mode(grid, m, amplitude=1.0):
     X, Y, Z = grid.coords()
@@ -63,7 +65,7 @@ class TestLpProject:
         assert np.allclose(proj.values, _phi(1.0) * f.values, atol=1e-13)
 
     def test_partition_reconstructs_band_limited(self, grid32, rng):
-        f = corpus.random_scalar(grid32, rng)
+        f = testdata.random_scalar(grid32, rng)
         bank = LPProjectorBank(grid32)
         total = np.zeros(grid32.shape)
         for j in bank.bands:
@@ -207,7 +209,7 @@ class TestBesovSplit:
 
 class TestSplitSweep:
     def test_scaling_exponents_on_critical_profile(self, grid64, tmp_path):
-        u = leray_project(corpus.inverse_radius_field(grid64, 4 * grid64.dx, 3.0))
+        u = leray_project(testdata.inverse_radius_field(grid64, 4 * grid64.dx, 3.0))
         sweep = split_sweep(u, np.geomspace(2.0, 12.0, 6), 6)
         assert sweep["slope_tilde"] < -0.3
         assert sweep["slope_bar"] <= 0.5 + 0.1  # gamma1 role: delta2 plus margin

@@ -1,7 +1,7 @@
 """The time quadratures of critnorm.cylinder against scipy.integrate,
-which stays the reference implementation here, and the call-scoped
-frame spectra that its off-grid sampling reads, and the one rule by
-which a ball fits the box."""
+which stays the reference implementation here, and on affine samples,
+which they integrate exactly; the call-scoped frame spectra that its
+off-grid sampling reads, and the one rule by which a ball fits the box."""
 
 import gc
 import weakref
@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from critnorm import _fft, cylinder
-from critnorm.cylinder import cumulative_simpson, cumulative_trapezoid
+from critnorm.cylinder import cumulative_simpson, cumulative_trapezoid, trapezoid
 from critnorm.fields import SpaceTimeField
 from critnorm.norms import BallRegion
 
@@ -36,6 +36,23 @@ def test_both_rules_are_scipys_bit_for_bit(xy):
     assert np.array_equal(cumulative_trapezoid(y, x), want)
     want = scipy.integrate.cumulative_simpson(y, x=x, initial=0.0)
     assert np.array_equal(cumulative_simpson(y, x), want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(samples(min_size=2), st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))
+def test_every_rule_integrates_affine_samples_exactly(xy, a, b):
+    # a + b t over [x_0, x_m], to 1e-13 of the integral of |a| + |b| max|t|;
+    # cumulative_simpson's weights grow with the ratio of neighbouring
+    # steps (up to 10^4 here), and so does its round-off
+    x = xy[0]
+    exact = (x[-1] - x[0]) * (a + b * (x[-1] + x[0]) / 2.0)
+    tol = 1e-13 * (abs(a) + abs(b) * np.max(np.abs(x))) * (x[-1] - x[0])
+    h = np.diff(x)
+    skew = max(np.max(h[1:] / h[:-1]), np.max(h[:-1] / h[1:])) if len(h) > 1 else 1.0
+    y = a + b * x
+    assert abs(trapezoid(y, x) - exact) <= tol
+    assert abs(cumulative_trapezoid(y, x)[-1] - exact) <= tol
+    assert abs(cumulative_simpson(y, x)[-1] - exact) <= tol * skew
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,11 +1,13 @@
 import numpy as np
 
-from critnorm import corpus, fieldio
+from critnorm import fieldio
+
+import testdata
 
 
 class TestCsvExport:
     def test_slice_layout(self, tmp_path, grid16, rng):
-        f = corpus.random_scalar(grid16, rng)
+        f = testdata.random_scalar(grid16, rng)
         p = tmp_path / "slice.csv"
         fieldio.write_csv_slice(p, f, axis=2)
         lines = p.read_text().strip().split("\n")
@@ -16,7 +18,7 @@ class TestCsvExport:
         assert np.isclose(v, f.values[0, 0, grid16.n // 2])
 
     def test_roundtrip_precision(self, tmp_path, grid16, rng):
-        f = corpus.random_scalar(grid16, rng)
+        f = testdata.random_scalar(grid16, rng)
         p = tmp_path / "slice.csv"
         fieldio.write_csv_slice(p, f, axis=0)
         rows = np.loadtxt(p, delimiter=",", skiprows=1)

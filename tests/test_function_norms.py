@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from critnorm import corpus
 from critnorm.cylinder import ball_mask
 from critnorm.fields import (
     ScalarField,
@@ -11,7 +10,6 @@ from critnorm.fields import (
     VectorField,
     ball_indicator,
     gaussian_bump,
-    taylor_green,
 )
 from critnorm.norms import (
     BallRegion,
@@ -26,6 +24,8 @@ from critnorm.norms import (
     write_reports_csv,
 )
 from critnorm.spectral import evaluate_at_points, heat_semigroup
+
+import testdata
 
 B1 = BallRegion((0.0, 0.0, 0.0), 1.0)
 BALL_VOL = 4.0 * np.pi / 3.0
@@ -100,7 +100,7 @@ class TestLpBall:
             lp_ball(f, 0.9, B1)
 
     def test_vector_field_uses_magnitude(self, grid32):
-        u = taylor_green(grid32)
+        u = testdata.taylor_green(grid32)
         mag = ScalarField(grid32, u.magnitude())
         assert np.isclose(
             lp_ball(u, 3, B1).value, lp_ball(mag, 3, B1).value, rtol=1e-12
@@ -150,14 +150,14 @@ class TestLorentz:
         # 1/|x| clipped at the 4 dx level: every level set below the clip is
         # a lattice ball, so the sup sits within the lattice-count
         # fluctuation (a few percent at these radii) of the continuum value
-        base = corpus.inverse_square_scalar(grid64, r_outer=1.0)
+        base = testdata.inverse_square_scalar(grid64, r_outer=1.0)
         clip = 1.0 / (4 * grid64.dx)
         f = ScalarField(grid64, np.minimum(base.values, clip))
         rep = lorentz_quasinorm(f, 3, math.inf, B1)
         assert np.isclose(rep.value, BALL_VOL ** (1 / 3), rtol=0.04)
 
     def test_pp_matches_lp_exactly(self, grid32, rng):
-        f = corpus.random_scalar(grid32, rng)
+        f = testdata.random_scalar(grid32, rng)
         assert np.isclose(
             lorentz_quasinorm(f, 2.5, 2.5, B1).value,
             lp_ball(f, 2.5, B1).value,
@@ -166,7 +166,7 @@ class TestLorentz:
 
     def test_pp_matches_lp_on_smooth_corpus(self, grid32, rng):
         for _ in range(3):
-            f = corpus.random_scalar(grid32, rng)
+            f = testdata.random_scalar(grid32, rng)
             assert np.isclose(
                 lorentz_quasinorm(f, 3, 3, B1).value,
                 lp_ball(f, 3, B1).value,
@@ -200,7 +200,7 @@ class TestLorentz:
         # constant-one embedding needs q1 <= p with this normalization;
         # pairs are kept in that range
         members = [
-            corpus.random_scalar(grid32, rng),
+            testdata.random_scalar(grid32, rng),
             gaussian_bump(grid32, 0.4),
             ball_indicator(grid32, 0.8),
             masked_inverse_radius(grid32, 2 * grid32.dx, 1.0),
@@ -211,7 +211,7 @@ class TestLorentz:
             assert lo <= hi * (1 + 1e-12)
 
     def test_monotone_in_region(self, grid32, rng):
-        f = corpus.random_scalar(grid32, rng)
+        f = testdata.random_scalar(grid32, rng)
         small = BallRegion((0, 0, 0), 0.6)
         assert (
             lorentz_quasinorm(f, 3, math.inf, small).value
@@ -226,7 +226,7 @@ class TestLorentz:
 
 class TestMorrey:
     def test_critical_profile_is_radius_flat(self, grid64):
-        f = corpus.inverse_square_scalar(grid64)
+        f = testdata.inverse_square_scalar(grid64)
         oracle = math.sqrt(4 * np.pi)
         rep = morrey_critical(f, [(0.0, 0.0, 0.0)], 2 * grid64.dx, 1.0)
         assert np.isclose(rep.value, oracle, rtol=0.05)
@@ -345,7 +345,7 @@ class TestHunt:
         assert rep.ratio == 0.0
 
     def test_weak3_times_indicator(self, grid64):
-        base = corpus.inverse_square_scalar(grid64, r_outer=1.0)
+        base = testdata.inverse_square_scalar(grid64, r_outer=1.0)
         clip = 1.0 / (4 * grid64.dx)
         f = ScalarField(grid64, np.minimum(base.values, clip))
         g = ball_indicator(grid64, 1.0)

@@ -75,18 +75,6 @@ HORIZON = 5.0 / 64.0
 
 # public callables that compute() does not reach, each with the reason it stays
 EXEMPT = {
-    "fields.taylor_green": "the exact-decay oracle of the stepper and energy tests: its "
-                           "projected nonlinearity vanishes, so no pipeline number starts from it",
-    "corpus.random_scalar": "test data: band-limited random scalars of the spectral, norm, Besov "
-                            "and mild tests",
-    "corpus.azimuthal_field": "test data: the exactly solenoidal swirl that compact_divfree_bump "
-                              "and inverse_radius_field build on",
-    "corpus.compact_divfree_bump": "test data: the one swirl with exactly compact support; "
-                                   "curl_bump's support is only essential",
-    "corpus.inverse_radius_field": "test data: the critical 1/|x| swirl of the split-sweep, "
-                                   "weak-L^3 mild, dealiasing and corpus tests",
-    "corpus.inverse_square_scalar": "test data: the 1/|x| scalar of the Lorentz, Morrey and Hunt "
-                                    "tests",
     "mild.PicardDivergence.__init__": "raised only when a forward solve blows up, which golden's "
                                       "small data never does",
 }

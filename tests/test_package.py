@@ -1,10 +1,11 @@
 """Package metadata: each critnorm module's __all__ names attributes
 that exist in that module, no module imports a sibling's private name,
-only _fft transforms, only cylinder samples stored frames off the grid,
-no module keeps an import it never reads, importing the package stays
-light, the package's optional parameters do not grow, its public
-dataclasses are frozen, no module global is None, and the declared numpy
-floor has the numpy the package calls."""
+only _fft transforms, only cylinder integrates in time over stored
+slices or samples stored frames off the grid, no module keeps an import
+it never reads, importing the package stays light, the package's
+optional parameters do not grow, its public dataclasses are frozen, no
+module global is None, and the declared numpy floor has the numpy the
+package calls."""
 
 import ast
 import importlib
@@ -58,9 +59,22 @@ FFT_MODULES = ("numpy.fft", "scipy.fft")
 NOT_TRANSFORMS = {"fftfreq", "rfftfreq", "fftshift", "ifftshift", "next_fast_len"}
 
 
-def _transform_uses(text):
-    """Each line:name where a module's source reads a transform of
-    numpy.fft or scipy.fft, however the module was imported (import
+def _is_transform(name):
+    module, _, attr = name.rpartition(".")
+    return module in FFT_MODULES and attr not in NOT_TRANSFORMS
+
+
+# numpy's time quadratures; every name of scipy.integrate is one too
+NUMPY_TIME_RULES = ("numpy.trapezoid", "numpy.trapz")
+
+
+def _is_time_rule(name):
+    return name in NUMPY_TIME_RULES or name.rpartition(".")[0] == "scipy.integrate"
+
+
+def _uses(text, flagged):
+    """Each line:name where a module's source reads a dotted name that
+    flagged(name) is true of, however the module was imported (import
     numpy as np, from scipy import fft, from numpy.fft import rfftn, ...),
     as a call or as a value."""
     tree = ast.parse(text)
@@ -85,9 +99,9 @@ def _transform_uses(text):
     found = []
     for node in ast.walk(tree):
         if isinstance(node, (ast.Name, ast.Attribute)):
-            module, _, attr = (dotted(node) or "").rpartition(".")
-            if module in FFT_MODULES and attr not in NOT_TRANSFORMS:
-                found.append((node.lineno, "%d:%s.%s" % (node.lineno, module, attr)))
+            name = dotted(node)
+            if name and flagged(name):
+                found.append((node.lineno, "%d:%s" % (node.lineno, name)))
     return [use for _, use in sorted(found)]
 
 
@@ -95,10 +109,31 @@ def test_transform_scan_sees_every_import_style():
     text = ("import numpy as np\nimport scipy.fft\nimport scipy.fft as sf\n"
             "from scipy import fft\nfrom numpy.fft import irfftn as inv\n"
             "np.fft.rfftn(x)\nscipy.fft.fftn(x)\nsf.irfftn(x)\nfft.rfft(x)\n"
-            "f = inv\nk = np.fft.fftfreq(8) + fft.rfftfreq(8)\n")
-    assert _transform_uses(text) == [
+            "f = inv\nk = np.fft.fftfreq(8) + fft.rfftfreq(8)\n"
+            "from numpy import trapezoid as tz\nimport scipy.integrate as si\n"
+            "from scipy import integrate\nfrom scipy.integrate import simpson\n"
+            "tz(y, t) + np.trapz(y, t) + np.trapezoid(y, t)\nsi.cumulative_trapezoid(y, t)\n"
+            "rule = integrate.quad\nsimpson(y, x=t)\nnp.sum(y) + np.cumsum(y)\n")
+    assert _uses(text, _is_transform) == [
         "6:numpy.fft.rfftn", "7:scipy.fft.fftn", "8:scipy.fft.irfftn",
         "9:scipy.fft.rfft", "10:numpy.fft.irfftn"]
+    assert _uses(text, _is_time_rule) == [
+        "16:numpy.trapezoid", "16:numpy.trapezoid", "16:numpy.trapz",
+        "17:scipy.integrate.cumulative_trapezoid", "18:scipy.integrate.quad",
+        "19:scipy.integrate.simpson"]
+
+
+def _package_uses(flagged, owner):
+    """The uses flagged in every critnorm module but owner, whose own
+    source must show some: the scan sees them where they are."""
+    found = []
+    for path in sorted(pathlib.Path(critnorm.__file__).parent.glob("*.py")):
+        uses = _uses(path.read_text(), flagged)
+        if path.name == owner:
+            assert uses
+        else:
+            found += ["%s:%s" % (path.name, use) for use in uses]
+    return found
 
 
 def test_only_fft_transforms():
@@ -106,14 +141,15 @@ def test_only_fft_transforms():
     worker count and where perfbench counts transforms: no other module
     reads a transform of numpy.fft or scipy.fft. fftfreq, which
     fields.Grid and spectral use for wavenumbers, is not a transform."""
-    found = []
-    for path in sorted(pathlib.Path(critnorm.__file__).parent.glob("*.py")):
-        uses = _transform_uses(path.read_text())
-        if path.name == "_fft.py":
-            assert uses  # the scan sees the transforms where they are
-        else:
-            found += ["%s:%s" % (path.name, use) for use in uses]
-    assert found == []
+    assert _package_uses(_is_transform, "_fft.py") == []
+
+
+def test_only_cylinder_integrates_in_time():
+    """Every time integral over stored slices takes one of cylinder's
+    rules (trapezoid, cumulative_trapezoid, cumulative_simpson): no
+    other module reads numpy.trapezoid, numpy.trapz or a name of
+    scipy.integrate."""
+    assert _package_uses(_is_time_rule, "cylinder.py") == []
 
 
 def test_no_module_keeps_an_unused_import():
@@ -177,7 +213,7 @@ def test_importing_every_module_leaves_heavy_scipy_unloaded():
 
 
 # the count of test_optional_parameters_do_not_grow; lower it when options go
-OPTIONAL_PARAMETERS = 35
+OPTIONAL_PARAMETERS = 31
 
 
 def _is_dataclass(cls):

@@ -14,7 +14,6 @@ from critnorm.fields import (
     SpaceTimeField,
     VectorField,
     smooth_radial_cutoff,
-    taylor_green,
     taylor_green_3d,
 )
 from critnorm.spectral import (
@@ -24,6 +23,8 @@ from critnorm.spectral import (
     neg_leray_div_hat,
     sym_outer_hat,
 )
+
+import testdata
 
 K0 = 1.0 / np.sqrt(2.0)
 
@@ -57,7 +58,7 @@ class TestConfig:
 
 class TestStep:
     def test_cfl_rejection(self, grid32):
-        v = taylor_green(grid32, amplitude=1.0)
+        v = testdata.taylor_green(grid32, amplitude=1.0)
         with pytest.raises(ValueError, match="CFL"):
             pns.step(v, 0.2, None, None, True)
         # suggested limit is the advective gate for unit speed
@@ -69,9 +70,9 @@ class TestStep:
 
     def test_drift_enters_cfl(self, grid32):
         # v alone passes at dt=0.05, v plus a fast drift does not
-        v = taylor_green(grid32, amplitude=1.0)
+        v = testdata.taylor_green(grid32, amplitude=1.0)
         pns.step(v, 0.05, None, None, True)
-        fast = VectorField(grid32, 10.0 * taylor_green(grid32, 1.0).data)
+        fast = VectorField(grid32, 10.0 * testdata.taylor_green(grid32, 1.0).data)
         with pytest.raises(ValueError, match="CFL"):
             pns.step(v, 0.05, fast, fast, True)
 
@@ -151,7 +152,7 @@ class TestRun:
 
     def test_stored_grid_of_times(self, grid16):
         run = pns.run_pns(
-            taylor_green(grid16, amplitude=0.1),
+            testdata.taylor_green(grid16, amplitude=0.1),
             pns.PNSConfig(dt=0.05, T=0.4, stride=4),
         )
         assert np.allclose(run.v.times, [0.0, 0.2, 0.4])
@@ -160,14 +161,14 @@ class TestRun:
     def test_planar_vortex_is_exact_heat_orbit(self, grid32):
         # the projected nonlinearity vanishes identically on the planar pair,
         # and the integrating factor makes the heat part exact per step
-        v0 = taylor_green(grid32, amplitude=1.0)
+        v0 = testdata.taylor_green(grid32, amplitude=1.0)
         run = pns.run_pns(v0, pns.PNSConfig(dt=0.02, T=0.4, stride=4))
         for i, t in enumerate(run.v.times):
             exact = np.exp(-t) * v0.data
             assert np.max(np.abs(run.v.frames[i] - exact)) <= 1e-13
 
     def test_planar_vortex_energy_decay(self, grid32):
-        v0 = taylor_green(grid32, amplitude=1.0)
+        v0 = testdata.taylor_green(grid32, amplitude=1.0)
         run = pns.run_pns(v0, pns.PNSConfig(dt=0.02, T=0.4, stride=4))
         E0 = np.sum(v0.data**2) * grid32.cell_volume
         for i, t in enumerate(run.v.times):
@@ -204,7 +205,7 @@ class TestRun:
         assert np.max(np.abs(mT - m0)) <= 1e-12
 
     def test_dealias_support_preserved(self, grid16, rng):
-        raw = corpus.inverse_radius_field(grid16, 2 * grid16.dx, 3.0, amplitude=0.05)
+        raw = testdata.inverse_radius_field(grid16, 2 * grid16.dx, 3.0, amplitude=0.05)
         run = pns.run_pns(raw, pns.PNSConfig(dt=0.02, T=0.04, stride=2))
         hat = rfftn(run.v.frames[-1])
         # stored frames round-trip through physical space, so "zero" means
@@ -214,14 +215,14 @@ class TestRun:
 
     def test_one_drift_slice_per_time_level(self, grid16):
         asked = []
-        drift = heat_drift(taylor_green(grid16, amplitude=0.1))
+        drift = heat_drift(testdata.taylor_green(grid16, amplitude=0.1))
 
         def provider(t):
             asked.append(t)
             return drift(t)
 
         cfg = pns.PNSConfig(dt=0.05, T=0.4, stride=2)
-        pns.run_pns(taylor_green(grid16, amplitude=0.1), cfg, a_provider=provider)
+        pns.run_pns(testdata.taylor_green(grid16, amplitude=0.1), cfg, a_provider=provider)
         # the horizon check first, then each time level once
         assert asked[0] == cfg.T
         assert len(asked[1:]) == len(set(asked[1:])) == cfg.n_steps + 1
@@ -230,14 +231,14 @@ class TestRun:
         # as in DuhamelConfig.times(), not a running sum of dt: twelve
         # additions of 0.01 make 0.11999999999999998
         asked = []
-        drift = heat_drift(taylor_green(grid16, amplitude=0.1))
+        drift = heat_drift(testdata.taylor_green(grid16, amplitude=0.1))
 
         def provider(t):
             asked.append(t)
             return drift(t)
 
         cfg = pns.PNSConfig(dt=0.01, T=0.12, stride=3)
-        run = pns.run_pns(taylor_green(grid16, amplitude=0.1), cfg, a_provider=provider)
+        run = pns.run_pns(testdata.taylor_green(grid16, amplitude=0.1), cfg, a_provider=provider)
         assert np.array_equal(run.v.times, 0.03 * np.arange(5))
         # the horizon check asks for the last level's own float
         assert asked[0] == run.v.times[-1]
@@ -266,7 +267,7 @@ class TestDriftSlices:
 
         monkeypatch.setattr(pns, "step", step)
         cfg = pns.PNSConfig(dt=0.01, T=0.12, stride=3)
-        run = pns.run_pns(taylor_green(grid16, amplitude=0.1), cfg, a_provider=provider)
+        run = pns.run_pns(testdata.taylor_green(grid16, amplitude=0.1), cfg, a_provider=provider)
         assert len(run.a) == len(run.v) == 5
         assert run.a.grid == grid16 and run.a.times is run.v.times
         for i, t in enumerate(run.a.times):
@@ -276,8 +277,8 @@ class TestDriftSlices:
         assert np.array_equal(run.a.frames[-1], run.a.frames[4])
 
     def test_frames_take_integer_indices_only(self, grid16):
-        run = pns.run_pns(taylor_green(grid16, amplitude=0.1), pns.PNSConfig(0.05, 0.2, 2),
-                          a_provider=heat_drift(taylor_green(grid16, amplitude=0.1)))
+        run = pns.run_pns(testdata.taylor_green(grid16, amplitude=0.1), pns.PNSConfig(0.05, 0.2, 2),
+                          a_provider=heat_drift(testdata.taylor_green(grid16, amplitude=0.1)))
         assert np.array_equal(run.a.frames[np.int64(1)], run.a.frames[1])
         for index in (slice(0, 2), 0.5, np.array([0, 1])):
             with pytest.raises(TypeError):
@@ -286,7 +287,7 @@ class TestDriftSlices:
     def test_the_run_keeps_only_v_q_and_the_times(self, grid16):
         a = pns.run_pns(taylor_green_3d(grid16, amplitude=0.3), pns.PNSConfig(0.01, 0.08, 1))
         provider = pns.drift_from_spacetime(a.v)
-        v0 = taylor_green(grid16, amplitude=0.1)
+        v0 = testdata.taylor_green(grid16, amplitude=0.1)
         cfg = pns.PNSConfig(dt=0.01, T=0.08, stride=2)
         pns.run_pns(v0, cfg, a_provider=provider)  # the grid's arrays are built
         tracemalloc.start()
@@ -306,13 +307,13 @@ class TestDriftSlices:
             self, grid16, grid32, bad, monkeypatch):
         def provider(t):
             if bad == "array":
-                return taylor_green(grid16, amplitude=0.1).data
-            return taylor_green(grid32, amplitude=0.1)
+                return testdata.taylor_green(grid16, amplitude=0.1).data
+            return testdata.taylor_green(grid32, amplitude=0.1)
 
         steps = []
         monkeypatch.setattr(pns, "step", lambda *args, **kw: steps.append(args))
         with pytest.raises(ValueError, match=r"VectorField on the grid of v0, Grid\(n=16"):
-            pns.run_pns(taylor_green(grid16, amplitude=0.1), pns.PNSConfig(0.05, 0.2, 2),
+            pns.run_pns(testdata.taylor_green(grid16, amplitude=0.1), pns.PNSConfig(0.05, 0.2, 2),
                         a_provider=provider)
         assert steps == []
 
@@ -322,7 +323,7 @@ class TestRecoverPressure:
         # classical closed form for the vortex pair at |xi|^2 = 1
         A = 0.8
         X, Y, Z = grid32.coords()
-        q = pns.recover_pressure(taylor_green(grid32, amplitude=A))
+        q = pns.recover_pressure(testdata.taylor_green(grid32, amplitude=A))
         cand = -(A**2 / 4.0) * (np.cos(2 * K0 * X) + np.cos(2 * K0 * Y))
         assert np.max(np.abs(q.values - cand)) <= 1e-12
 
@@ -364,7 +365,7 @@ class TestRecoverPressure:
     def test_grid_mismatch(self, grid16, grid32):
         with pytest.raises(ValueError):
             pns.recover_pressure(
-                taylor_green(grid32, 1.0), taylor_green(grid16, 1.0)
+                testdata.taylor_green(grid32, 1.0), testdata.taylor_green(grid16, 1.0)
             )
 
 
@@ -411,7 +412,7 @@ class TestDriftProvider:
 class TestLocalEnergy:
     def test_gates(self, grid16):
         run = pns.run_pns(
-            taylor_green(grid16, 0.1), pns.PNSConfig(dt=0.05, T=0.2, stride=2)
+            testdata.taylor_green(grid16, 0.1), pns.PNSConfig(dt=0.05, T=0.2, stride=2)
         )
         bad = ScalarField(grid16, -np.ones(grid16.shape))
         with pytest.raises(ValueError):
@@ -419,7 +420,7 @@ class TestLocalEnergy:
 
     def test_planar_vortex_ledger(self, grid32):
         run = pns.run_pns(
-            taylor_green(grid32, amplitude=1.0),
+            testdata.taylor_green(grid32, amplitude=1.0),
             pns.PNSConfig(dt=0.01, T=0.4, stride=2),
         )
         phi = smooth_radial_cutoff(grid32, 1.0, 3.0)
@@ -435,7 +436,7 @@ class TestLocalEnergy:
         # leave slack at that scale instead of the 1e-5 quadrature floor
         a0 = taylor_green_3d(grid32, amplitude=0.4)
         run = pns.run_pns(
-            taylor_green(grid32, amplitude=0.3),
+            testdata.taylor_green(grid32, amplitude=0.3),
             pns.PNSConfig(dt=0.01, T=0.4, stride=4),
             a_provider=heat_drift(a0),
         )
@@ -468,7 +469,7 @@ class TestLocalEnergy:
 class TestGlobalEnergy:
     def test_planar_vortex_equality(self, grid32):
         run = pns.run_pns(
-            taylor_green(grid32, amplitude=1.0),
+            testdata.taylor_green(grid32, amplitude=1.0),
             pns.PNSConfig(dt=0.01, T=0.4, stride=2),
         )
         rep = pns.global_energy_check(run)
@@ -517,9 +518,9 @@ class TestGlobalEnergy:
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_driven_run_rejected(self, grid16):
-        a0 = taylor_green(grid16, amplitude=0.1)
+        a0 = testdata.taylor_green(grid16, amplitude=0.1)
         run = pns.run_pns(
-            taylor_green(grid16, amplitude=0.1),
+            testdata.taylor_green(grid16, amplitude=0.1),
             pns.PNSConfig(dt=0.05, T=0.2, stride=2),
             a_provider=heat_drift(a0),
         )
@@ -554,7 +555,7 @@ class TestPerturbationConsistency:
 class TestArtifacts:
     def test_energy_csv(self, grid16, tmp_path):
         run = pns.run_pns(
-            taylor_green(grid16, 0.5), pns.PNSConfig(dt=0.05, T=0.2, stride=2)
+            testdata.taylor_green(grid16, 0.5), pns.PNSConfig(dt=0.05, T=0.2, stride=2)
         )
         phi = smooth_radial_cutoff(grid16, 1.0, 3.0)
         entries = pns.verify_local_energy(run, phi)

@@ -13,6 +13,10 @@ here: the ball energy about the origin decays, so the sup sits on each
 window's first slice, which all three strides keep; morrey_sup's sup
 sits on cylinders all three strides share.
 
+The mild L^5_{t,x} and L^2_{t,x} norms (mild_L5, mild_L2) take the same
+trapezoid over per-slice norms. They are read on the heat orbit of the
+curl bump, sampled exactly (no solver) every h = 1/256 on [0, 1/4].
+
 A sup of slice values is exact under refinement instead: the slices of
 a stride are among those of every finer stride, so the sup never falls.
 It is checked on B_k's ball energy about PEAK_CENTER, where it peaks on
@@ -26,7 +30,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from critnorm import ckn, corpus, cylinder, norms, pns, pressure
+from critnorm import ckn, corpus, cylinder, mild, norms, pns, pressure
 from critnorm.fields import Grid, SpaceTimeField, VectorField
 from critnorm.spectral import heat_semigroup
 
@@ -83,13 +87,25 @@ def fine_run():
 
 
 @pytest.fixture(scope="module")
-def by_stride(fine_run):
-    return {s: _quantities(_every(fine_run, s)) for s in STRIDES}
+def heat_orbit():
+    g = Grid(16, DEFAULT_L)
+    bump = corpus.curl_bump(g, amplitude=0.5)
+    ts = np.arange(65) / 256.0  # h = 1/256 on [0, 1/4]
+    return SpaceTimeField(g, ts, np.stack([heat_semigroup(bump, float(t)).data for t in ts]))
+
+
+@pytest.fixture(scope="module")
+def by_stride(fine_run, heat_orbit):
+    out = {s: _quantities(_every(fine_run, s)) for s in STRIDES}
+    for s in STRIDES:
+        orbit = SpaceTimeField(heat_orbit.grid, heat_orbit.times[::s], heat_orbit.frames[::s])
+        out[s].update(("mild_L%d" % r, mild.spacetime_lebesgue(orbit, r, r)) for r in (5, 2))
+    return out
 
 
 @pytest.mark.parametrize("name", ["A_2", "B_2", "A_3", "B_3", "morrey_sup", "local_cubed_mass",
                                   "osc_lhs", "osc_J1", "osc_J2", "osc_J4", "osc_J5", "osc_J6",
-                                  "wosc_J2", "wosc_J4", "wosc_J6"])
+                                  "wosc_J2", "wosc_J4", "wosc_J6", "mild_L5", "mild_L2"])
 def test_time_integrals_are_second_order(by_stride, name):
     q1, q2, q4 = (by_stride[s][name] for s in STRIDES)
     ratio = (q4 - q1) / (q2 - q1)

@@ -11,8 +11,9 @@ from critnorm.fields import (
     gaussian_bump,
     ball_indicator,
     smooth_radial_cutoff,
-    taylor_green,
 )
+
+import testdata
 
 DEFAULT_L = 2.0 * np.pi * np.sqrt(2.0)
 
@@ -64,7 +65,7 @@ class TestGrid:
 
 class TestParseval:
     def test_physical_matches_spectral(self, grid32, rng):
-        f = corpus.random_scalar(grid32, rng, kmax=9)
+        f = testdata.random_scalar(grid32, rng, kmax=9)
         phys = np.sum(f.values ** 2) * grid32.cell_volume
         # independent path: rfft layout double-counts all kz planes except
         # kz = 0 and the Nyquist plane
@@ -78,13 +79,13 @@ class TestParseval:
 
 class TestLerayProject:
     def test_annihilates_gradients(self, grid32, rng):
-        phi = corpus.random_scalar(grid32, rng, kmax=7)
+        phi = testdata.random_scalar(grid32, rng, kmax=7)
         gphi = spectral.gradient(phi)
         out = spectral.leray_project(gphi)
         assert np.max(np.abs(out.data)) <= 1e-12 * np.max(np.abs(gphi.data))
 
     def test_fixes_taylor_green(self, grid32):
-        tg = taylor_green(grid32)
+        tg = testdata.taylor_green(grid32)
         out = spectral.leray_project(tg)
         assert np.max(np.abs(out.data - tg.data)) <= 1e-12 * np.max(np.abs(tg.data))
 
@@ -100,7 +101,7 @@ class TestLerayProject:
 
     def test_idempotent(self, grid32, rng):
         f = VectorField(
-            grid32, np.stack([corpus.random_scalar(grid32, rng, 8).values for _ in range(3)])
+            grid32, np.stack([testdata.random_scalar(grid32, rng, 8).values for _ in range(3)])
         )
         once = spectral.leray_project(f)
         twice = spectral.leray_project(once)
@@ -108,7 +109,7 @@ class TestLerayProject:
 
     def test_divergence_small(self, grid32, rng):
         f = VectorField(
-            grid32, np.stack([corpus.random_scalar(grid32, rng, 8).values for _ in range(3)])
+            grid32, np.stack([testdata.random_scalar(grid32, rng, 8).values for _ in range(3)])
         )
         out = spectral.leray_project(f)
         div = spectral.divergence(out)
@@ -128,7 +129,7 @@ class TestHeatSemigroup:
             spectral.heat_semigroup(gaussian_bump(grid32, 0.5), -0.1)
 
     def test_time_zero_identity(self, grid32, rng):
-        f = corpus.random_scalar(grid32, rng)
+        f = testdata.random_scalar(grid32, rng)
         out = spectral.heat_semigroup(f, 0.0)
         assert np.array_equal(out.values, f.values)
 
@@ -149,13 +150,13 @@ class TestHeatSemigroup:
         assert np.max(np.abs(out.values - exact)) <= 1e-8
 
     def test_semigroup_composition(self, grid32, rng):
-        f = corpus.random_scalar(grid32, rng)
+        f = testdata.random_scalar(grid32, rng)
         one = spectral.heat_semigroup(spectral.heat_semigroup(f, 0.07), 0.13)
         two = spectral.heat_semigroup(f, 0.2)
         assert np.allclose(one.values, two.values, rtol=1e-12, atol=1e-13)
 
     def test_l2_nonincreasing(self, grid32, rng):
-        f = corpus.random_scalar(grid32, rng)
+        f = testdata.random_scalar(grid32, rng)
         norms = [spectral.heat_semigroup(f, t).l2() for t in (0.0, 0.01, 0.1, 1.0)]
         assert all(a >= b - 1e-13 for a, b in zip(norms, norms[1:]))
 
@@ -198,14 +199,14 @@ class TestRieszRiesz:
 
     def test_trace_identity(self, grid32, rng):
         # S = f delta_ij
-        f = corpus.random_scalar(grid32, rng, kmax=9)
+        f = testdata.random_scalar(grid32, rng, kmax=9)
         total = _riesz_sum(grid32, _in_slots(f, [0, 1, 2]))
         target = -(f.values - np.mean(f.values))
         assert np.max(np.abs(total - target)) <= 1e-10 * np.max(np.abs(f.values))
 
     def test_self_adjoint_on_mean_zero(self, grid32, rng):
-        f = corpus.random_scalar(grid32, rng, kmax=9)
-        g = corpus.random_scalar(grid32, rng, kmax=9)
+        f = testdata.random_scalar(grid32, rng, kmax=9)
+        g = testdata.random_scalar(grid32, rng, kmax=9)
         f = ScalarField(grid32, f.values - np.mean(f.values))
         g = ScalarField(grid32, g.values - np.mean(g.values))
         w = grid32.cell_volume
@@ -217,7 +218,7 @@ class TestRieszRiesz:
     def test_symmetric_in_indices(self, grid32, rng):
         # the slot of S_02 = S_20 carries R_0 R_2 + R_2 R_0, and each of
         # them is -d_i d_j of the inverse Laplacian, in either order
-        f = corpus.random_scalar(grid32, rng, kmax=9)
+        f = testdata.random_scalar(grid32, rng, kmax=9)
         inv = ScalarField(grid32, irfftn(-f.hat / grid32.k2_d_safe, grid32.shape))
         dd = spectral.gradient(spectral.gradient(inv)).data  # dd[j, i] = d_j d_i
         pair = _riesz_sum(grid32, _in_slots(f, [spectral.SYM_INDEX[0][2]]))
@@ -338,7 +339,7 @@ class TestDerivativesAndDealias:
         assert np.allclose(out.values, -(2 * k) ** 2 * f.values, atol=1e-12)
 
     def test_divergence_of_gradient_is_laplacian(self, grid32, rng):
-        f = corpus.random_scalar(grid32, rng, kmax=8)
+        f = testdata.random_scalar(grid32, rng, kmax=8)
         a = spectral.divergence(spectral.gradient(f))
         b = spectral.laplacian(f)
         assert np.allclose(a.values, b.values, rtol=1e-11, atol=1e-11)
@@ -360,7 +361,7 @@ class TestDerivativesAndDealias:
         # div(u x u) for the planar vortex is a pure gradient, so -P div,
         # the kernel of pns.step, annihilates u x u = sym_outer(u, u/2)
         g = grid32
-        u = taylor_green(g).data
+        u = testdata.taylor_green(g).data
         nl = irfftn(spectral.tensor_div_hat(g, rfftn(u[:, None] * u[None, :])), g.shape)
         out = spectral.neg_leray_div_hat(
             g.deriv_wavenumbers(), g.k2_d_safe, spectral.sym_outer_hat(u, u / 2)
@@ -372,7 +373,7 @@ class TestDerivativesAndDealias:
 class TestEvaluateAtPoints:
     def test_matches_closed_form(self, grid32):
         k = grid32.k0
-        tg = taylor_green(grid32)
+        tg = testdata.taylor_green(grid32)
         f = ScalarField(grid32, tg.data[0])
         pts = (
             np.array([0.1, -2.3, 3.0]),
@@ -386,7 +387,7 @@ class TestEvaluateAtPoints:
 
     def test_matches_direct_dft_sum(self, grid16, rng):
         # brute-force trigonometric sum as the independent evaluator
-        f = corpus.random_scalar(grid16, rng, kmax=5)
+        f = testdata.random_scalar(grid16, rng, kmax=5)
         coeffs = np.fft.fftn(f.values) / grid16.n ** 3
         k1 = grid16.k0 * grid16.modes
         pts = (
@@ -411,7 +412,7 @@ class TestEvaluateAtPoints:
         assert np.allclose(got, want.real, atol=1e-12)
 
     def test_reproduces_grid_values(self, grid16, rng):
-        f = corpus.random_scalar(grid16, rng, kmax=5)
+        f = testdata.random_scalar(grid16, rng, kmax=5)
         pts = (grid16.x[:4], grid16.x[:3], grid16.x[:5])
         got = spectral.evaluate_at_points(f.grid, pts, f.hat)
         assert np.allclose(got, f.values[:4, :3, :5], atol=1e-12)
@@ -423,7 +424,7 @@ class TestCorpusFields:
         assert spectral.divergence(u).l2() <= 1e-10 * u.l2()
 
     def test_compact_bump_support_exact(self, grid64):
-        u = corpus.compact_divfree_bump(grid64)
+        u = testdata.compact_divfree_bump(grid64, 0.4, 1.3)
         outside = grid64.radius() > 1.3 + 1e-12
         assert np.max(np.abs(u.data[:, outside])) == 0.0
         # solenoidal in the continuum; discrete divergence shrinks with n
@@ -437,7 +438,7 @@ class TestCorpusFields:
 
     def test_inverse_radius_magnitude_on_plane(self, grid64):
         # swirl magnitude is rho * g(r); on the z = 0 plane rho equals r
-        u = corpus.inverse_radius_field(grid64, 0.4, 3.0)
+        u = testdata.inverse_radius_field(grid64, 0.4, 3.0)
         c = int(np.argmin(np.abs(grid64.x)))
         mag = u.magnitude()[:, :, c]
         r = grid64.radius()[:, :, c]
