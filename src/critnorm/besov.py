@@ -91,7 +91,11 @@ def lp_project(f, j):
 
 def besov_norm_lp(f, s, p, name=None):
     """Littlewood-Paley Besov norm sup over bands of 2^{js} ||block||_p: q = inf,
-    the paper's B^s_{p,inf}."""
+    the paper's B^s_{p,inf}. f's spectrum is read through a view (fields)."""
+    return _lp_sup(type(f)(f.grid, f.data), s, p, name)
+
+
+def _lp_sup(f, s, p, name):  # besov_norm_lp reading, and caching, f's own spectrum
     p = float(p)
     s = float(s)
     limit = 0.0 if p == math.inf else 3.0 / p
@@ -159,6 +163,7 @@ def besov_split(g, N, p):
     if not isinstance(g, VectorField):
         raise ValueError("besov_split takes a vector field")
     grid = g.grid
+    g = VectorField(grid, g.data)  # a view: the caller's field keeps no spectrum
     scale = g.l2()
     if scale > 0:
         kmax = math.sqrt(float(np.max(grid.k2)))
@@ -167,14 +172,16 @@ def besov_split(g, N, p):
     low = grid.k2 <= float(N) ** 2
     bar = apply_multiplier(g, low.astype(np.float64))
     tilde = VectorField(grid, g.data - bar.data)
+    del g  # the view and its spectrum; bar's goes once bar's two norms are taken
+    bmo = _lp_sup(bar, -1.0 + DELTA2, math.inf, "bar_B(%g,inf,inf)" % (-1.0 + DELTA2))
+    crit = _lp_sup(bar, -1.0 + 3.0 / p, p, "bar_crit")
+    bar = VectorField(grid, bar.data)  # a view without that spectrum
     reports = {
         "tilde_l2": NormReport("tilde_l2", tilde.l2(), None, "box L2"),
         "bar_l2": NormReport("bar_l2", bar.l2(), None, "box L2"),
-        "bar_bmo_like": besov_norm_lp(
-            bar, -1.0 + DELTA2, math.inf, name="bar_B(%g,inf,inf)" % (-1.0 + DELTA2)
-        ),
+        "bar_bmo_like": bmo,
         "tilde_critical": besov_norm_lp(tilde, -1.0 + 3.0 / p, p, name="tilde_crit"),
-        "bar_critical": besov_norm_lp(bar, -1.0 + 3.0 / p, p, name="bar_crit"),
+        "bar_critical": crit,
     }
     return BesovSplit(
         tilde_g=tilde,

@@ -6,6 +6,10 @@ construction: each stores a read-only view of its input array (no copy,
 the caller's array stays writeable) and every operation allocates a new
 field, so fields can be shared across threads freely. A caller that
 writes to an array after wrapping it changes the field too.
+
+A field caches its spectrum at the first read of .hat. The chain's stages
+read a field they are handed through a view, type(f)(f.grid, f.data), so
+a spectrum they make dies with the call and only the owner's reads cache.
 """
 
 import functools
@@ -193,7 +197,7 @@ class _Field:
 
     @property
     def hat(self):
-        """rfftn of the data over the spatial axes (cached)."""
+        """rfftn of the data over the spatial axes, cached (module docstring)."""
         if self._hat is None:
             h = _fft.rfftn(self.data)
             h.flags.writeable = False

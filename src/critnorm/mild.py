@@ -454,6 +454,7 @@ def solve_mild(u0a, cfg, data_norm="l3", besov_p=6.0):
     """
     if not isinstance(u0a, VectorField):
         raise ValueError("initial data must be a vector field")
+    u0a = VectorField(u0a.grid, u0a.data)  # a view: the caller's field keeps no spectrum
     if data_norm not in ("l3", "weak_l3", "besov"):
         raise ValueError("unknown data norm kind %r" % data_norm)
     p = float(besov_p)
@@ -483,6 +484,7 @@ def solve_mild(u0a, cfg, data_norm="l3", besov_p=6.0):
             if t > 0
         )
 
+    del u0a  # the view, with its spectrum: the march reads H
     # L(-P div(a x a)), with w = a / 2 since the symmetrization doubles;
     # the residual a - H - L(a) is left in H's buffer
     march = _sym_duhamel(g, times, lambda j, u: 0.5 * u)

@@ -273,7 +273,7 @@ def run_pns(v0, cfg, a_provider=None):
             "t = T = %g it returned %s" % (
                 g, n * cfg.dt, end.grid if isinstance(end, VectorField) else type(end).__name__))
     del end
-    vh = v0.hat * (g.dealias_mask if cfg.dealias else 1.0)
+    vh = VectorField(g, v0.data).hat * (g.dealias_mask if cfg.dealias else 1.0)  # a view
     v = leray_project(VectorField(g, _fft.irfftn(vh, g.shape)))
     t = 0.0
     a_now = drift(t)

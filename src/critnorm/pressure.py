@@ -92,8 +92,9 @@ class RadialCutoff:
     the whole box, which the free-space convolutions reject; the nonic
     profile below gives gradient and Hessian that vanish identically
     outside the transition annulus, and its C^4 smoothness keeps the
-    annulus sources well represented on the grid. The Hessian holds its
-    six distinct components in the SYM_PAIRS order: H_ij is
+    annulus sources well represented on the grid. Only the values are
+    kept: gradient and Hessian are computed at each read, and the Hessian
+    holds its six distinct components in the SYM_PAIRS order: H_ij is
     hessian[SYM_INDEX[i][j]].
     """
 
@@ -104,32 +105,33 @@ class RadialCutoff:
         self.r_on = float(r_on)
         self.r_off = float(r_off)
         self.center = tuple(float(c) for c in center)
-        X, Y, Z = grid.coords()
-        dx = grid.minimal_image(X - self.center[0])
-        dy = grid.minimal_image(Y - self.center[1])
-        dz = grid.minimal_image(Z - self.center[2])
-        r = np.sqrt(dx**2 + dy**2 + dz**2)
+        self.field = ScalarField(grid, 1.0 - self._profile()[2])
+
+    def _profile(self):  # offsets, |offset| (1 at the centre), the step and its r-derivatives
+        g = self.grid
+        offsets = tuple(g.minimal_image(x - c) for x, c in zip(g.coords(), self.center))
+        r = np.sqrt(offsets[0]**2 + offsets[1]**2 + offsets[2]**2)
         w = self.r_off - self.r_on
         s, ds, dss = nonic_step((r - self.r_on) / w)
-        ds = ds / w
-        dss = dss / w**2
-        self.field = ScalarField(grid, 1.0 - s)
-        r_safe = np.where(r > 0, r, 1.0)
-        offsets = (dx, dy, dz)
-        self.gradient = np.stack([-ds * o / r_safe for o in offsets])
-        hess = np.empty((6,) + grid.shape)
-        for c, (i, j) in enumerate(SYM_PAIRS):
-            rad2 = offsets[i] * offsets[j] / r_safe**2
-            hess[c] = -dss * rad2 - ds * (float(i == j) - rad2) / r_safe
-        self.hessian = hess
+        return offsets, np.where(r > 0, r, 1.0), s, ds / w, dss / w**2
 
     @property
     def values(self):
         return self.field.values
 
     @property
-    def laplacian(self):
-        return self.hessian[0] + self.hessian[1] + self.hessian[2]
+    def gradient(self):
+        offsets, r_safe, _, ds, _ = self._profile()
+        return np.stack([-ds * o / r_safe for o in offsets])
+
+    @property
+    def hessian(self):
+        offsets, r_safe, _, ds, dss = self._profile()
+        hess = np.empty((6,) + self.grid.shape)
+        for c, (i, j) in enumerate(SYM_PAIRS):
+            rad2 = offsets[i] * offsets[j] / r_safe**2
+            hess[c] = -dss * rad2 - ds * (float(i == j) - rad2) / r_safe
+        return hess
 
 
 @dataclass(frozen=True)
@@ -221,37 +223,37 @@ def split_pressure(p, V, cutoff):
     cutoff supported in the unit ball around its own center, and a cell
     centre in its transition r_on < |x - c| < r_off. The mismatch field
     records the relative L^{3/2}(B_1) gap between cutoff*p and the
-    reconstruction. The split keeps the cutoff's field, not the
-    RadialCutoff with its gradient and Hessian. V need not be symmetric:
-    like the equation, every term reads only (V + V^T)/2.
+    reconstruction. The cutoff's Hessian (n1's and n3's sources) and its
+    gradient (n2's, then n4's) are read and dropped before the
+    convolutions they feed; the split keeps only the cutoff's field. V
+    need not be symmetric: like the equation, every term reads only
+    (V + V^T)/2.
     """
     _check_split_inputs(p, V, cutoff)
     g = p.grid
 
     phiv = cutoff.values
-    d1 = cutoff.gradient
-    d2 = cutoff.hessian
-
     riesz = free_riesz_sum(g, _sym_part(phiv * V.data))
 
-    src = np.zeros(g.shape)
-    for i in range(3):
-        for j in range(3):
-            src += d2[SYM_INDEX[i][j]] * V.data[i, j]
-    n1 = ScalarField(g, -newtonian_potential(ScalarField(g, src)).values)
+    d2 = cutoff.hessian
+    src1 = sum(d2[SYM_INDEX[i][j]] * V.data[i, j] for i in range(3) for j in range(3))
+    src3 = p.values * (d2[0] + d2[1] + d2[2])  # p times the cutoff's Laplacian
+    del d2
+    n1 = ScalarField(g, -newtonian_potential(ScalarField(g, src1)).values)
+    n3 = ScalarField(g, -newtonian_potential(ScalarField(g, src3)).values)
+    del src1, src3
 
     # the two gradient-sourced potentials enter with plus sign: a shift
     # p -> p + c then moves both sides by c*cutoff, as it must, since
     # -N*(c lap phi) + 2 sum_j d_j N*(c d_j phi) = c * phi; n2's source
     # reads (V_ij + V_ji)/2, the only part of V that p and n1 see
-    n2 = newtonian_potential_div(
-        [ScalarField(g, sum(d1[i] * (0.5 * (V.data[i, j] + V.data[j, i])) for i in range(3)))
-         for j in range(3)]
-    )
-    n2 = ScalarField(g, 2.0 * n2.values)
-    n3 = ScalarField(g, -newtonian_potential(ScalarField(g, p.values * cutoff.laplacian)).values)
-    n4 = newtonian_potential_div([ScalarField(g, d1[j] * p.values) for j in range(3)])
-    n4 = ScalarField(g, 2.0 * n4.values)
+    d1 = cutoff.gradient
+    srcs = [ScalarField(g, sum(d1[i] * (0.5 * (V.data[i, j] + V.data[j, i])) for i in range(3)))
+            for j in range(3)]
+    del d1
+    n2 = ScalarField(g, 2.0 * newtonian_potential_div(srcs).values)
+    srcs = [ScalarField(g, d1_j * p.values) for d1_j in cutoff.gradient]
+    n4 = ScalarField(g, 2.0 * newtonian_potential_div(srcs).values)
 
     total = ScalarField(
         g, riesz.values + n1.values + n2.values + n3.values + n4.values

@@ -2,7 +2,8 @@
 PNS run, local energy identity), the inversion of I - L_a, the doubled-grid sums, their kernel
 caches, the pressure split, the ledger rows, cylinder integrals and
 pressure oscillation, and the memory a pressure split and a radial cutoff
-keep, measured with tracemalloc at 32^3.
+keep, measured with tracemalloc at 32^3; and that the chain's stages leave
+no cached spectrum on the fields they are handed.
 
 tracemalloc sees every numpy array, made in any thread, not the FFT
 library's own work buffers. Each bound is a multiple of a stated unit, set from measurement
@@ -67,8 +68,9 @@ def datum(grid32):
 
 
 def test_besov_split_transient_in_units_of_its_result(datum):
-    # measured 3.26 results' worth, the returned split (whose two fields
-    # keep their spectra, 2.07 results' worth in all) included
+    # measured 2.71 results' worth, the returned split (1.00) and the data's
+    # spectrum, made through a view, included; 3.26 while the data kept its
+    # spectrum from the first call and the two returned fields kept theirs
     besov.besov_split(datum, 3.0, 6.0)  # the Littlewood-Paley bank is cached
     assert _peak(lambda: besov.besov_split(datum, 3.0, 6.0)) <= 3.5 * SPLIT
 
@@ -86,7 +88,8 @@ def mild_input(datum):
 def test_solve_mild_transient_in_units_of_its_result(mild_input):
     # measured 3.35 results' worth, the returned a included: a and the heat
     # orbit, whose buffer takes the residual slice by slice, beside the
-    # march's spectra (3.36 while a second march formed the residual, 6.54
+    # march's spectra (3.53 while the data's view kept its spectrum through
+    # the march, 3.36 while a second march formed the residual, 6.54
     # while Picard held its iterates and the march its resume cache)
     tilde, cfg = mild_input
     assert _peak(lambda: mild.solve_mild(tilde, cfg)) <= 3.6 * MILD
@@ -126,6 +129,19 @@ def driven(datum, mild_input):
     stored = run()
     assert stored.v.frames.nbytes + stored.q.frames.nbytes == RUN
     return run, stored
+
+
+def test_chain_stages_leave_no_spectrum_on_their_inputs(datum):
+    # the split, the mild solve and the driven run read the fields they are
+    # handed through views, so the data and both parts of the split keep no
+    # spectrum for the rest of the chain to carry
+    u0 = VectorField(datum.grid, datum.data)
+    split = besov.besov_split(u0, 3.0, 6.0)
+    a = mild.solve_mild(split.tilde_g, mild.DuhamelConfig(dt=1.0 / 64.0, T=5.0 / 64.0)).a
+    cfg = pns.PNSConfig(dt=1.0 / 512.0, T=4.0 / 512.0, stride=4)
+    pns.run_pns(split.bar_g, cfg, a_provider=pns.drift_from_spacetime(a))
+    fields = {"u0": u0, "tilde_g": split.tilde_g, "bar_g": split.bar_g}
+    assert [name for name, f in fields.items() if f._hat is not None] == []
 
 
 def test_run_pns_transient_in_units_of_its_result(driven):
@@ -188,8 +204,10 @@ def tg_split_inputs(grid32):
 
 
 def test_split_pressure_transient_beyond_its_inputs(grid32, tg_split_inputs):
-    # measured 3.94 spectra, the returned split's seven fields (0.85) included
-    # (5.33 while the check arrays and p's cached spectrum lived through the
+    # measured 3.82 spectra, the returned split's seven fields (0.85) and the
+    # cutoff's derivatives, made at each read, included (3.94 while the
+    # cutoff kept them and n1's source lived through the other convolutions,
+    # 5.33 while the check arrays and p's cached spectrum lived through the
     # convolutions and the two doubled-grid sums held a spectrum more)
     V, values = tg_split_inputs
     p = ScalarField(grid32, values)
@@ -214,9 +232,10 @@ def test_pressure_split_keeps_seven_fields(grid32, tg_split_inputs):
     assert kept <= 7.25 * FIELD
 
 
-def test_radial_cutoff_keeps_ten_fields(grid32):
-    # the values, three gradient and six Hessian components: measured 10.01
-    # fields (13.01 while the Hessian kept all nine components)
+def test_radial_cutoff_keeps_one_field(grid32):
+    # the values alone; gradient and Hessian are computed at each read.
+    # Measured 1.00 fields (10.01 while it kept three gradient and six
+    # Hessian components, 13.01 while the Hessian kept all nine)
     pressure.RadialCutoff(grid32, 0.2, 1.0)  # the grid's coordinates are built
     tracemalloc.start()
     try:
@@ -225,7 +244,7 @@ def test_radial_cutoff_keeps_ten_fields(grid32):
         kept = tracemalloc.get_traced_memory()[0] - base  # _cutoff is still held
     finally:
         tracemalloc.stop()
-    assert kept <= 10.25 * FIELD
+    assert kept <= 1.25 * FIELD
 
 
 def test_kernel_caches_build_no_unread_spectra():

@@ -56,14 +56,13 @@ class TestRadialCutoff:
         # is off by 0.83 or more)
         g = Grid(64, 8.5)
         cut = pressure.RadialCutoff(g, 0.3, 2.5, center=(0.25, -0.2, 0.1))
-        assert cut.hessian.shape == (6,) + g.shape
-        scale = np.max(np.abs(cut.hessian))
+        hess, grad = cut.hessian, cut.gradient  # each read computes them afresh
+        assert hess.shape == (6,) + g.shape
+        scale = np.max(np.abs(hess))
         for i in range(3):
             for j in range(3):
-                fd = np.gradient(cut.gradient[i], g.dx, axis=j)
-                assert np.max(np.abs(cut.hessian[spectral.SYM_INDEX[i][j]] - fd)) <= 0.05 * scale
-        lap = cut.hessian[0] + cut.hessian[1] + cut.hessian[2]
-        assert np.array_equal(cut.laplacian, lap)
+                fd = np.gradient(grad[i], g.dx, axis=j)
+                assert np.max(np.abs(hess[spectral.SYM_INDEX[i][j]] - fd)) <= 0.05 * scale
 
     def test_profile_derivatives_match_dense_differences(self):
         # dense 1-D check of the nonic ramp derivatives themselves; the
