@@ -43,10 +43,13 @@ def test_both_rules_are_scipys_bit_for_bit(xy):
 def test_every_rule_integrates_affine_samples_exactly(xy, a, b):
     # a + b t over [x_0, x_m], to 1e-13 of the integral of |a| + |b| max|t|;
     # cumulative_simpson's weights grow with the ratio of neighbouring
-    # steps (up to 10^4 here), and so does its round-off
+    # steps (up to 10^4 here), and so does its round-off. Below the smallest
+    # normal float rounding is absolute, up to half the smallest subnormal a
+    # step, and a step of up to 10 scales it: the floor allows 100 per sample
     x = xy[0]
     exact = (x[-1] - x[0]) * (a + b * (x[-1] + x[0]) / 2.0)
-    tol = 1e-13 * (abs(a) + abs(b) * np.max(np.abs(x))) * (x[-1] - x[0])
+    tol = (1e-13 * (abs(a) + abs(b) * np.max(np.abs(x))) * (x[-1] - x[0])
+           + 100 * len(x) * np.finfo(float).smallest_subnormal)
     h = np.diff(x)
     skew = max(np.max(h[1:] / h[:-1]), np.max(h[:-1] / h[1:])) if len(h) > 1 else 1.0
     y = a + b * x
