@@ -59,14 +59,13 @@ from .cylinder import (
     trapezoid,
 )
 from .fieldio import write_csv
-from .fields import ScalarField, nonic_step
+from .fields import ScalarField, VectorField, nonic_step
 from .norms import BallRegion, lp_ball
 from .spectral import (
     SYM_INDEX,
     SYM_PAIRS,
     free_riesz_sum,
     newtonian_potential,
-    newtonian_potential_div,
     sym_ddiv_hat,
 )
 # bound here for perfbench/test_spans.py::test_from_import_bindings_are_counted
@@ -248,12 +247,12 @@ def split_pressure(p, V, cutoff):
     # -N*(c lap phi) + 2 sum_j d_j N*(c d_j phi) = c * phi; n2's source
     # reads (V_ij + V_ji)/2, the only part of V that p and n1 see
     d1 = cutoff.gradient
-    srcs = [ScalarField(g, sum(d1[i] * (0.5 * (V.data[i, j] + V.data[j, i])) for i in range(3)))
-            for j in range(3)]
+    srcs = VectorField(g, np.stack([sum(d1[i] * (0.5 * (V.data[i, j] + V.data[j, i]))
+                                        for i in range(3)) for j in range(3)]))
     del d1
-    n2 = ScalarField(g, 2.0 * newtonian_potential_div(srcs).values)
-    srcs = [ScalarField(g, d1_j * p.values) for d1_j in cutoff.gradient]
-    n4 = ScalarField(g, 2.0 * newtonian_potential_div(srcs).values)
+    n2 = ScalarField(g, 2.0 * newtonian_potential(srcs).values)
+    srcs = VectorField(g, np.stack([d1_j * p.values for d1_j in cutoff.gradient]))
+    n4 = ScalarField(g, 2.0 * newtonian_potential(srcs).values)
 
     total = ScalarField(
         g, riesz.values + n1.values + n2.values + n3.values + n4.values

@@ -1,9 +1,14 @@
 """Constant-coefficient operators on the periodic box.
 
 Everything here is an exact Fourier multiplier except the free-space
-Newtonian potentials, Riesz sum and linear convolution, which leave the
-periodic setting through zero-padded convolutions on a doubled grid.
-This module owns their truncated kernels and the doubled-grid layout.
+Newtonian potential (of a scalar, or of the divergence of a vector),
+Riesz sum and linear convolution, which leave the periodic setting
+through zero-padded convolutions on a doubled grid. This module owns
+their truncated kernels and the doubled-grid layout. The potential and
+the Riesz sum run one loop, _free_sum: pad and transform each source,
+scale its spectrum in place, add it to one sum, crop one inverse.
+free_convolution pads both of its factors and returns the whole doubled
+grid, so it stays apart.
 """
 
 import functools
@@ -31,7 +36,6 @@ __all__ = [
     "leray_project",
     "heat_semigroup",
     "newtonian_potential",
-    "newtonian_potential_div",
     "free_riesz_sum",
     "free_convolution",
     "evaluate_at_points",
@@ -191,12 +195,6 @@ def _padded_hat(grid, values):
     return _fft.rfftn(pad)
 
 
-def _cropped_inverse(grid, hat):
-    """Values on the original box of a doubled-grid spectrum (undoes _padded_hat)."""
-    n = grid.n
-    return _fft.irfftn(hat, (2 * n, 2 * n, 2 * n))[:n, :n, :n]
-
-
 def free_convolution(f, kernel):
     """Linear (free-space) convolution of two scalar fields on the
     zero-padded doubled grid.
@@ -248,9 +246,7 @@ def _kernel_hat(grid):
 def _riesz_factor(grid):
     """Doubled-grid wavenumbers and the truncated traceless factor of
     free_riesz_sum, read-only. A cache apart from _kernel_hat, so the
-    Riesz sum runs before N_T is built. On perfbench's chain_n64 (seed 1)
-    split_pressure's peak is its second Newton divergence sum, 112.0 MB
-    traced from the split's start against 99.2 MB for the Riesz sum."""
+    Riesz sum runs before N_T is built."""
     big = Grid(2 * grid.n, 2 * grid.L)
     kappa = _TRUNCATION * grid.L * np.sqrt(big.k2)
     ks = np.where(kappa > 0.0, kappa, 1.0)
@@ -275,49 +271,58 @@ def _check_support(grid, sources):
             )
 
 
+def _free_sum(grid, sources, scale):
+    """Box values of sum_c scale(c, hat_c), hat_c the doubled-grid spectrum
+    of sources[c]: scale multiplies hat_c in place, the terms are summed in
+    Fourier space and cropped back through one inverse transform. Each
+    source's spectrum is dropped before the next transform, so the
+    transient is three doubled-grid spectra, (2n)^2 (n+1) complex128 each,
+    and only while a source is transformed: the sum, the padded cube and
+    its spectrum.
+
+    Every source must vanish outside the ball |x| < L/4.
+    """
+    _check_support(grid, sources)
+    acc = None
+    for c, values in enumerate(sources):
+        hat = _padded_hat(grid, values)
+        scale(c, hat)
+        acc = hat if acc is None else operator.iadd(acc, hat)
+        del hat  # not held through the next transform
+    n = grid.n
+    return _fft.irfftn(acc, (2 * n, 2 * n, 2 * n))[:n, :n, :n]
+
+
 def newtonian_potential(f):
-    """Convolve a compactly supported scalar with N(x) = -1/(4 pi |x|).
+    """Free-space Newtonian potential N * f of a compactly supported
+    ScalarField f, N(x) = -1/(4 pi |x|), or N * div f = sum_j d_j (N * f_j)
+    of a VectorField f, whose term j is i k_j N_T times the spectrum of f_j.
 
     The convolution is carried out on a zero-padded doubled grid with a
     spherically truncated kernel built in Fourier space, so it is an exact
     free-space convolution of the trigonometric interpolant of the source;
-    see _kernel_hat.
-
-    The source must vanish outside the ball |x| < L/4.
-    """
-    g = f.grid
-    _check_support(g, [f.values])
-    phat = _padded_hat(g, f.values)
-    phat *= _kernel_hat(g)[1]
-    return ScalarField(g, _cropped_inverse(g, phat) * g.cell_volume)
-
-
-def newtonian_potential_div(sources):
-    """N * div s = sum_j d_j (N * s_j) for three compactly supported
-    ScalarFields s_j on one grid: term j is i k_j N_T times the spectrum
-    of s_j, and the terms are summed in Fourier space, so one inverse
-    transform in all. Each source's spectrum is scaled in place, so its
-    transient is about three doubled-grid spectra, (2n)^2 (n+1)
-    complex128 each, and only while a source is transformed: the sum, the
-    padded cube and its spectrum.
+    see _kernel_hat. A scalar takes one padded forward transform and one
+    inverse, a vector three forward and one inverse (_free_sum).
 
     Every source must vanish outside the ball |x| < L/4.
     """
-    if len(sources) != 3:
-        raise ValueError("newtonian_potential_div takes 3 sources, got %d" % len(sources))
-    g = sources[0].grid
-    if any(s.grid != g for s in sources):
-        raise ValueError("grids differ")
-    _check_support(g, [s.values for s in sources])
+    if not isinstance(f, (ScalarField, VectorField)):
+        raise ValueError("newtonian_potential takes a ScalarField (N * f) or a VectorField "
+                         "(N * div f), got %s" % type(f).__name__)
+    g = f.grid
     kvec, nhat = _kernel_hat(g)
-    acc = None
-    for k, s in zip(kvec, sources):
-        hat = _padded_hat(g, s.values)
-        hat *= k * nhat  # then times 1j: the bits of (1j k N_T) * hat
-        hat *= 1j
-        acc = hat if acc is None else operator.iadd(acc, hat)
-        del hat  # not held through the next transform
-    return ScalarField(g, _cropped_inverse(g, acc) * g.cell_volume)
+    if isinstance(f, ScalarField):
+        sources = [f.values]
+
+        def scale(c, hat):
+            hat *= nhat
+    else:
+        sources = f.data
+
+        def scale(c, hat):
+            hat *= kvec[c] * nhat  # then times 1j: the bits of (1j k N_T) * hat
+            hat *= 1j
+    return ScalarField(g, _free_sum(g, sources, scale) * g.cell_volume)
 
 
 def free_riesz_sum(grid, S):
@@ -336,17 +341,15 @@ def free_riesz_sum(grid, S):
     The two parts share one multiplier per component, so the sum holds
     one spectrum: qh = sum_c m_c S_c with m_ij = -w_ij gfac k_i k_j / |k|^2
     - delta_ij (1 - gfac) / 3, w_ij the SYM_PAIRS weight. Each m_c is made
-    in place after its component's transform, so the transient is three
-    doubled-grid spectra, (2n)^2 (n+1) complex128 each: the sum, the
-    padded cube and its spectrum.
+    after its component's transform, so the transient stays the three
+    doubled-grid spectra of _free_sum.
 
     Every component must vanish outside the ball |x| < L/4.
     """
-    _check_support(grid, S)
     kvec, gfac = _riesz_factor(grid)
-    acc = None
-    for c, (i, j) in enumerate(SYM_PAIRS):
-        hat = _padded_hat(grid, S[c])
+
+    def scale(c, hat):
+        i, j = SYM_PAIRS[c]
         m = kvec[0] ** 2 + kvec[1] ** 2 + kvec[2] ** 2
         m[0, 0, 0] = 1.0  # gfac is 0 there
         np.divide(gfac, m, out=m)
@@ -358,9 +361,8 @@ def free_riesz_sum(grid, S):
         else:
             m *= -2.0 * kvec[i] * kvec[j]
         hat *= m
-        acc = hat if acc is None else operator.iadd(acc, hat)
-        del hat, m  # neither is held through the next transform
-    return ScalarField(grid, _cropped_inverse(grid, acc))
+
+    return ScalarField(grid, _free_sum(grid, S, scale))
 
 
 # ---------------------------------------------------------------------------

@@ -170,9 +170,9 @@ def sources(grid32):
     bump = np.where(r < 0.2 * grid32.L, np.cos(np.pi * r / (0.4 * grid32.L)) ** 2, 0.0)
     rng = np.random.default_rng(0)
     fields = [bump * rng.standard_normal(grid32.shape) for _ in range(9)]
-    S, div = np.stack(fields[:6]), [ScalarField(grid32, f) for f in fields[6:]]
+    S, div = np.stack(fields[:6]), VectorField(grid32, np.stack(fields[6:]))
     spectral.free_riesz_sum(grid32, S)
-    spectral.newtonian_potential_div(div)
+    spectral.newtonian_potential(div)
     return S, div
 
 
@@ -184,12 +184,12 @@ def test_free_riesz_sum_holds_at_most_three_spectra(grid32, sources):
     assert _peak(lambda: spectral.free_riesz_sum(grid32, S)) <= 3.05 * SPECTRUM
 
 
-def test_newtonian_potential_div_holds_at_most_three_spectra(grid32, sources):
+def test_newtonian_potential_of_a_divergence_holds_at_most_three_spectra(grid32, sources):
     # measured 2.97 spectra: the sum, the padded cube and its spectrum
     # (3.12 while each source's term was an array of its own, 3.97 while
     # the term was made before the source's transform)
     _, div = sources
-    assert _peak(lambda: spectral.newtonian_potential_div(div)) <= 3.05 * SPECTRUM
+    assert _peak(lambda: spectral.newtonian_potential(div)) <= 3.05 * SPECTRUM
 
 
 @pytest.fixture(scope="module")

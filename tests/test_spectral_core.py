@@ -7,6 +7,7 @@ from critnorm.fields import (
     Grid,
     ScalarField,
     SpaceTimeField,
+    TensorField,
     VectorField,
     gaussian_bump,
     ball_indicator,
@@ -243,8 +244,7 @@ class TestNewtonianPotential:
         # the derivative kernels i k_j N_T are formed per call: what stays
         # cached is N_T, real, and the doubled grid's wavenumber vectors
         g = Grid(16, DEFAULT_L)
-        zero = ScalarField(g, np.zeros(g.shape))
-        spectral.newtonian_potential_div([zero, zero, zero])
+        spectral.newtonian_potential(VectorField(g, np.zeros((3,) + g.shape)))
         kvec, nhat = spectral._kernel_hat(g)
         cached = kvec + (nhat,)
         assert not any(a.flags.writeable for a in cached)
@@ -276,9 +276,10 @@ class TestNewtonianPotential:
         # far-field error is set by how well the grid resolves the source;
         # with zero partner sources each term d_j (N * f) stands alone
         f = smooth_radial_cutoff(grid64, 0.3, 2.0)
-        zero = ScalarField(grid64, np.zeros(grid64.shape))
+        zero = np.zeros(grid64.shape)
         gx, gy, gz = (
-            spectral.newtonian_potential_div([f if k == j else zero for k in range(3)])
+            spectral.newtonian_potential(
+                VectorField(grid64, np.stack([f.values if k == j else zero for k in range(3)])))
             for j in range(3)
         )
         mass = np.sum(f.values) * grid64.cell_volume
@@ -294,11 +295,10 @@ class TestNewtonianPotential:
         with pytest.raises(ValueError):
             spectral.newtonian_potential(f)
 
-    @pytest.mark.parametrize("count", [2, 4])
-    def test_divergence_potential_needs_three_sources(self, grid32, count):
-        zero = ScalarField(grid32, np.zeros(grid32.shape))
-        with pytest.raises(ValueError, match="3 sources, got %d" % count):
-            spectral.newtonian_potential_div([zero] * count)
+    def test_potential_refuses_a_tensor_field(self, grid32):
+        zero = TensorField(grid32, np.zeros((3, 3) + grid32.shape))
+        with pytest.raises(ValueError, match="ScalarField .* or a VectorField .* got TensorField"):
+            spectral.newtonian_potential(zero)
 
     def test_laplacian_inverts_potential(self):
         # 4th-order stencil on the interior ball; the periodic spectral

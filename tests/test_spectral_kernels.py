@@ -21,7 +21,7 @@ from critnorm.spectral import (
     leray_hat,
     leray_project,
     neg_leray_div_hat,
-    newtonian_potential_div,
+    newtonian_potential,
     sym_ddiv_hat,
     sym_outer_hat,
     tensor_div_hat,
@@ -244,11 +244,11 @@ def gradient_potential(s, j):
 @bounded
 @given(seeds)
 def test_fourier_summed_gradient_potentials_are_the_sum_of_the_terms(seed):
-    # compact white-noise sources inside |x| < L/4, as newtonian_potential_div needs
+    # compact white-noise sources inside |x| < L/4, as newtonian_potential needs
     inside = GRID.radius() < 0.2 * GRID.L
     sources = [ScalarField(GRID, np.where(inside, s, 0.0)) for s in _data(seed, (3,))]
     want = sum(gradient_potential(s, j) for j, s in enumerate(sources))
-    got = newtonian_potential_div(sources).values
+    got = newtonian_potential(VectorField(GRID, np.stack([s.values for s in sources]))).values
     assert _small(got - want, np.max(np.abs(want)))
 
 
