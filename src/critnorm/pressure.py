@@ -2,8 +2,10 @@
 
 Two engines share this module. The cutoff split writes phi*p as a
 Riesz part plus four Newtonian-potential corrections sourced by the
-derivatives of the cutoff; every convolution runs on the zero-padded
-doubled grid because the identity is a free-space one. The oscillation
+derivatives of the radial cutoff, formed in closed form from its two
+radial factors; every convolution runs on the zero-padded doubled grid,
+through spectral's one doubled-grid loop, because the identity is a
+free-space one. The oscillation
 report measures, on a parabolic cylinder, the scale-weighted pressure
 oscillation against the six velocity/drift/pressure integrals that
 bound it, with an optional time-weighted variant for runs carrying a
@@ -62,7 +64,6 @@ from .fieldio import write_csv
 from .fields import ScalarField, VectorField, nonic_step
 from .norms import BallRegion, lp_ball
 from .spectral import (
-    SYM_INDEX,
     SYM_PAIRS,
     free_riesz_sum,
     newtonian_potential,
@@ -89,12 +90,12 @@ class RadialCutoff:
 
     Spectral differentiation of a sampled cutoff leaks Gibbs tails over
     the whole box, which the free-space convolutions reject; the nonic
-    profile below gives gradient and Hessian that vanish identically
-    outside the transition annulus, and its C^4 smoothness keeps the
-    annulus sources well represented on the grid. Only the values are
-    kept: gradient and Hessian are computed at each read, and the Hessian
-    holds its six distinct components in the SYM_PAIRS order: H_ij is
-    hessian[SYM_INDEX[i][j]].
+    profile below gives derivatives that vanish identically outside the
+    transition annulus, and its C^4 smoothness keeps the annulus sources
+    well represented on the grid. Only the values are kept. The
+    derivatives come from _radial() as two radial factors: with the
+    offsets o = x - c, a = phi'/r and b = (phi'' - a)/r^2, the gradient
+    is a o and the Hessian b o o^T + a I.
     """
 
     def __init__(self, grid, r_on, r_off, center=(0.0, 0.0, 0.0)):
@@ -118,19 +119,12 @@ class RadialCutoff:
     def values(self):
         return self.field.values
 
-    @property
-    def gradient(self):
-        offsets, r_safe, _, ds, _ = self._profile()
-        return np.stack([-ds * o / r_safe for o in offsets])
-
-    @property
-    def hessian(self):
+    def _radial(self):
+        """The offsets o = x - c (three arrays broadcasting to the grid) and
+        the factors a = phi'/r and b = (phi'' - a)/r^2 (0 at the centre)."""
         offsets, r_safe, _, ds, dss = self._profile()
-        hess = np.empty((6,) + self.grid.shape)
-        for c, (i, j) in enumerate(SYM_PAIRS):
-            rad2 = offsets[i] * offsets[j] / r_safe**2
-            hess[c] = -dss * rad2 - ds * (float(i == j) - rad2) / r_safe
-        return hess
+        a = -ds / r_safe
+        return offsets, a, (-dss - a) / r_safe**2
 
 
 @dataclass(frozen=True)
@@ -222,11 +216,13 @@ def split_pressure(p, V, cutoff):
     cutoff supported in the unit ball around its own center, and a cell
     centre in its transition r_on < |x - c| < r_off. The mismatch field
     records the relative L^{3/2}(B_1) gap between cutoff*p and the
-    reconstruction. The cutoff's Hessian (n1's and n3's sources) and its
-    gradient (n2's, then n4's) are read and dropped before the
-    convolutions they feed; the split keeps only the cutoff's field. V
-    need not be symmetric: like the equation, every term reads only
-    (V + V^T)/2.
+    reconstruction. The cutoff's derivatives enter through its two
+    radial factors, one profile pass (RadialCutoff._radial): with the
+    offsets o = x - c, n1's source is b o^T V o + a tr V, n3's
+    p (b |o|^2 + 3 a), n2's a (o^T V_sym) and n4's a o p, and no
+    gradient or Hessian field is formed. The split keeps only the
+    cutoff's field. V need not be symmetric: like the equation, every
+    term reads only (V + V^T)/2.
     """
     _check_split_inputs(p, V, cutoff)
     g = p.grid
@@ -234,10 +230,14 @@ def split_pressure(p, V, cutoff):
     phiv = cutoff.values
     riesz = free_riesz_sum(g, _sym_part(phiv * V.data))
 
-    d2 = cutoff.hessian
-    src1 = sum(d2[SYM_INDEX[i][j]] * V.data[i, j] for i in range(3) for j in range(3))
-    src3 = p.values * (d2[0] + d2[1] + d2[2])  # p times the cutoff's Laplacian
-    del d2
+    # grad phi = a o and the Hessian is b o o^T + a I (RadialCutoff), so
+    # n1's source Hess : V is b o^T V o + a tr V and n3's Lap phi b |o|^2 + 3 a
+    o, a, b = cutoff._radial()
+    Vd = V.data
+    src1 = b * sum(o[i] * o[j] * Vd[i, j] for i in range(3) for j in range(3))
+    src1 += a * (Vd[0, 0] + Vd[1, 1] + Vd[2, 2])
+    src3 = p.values * (b * (o[0] ** 2 + o[1] ** 2 + o[2] ** 2) + 3.0 * a)
+    del b
     n1 = ScalarField(g, -newtonian_potential(ScalarField(g, src1)).values)
     n3 = ScalarField(g, -newtonian_potential(ScalarField(g, src3)).values)
     del src1, src3
@@ -245,14 +245,13 @@ def split_pressure(p, V, cutoff):
     # the two gradient-sourced potentials enter with plus sign: a shift
     # p -> p + c then moves both sides by c*cutoff, as it must, since
     # -N*(c lap phi) + 2 sum_j d_j N*(c d_j phi) = c * phi; n2's source
-    # reads (V_ij + V_ji)/2, the only part of V that p and n1 see
-    d1 = cutoff.gradient
-    srcs = VectorField(g, np.stack([sum(d1[i] * (0.5 * (V.data[i, j] + V.data[j, i]))
-                                        for i in range(3)) for j in range(3)]))
-    del d1
-    n2 = ScalarField(g, 2.0 * newtonian_potential(srcs).values)
-    srcs = VectorField(g, np.stack([d1_j * p.values for d1_j in cutoff.gradient]))
-    n4 = ScalarField(g, 2.0 * newtonian_potential(srcs).values)
+    # a (o^T V)_j reads (V_ij + V_ji)/2, the only part of V that p and n1 see
+    src = np.stack([a * sum(o[i] * (0.5 * (Vd[i, j] + Vd[j, i])) for i in range(3))
+                    for j in range(3)])
+    n2 = ScalarField(g, 2.0 * newtonian_potential(VectorField(g, src)).values)
+    src = np.stack([a * o_j * p.values for o_j in o])
+    del a  # not held through n4's sum
+    n4 = ScalarField(g, 2.0 * newtonian_potential(VectorField(g, src)).values)
 
     total = ScalarField(
         g, riesz.values + n1.values + n2.values + n3.values + n4.values

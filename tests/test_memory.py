@@ -205,10 +205,11 @@ def tg_split_inputs(grid32):
 
 def test_split_pressure_transient_beyond_its_inputs(grid32, tg_split_inputs):
     # measured 3.82 spectra, the returned split's seven fields (0.85) and the
-    # cutoff's derivatives, made at each read, included (3.94 while the
-    # cutoff kept them and n1's source lived through the other convolutions,
-    # 5.33 while the check arrays and p's cached spectrum lived through the
-    # convolutions and the two doubled-grid sums held a spectrum more)
+    # cutoff's radial factor a included (3.94 while a lived through n4's sum,
+    # and while the cutoff kept its derivatives and n1's source lived
+    # through the other convolutions, 5.33 while the check arrays and p's
+    # cached spectrum lived through the convolutions and the two
+    # doubled-grid sums held a spectrum more)
     V, values = tg_split_inputs
     p = ScalarField(grid32, values)
     cutoff = pressure.RadialCutoff(grid32, 0.2, 1.0)
@@ -233,7 +234,7 @@ def test_pressure_split_keeps_seven_fields(grid32, tg_split_inputs):
 
 
 def test_radial_cutoff_keeps_one_field(grid32):
-    # the values alone; gradient and Hessian are computed at each read.
+    # the values alone; the radial factors are computed at each _radial() call.
     # Measured 1.00 fields (10.01 while it kept three gradient and six
     # Hessian components, 13.01 while the Hessian kept all nine)
     pressure.RadialCutoff(grid32, 0.2, 1.0)  # the grid's coordinates are built

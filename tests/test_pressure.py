@@ -39,6 +39,16 @@ def heat_drift(field):
     return provider
 
 
+def cutoff_derivatives(cut):
+    """The gradient a o and the 3 x 3 Hessian b o o^T + a I of a
+    RadialCutoff, assembled from its radial factors."""
+    o, a, b = cut._radial()
+    grad = np.stack([a * o_i for o_i in o])
+    hess = np.stack([np.stack([b * o[i] * o[j] + float(i == j) * a for j in range(3)])
+                     for i in range(3)])
+    return grad, hess
+
+
 class TestRadialCutoff:
     def test_plateau_and_support(self, grid32):
         cut = pressure.RadialCutoff(grid32, 0.4, 1.0)
@@ -46,23 +56,24 @@ class TestRadialCutoff:
         assert np.all(cut.values[rad <= 0.4] == 1.0)
         assert np.all(cut.values[rad >= 1.0] == 0.0)
         outside = (rad <= 0.4) | (rad >= 1.0)
-        assert np.all(cut.gradient[:, outside] == 0.0)
-        assert np.all(cut.hessian[:, outside] == 0.0)
+        grad, hess = cutoff_derivatives(cut)
+        assert np.all(grad[:, outside] == 0.0)
+        assert np.all(hess[:, :, outside] == 0.0)
 
     def test_hessian_symmetric_and_traces(self):
-        # slot SYM_INDEX[i][j] holds d_j d_i phi for every (i, j): against
-        # central differences of the analytic gradient over a 16-cell
-        # transition it is within 0.040 of the Hessian's max (a wrong slot
-        # is off by 0.83 or more)
+        # b o_i o_j + a delta_ij is d_j d_i phi for every (i, j): against
+        # central differences of the analytic gradient a o_i over a 16-cell
+        # transition it is within 0.040 of the Hessian's max (0.43 without
+        # the a I term, 0.45 with phi''/r^2 in place of b)
         g = Grid(64, 8.5)
         cut = pressure.RadialCutoff(g, 0.3, 2.5, center=(0.25, -0.2, 0.1))
-        hess, grad = cut.hessian, cut.gradient  # each read computes them afresh
-        assert hess.shape == (6,) + g.shape
+        grad, hess = cutoff_derivatives(cut)
+        assert hess.shape == (3, 3) + g.shape
         scale = np.max(np.abs(hess))
         for i in range(3):
             for j in range(3):
                 fd = np.gradient(grad[i], g.dx, axis=j)
-                assert np.max(np.abs(hess[spectral.SYM_INDEX[i][j]] - fd)) <= 0.05 * scale
+                assert np.max(np.abs(hess[i, j] - fd)) <= 0.05 * scale
 
     def test_profile_derivatives_match_dense_differences(self):
         # dense 1-D check of the nonic ramp derivatives themselves; the
@@ -78,8 +89,9 @@ class TestRadialCutoff:
         cut = pressure.RadialCutoff(grid64, 0.3, 1.0)
         c = np.argmin(np.abs(grid64.x))
         ramp = (grid64.x > 0.35) & (grid64.x < 0.95)
-        assert np.all(cut.gradient[0][ramp, c, c] < 0.0)
-        assert np.all(cut.gradient[1][ramp, c, c] == 0.0)
+        grad, _ = cutoff_derivatives(cut)
+        assert np.all(grad[0][ramp, c, c] < 0.0)
+        assert np.all(grad[1][ramp, c, c] == 0.0)
 
     def test_rejects_bad_radii(self, grid32):
         with pytest.raises(ValueError):
