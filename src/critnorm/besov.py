@@ -12,17 +12,15 @@ Norms over the box play the role of global norms: fields of interest decay
 inside the box or are explicitly periodic corpus members.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _fft
 from .fieldio import write_csv
 from .fields import VectorField, smoothstep
 from .norms import NormReport, box_lp
-from .spectral import apply_multiplier, divergence
+from .spectral import apply_multiplier, divergence, heat_semigroup
 
 __all__ = [
     "LPProjectorBank",
@@ -79,14 +77,9 @@ class LPProjectorBank:
         return float(np.max(np.abs(total[active] - 1.0)))
 
 
-@functools.lru_cache(maxsize=4)
-def _bank_for(grid):
-    return LPProjectorBank(grid)
-
-
 def lp_project(f, j):
     """Dyadic block: multiply the spectrum by phi(2^-j |xi|)."""
-    return apply_multiplier(f, _bank_for(f.grid).weight(j))
+    return apply_multiplier(f, LPProjectorBank(f.grid).weight(j))
 
 
 def besov_norm_lp(f, s, p, name=None):
@@ -101,7 +94,7 @@ def _lp_sup(f, s, p, name):  # besov_norm_lp reading, and caching, f's own spect
     limit = 0.0 if p == math.inf else 3.0 / p
     if not s < limit:
         raise ValueError("regularity must satisfy s < 3/p")
-    bank = _bank_for(f.grid)
+    bank = LPProjectorBank(f.grid)
     terms = [2.0 ** (j * s) * box_lp(f.grid, lp_project(f, j).data, p) for j in bank.bands]
     return NormReport(
         name=name or "B(%g,%g,inf)" % (s, p),
@@ -115,19 +108,19 @@ def besov_norm_heat(f, s, p):
     """Heat-flow Besov norm sup_t t^{-s/2} ||e^{t Lap} f||_p, t on a log lattice.
 
     The sup is a lattice lower bound over 40 points spanning [dx^2, L^2/16];
-    the mean is removed first since the seminorm is homogeneous.
+    the mean is removed first since the seminorm is homogeneous. Each
+    damped field is spectral.heat_semigroup of the mean-free field, whose
+    spectrum is made once and read at every time.
     """
     s = float(s)
     if not s < 0:
         raise ValueError("heat characterization needs s < 0")
     g = f.grid
-    data = f.data - np.mean(f.data, axis=(-3, -2, -1), keepdims=True)
-    hat = _fft.rfftn(data)
+    f = type(f)(g, f.data - np.mean(f.data, axis=(-3, -2, -1), keepdims=True))
     ts = np.geomspace(g.dx**2, g.L**2 / 16.0, _HEAT_SAMPLES)
     best = 0.0
     for t in ts:
-        damped = _fft.irfftn(hat * np.exp(-g.k2 * t), s=g.shape)
-        best = max(best, t ** (-s / 2.0) * box_lp(g, damped, p))
+        best = max(best, t ** (-s / 2.0) * box_lp(g, heat_semigroup(f, t).data, p))
     return NormReport(
         name="B_heat(%g,%g)" % (s, p),
         value=best,

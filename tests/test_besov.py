@@ -6,7 +6,6 @@ import pytest
 from critnorm import corpus
 from critnorm.besov import (
     LPProjectorBank,
-    _bank_for,
     _phi,
     besov_norm_heat,
     besov_norm_lp,
@@ -15,7 +14,7 @@ from critnorm.besov import (
     split_sweep,
     write_split_csv,
 )
-from critnorm.fields import Grid, ScalarField, TensorField, VectorField, gaussian_bump
+from critnorm.fields import ScalarField, TensorField, VectorField, gaussian_bump
 from critnorm.spectral import divergence, leray_project
 
 import testdata
@@ -44,12 +43,6 @@ class TestProjectorBank:
         w = bank.weight(bank.j_min)
         outside = (rho <= 0.75) | (rho >= 8.0 / 3.0)
         assert np.all(w[outside] == 0.0)
-
-    def test_bank_cache_is_bounded(self):
-        for L in (9.0, 10.0, 11.0, 12.0, 13.0):
-            g = Grid(8, L)
-            besov_norm_lp(ScalarField(g, np.zeros(g.shape)), -0.5, 2.0)
-        assert _bank_for.cache_info().currsize <= 4
 
     def test_band_out_of_range(self, grid32):
         bank = LPProjectorBank(grid32)

@@ -68,10 +68,12 @@ def datum(grid32):
 
 
 def test_besov_split_transient_in_units_of_its_result(datum):
-    # measured 2.71 results' worth, the returned split (1.00) and the data's
-    # spectrum, made through a view, included; 3.26 while the data kept its
-    # spectrum from the first call and the two returned fields kept theirs
-    besov.besov_split(datum, 3.0, 6.0)  # the Littlewood-Paley bank is cached
+    # measured 2.80 results' worth, the returned split (1.00), the data's
+    # spectrum, made through a view, and the Littlewood-Paley bank each
+    # block builds included; 2.71 while the bank was cached process-wide,
+    # 3.26 while the data kept its spectrum from the first call and the two
+    # returned fields kept theirs
+    besov.besov_split(datum, 3.0, 6.0)  # the grid's wavenumber arrays are built
     assert _peak(lambda: besov.besov_split(datum, 3.0, 6.0)) <= 3.5 * SPLIT
 
 

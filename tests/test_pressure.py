@@ -1,3 +1,4 @@
+import collections
 import os
 import sys
 import threading
@@ -18,6 +19,8 @@ from critnorm.fields import (
     taylor_green_3d,
 )
 from critnorm.spectral import heat_semigroup
+
+from test_fft import spy_workers
 
 DEFAULT_L = 2.0 * np.pi * np.sqrt(2.0)
 
@@ -256,6 +259,19 @@ class TestSplitPressure:
                 mismatch=sp.mismatch,
             )
 
+
+    def test_split_transform_counts(self, grid16, monkeypatch):
+        # the check transforms the symmetric stress and p on the box (2
+        # rfftn); on the doubled grid the Riesz sum transforms its six
+        # components, n1 and n3 one source each and n2 and n4 three each
+        # (14 rfftn), and each of the five sums crops one inverse (5 irfftn)
+        v, V, p = tg_snapshot(grid16)
+        cut = pressure.RadialCutoff(grid16, 0.2, 1.0)
+        seen = spy_workers(monkeypatch)
+        pressure.split_pressure(p, V, cut)
+        counts = collections.Counter((name, grid) for name, grid, _ in seen)
+        box, doubled = (16, 16, 16), (32, 32, 32)
+        assert counts == {("rfftn", box): 2, ("rfftn", doubled): 14, ("irfftn", doubled): 5}
 
     def test_split_keeps_the_cutoff_field_and_refuses_anything_else(self, grid32):
         v, V, p = tg_snapshot(grid32)
