@@ -5,13 +5,13 @@ Riesz part plus four Newtonian-potential corrections sourced by the
 derivatives of the radial cutoff, formed in closed form from its two
 radial factors; every convolution runs on the zero-padded doubled grid,
 through spectral's one doubled-grid loop, because the identity is a
-free-space one. The oscillation
-report measures, on a parabolic cylinder, the scale-weighted pressure
-oscillation against the six velocity/drift/pressure integrals that
-bound it, with an optional time-weighted variant for runs carrying a
-distinguished singular time outside the observation window; its
-integrals follow the quadrature of critnorm.cylinder, in time
-cylinder.trapezoid over the stored slices of the window.
+free-space one. The oscillation report measures, on a parabolic
+cylinder, the scale-weighted pressure oscillation against the six
+velocity/drift/pressure integrals that bound it, with an optional
+time-weighted variant for runs carrying a distinguished singular time
+outside the observation window; its integrals follow the quadrature of
+critnorm.cylinder, in time cylinder.trapezoid over the stored slices of
+the window.
 
 The r/8 lattice of the outer ball B_rho has about (16 rho/r)^3 points,
 so the oscillation walks the x-slabs of cylinder.ball_slabs once, through
