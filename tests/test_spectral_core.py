@@ -295,6 +295,17 @@ class TestNewtonianPotential:
         with pytest.raises(ValueError):
             spectral.newtonian_potential(f)
 
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_divergence_potential_needs_three_sources(self, grid32, count):
+        # N * div f takes its sources as one VectorField: a field of any
+        # other component count cannot be built, and a bare list of scalar
+        # sources is refused rather than read as a divergence
+        with pytest.raises(ValueError, match=r"shape \(3, .* got \(%d, " % count):
+            VectorField(grid32, np.zeros((count,) + grid32.shape))
+        zero = ScalarField(grid32, np.zeros(grid32.shape))
+        with pytest.raises(ValueError, match="ScalarField .* or a VectorField .* got list"):
+            spectral.newtonian_potential([zero] * count)
+
     def test_potential_refuses_a_tensor_field(self, grid32):
         zero = TensorField(grid32, np.zeros((3, 3) + grid32.shape))
         with pytest.raises(ValueError, match="ScalarField .* or a VectorField .* got TensorField"):
