@@ -85,23 +85,26 @@ def lp_project(f, j):
 def besov_norm_lp(f, s, p, name=None):
     """Littlewood-Paley Besov norm sup over bands of 2^{js} ||block||_p: q = inf,
     the paper's B^s_{p,inf}. f's spectrum is read through a view (fields)."""
-    return _lp_sup(type(f)(f.grid, f.data), s, p, name)
+    return _lp_sup(type(f)(f.grid, f.data), [(s, p, name)])[0]
 
 
-def _lp_sup(f, s, p, name):  # besov_norm_lp reading, and caching, f's own spectrum
-    p = float(p)
-    s = float(s)
-    limit = 0.0 if p == math.inf else 3.0 / p
-    if not s < limit:
-        raise ValueError("regularity must satisfy s < 3/p")
+def _lp_sup(f, norms):
+    """besov_norm_lp of f for each (s, p, name) in norms, reading, and caching,
+    f's own spectrum: one walk of the bands makes each weight and block once."""
+    norms = [(float(s), float(p), name) for s, p, name in norms]
+    for s, p, _ in norms:
+        if not s < (0.0 if p == math.inf else 3.0 / p):
+            raise ValueError("regularity must satisfy s < 3/p")
     bank = LPProjectorBank(f.grid)
-    terms = [2.0 ** (j * s) * box_lp(f.grid, lp_project(f, j).data, p) for j in bank.bands]
-    return NormReport(
-        name=name or "B(%g,%g,inf)" % (s, p),
-        value=max(terms),
-        region=None,
-        method="Littlewood-Paley bands j in [%d, %d]" % (bank.j_min, bank.j_max),
-    )
+    terms = [[] for _ in norms]
+    for j in bank.bands:
+        block = lp_project(f, j).data
+        for (s, p, _), t in zip(norms, terms):
+            t.append(2.0 ** (j * s) * box_lp(f.grid, block, p))
+        del block  # not held through the next band's block
+    method = "Littlewood-Paley bands j in [%d, %d]" % (bank.j_min, bank.j_max)
+    return [NormReport(name or "B(%g,%g,inf)" % (s, p), max(t), None, method)
+            for (s, p, name), t in zip(norms, terms)]
 
 
 def besov_norm_heat(f, s, p):
@@ -166,8 +169,8 @@ def besov_split(g, N, p):
     bar = apply_multiplier(g, low.astype(np.float64))
     tilde = VectorField(grid, g.data - bar.data)
     del g  # the view and its spectrum; bar's goes once bar's two norms are taken
-    bmo = _lp_sup(bar, -1.0 + DELTA2, math.inf, "bar_B(%g,inf,inf)" % (-1.0 + DELTA2))
-    crit = _lp_sup(bar, -1.0 + 3.0 / p, p, "bar_crit")
+    bmo, crit = _lp_sup(bar, [(-1.0 + DELTA2, math.inf, "bar_B(%g,inf,inf)" % (-1.0 + DELTA2)),
+                              (-1.0 + 3.0 / p, p, "bar_crit")])
     bar = VectorField(grid, bar.data)  # a view without that spectrum
     reports = {
         "tilde_l2": NormReport("tilde_l2", tilde.l2(), None, "box L2"),

@@ -95,7 +95,7 @@ class Grid:
         for a in (self.x, self.k2):
             a.flags.writeable = False
 
-    # built at first use: the doubled grids of spectral's caches read none
+    # built at first use: a grid builds only the arrays its callers read
     @_read_only_cache
     def k2_safe(self):
         return np.where(self.k2 > 0, self.k2, 1.0)
@@ -137,9 +137,6 @@ class Grid:
         return np.sqrt(
             dx[:, None, None] ** 2 + dy[None, :, None] ** 2 + dz[None, None, :] ** 2
         )
-
-    def wavenumbers(self):
-        return self.kx, self.ky, self.kz
 
     def deriv_wavenumbers(self):
         return self.kx_d, self.ky_d, self.kz_d

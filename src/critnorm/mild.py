@@ -491,8 +491,9 @@ def solve_mild(u0a, cfg, data_norm="l3", besov_p=6.0):
     frames, _ = _forward_solve(g, times, H, march,
                                ("mild solution", "a", "e^{t Lap} u0a", "data"), residual=True)
     a = SpaceTimeField(g, times, frames)
-    resid_frames = H
-    residual = _st_norm(g, times, resid_frames, 2, 2)
+    l5s = [box_lp(g, frames[i], 5) for i in range(m)]
+    resids = [box_lp(g, H[i], 2) for i in range(m)]  # the residual's slices
+    residual = _time_norm(times, resids, 2)
 
     rows = []
     k0 = 0.0
@@ -502,10 +503,10 @@ def solve_mild(u0a, cfg, data_norm="l3", besov_p=6.0):
             "t": t,
             "l3": box_lp(g, frames[i], 3),
             "t18_l4": t**0.125 * box_lp(g, frames[i], 4),
-            "t15_l5": t**0.2 * box_lp(g, frames[i], 5),
+            "t15_l5": t**0.2 * l5s[i],
             "t12_linf": t**0.5 * box_lp(g, frames[i], math.inf),
             "tp_lp": t ** (0.5 * (1 - 3 / p)) * box_lp(g, frames[i], p),
-            "residual": box_lp(g, resid_frames[i], 2),
+            "residual": resids[i],
         }
         if data_norm == "l3":
             # the weight t^{1/2} is 0 at t = 0: no gradient is taken there
@@ -529,7 +530,7 @@ def solve_mild(u0a, cfg, data_norm="l3", besov_p=6.0):
         data_norm=value,
         decay_table=tuple(rows),
         k0_empirical=k0,
-        l5_spacetime=_st_norm(g, times, frames, 5, 5),
+        l5_spacetime=_time_norm(times, l5s, 5),
         residual=residual,
         residual_rel=residual / unorm if unorm > 0 else 0.0,
         iterations=1,

@@ -336,16 +336,26 @@ class GlobalEnergyReport:
 def _slice_densities(run, i, phiv, gphi, lap_phi):
     """Stored slice i's localized energy and the densities of the
     identity's time integrals, dissipation then _FLUX_TERMS (the drift
-    terms 0 undriven). Every field it makes dies on return, so no slice's
-    fields outlive its row."""
+    terms 0 undriven). The gradient is taken one direction j at a time,
+    summed into |grad v|^2 and (v . grad) v = sum_j v_j d_j v in order of j.
+    Every field it makes dies on return, so no slice's fields outlive its row."""
     cell = run.grid.cell_volume
     v = run.v.frames[i]
     q = run.q.frames[i]
     v2 = np.sum(v**2, axis=0)
-    grads = gradient(run.v[i]).data  # grads[j, i] = d_j v_i
+    vh = _fft.rfftn(v)
+    grad2 = np.zeros(v2.shape)
+    conv = None if run.a is None else np.zeros(v.shape)  # (v . grad) v
+    for j, k in enumerate(run.grid.deriv_wavenumbers()):
+        d = _fft.irfftn(1j * k * vh, v2.shape)  # d[i] = d_j v_i
+        for di in d:
+            grad2 += di**2
+        if conv is not None:
+            conv += v[j] * d
+    del vh, d
     out = [
         np.sum(v2 * phiv) * cell,
-        np.sum(np.sum(grads**2, axis=(0, 1)) * phiv) * cell,
+        np.sum(grad2 * phiv) * cell,
         np.sum(v2 * lap_phi) * cell,
     ]
     v_gphi = np.sum(v * gphi, axis=0)
@@ -355,7 +365,6 @@ def _slice_densities(run, i, phiv, gphi, lap_phi):
     a = run.a.frames[i]  # a fresh slice, read once the gradient's transforms are done
     out.append(np.sum(v2 * np.sum(a * gphi, axis=0)) * cell)
     out.append(2.0 * np.sum(np.sum(a * v, axis=0) * v_gphi) * cell)
-    conv = np.einsum("j...,ji...->i...", v, grads)  # (v . grad) v
     out.append(2.0 * np.sum(np.sum(conv * a, axis=0) * phiv) * cell)
     return out
 

@@ -6,9 +6,10 @@ Riesz sum and linear convolution, which leave the periodic setting
 through zero-padded convolutions on a doubled grid. This module owns
 their truncated kernels and the doubled-grid layout. The potential and
 the Riesz sum run one loop, _free_sum: pad and transform each source,
-scale its spectrum in place, add it to one sum, crop one inverse.
-free_convolution pads both of its factors and returns the whole doubled
-grid, so it stays apart.
+scale its spectrum in place, add it to one sum, crop one inverse. Each
+source builds its factor, a function of |k|^2, on a quadrant (_blocks)
+after its transform; none is kept. free_convolution pads both of its
+factors and returns the whole doubled grid, so it stays apart.
 """
 
 import functools
@@ -17,7 +18,7 @@ import operator
 import numpy as np
 
 from . import _fft
-from .fields import Grid, ScalarField, TensorField, VectorField
+from .fields import ScalarField, TensorField, VectorField
 
 __all__ = [
     "grad_hat",
@@ -211,10 +212,32 @@ def free_convolution(f, kernel):
     return _fft.irfftn(hat, (2 * g.n,) * 3) * g.cell_volume
 
 
-@functools.lru_cache(maxsize=4)
-def _kernel_hat(grid):
-    """Wavenumbers of the doubled grid (side 2L, 2n cells) and the
-    Fourier-side truncated kernel N_T = N * chi_{|x| < T} on it, read-only.
+def _blocks(n, L, factor, origin):
+    """A factor of |k|^2 alone on the doubled grid (side 2L, 2n cells): four
+    blocks of its rfft layout, rows and columns 0..n or n+1..2n-1, as (index,
+    factor, Grid(2n, 2L)'s (kx, ky, kz)) there. All read one (n+1)^3 quadrant,
+    at rows and columns 0..n or n-1..1, as (k0 m)^2 = (k0 (-m))^2 exactly;
+    factor of k2 > 0 is evaluated on its half m_x <= m_y and copied to the
+    x-y transpose, whose k2 is bit-identical; origin is the value at k = 0."""
+    k0 = 2.0 * np.pi / (2.0 * L)
+    k = k0 * np.arange(n + 1.0)  # Grid(2n, 2L).kx for m >= 0
+    i, j = np.triu_indices(n + 1)
+    k2 = (k[i] ** 2 + k[j] ** 2)[:, None] + k[None, :] ** 2
+    k2[0, 0] = 1.0  # k = 0: set to origin below
+    half = factor(k2)
+    half[0, 0] = origin
+    q = np.empty((n + 1,) * 3)
+    q[i, j] = q[j, i] = half
+    kxy = k0 * np.fft.fftfreq(2 * n, d=1.0 / (2 * n))
+    halves = ((slice(0, n + 1), slice(0, n + 1)), (slice(n + 1, 2 * n), slice(n - 1, 0, -1)))
+    return [((fx, fy), q[qx, qy], (kxy[fx, None, None], kxy[None, fy, None], k[None, None, :]))
+            for fx, qx in halves for fy, qy in halves]
+
+
+def _kernel_hat(n, L):
+    """The Fourier-side truncated kernel N_T = N * chi_{|x| < T} on the
+    doubled grid of Grid(n, L) in _blocks, built per source;
+    newtonian_potential forms k_j N_T block by block.
 
     The transform of -chi_{|x|<T}/(4 pi |x|) is -(1 - cos(T|k|))/|k|^2, which
     is smooth, so no real-space sampling of the singularity is needed and the
@@ -223,40 +246,25 @@ def _kernel_hat(grid):
     |x| < L/4 and results read off inside the original box, genuine pair
     distances stay below 1.12 L < T while periodic-image distances on the
     doubled torus exceed 1.25 L > T, so chi never clips a real interaction
-    and never admits a spurious one.
-
-    N_T is real and takes 68 MB at n = 128; at most four grids are kept.
-    The derivative kernels i k_j N_T are formed per call, never kept.
+    and never admits a spurious one. The factor carries 1 / dx^3, which
+    compensates the quadrature weight the caller applies.
     """
-    big = Grid(2 * grid.n, 2 * grid.L)
-    T = _TRUNCATION * grid.L
-    k2 = big.k2
-    kk = np.sqrt(k2)
-    den = np.where(k2 > 0.0, k2, 1.0)
-    nhat = np.where(k2 > 0.0, -(1.0 - np.cos(T * kk)) / den, -0.5 * T * T)
-    # compensate the dx^3 quadrature weight applied by the caller
-    nhat /= big.cell_volume
-    kvec = big.wavenumbers()
-    for arr in kvec + (nhat,):
-        arr.flags.writeable = False
-    return kvec, nhat
+    T = _TRUNCATION * L
+    cell = (L / n) ** 3  # Grid(2n, 2L).cell_volume
+    return _blocks(n, L, lambda k2: -(1.0 - np.cos(T * np.sqrt(k2))) / k2 / cell,
+                   -0.5 * T * T / cell)
 
 
-@functools.lru_cache(maxsize=4)
-def _riesz_factor(grid):
-    """Doubled-grid wavenumbers and the truncated traceless factor of
-    free_riesz_sum, read-only. A cache apart from _kernel_hat, so the
-    Riesz sum runs before N_T is built."""
-    big = Grid(2 * grid.n, 2 * grid.L)
-    kappa = _TRUNCATION * grid.L * np.sqrt(big.k2)
-    ks = np.where(kappa > 0.0, kappa, 1.0)
-    gfac = np.where(
-        kappa > 0.0, 1.0 - 3.0 * (np.sin(ks) - ks * np.cos(ks)) / ks**3, 0.0
-    )
-    kvec = big.wavenumbers()
-    for arr in kvec + (gfac,):
-        arr.flags.writeable = False
-    return kvec, gfac
+def _riesz_factor(n, L):
+    """free_riesz_sum's truncated traceless factor gfac on the doubled grid
+    of Grid(n, L) in _blocks, built per source."""
+    T = _TRUNCATION * L
+
+    def factor(k2):
+        ks = np.multiply(T, np.sqrt(k2, out=k2), out=k2)  # T |k|, in k2's buffer
+        return 1.0 - 3.0 * (np.sin(ks) - ks * np.cos(ks)) / ks**3
+
+    return _blocks(n, L, factor, 0.0)
 
 
 def _check_support(grid, sources):
@@ -310,17 +318,13 @@ def newtonian_potential(f):
         raise ValueError("newtonian_potential takes a ScalarField (N * f) or a VectorField "
                          "(N * div f), got %s" % type(f).__name__)
     g = f.grid
-    kvec, nhat = _kernel_hat(g)
-    if isinstance(f, ScalarField):
-        sources = [f.values]
+    scalar = isinstance(f, ScalarField)
+    sources = [f.values] if scalar else f.data
 
-        def scale(c, hat):
-            hat *= nhat
-    else:
-        sources = f.data
-
-        def scale(c, hat):
-            hat *= kvec[c] * nhat  # then times 1j: the bits of (1j k N_T) * hat
+    def scale(c, hat):
+        for full, nq, k in _kernel_hat(g.n, g.L):
+            hat[full] *= nq if scalar else k[c] * nq  # the bits of (k_c N_T) * hat
+        if not scalar:
             hat *= 1j
     return ScalarField(g, _free_sum(g, sources, scale) * g.cell_volume)
 
@@ -341,26 +345,25 @@ def free_riesz_sum(grid, S):
     The two parts share one multiplier per component, so the sum holds
     one spectrum: qh = sum_c m_c S_c with m_ij = -w_ij gfac k_i k_j / |k|^2
     - delta_ij (1 - gfac) / 3, w_ij the SYM_PAIRS weight. Each m_c is made
-    after its component's transform, so the transient stays the three
-    doubled-grid spectra of _free_sum.
+    block by block after its component's transform, from gfac built there
+    (_riesz_factor), so the transient stays the three doubled-grid spectra
+    of _free_sum.
 
     Every component must vanish outside the ball |x| < L/4.
     """
-    kvec, gfac = _riesz_factor(grid)
-
     def scale(c, hat):
         i, j = SYM_PAIRS[c]
-        m = kvec[0] ** 2 + kvec[1] ** 2 + kvec[2] ** 2
-        m[0, 0, 0] = 1.0  # gfac is 0 there
-        np.divide(gfac, m, out=m)
-        if i == j:  # (gfac - 1 - 3 gfac k_i^2 / |k|^2) / 3
-            m *= -3.0 * kvec[i] ** 2
-            m += gfac
-            m -= 1.0
-            m /= 3.0
-        else:
-            m *= -2.0 * kvec[i] * kvec[j]
-        hat *= m
+        for full, gfac, k in _riesz_factor(grid.n, grid.L):
+            m = k[0] ** 2 + k[1] ** 2 + k[2] ** 2
+            np.divide(gfac, m, out=m, where=m > 0.0)  # gfac and m are 0 at k = 0
+            if i == j:  # (gfac - 1 - 3 gfac k_i^2 / |k|^2) / 3
+                m *= -3.0 * k[i] ** 2
+                m += gfac
+                m -= 1.0
+                m /= 3.0
+            else:
+                m *= -2.0 * k[i] * k[j]
+            hat[full] *= m
 
     return ScalarField(grid, _free_sum(grid, S, scale))
 

@@ -1,9 +1,10 @@
 """Transient memory of the chain's stages (Besov split, mild solve, driven
-PNS run, local energy identity), the inversion of I - L_a, the doubled-grid sums, their kernel
-caches, the pressure split, the ledger rows, cylinder integrals and
+PNS run, local energy identity), the inversion of I - L_a, the doubled-grid sums and
+the quadrants of their factors, the pressure split, the ledger rows, cylinder integrals and
 pressure oscillation, and the memory a pressure split and a radial cutoff
-keep, measured with tracemalloc at 32^3; and that the chain's stages leave
-no cached spectrum on the fields they are handed.
+keep, measured with tracemalloc at 32^3; that the chain's stages leave
+no cached spectrum on the fields they are handed; and that the free-space
+layer keeps nothing between calls.
 
 tracemalloc sees every numpy array, made in any thread, not the FFT
 library's own work buffers. Each bound is a multiple of a stated unit, set from measurement
@@ -34,6 +35,8 @@ SPECTRUM = (2 * N) ** 2 * (N + 1) * 16
 SLICE = 4 * N * N * (N // 2 + 1) * 16
 # one float64 field on the box
 FIELD = N**3 * 8
+# one quadrant of a doubled-grid factor: (n + 1)^3 float64, 0.13 spectra
+QUADRANT = (N + 1) ** 3 * 8
 # the mild solution a on the chains' 6 stored times, 4.72 MB at 32^3
 MILD = 6 * 3 * FIELD
 # the Besov split's two vector fields
@@ -70,9 +73,10 @@ def datum(grid32):
 def test_besov_split_transient_in_units_of_its_result(datum):
     # measured 2.80 results' worth, the returned split (1.00), the data's
     # spectrum, made through a view, and the Littlewood-Paley bank each
-    # block builds included; 2.71 while the bank was cached process-wide,
-    # 3.26 while the data kept its spectrum from the first call and the two
-    # returned fields kept theirs
+    # block builds included; one part's spectrum at a time (3.42 with one
+    # walk of the bands for both parts, both spectra alive); 2.71 while the
+    # bank was cached process-wide, 3.26 while the data kept its spectrum
+    # from the first call and the two returned fields kept theirs
     besov.besov_split(datum, 3.0, 6.0)  # the grid's wavenumber arrays are built
     assert _peak(lambda: besov.besov_split(datum, 3.0, 6.0)) <= 3.5 * SPLIT
 
@@ -155,9 +159,11 @@ def test_run_pns_transient_in_units_of_its_result(driven):
 
 
 def test_verify_local_energy_transient(grid32, driven):
-    # measured 28.4 fields, one slice's fields at a time; the entries it
-    # returns are a few scalars each (41.4 while a row's gradient and
-    # products lived through the next row's gradient)
+    # measured 22.5 fields, one slice's fields and one direction's three
+    # derivatives at a time; the entries it returns are a few scalars each
+    # (28.4 while a slice's nine-component gradient lived through its row,
+    # 41.4 while a row's gradient and products lived through the next row's
+    # gradient)
     _, stored = driven
     phi = smooth_radial_cutoff(grid32, 1.0, 3.0)
     pns.verify_local_energy(stored, phi)
@@ -167,7 +173,7 @@ def test_verify_local_energy_transient(grid32, driven):
 @pytest.fixture(scope="module")
 def sources(grid32):
     """Nine smooth random fields supported in |x| < L/4: six Riesz components
-    and three Newton sources, with both kernel caches built."""
+    and three Newton sources, with the grid's arrays built."""
     r = grid32.radius()
     bump = np.where(r < 0.2 * grid32.L, np.cos(np.pi * r / (0.4 * grid32.L)) ** 2, 0.0)
     rng = np.random.default_rng(0)
@@ -179,7 +185,8 @@ def sources(grid32):
 
 
 def test_free_riesz_sum_holds_at_most_three_spectra(grid32, sources):
-    # measured 2.97 spectra: the sum, the padded cube and its spectrum
+    # measured 2.97 spectra: the sum, the padded cube and its spectrum; a
+    # component's factor quadrant (0.13) is built after its transform
     # (3.97 while the trace had a spectrum of its own, 7.50 while a scaled
     # copy and qh's temporaries sat beside them)
     S, _ = sources
@@ -187,7 +194,8 @@ def test_free_riesz_sum_holds_at_most_three_spectra(grid32, sources):
 
 
 def test_newtonian_potential_of_a_divergence_holds_at_most_three_spectra(grid32, sources):
-    # measured 2.97 spectra: the sum, the padded cube and its spectrum
+    # measured 2.97 spectra: the sum, the padded cube and its spectrum; a
+    # source's kernel quadrant (0.13) is built after its transform
     # (3.12 while each source's term was an array of its own, 3.97 while
     # the term was made before the source's transform)
     _, div = sources
@@ -250,14 +258,36 @@ def test_radial_cutoff_keeps_one_field(grid32):
     assert kept <= 1.25 * FIELD
 
 
-def test_kernel_caches_build_no_unread_spectra():
-    # a fresh doubled grid builds only the wavenumbers each cache reads:
-    # measured 2.57 spectra per build (4.13 while every Grid built its
-    # k2_safe, k2_d, k2_d_safe and dealias_mask)
-    g = Grid(N, 9.0)
-    for cache in (spectral._kernel_hat, spectral._riesz_factor):
-        cache.cache_clear()
-        assert _peak(lambda: cache(g)) <= 3.0 * SPECTRUM
+def test_quadrant_build_holds_two_quadrants():
+    # a free-space factor is built per source on the (n+1)^3 quadrant of the
+    # doubled grid: measured 2.08 (N_T) and 2.10 (gfac) quadrants, the
+    # returned quadrant, its half's |k|^2 and values and indices included
+    for build in (spectral._kernel_hat, spectral._riesz_factor):
+        assert _peak(lambda: build(N, 9.0)) <= 2.25 * QUADRANT
+
+
+def test_free_space_layer_keeps_nothing_once_its_results_are_dropped():
+    # no process-wide cache: on a grid the layer has not seen, the Newton
+    # potentials, the Riesz sum and the pressure split leave nothing behind.
+    # Measured 12 KB (2.18 MB while the two factor caches kept a
+    # doubled-grid factor and wavenumbers per grid)
+    g = Grid(N, 11.5)
+    v = taylor_green_3d(g, 1.0)
+    V = TensorField(g, v.data[:, None] * v.data[None, :])
+    p = ScalarField(g, pns.recover_pressure(v).values)
+    cutoff = pressure.RadialCutoff(g, 0.2, 1.0)
+    S = pressure._sym_part(cutoff.values * V.data)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        spectral.newtonian_potential(ScalarField(g, cutoff.values))
+        spectral.newtonian_potential(VectorField(g, S[:3]))
+        spectral.free_riesz_sum(g, S)
+        pressure.split_pressure(p, V, cutoff)
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert kept <= 64 * 1024
 
 
 @pytest.fixture(scope="module")

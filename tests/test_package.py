@@ -4,8 +4,8 @@ only _fft transforms, only cylinder integrates in time over stored
 slices or samples stored frames off the grid, no module keeps an import
 it never reads, importing the package stays light, the package's
 optional parameters do not grow, its public dataclasses are frozen, no
-module global is None, and the declared numpy floor has the numpy the
-package calls."""
+module global is None, spectral keeps one function cache, and the
+declared numpy floor has the numpy the package calls."""
 
 import ast
 import importlib
@@ -291,6 +291,14 @@ def test_no_module_global_is_none():
     found = ["%s.%s" % (name, attr) for name in MODULES
              for attr, value in vars(importlib.import_module(name)).items() if value is None]
     assert found == []
+
+
+def test_spectral_keeps_one_function_cache():
+    """The off-grid evaluator's phase tables are spectral's one lru_cache:
+    the free-space factors are built per source and never kept."""
+    spectral = importlib.import_module("critnorm.spectral")
+    cached = [name for name, obj in vars(spectral).items() if hasattr(obj, "cache_info")]
+    assert cached == ["_yz_tables"]
 
 
 def test_numpy_floor_has_trapezoid():

@@ -228,31 +228,49 @@ class TestRieszRiesz:
         assert np.allclose(pair, -2.0 * dd[2, 0], atol=1e-13)
 
 
+def _full_kernel(n, L):
+    """N_T on the whole doubled grid, the formula the quadrant must match."""
+    big = Grid(2 * n, 2 * L)
+    T = 1.2 * L
+    k2 = big.k2
+    den = np.where(k2 > 0.0, k2, 1.0)
+    nhat = np.where(k2 > 0.0, -(1.0 - np.cos(T * np.sqrt(k2))) / den, -0.5 * T * T)
+    return nhat / big.cell_volume
+
+
+def _full_riesz_factor(n, L):
+    """gfac on the whole doubled grid, the formula the quadrant must match."""
+    kappa = 1.2 * L * np.sqrt(Grid(2 * n, 2 * L).k2)
+    ks = np.where(kappa > 0.0, kappa, 1.0)
+    return np.where(kappa > 0.0, 1.0 - 3.0 * (np.sin(ks) - ks * np.cos(ks)) / ks**3, 0.0)
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+@pytest.mark.parametrize("factor", ["kernel", "riesz"])
+def test_doubled_grid_factors_unfold_from_their_quadrant(factor, n):
+    # the four blocks read the (n+1)^3 quadrant back into the whole rfft
+    # layout of the doubled grid, bit for bit, with its wavenumbers
+    build, full = {"kernel": (spectral._kernel_hat, _full_kernel),
+                   "riesz": (spectral._riesz_factor, _full_riesz_factor)}[factor]
+    for L in (9.0, DEFAULT_L, 13.0):
+        want = full(n, L)
+        big = Grid(2 * n, 2 * L)
+        kx, ky, kz = (np.broadcast_to(k, want.shape) for k in (big.kx, big.ky, big.kz))
+        blocks = build(n, L)
+        assert {b[1].base.shape for b in blocks} == {(n + 1,) * 3}  # one quadrant
+        got = np.full(want.shape, np.nan)
+        for index, values, k in blocks:
+            got[index] = values
+            for have, ref in zip(np.broadcast_arrays(*k), (kx, ky, kz)):
+                assert have.tobytes() == np.ascontiguousarray(ref[index]).tobytes()
+        assert got.tobytes() == want.tobytes()
+
+
 class TestNewtonianPotential:
     def test_zero_source(self, grid32):
         f = ScalarField(grid32, np.zeros(grid32.shape))
         out = spectral.newtonian_potential(f)
         assert np.max(np.abs(out.values)) == 0.0
-
-    def test_kernel_cache_is_bounded(self):
-        for L in (9.0, 10.0, 11.0, 12.0, 13.0):
-            g = Grid(8, L)
-            spectral.newtonian_potential(ScalarField(g, np.zeros(g.shape)))
-        assert spectral._kernel_hat.cache_info().currsize <= 4
-
-    def test_kernel_cache_keeps_one_real_kernel(self):
-        # the derivative kernels i k_j N_T are formed per call: what stays
-        # cached is N_T, real, and the doubled grid's wavenumber vectors
-        g = Grid(16, DEFAULT_L)
-        spectral.newtonian_potential(VectorField(g, np.zeros((3,) + g.shape)))
-        kvec, nhat = spectral._kernel_hat(g)
-        cached = kvec + (nhat,)
-        assert not any(a.flags.writeable for a in cached)
-        assert not any(np.iscomplexobj(a) for a in cached)
-        n = 2 * g.n
-        budget = n * n * (n // 2 + 1) * 8 + sum(a.nbytes for a in kvec)
-        assert sum(a.nbytes for a in cached) <= budget
-        assert max(a.size for a in kvec) == n
 
     def test_unit_ball_center_value(self, grid64):
         f = ball_indicator(grid64, 1.0)

@@ -237,7 +237,7 @@ def gradient_potential(s, j):
     nhat = np.where(big.k2 > 0.0, -(1.0 - np.cos(T * np.sqrt(big.k2))) / k2, -0.5 * T * T)
     pad = np.zeros(big.shape)
     pad[:n, :n, :n] = s.values
-    hat = 1j * big.wavenumbers()[j] * nhat * _fft.rfftn(pad)
+    hat = 1j * (big.kx, big.ky, big.kz)[j] * nhat * _fft.rfftn(pad)
     return _fft.irfftn(hat, big.shape)[:n, :n, :n]
 
 
